@@ -1,11 +1,12 @@
 """Tensor ring decomposition via block-randomized stochastic gradient methods.
 
 Library layout:
-  core       dense tensor primitives (unfoldings, subchain products, reconstruction)
+  core       dense tensor primitives (unfoldings, subchain products, reconstruction,
+             the streamed residual norm)
   sampling   per-core sampling distributions and subchain-row sampling
   solvers    TR-ALS, TR-GD, TR-ScaledGD, TR-BRSGD, TR-ScaledBRSGD
   datagen    seeded synthetic tensor generators
-  metrics    RSE / PSNR
+  metrics    RSE
   bench      experiment grid runner, trace CSVs, summary tables
   cli        command-line interface (see `trdecomp --help`)
 """
@@ -19,6 +20,7 @@ from .core import (
     frobenius_norm,
     mode_n_unfolding,
     multi_index,
+    residual_norm,
     slices_hadamard,
     subchain_product,
     subchain_tensor,
@@ -29,7 +31,7 @@ from .core import (
     validate_cores,
 )
 from .datagen import SynthSpec, gaussian_cores, ill_conditioned_cores, synth_tensor
-from .metrics import psnr, rse
+from .metrics import rse
 from .sampling import (
     SampleBatch,
     SamplingSpec,

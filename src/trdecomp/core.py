@@ -13,7 +13,13 @@ rank of the first).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+# Bytes per model slab in tr_reconstruct / residual_norm: small enough that a
+# slab and the matching entries of x stay in L2.
+SLAB_BYTES = 256 * 1024
 
 __all__ = [
     "multi_index",
@@ -31,6 +37,7 @@ __all__ = [
     "tr_ranks",
     "validate_cores",
     "tr_reconstruct",
+    "residual_norm",
     "tr_reconstruct_trace",
     "frobenius_norm",
 ]
@@ -184,30 +191,88 @@ def validate_cores(cores) -> None:
             )
 
 
+def _chain(cores) -> np.ndarray:
+    """Subchain product of consecutive cores, first core's slice index fastest."""
+    sub = cores[0]
+    for c in cores[1:]:
+        sub = subchain_product(sub, c)
+    return sub
+
+
 def subchain_tensor(cores, mode: int) -> np.ndarray:
     """Merge all cores except `mode` into one 3-way tensor
     (R_{mode+1}, prod of other extents, R_mode), middle index ordered with the
     mode+1 extent fastest."""
     order = rotation_modes(mode, len(cores))
-    sub = cores[order[0]]
     if len(order) == 1:
-        return np.array(sub, copy=True)
-    for k in order[1:]:
-        sub = subchain_product(sub, cores[k])
-    return sub
+        return np.array(cores[order[0]], copy=True)
+    return _chain([cores[k] for k in order])
+
+
+def _model_slabs(cores):
+    """Yield (lo, hi, slab): entries lo..hi-1 of the TR model in column-major
+    flat order, computed into one reused buffer.
+
+    The ring is cut into a left half-chain L over modes 0..h-1 and a right
+    half-chain R over modes h..N-1, h = N//2.  With j_L and j_R the merged
+    indices of those modes (first mode fastest), model entry (j_L, j_R) is
+    trace(L(j_L) R(j_R)), so the (J_R, J_L) matrix of the model is one
+    product Rt @ Lt with inner size R_0*R_h.  Its rows are contiguous runs of
+    the column-major flat model; a slab is a block of rows of about
+    SLAB_BYTES.  A slab is only valid until the next one is requested.
+    The cores must already have passed validate_cores.
+    """
+    h = len(cores) // 2
+    left = _chain(cores[:h])    # (R_0, J_L, R_h)
+    right = _chain(cores[h:])   # (R_h, J_R, R_0)
+    r0, j_left, rh = left.shape
+    j_right = right.shape[1]
+    # inner index k = a + R_0*b pairs L[a, j_L, b] with R[b, j_R, a]
+    lt = left.transpose(2, 0, 1).reshape(rh * r0, j_left)
+    rt = right.transpose(1, 0, 2).reshape(j_right, rh * r0)
+    rows = max(1, min(j_right, SLAB_BYTES // (8 * max(j_left, 1))))
+    buf = np.empty(rows * j_left)
+    for start in range(0, j_right, rows):
+        stop = min(start + rows, j_right)
+        slab = buf[: (stop - start) * j_left]
+        np.matmul(rt[start:stop], lt, out=slab.reshape(stop - start, j_left))
+        yield start * j_left, stop * j_left, slab
 
 
 def tr_reconstruct(cores) -> np.ndarray:
-    """Dense tensor represented by TR-cores.
+    """Dense tensor represented by TR-cores, in column-major (Fortran) order.
 
-    Uses the unfolding identity X_[1] = core_unfolding(G_1) @ subchain_unfolding(G^{!=1}).T,
-    which is cheaper than per-entry slice products.
+    Filled slab by slab from the same kernel that :func:`residual_norm` uses,
+    so ``residual_norm(cores, tr_reconstruct(cores)) == 0.0`` exactly.
     """
     validate_cores(cores)
     shape = tuple(c.shape[1] for c in cores)
-    sub = subchain_tensor(cores, 0)
-    x1 = core_unfolding(cores[0]) @ subchain_unfolding(sub).T
-    return fold_mode_n(x1, shape, 0)
+    out = np.empty(shape, order="F")
+    flat = out.reshape(-1, order="F")
+    for lo, hi, slab in _model_slabs(cores):
+        flat[lo:hi] = slab
+    return out
+
+
+def residual_norm(cores, x) -> float:
+    """Frobenius norm of TR(cores) - x, without building the dense model.
+
+    The model is streamed in slabs of about SLAB_BYTES and each slab is
+    differenced with the matching entries of x directly (no expansion of the
+    square, which would lose precision at small residuals).  A column-major
+    x is read in place; any other layout is copied once.
+    """
+    validate_cores(cores)
+    x = np.asarray(x, dtype=np.float64)
+    shape = tuple(c.shape[1] for c in cores)
+    if x.shape != shape:
+        raise ValueError(f"tensor shape {x.shape} does not match the cores' {shape}")
+    flat = x.reshape(-1, order="F")
+    total = 0.0
+    for lo, hi, slab in _model_slabs(cores):
+        slab -= flat[lo:hi]
+        total += float(slab @ slab)
+    return math.sqrt(total)
 
 
 def tr_reconstruct_trace(cores) -> np.ndarray:

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .core import tr_reconstruct
+from .core import residual_norm
 
 
 def rse(cores, truth: np.ndarray) -> float:
@@ -15,18 +13,7 @@ def rse(cores, truth: np.ndarray) -> float:
     denom = np.linalg.norm(truth)
     if denom == 0:
         raise ValueError("RSE undefined for an all-zero reference tensor")
-    return float(np.linalg.norm(tr_reconstruct(cores) - truth) / denom)
+    return float(residual_norm(cores, truth) / denom)
 
 
-def psnr(cores, truth: np.ndarray) -> float:
-    """Peak signal-to-noise ratio 10*log10(255^2 / MSE) in dB, where
-    MSE = ||TR(cores) - truth||_F / number of entries (unsquared norm).
-    Exact reconstruction returns +inf."""
-    truth = np.asarray(truth)
-    mse = float(np.linalg.norm(tr_reconstruct(cores) - truth) / truth.size)
-    if mse == 0:
-        return math.inf
-    return 10.0 * math.log10(255.0**2 / mse)
-
-
-__all__ = ["rse", "psnr"]
+__all__ = ["rse"]

@@ -27,9 +27,10 @@ from .core import (
     core_unfolding,
     fold_core,
     mode_n_unfolding,
+    residual_norm,
     subchain_tensor,
     subchain_unfolding,
-    tr_reconstruct,
+    tr_reconstruct,  # noqa: F401  (perfbench/tracing.py spans calls made through here)
     validate_cores,
 )
 from .sampling import (
@@ -134,7 +135,7 @@ class AdaGradState:
 
 def objective(cores, x: np.ndarray) -> float:
     """0.5 * squared Frobenius error of the TR model against x."""
-    return 0.5 * float(np.linalg.norm(tr_reconstruct(cores) - x) ** 2)
+    return 0.5 * residual_norm(cores, x) ** 2
 
 
 def _grad_and_gram(cores, x, mode):
@@ -226,7 +227,8 @@ class SolverConfig:
     damping is the preconditioner ridge (scalar, or callable of the iteration).
     Stopping: any subset of max_iters / max_seconds / rse_tol, at least one
     set; they are checked in the order rse_tol, max_iters, max_seconds at each
-    evaluation point.  eval_every=None evaluates every iteration for tensors
+    evaluation point, after a non-finite RSE or core, which always stops the
+    run.  eval_every=None evaluates every iteration for tensors
     under 1e6 entries and every 100 iterations above.
     """
 
@@ -298,10 +300,13 @@ def _run_loop(x, cores, config, algorithm, sampling_name, do_iteration,
     Iteration work is timed with `clock` (default perf_counter); evaluation
     time is excluded from elapsed unless config.time_includes_eval.  Stopping
     criteria are checked only at evaluation points, in the order
-    rse_tol -> max_iters -> max_seconds; an evaluation is forced whenever the
-    iteration count or elapsed budget is hit.
+    non-finite -> rse_tol -> max_iters -> max_seconds; an evaluation is forced
+    whenever the iteration count or elapsed budget is hit.  A non-finite RSE
+    or core sets `diverged` and stops the run with reason "diverged"; core
+    norms above DIVERGENCE_NORM only set the flag.
     """
     clock = clock if clock is not None else time.perf_counter
+    x = np.asfortranarray(x)  # residual_norm reads a column-major x in place
     norm_x = np.linalg.norm(x)
     if norm_x == 0:
         raise ValueError("cannot fit an all-zero tensor (RSE undefined)")
@@ -313,12 +318,16 @@ def _run_loop(x, cores, config, algorithm, sampling_name, do_iteration,
     tol = config.rse_tol
 
     records: list[tuple[int, float, float]] = []
-    state = {"elapsed": 0.0, "diverged": False}
+    state = {"elapsed": 0.0, "diverged": False, "non_finite": False}
 
     def evaluate(t: int) -> float:
         t0 = clock()
-        rse_val = float(np.linalg.norm(tr_reconstruct(cores) - x) / norm_x)
-        if not state["diverged"] and any(np.linalg.norm(c) > DIVERGENCE_NORM for c in cores):
+        rse_val = float(residual_norm(cores, x) / norm_x)
+        if not (math.isfinite(rse_val) and all(np.isfinite(c).all() for c in cores)):
+            state["diverged"] = state["non_finite"] = True
+            logger.warning("%s: non-finite RSE or core at iteration %d, stopping",
+                           algorithm, t)
+        elif not state["diverged"] and any(np.linalg.norm(c) > DIVERGENCE_NORM for c in cores):
             state["diverged"] = True
             logger.warning("%s: iterate norms exceed %.1e, flagging divergence",
                            algorithm, DIVERGENCE_NORM)
@@ -331,6 +340,8 @@ def _run_loop(x, cores, config, algorithm, sampling_name, do_iteration,
         return rse_val
 
     def stop_reason(t: int, rse_val: float) -> str | None:
+        if state["non_finite"]:
+            return "diverged"
         if tol is not None and rse_val <= tol:
             return "tol"
         if t >= max_iters:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .tensorfile import atomic_write_bytes
 
-TERMINAL_REASONS = ("tol", "max_iters", "max_time")
+TERMINAL_REASONS = ("tol", "max_iters", "max_time", "diverged")
 TRACE_HEADER = "iteration,elapsed_s,rse"
 
 

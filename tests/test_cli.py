@@ -107,3 +107,18 @@ def test_divergence_exit_code(tmp_path, capsys):
                    "--ranks", "2", "2", "2", "--alpha", "1e8",
                    "--batch-grad", "5", "--max-iters", "20", "--seed", "0"])
     assert rc == 3
+
+
+def test_non_finite_run_exit_code(tmp_path, capsys):
+    tensor_path = tmp_path / "x.trt"
+    main(["synth", "--order", "3", "--dim", "25", "--rank", "3", "--kind",
+          "ill_conditioned", "--kappa", "1e4", "--seed", "2", "--out", str(tensor_path)])
+    out_dir = tmp_path / "o"
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["decompose", "--tensor", str(tensor_path), "--algorithm", "tr-gd",
+                   "--out-dir", str(out_dir), "--ranks", "3", "3", "3", "--alpha", "0.1",
+                   "--eval-every", "10", "--max-iters", "30", "--seed", "0"])
+    assert rc == 3
+    trace = read_trace_csv(out_dir / "tr-gd-none-t0.csv")
+    assert trace.terminal_reason == "diverged" and trace.diverged
+    assert trace.final()[0] == 10

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from trdecomp import core
 from trdecomp.core import (
     classical_mode_n_unfolding,
     core_unfolding,
@@ -10,6 +11,7 @@ from trdecomp.core import (
     frobenius_norm,
     mode_n_unfolding,
     multi_index,
+    residual_norm,
     slices_hadamard,
     subchain_product,
     subchain_tensor,
@@ -288,6 +290,72 @@ class TestReconstruct:
         with pytest.raises(ValueError):
             validate_cores([cores[0]])
 
+
+# (extents, ranks): orders 2 to 5, non-uniform ranks, non-cubical extents
+KERNEL_CASES = [
+    ((3, 5), (2, 3)),
+    ((4, 3, 5), (2, 1, 3)),
+    ((2, 5, 3, 4), (3, 2, 1, 2)),
+    ((3, 2, 4, 1, 3), (2, 3, 2, 2, 1)),
+]
+
+
+def _layouts(x):
+    """The same tensor C-ordered, F-ordered and as a strided slice."""
+    wide = np.zeros(tuple(2 * d for d in x.shape))
+    sliced = wide[tuple(slice(None, None, 2) for _ in x.shape)]
+    sliced[...] = x
+    return {"C": np.ascontiguousarray(x), "F": np.asfortranarray(x), "sliced": sliced}
+
+
+class TestResidualNorm:
+    @pytest.mark.parametrize("dims,ranks", KERNEL_CASES)
+    @pytest.mark.parametrize("rows_per_slab", [1, 2, None])
+    def test_matches_trace_oracle(self, dims, ranks, rows_per_slab, monkeypatch):
+        if rows_per_slab is not None:
+            j_left = int(np.prod(dims[: len(dims) // 2]))
+            monkeypatch.setattr(core, "SLAB_BYTES", rows_per_slab * 8 * j_left)
+        rng = np.random.default_rng(21)
+        cores = random_cores(rng, dims, ranks)
+        model = reconstruct_by_trace(cores)
+        x = rng.standard_normal(dims)
+        expected = np.linalg.norm(model - x)
+        for layout, xl in _layouts(x).items():
+            assert residual_norm(cores, xl) == pytest.approx(expected, rel=1e-12), layout
+        np.testing.assert_allclose(tr_reconstruct(cores), model, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("dims,ranks", KERNEL_CASES)
+    def test_exact_zero_on_own_reconstruction(self, dims, ranks):
+        rng = np.random.default_rng(22)
+        cores = random_cores(rng, dims, ranks)
+        x = tr_reconstruct(cores)
+        for layout, xl in _layouts(x).items():
+            assert residual_norm(cores, xl) == 0.0, layout
+
+    @pytest.mark.parametrize("dims,ranks", KERNEL_CASES)
+    def test_small_residual_near_rse_1e_10(self, dims, ranks):
+        # a direct difference keeps the residual's leading digits where
+        # expanding the square would lose all of them
+        rng = np.random.default_rng(23)
+        cores = random_cores(rng, dims, ranks)
+        model = reconstruct_by_trace(cores)
+        noise = rng.standard_normal(dims)
+        x = model + 1e-10 * np.linalg.norm(model) / np.linalg.norm(noise) * noise
+        expected = np.linalg.norm(model - x)
+        assert expected / np.linalg.norm(x) == pytest.approx(1e-10, rel=1e-3)
+        for layout, xl in _layouts(x).items():
+            assert residual_norm(cores, xl) == pytest.approx(expected, rel=1e-4), layout
+
+    def test_shape_mismatch(self):
+        rng = np.random.default_rng(24)
+        cores = random_cores(rng, (3, 4), (2, 2))
+        with pytest.raises(ValueError, match="shape"):
+            residual_norm(cores, np.zeros((4, 3)))
+
+    def test_reconstruction_is_column_major(self):
+        rng = np.random.default_rng(25)
+        x = tr_reconstruct(random_cores(rng, (3, 4, 5), (2, 2, 2)))
+        assert x.flags.f_contiguous
 
 class TestFrobeniusNorm:
     def test_values(self):

@@ -1,10 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
 from trdecomp.core import tr_reconstruct
-from trdecomp.metrics import psnr, rse
+from trdecomp.metrics import rse
 
 
 def random_cores(rng, dims, ranks):
@@ -41,20 +39,3 @@ class TestRse:
         with pytest.raises(ValueError):
             rse(cores, np.zeros((3, 4)))
 
-
-class TestPsnr:
-    def test_zero_db(self):
-        # single-entry reference; difference norm 255^2 over one entry
-        truth = np.zeros((1, 1))
-        cores = [np.full((1, 1, 1), 255.0), np.full((1, 1, 1), 255.0)]
-        assert psnr(cores, truth) == pytest.approx(0.0, abs=1e-12)
-
-    def test_unit_mse(self):
-        truth = np.zeros((1, 1))
-        cores = [np.full((1, 1, 1), 1.0), np.full((1, 1, 1), 1.0)]
-        assert psnr(cores, truth) == pytest.approx(10 * math.log10(255.0**2), rel=1e-12)
-
-    def test_exact_is_infinite(self):
-        rng = np.random.default_rng(4)
-        cores = random_cores(rng, (3, 4), (2, 2))
-        assert psnr(cores, tr_reconstruct(cores)) == math.inf

@@ -35,8 +35,9 @@ from trdecomp.solvers import (
     tr_scaled_brsgd,
     tr_scaled_gd,
 )
+from trdecomp.trace import TERMINAL_REASONS
 
-from helpers import finite_diff_core_gradient
+from helpers import finite_diff_core_gradient, reconstruct_by_trace
 
 
 def random_cores(rng, dims, ranks):
@@ -662,3 +663,31 @@ class TestStoppingCriteria:
         _, trace = tr_als(x, cfg, clock=lambda: float(next(ticks)))
         # iteration work costs one tick; evaluations are excluded from elapsed
         assert [r[1] for r in trace.records] == [0.0, 1.0, 2.0, 3.0]
+
+    def test_non_finite_rse_stops_as_diverged(self):
+        # kappa=1e4 instance at alpha=0.1: GD overflows to NaN by iteration 10,
+        # and nan > DIVERGENCE_NORM is false, so the norm flag alone misses it
+        x, _ = synth_tensor(SynthSpec(order=3, dim=25, rank=3, kind="ill_conditioned",
+                                      kappa=1e4, seed=2))
+        cfg = SolverConfig(ranks=(3, 3, 3), schedule=ConstantStep(0.1),
+                           max_iters=30, eval_every=10, seed=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cores, trace = tr_gd(x, cfg)
+        assert [r[0] for r in trace.records] == [0, 10]
+        assert np.isfinite(trace.records[0][2]) and np.isnan(trace.records[1][2])
+        assert trace.diverged
+        assert trace.terminal_reason == "diverged" and "diverged" in TERMINAL_REASONS
+        assert not all(np.isfinite(c).all() for c in cores)
+
+    @pytest.mark.parametrize("solver", [tr_als, tr_scaled_brsgd])
+    def test_last_trace_rse_matches_trace_oracle(self, solver):
+        rng = np.random.default_rng(23)
+        dims, ranks = (4, 3, 5, 2), (2, 3, 2, 2)
+        x = reconstruct_by_trace(random_cores(rng, dims, ranks))
+        x += 0.01 * np.linalg.norm(x) / np.sqrt(x.size) * rng.standard_normal(dims)
+        cfg = SolverConfig(ranks=ranks, schedule=ConstantStep(0.1), batch_grad=20,
+                           batch_hess=20, damping=1e-6, max_iters=20, eval_every=5,
+                           seed=1)
+        cores, trace = solver(x, cfg)
+        oracle = np.linalg.norm(reconstruct_by_trace(cores) - x) / np.linalg.norm(x)
+        assert trace.final()[2] == pytest.approx(oracle, rel=1e-12)
