@@ -16,18 +16,13 @@ from .core import (
     core_unfolding,
     fold_classical_mode_n,
     fold_core,
-    fold_mode_n,
-    frobenius_norm,
     mode_n_unfolding,
-    multi_index,
     residual_norm,
     slices_hadamard,
     subchain_product,
     subchain_tensor,
     subchain_unfolding,
-    tr_ranks,
     tr_reconstruct,
-    tr_reconstruct_trace,
     validate_cores,
 )
 from .datagen import SynthSpec, gaussian_cores, ill_conditioned_cores, synth_tensor

@@ -10,8 +10,8 @@ A benchmark config is one JSON document:
       "solver": {"ranks": [3, 3, 3], "step": {"kind": "constant", "alpha": 0.05},
                   "batch_grad": 100, "batch_hess": 100, "damping": 0.0,
                   "max_iters": 1000, "max_seconds": null, "rse_tol": null,
-                  "eval_every": null, "recompute": "iteration",
-                  "share_hessian_batch": false, "time_includes_eval": false},
+                  "eval_every": null, "share_hessian_batch": false,
+                  "time_includes_eval": false},
       "trials": 1,
       "seed": 0
     }
@@ -143,8 +143,7 @@ def solver_config(solver_cfg, sampling_kind: str, seed: int) -> solvers.SolverCo
             batch_grad=int(d.get("batch_grad", 1)),
             batch_hess=int(d.get("batch_hess", 1)),
             damping=float(d.get("damping", 0.0)),
-            sampling=SamplingSpec(kind=sampling_kind,
-                                  recompute=d.get("recompute", "iteration")),
+            sampling=SamplingSpec(kind=sampling_kind),
             max_iters=None if d.get("max_iters") is None else int(d["max_iters"]),
             max_seconds=None if d.get("max_seconds") is None else float(d["max_seconds"]),
             rse_tol=None if d.get("rse_tol") is None else float(d["rse_tol"]),

@@ -51,7 +51,6 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-seconds", type=float, default=None)
     p.add_argument("--rse-tol", type=float, default=None)
     p.add_argument("--eval-every", type=int, default=None)
-    p.add_argument("--recompute", choices=["iteration", "sweep"], default="iteration")
     p.add_argument("--share-hessian-batch", action="store_true")
     p.add_argument("--time-includes-eval", action="store_true")
     p.add_argument("--init-scale", type=float, default=1.0)
@@ -76,7 +75,6 @@ def _solver_dict(args) -> dict:
         "max_seconds": args.max_seconds,
         "rse_tol": args.rse_tol,
         "eval_every": args.eval_every,
-        "recompute": args.recompute,
         "share_hessian_batch": args.share_hessian_batch,
         "time_includes_eval": args.time_includes_eval,
         "init_scale": args.init_scale,

@@ -22,10 +22,8 @@ import numpy as np
 SLAB_BYTES = 256 * 1024
 
 __all__ = [
-    "multi_index",
     "mode_n_unfolding",
     "classical_mode_n_unfolding",
-    "fold_mode_n",
     "fold_classical_mode_n",
     "core_unfolding",
     "fold_core",
@@ -34,31 +32,10 @@ __all__ = [
     "slices_hadamard",
     "subchain_tensor",
     "rotation_modes",
-    "tr_ranks",
     "validate_cores",
     "tr_reconstruct",
     "residual_norm",
-    "tr_reconstruct_trace",
-    "frobenius_norm",
 ]
-
-
-def multi_index(indices, dims) -> int:
-    """Linear position (1-based) of a 1-based index tuple, first index fastest.
-
-    Returns i_1 + (i_2-1)*I_1 + (i_3-1)*I_1*I_2 + ... for indices (i_1, ..., i_N)
-    within extents (I_1, ..., I_N).
-    """
-    if len(indices) != len(dims):
-        raise ValueError(f"got {len(indices)} indices for {len(dims)} dims")
-    lin = 0
-    stride = 1
-    for axis, (i, d) in enumerate(zip(indices, dims)):
-        if not 1 <= i <= d:
-            raise ValueError(f"index {i} out of range [1, {d}] on axis {axis}")
-        lin += (i - 1) * stride
-        stride *= d
-    return lin + 1
 
 
 def _check_mode(mode: int, ndim: int) -> None:
@@ -95,15 +72,6 @@ def classical_mode_n_unfolding(x: np.ndarray, mode: int) -> np.ndarray:
     perm = [mode] + list(range(mode)) + list(range(mode + 1, x.ndim))
     out = np.transpose(x, perm).reshape(x.shape[mode], -1, order="F")
     return _materialized(out, x)
-
-
-def fold_mode_n(mat: np.ndarray, shape, mode: int) -> np.ndarray:
-    """Exact inverse of :func:`mode_n_unfolding`."""
-    shape = tuple(shape)
-    _check_mode(mode, len(shape))
-    perm = list(range(mode, len(shape))) + list(range(mode))
-    arr = np.asarray(mat).reshape([shape[p] for p in perm], order="F")
-    return np.transpose(arr, np.argsort(perm))
 
 
 def fold_classical_mode_n(mat: np.ndarray, shape, mode: int) -> np.ndarray:
@@ -168,11 +136,6 @@ def slices_hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[2] != b.shape[0]:
         raise ValueError(f"inner ranks differ: {a.shape[2]} vs {b.shape[0]}")
     return np.einsum("ajk,kjb->ajb", a, b)
-
-
-def tr_ranks(cores) -> list[int]:
-    """Chained ranks (R_1, ..., R_N) of a core list."""
-    return [c.shape[0] for c in cores]
 
 
 def validate_cores(cores) -> None:
@@ -273,24 +236,3 @@ def residual_norm(cores, x) -> float:
         slab -= flat[lo:hi]
         total += float(slab @ slab)
     return math.sqrt(total)
-
-
-def tr_reconstruct_trace(cores) -> np.ndarray:
-    """Entry-wise reconstruction: X(i_1,...,i_N) = trace(G_1(i_1) ... G_N(i_N)).
-
-    Slow diagnostic path; keeps a rolling slice product per entry.
-    """
-    validate_cores(cores)
-    shape = tuple(c.shape[1] for c in cores)
-    out = np.empty(shape)
-    for idx in np.ndindex(shape):
-        prod = cores[0][:, idx[0], :]
-        for n in range(1, len(cores)):
-            prod = prod @ cores[n][:, idx[n], :]
-        out[idx] = np.trace(prod)
-    return out
-
-
-def frobenius_norm(a) -> float:
-    """Square root of the sum of squared entries, for any array."""
-    return float(np.linalg.norm(np.asarray(a).ravel()))

@@ -19,35 +19,32 @@ from .core import (
     rotation_modes,
     slices_hadamard,
     subchain_tensor,
-    subchain_unfolding,
 )
 
 SAMPLING_KINDS = ("uniform", "leverage", "euclidean", "optimal")
-RECOMPUTE_POLICIES = ("iteration", "sweep")
 
 
 @dataclass(frozen=True)
 class SamplingSpec:
-    """Which per-core distribution to sample with, and how often to refresh it.
+    """Which per-core distribution to sample with.
 
     `optimal` requires the full residual matrix and is only usable in
     diagnostic mode (see SolverConfig.allow_oracle_sampling).
     """
 
     kind: str = "uniform"
-    recompute: str = "iteration"
 
     def __post_init__(self):
         if self.kind not in SAMPLING_KINDS:
             raise ValueError(f"unknown sampling kind {self.kind!r}")
-        if self.recompute not in RECOMPUTE_POLICIES:
-            raise ValueError(f"unknown recompute policy {self.recompute!r}")
 
 
 def check_prob_vector(p: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 1:
         raise ValueError("probability vector must be 1-D")
+    if not np.isfinite(p).all():
+        raise ValueError("probability vector has non-finite entries")
     if np.any(p < 0):
         raise ValueError("probability vector has negative entries")
     if abs(p.sum() - 1.0) > tol:
@@ -97,23 +94,30 @@ def core_dist_euclidean(core: np.ndarray) -> np.ndarray:
     core = np.asarray(core, dtype=np.float64)
     sq = np.einsum("rjs,rjs->j", core, core)
     total = sq.sum()
+    if np.isinf(total) and np.isfinite(core).all():
+        # the squares overflowed; the distribution does not depend on scale
+        return core_dist_euclidean(core / np.abs(core).max())
     if total == 0:
         raise ValueError("Euclidean distribution undefined for an all-zero core")
     return sq / total
+
+
+def core_distribution(core: np.ndarray, kind: str) -> np.ndarray:
+    """Per-slice distribution of one core; it depends on that core only."""
+    if kind == "uniform":
+        return uniform_dist(core.shape[1])
+    if kind == "leverage":
+        return core_dist_leverage(core)
+    if kind == "euclidean":
+        return core_dist_euclidean(core)
+    raise ValueError(f"no per-core distribution for kind {kind!r}")
 
 
 def core_distributions(cores, mode: int, kind: str) -> list:
     """Distributions for every core k != mode (None at position `mode`)."""
     dists: list = [None] * len(cores)
     for k in rotation_modes(mode, len(cores)):
-        if kind == "uniform":
-            dists[k] = uniform_dist(cores[k].shape[1])
-        elif kind == "leverage":
-            dists[k] = core_dist_leverage(cores[k])
-        elif kind == "euclidean":
-            dists[k] = core_dist_euclidean(cores[k])
-        else:
-            raise ValueError(f"no per-core distribution for kind {kind!r}")
+        dists[k] = core_distribution(cores[k], kind)
     return dists
 
 
@@ -152,9 +156,11 @@ def sample_subchain_fibers(
     """Draw `batch_size` subchain rows by independent per-core slice draws.
 
     For each core k != mode, indices are drawn i.i.d. with replacement from
-    dists[k]; the sampled subchain is accumulated slice-wise starting from
-    identity slices, and the realized row probability is the product of the
-    per-core probabilities.  Matching mode-`mode` fibers of `x` are gathered
+    dists[k] by inverting its CDF at uniform variates.  That is what
+    Generator.choice(p=...) does after its own checks, so draws and generator
+    state match it bit for bit.  The sampled subchain is accumulated
+    slice-wise starting from identity slices, and the realized row
+    probability is the product of the per-core probabilities.  Matching mode-`mode` fibers of `x` are gathered
     unless with_fibers is False.
     """
     if batch_size < 1:
@@ -170,7 +176,9 @@ def sample_subchain_fibers(
         p_k = check_prob_vector(dists[k])
         if len(p_k) != cores[k].shape[1]:
             raise ValueError(f"distribution for core {k} has wrong length")
-        drawn = rng.choice(len(p_k), size=batch_size, replace=True, p=p_k)
+        cdf = p_k.cumsum()
+        cdf /= cdf[-1]
+        drawn = cdf.searchsorted(rng.random(batch_size), side="right")
         idxs[:, col] = drawn
         drawn_by_mode[k] = drawn
         probs *= p_k[drawn]
@@ -283,13 +291,13 @@ def variance_functional(
 
 __all__ = [
     "SAMPLING_KINDS",
-    "RECOMPUTE_POLICIES",
     "SamplingSpec",
     "check_prob_vector",
     "uniform_dist",
     "leverage_scores",
     "core_dist_leverage",
     "core_dist_euclidean",
+    "core_distribution",
     "core_distributions",
     "SampleBatch",
     "sample_subchain_fibers",

@@ -36,11 +36,11 @@ from .core import (
 from .sampling import (
     SampleBatch,
     SamplingSpec,
-    core_distributions,
+    core_distribution,
+    core_distributions,  # noqa: F401  (perfbench/tracing.py spans calls made through here)
     optimal_distribution_oracle,
     sample_rows_batch,
     sample_subchain_fibers,
-    uniform_dist,
 )
 from .trace import RunTrace
 
@@ -151,18 +151,17 @@ def full_gradient(cores, x: np.ndarray, mode: int) -> np.ndarray:
     return _grad_and_gram(cores, x, mode)[0]
 
 
-def stochastic_gradient(core: np.ndarray, batch: SampleBatch, j_total: int,
-                        normalization: str = "literal") -> np.ndarray:
+def stochastic_gradient(core: np.ndarray, batch: SampleBatch, j_total: int) -> np.ndarray:
     """Row-sampled gradient estimate for the core whose mode was sampled.
 
     With S the sampled subchain rows, X_S the matching fibers and
-    D = diag(1/probs), the "literal" value is
+    D = diag(1/probs), the value is
 
         (1/(batch * J)) * (G_(2) S^T D S - X_S D S),
 
-    whose expectation is full_gradient / J; the "proof" normalization is J
-    times that and is unbiased for the full gradient.  Solvers step with the
-    literal value (the constant is absorbed by the step size).
+    whose expectation is full_gradient / J, so J times it is unbiased for the
+    full gradient.  Solvers step with this value (the constant is absorbed by
+    the step size).
     """
     if batch.fibers is None:
         raise ValueError("gradient estimation needs sampled fibers")
@@ -172,12 +171,7 @@ def stochastic_gradient(core: np.ndarray, batch: SampleBatch, j_total: int,
     w = 1.0 / batch.probs
     g2 = core_unfolding(core)
     m = len(w)
-    g = (g2 @ (s.T @ (s * w[:, None])) - (batch.fibers * w) @ s) / (m * j_total)
-    if normalization == "literal":
-        return g
-    if normalization == "proof":
-        return j_total * g
-    raise ValueError(f"unknown normalization {normalization!r}")
+    return (g2 @ (s.T @ (s * w[:, None])) - (batch.fibers * w) @ s) / (m * j_total)
 
 
 def stochastic_hessian(batch: SampleBatch, j_total: int, damping: float = 0.0) -> np.ndarray:
@@ -199,9 +193,15 @@ def stochastic_hessian(batch: SampleBatch, j_total: int, damping: float = 0.0) -
 def search_direction(g: np.ndarray, h: np.ndarray | None = None,
                      damping: float = 0.0) -> np.ndarray:
     """Descent direction -g, or -g h^{-1} through a symmetric positive-definite
-    solve when a (damped) Hessian factor is given."""
+    solve when a (damped) Hessian factor is given.
+
+    A non-finite g or h (an overflowed estimate) has no solve and gives an
+    all-NaN direction, so the step it makes is caught as a non-finite core.
+    """
     if h is None:
         return -g
+    if not (np.isfinite(g).all() and np.isfinite(h).all()):
+        return np.full_like(g, np.nan)
     try:
         factor = scipy.linalg.cho_factor(h)
     except np.linalg.LinAlgError as exc:
@@ -301,9 +301,12 @@ def _run_loop(x, cores, config, algorithm, sampling_name, do_iteration,
     time is excluded from elapsed unless config.time_includes_eval.  Stopping
     criteria are checked only at evaluation points, in the order
     non-finite -> rse_tol -> max_iters -> max_seconds; an evaluation is forced
-    whenever the iteration count or elapsed budget is hit.  A non-finite RSE
-    or core sets `diverged` and stops the run with reason "diverged"; core
-    norms above DIVERGENCE_NORM only set the flag.
+    whenever the iteration count or elapsed budget is hit, or when
+    `do_iteration` returns False: the stochastic solvers do so as soon as they
+    write a non-finite core, because the next draw from that core's
+    distribution would raise.  A non-finite RSE or core sets
+    `diverged` and stops the run with reason "diverged"; core norms above
+    DIVERGENCE_NORM only set the flag.
     """
     clock = clock if clock is not None else time.perf_counter
     x = np.asfortranarray(x)  # residual_norm reads a column-major x in place
@@ -355,10 +358,11 @@ def _run_loop(x, cores, config, algorithm, sampling_name, do_iteration,
     t = 0
     while reason is None:
         t0 = clock()
-        do_iteration(t, cores)
+        finite = do_iteration(t, cores)
         state["elapsed"] += clock() - t0
         t += 1
-        if t % eval_every == 0 or t >= max_iters or state["elapsed"] >= max_seconds:
+        if (not finite or t % eval_every == 0 or t >= max_iters
+                or state["elapsed"] >= max_seconds):
             rse_val = evaluate(t)
             reason = stop_reason(t, rse_val)
     trace = RunTrace(
@@ -376,7 +380,9 @@ def _damping_at(config: SolverConfig, t: int) -> float:
     return config.damping(t) if callable(config.damping) else config.damping
 
 
-def _apply_step(cores, mode, direction, config, t, adagrad_state):
+def _apply_step(cores, mode, direction, config, t, adagrad_state) -> bool:
+    """Replace cores[mode] by a new array one step along `direction`; never
+    write into the old one.  Returns whether the new core is finite."""
     g2 = core_unfolding(cores[mode])
     if isinstance(config.schedule, AdaGradStep):
         steps = adagrad_state.step_matrix(mode, direction, config.schedule)
@@ -385,6 +391,7 @@ def _apply_step(cores, mode, direction, config, t, adagrad_state):
         g2 = g2 + schedule_value(config.schedule, t) * direction
     r_left, _, r_right = cores[mode].shape
     cores[mode] = fold_core(g2, r_left, r_right)
+    return bool(np.isfinite(g2).all())
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +424,7 @@ def tr_als(x, config: SolverConfig, init=None, callback=None, clock=None,
             cores[n] = fold_core(sol.T, r_left, r_right)
             if on_core_update is not None:
                 on_core_update(n, cores)
+        return True
 
     return _run_loop(x, cores, config, "tr-als", "none", sweep,
                      callback=callback, clock=clock)
@@ -438,6 +446,9 @@ def _gradient_descent(x, config, init, callback, clock, scaled):
             else:
                 direction = -g
             _apply_step(cores, n, direction, config, t, adagrad_state)
+        # a non-finite core only propagates NaN through full-gradient
+        # iterations, so it is left to the next evaluation
+        return True
 
     return _run_loop(x, cores, config, name, "none", iteration,
                      callback=callback, clock=clock)
@@ -459,32 +470,6 @@ def tr_scaled_gd(x, config: SolverConfig, init=None, callback=None, clock=None):
 # block-randomized stochastic solvers
 
 
-class _DistProvider:
-    """Per-core sampling distributions with an every-iteration or
-    once-per-sweep refresh policy."""
-
-    def __init__(self, spec: SamplingSpec, n_modes: int):
-        self.spec = spec
-        self.n_modes = n_modes
-        self._cache = None
-        self._cache_t = None
-
-    def dists(self, t, mode, cores):
-        kind = self.spec.kind
-        if kind == "uniform":
-            if self._cache is None:
-                self._cache = [uniform_dist(c.shape[1]) for c in cores]
-            return self._cache
-        if self.spec.recompute == "sweep":
-            if self._cache_t is None or t - self._cache_t >= self.n_modes:
-                self._cache = [
-                    core_distributions(cores, m, kind) for m in range(self.n_modes)
-                ]
-                self._cache_t = t
-            return self._cache[mode]
-        return core_distributions(cores, mode, kind)
-
-
 def _stochastic_solver(x, config, init, callback, clock, scaled):
     x = np.asarray(x, dtype=np.float64)
     if config.sampling.kind == "optimal" and not config.allow_oracle_sampling:
@@ -495,11 +480,20 @@ def _stochastic_solver(x, config, init, callback, clock, scaled):
     cores = _init_cores(x, config, init)
     n_modes = x.ndim
     sizes = [x.size // x.shape[n] for n in range(n_modes)]
-    provider = _DistProvider(config.sampling, n_modes)
     adagrad_state = AdaGradState()
     name = "tr-scaled-brsgd" if scaled else "tr-brsgd"
+    # k -> (core array, its distribution).  An entry is exact while cores[k]
+    # is the stored array: _apply_step replaces a core with a new array and
+    # never writes into one, so only the core updated last goes stale.
+    dist_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def draw_batches(t, cores, rng):
+    def dists_for(mode, cores):
+        for k, core in enumerate(cores):
+            if k != mode and (k not in dist_cache or dist_cache[k][0] is not core):
+                dist_cache[k] = (core, core_distribution(core, config.sampling.kind))
+        return [None if k == mode else dist_cache[k][1] for k in range(n_modes)]
+
+    def draw_batches(cores, rng):
         n = int(rng.integers(n_modes))
         if config.sampling.kind == "optimal":
             sub_mat = subchain_unfolding(subchain_tensor(cores, n))
@@ -511,7 +505,7 @@ def _stochastic_solver(x, config, init, callback, clock, scaled):
             batch_h = batch if config.share_hessian_batch else sample_rows_batch(
                 cores, x, n, config.batch_hess, q, rng)
             return n, batch, batch_h
-        dists = provider.dists(t, n, cores)
+        dists = dists_for(n, cores)
         batch = sample_subchain_fibers(cores, x, n, config.batch_grad, dists, rng)
         if not scaled:
             return n, batch, None
@@ -521,7 +515,7 @@ def _stochastic_solver(x, config, init, callback, clock, scaled):
 
     def iteration(t, cores):
         rng = _iteration_rng(config.seed, t)
-        n, batch, batch_h = draw_batches(t, cores, rng)
+        n, batch, batch_h = draw_batches(cores, rng)
         g = stochastic_gradient(cores[n], batch, sizes[n])
         if scaled:
             eta_t = _damping_at(config, t)
@@ -529,7 +523,7 @@ def _stochastic_solver(x, config, init, callback, clock, scaled):
             direction = search_direction(g, h, damping=eta_t)
         else:
             direction = -g
-        _apply_step(cores, n, direction, config, t, adagrad_state)
+        return _apply_step(cores, n, direction, config, t, adagrad_state)
 
     return _run_loop(x, cores, config, name, config.sampling.kind, iteration,
                      callback=callback, clock=clock)

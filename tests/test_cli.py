@@ -122,3 +122,21 @@ def test_non_finite_run_exit_code(tmp_path, capsys):
     trace = read_trace_csv(out_dir / "tr-gd-none-t0.csv")
     assert trace.terminal_reason == "diverged" and trace.diverged
     assert trace.final()[0] == 10
+
+
+def test_non_finite_stochastic_run_exit_code(tmp_path, capsys):
+    # a leverage run whose core goes non-finite between evaluations stops as
+    # diverged instead of raising from the next leverage SVD
+    tensor_path = tmp_path / "x.trt"
+    main(["synth", "--order", "3", "--dim", "8", "--rank", "2", "--seed", "15",
+          "--out", str(tensor_path)])
+    out_dir = tmp_path / "o"
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["decompose", "--tensor", str(tensor_path), "--algorithm", "tr-brsgd",
+                   "--sampling", "leverage", "--out-dir", str(out_dir),
+                   "--ranks", "2", "2", "2", "--alpha", "1e6", "--batch-grad", "10",
+                   "--eval-every", "100", "--max-iters", "300", "--seed", "7"])
+    assert rc == 3
+    trace = read_trace_csv(out_dir / "tr-brsgd-leverage-t0.csv")
+    assert trace.terminal_reason == "diverged"
+    assert trace.final()[0] < 100

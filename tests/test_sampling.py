@@ -38,11 +38,24 @@ def random_cores(rng, dims, ranks):
 
 class TestSamplingSpec:
     def test_validation(self):
-        SamplingSpec("leverage", "sweep")
+        SamplingSpec("leverage")
         with pytest.raises(ValueError):
             SamplingSpec("bogus")
-        with pytest.raises(ValueError):
-            SamplingSpec("uniform", "hourly")
+
+
+class TestCheckProbVector:
+    @pytest.mark.parametrize("p", [[np.nan, 1.0], [0.5, np.nan, 0.5], [np.inf, 0.0]])
+    def test_rejects_non_finite(self, p):
+        # abs(nan - 1) > tol is false, so the sum check alone lets NaN through
+        with pytest.raises(ValueError, match="non-finite"):
+            check_prob_vector(p)
+
+    def test_draw_rejects_non_finite(self):
+        rng = np.random.default_rng(5)
+        cores = random_cores(rng, (3, 2), (2, 2))
+        with pytest.raises(ValueError, match="non-finite"):
+            sample_subchain_fibers(cores, np.zeros((3, 2)), 0, 4,
+                                   [None, np.array([np.nan, 1.0])], rng)
 
 
 class TestLeverageScores:
@@ -228,6 +241,29 @@ class TestSampleSubchainFibers:
         p = 1.0 / 6.0
         se = np.sqrt(draws * p * (1 - p))
         assert np.all(np.abs(counts - draws * p) <= 5 * se)
+
+    @pytest.mark.parametrize("kind", ["uniform", "leverage", "euclidean", "zeros"])
+    def test_draws_match_generator_choice(self, kind):
+        # inverting the CDF must give Generator.choice(p=...)'s draws bit for
+        # bit and leave the generator in the same state
+        rng = np.random.default_rng(12)
+        dims = (3, 6, 5)
+        cores = random_cores(rng, dims, (2, 3, 2))
+        x = rng.standard_normal(dims)
+        for mode in range(3):
+            if kind == "zeros":
+                dists = [np.array([0.0, 0.7, 0.3]), np.array([0.5, 0, 0.25, 0, 0, 0.25]),
+                         np.array([0.0, 0.2, 0.0, 0.8, 0.0])]
+                dists[mode] = None
+            else:
+                dists = core_distributions(cores, mode, kind)
+            ours, ref = np.random.default_rng(13 + mode), np.random.default_rng(13 + mode)
+            batch = sample_subchain_fibers(cores, x, mode, 1000, dists, ours)
+            for col, k in enumerate(rotation_modes(mode, 3)):
+                expected = ref.choice(dims[k], size=1000, replace=True, p=dists[k])
+                np.testing.assert_array_equal(batch.idxs[:, col], expected)
+            assert ours.random() == ref.random()
+            assert np.all(batch.probs > 0)
 
     def test_with_fibers_false(self):
         rng = np.random.default_rng(10)

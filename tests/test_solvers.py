@@ -1,4 +1,5 @@
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from trdecomp.core import (
     subchain_unfolding,
     tr_reconstruct,
 )
+from trdecomp import sampling
 from trdecomp.datagen import SynthSpec, synth_tensor
 from trdecomp.sampling import (
     SamplingSpec,
@@ -165,10 +167,10 @@ class TestStochasticGradient:
         for mode in range(3):
             j = self.x.size // self.dims[mode]
             batch = complete_sample_batch(self.cores, self.x, mode)
-            proof = stochastic_gradient(self.cores[mode], batch, j, "proof")
+            unbiased = j * stochastic_gradient(self.cores[mode], batch, j)
             full = full_gradient(self.cores, self.x, mode)
             scale = np.linalg.norm(full)
-            np.testing.assert_allclose(proof, full, atol=1e-13 * scale)
+            np.testing.assert_allclose(unbiased, full, atol=1e-13 * scale)
 
     def test_degenerate_single_draw(self):
         mode = 0
@@ -197,15 +199,6 @@ class TestStochasticGradient:
         simplified = (g2 @ (s.T @ s) - batch.fibers @ s) / 6
         np.testing.assert_allclose(g, simplified, rtol=1e-12, atol=1e-13)
 
-    def test_proof_is_j_times_literal(self):
-        mode = 2
-        j = self.x.size // self.dims[mode]
-        dists = [uniform_dist(3), uniform_dist(4), None]
-        batch = sample_subchain_fibers(self.cores, self.x, mode, 4, dists, self.rng)
-        lit = stochastic_gradient(self.cores[mode], batch, j, "literal")
-        proof = stochastic_gradient(self.cores[mode], batch, j, "proof")
-        np.testing.assert_array_equal(proof, j * lit)
-
     def test_unbiased_monte_carlo(self):
         # mean over many batches equals the value on the concatenated batch,
         # so a single large uniform batch checks the expectation cheaply
@@ -214,9 +207,9 @@ class TestStochasticGradient:
         dists = [None, uniform_dist(4), uniform_dist(5)]
         batch = sample_subchain_fibers(self.cores, self.x, mode, 200_000, dists,
                                        np.random.default_rng(8))
-        proof = stochastic_gradient(self.cores[mode], batch, j, "proof")
+        unbiased = j * stochastic_gradient(self.cores[mode], batch, j)
         full = full_gradient(self.cores, self.x, mode)
-        err = np.linalg.norm(proof - full) / np.linalg.norm(full)
+        err = np.linalg.norm(unbiased - full) / np.linalg.norm(full)
         assert err < 0.02
 
     def test_bad_probs(self):
@@ -512,13 +505,21 @@ class TestTrBrsgd:
         _, trace = tr_brsgd(x, cfg)
         assert trace.final()[2] < 0.5 * trace.records[0][2]
 
-    def test_sweep_recompute_policy(self):
+    def test_distributions_refreshed_only_for_changed_cores(self, monkeypatch):
+        # the first iteration computes both other cores' distributions; after
+        # that only the core updated last can be stale
+        calls = []
+        original = sampling.core_dist_leverage
+        monkeypatch.setattr(sampling, "core_dist_leverage",
+                            lambda core: calls.append(1) or original(core))
         x, _ = synth_tensor(SynthSpec(order=3, dim=8, rank=2, seed=13))
+        iters = 30
         cfg = SolverConfig(ranks=(2, 2, 2), schedule=ConstantStep(0.05),
-                           batch_grad=20, max_iters=50, eval_every=10, seed=5,
-                           sampling=SamplingSpec("leverage", recompute="sweep"))
+                           batch_grad=20, max_iters=iters, eval_every=10, seed=5,
+                           sampling=SamplingSpec("leverage"))
         _, trace = tr_brsgd(x, cfg)
-        assert len(trace.records) == 6
+        assert trace.final()[0] == iters
+        assert 2 <= len(calls) <= 2 + iters
 
     def test_optimal_sampling_gated(self):
         x, _ = synth_tensor(SynthSpec(order=3, dim=6, rank=2, seed=14))
@@ -678,6 +679,34 @@ class TestStoppingCriteria:
         assert trace.diverged
         assert trace.terminal_reason == "diverged" and "diverged" in TERMINAL_REASONS
         assert not all(np.isfinite(c).all() for c in cores)
+
+    @pytest.mark.parametrize("solver", [tr_brsgd, tr_scaled_brsgd])
+    @pytest.mark.parametrize("kind", ["uniform", "euclidean", "leverage"])
+    def test_non_finite_core_between_evaluations_stops_as_diverged(self, solver, kind):
+        # the next draw from a non-finite core's distribution would raise, so
+        # the run is evaluated and stopped at the iteration that wrote it
+        x, _ = synth_tensor(SynthSpec(order=3, dim=8, rank=2, seed=15))
+        cfg = SolverConfig(ranks=(2, 2, 2), schedule=ConstantStep(1e6),
+                           batch_grad=10, batch_hess=10, damping=1e-8,
+                           max_iters=300, eval_every=100, seed=7,
+                           sampling=SamplingSpec(kind))
+        with np.errstate(over="ignore", invalid="ignore"):
+            cores, trace = solver(x, cfg)
+        assert trace.terminal_reason == "diverged" and trace.diverged
+        it, _, rse_val = trace.final()
+        assert 0 < it < 100 and not math.isfinite(rse_val)
+        assert not all(np.isfinite(c).all() for c in cores)
+
+    def test_overflowed_preconditioner_stops_as_diverged(self):
+        # an overflowed Gram matrix has no Cholesky factor; the step it makes
+        # is non-finite and caught at the next evaluation
+        x, _ = synth_tensor(SynthSpec(order=3, dim=8, rank=2, seed=15))
+        cfg = SolverConfig(ranks=(2, 2, 2), schedule=ConstantStep(1e6),
+                           damping=1e-8, max_iters=40, eval_every=20, seed=7)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, trace = tr_scaled_gd(x, cfg)
+        assert trace.terminal_reason == "diverged" and trace.diverged
+        assert trace.final()[0] == 20 and not math.isfinite(trace.final()[2])
 
     @pytest.mark.parametrize("solver", [tr_als, tr_scaled_brsgd])
     def test_last_trace_rse_matches_trace_oracle(self, solver):
