@@ -10,15 +10,17 @@ A benchmark config is one JSON document:
       "solver": {"ranks": [3, 3, 3], "step": {"kind": "constant", "alpha": 0.05},
                   "batch_grad": 100, "batch_hess": 100, "damping": 0.0,
                   "max_iters": 1000, "max_seconds": null, "rse_tol": null,
-                  "eval_every": null, "share_hessian_batch": false,
+                  "eval_every": null, "init_scale": 1.0,
                   "time_includes_eval": false},
       "trials": 1,
       "seed": 0
     }
 
-Each requested (algorithm, sampling) cell runs `trials` times with derived
-seeds; every run writes a trace CSV, and the summary reports the arithmetic
-mean of the terminal RSE, iteration count and elapsed seconds over trials.
+Unknown keys at the top level, in `solver` and in `step` (for the chosen step
+kind) are errors.  Each requested (algorithm, sampling) cell runs `trials`
+times with derived seeds; every run writes a trace CSV, and the summary
+reports per cell how many trials diverged and the arithmetic mean of the
+terminal RSE, iteration count and elapsed seconds over the other trials.
 """
 
 from __future__ import annotations
@@ -53,6 +55,12 @@ _DISPLAY = {
     "tr-scaled-brsgd": "TR-ScaledBRSGD",
 }
 _SAMPLING_SUFFIX = {"uniform": "U", "euclidean": "E", "leverage": "L", "optimal": "O"}
+_CONFIG_KEYS = ("tensor", "algorithms", "sampling", "solver", "trials", "seed")
+_SOLVER_KEYS = ("ranks", "step", "batch_grad", "batch_hess", "damping", "max_iters",
+                "max_seconds", "rse_tol", "eval_every", "init_scale",
+                "time_includes_eval")
+_STEP_KEYS = {"constant": ("alpha",), "robbins_monro": ("alpha0", "gamma"),
+              "adagrad": ("eta", "b", "eps")}
 
 
 class ConfigError(ValueError):
@@ -66,21 +74,29 @@ def display_name(algorithm: str, sampling: str) -> str:
     return base
 
 
+def _reject_unknown_keys(d, allowed, where: str) -> None:
+    unknown = sorted(set(d) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown {where} key(s) {', '.join(map(repr, unknown))}; "
+                          f"allowed keys: {', '.join(allowed)}")
+
+
 def _step_from_dict(d) -> object:
     kind = d.get("kind", "constant")
+    if kind not in _STEP_KEYS:
+        raise ConfigError(f"unknown step kind {kind!r}")
+    _reject_unknown_keys(d, ("kind", *_STEP_KEYS[kind]), f"{kind} step")
     try:
         if kind == "constant":
             return solvers.ConstantStep(alpha=float(d["alpha"]))
         if kind == "robbins_monro":
             return solvers.RobbinsMonroStep(
                 alpha0=float(d["alpha0"]), gamma=float(d.get("gamma", 1.0)))
-        if kind == "adagrad":
-            return solvers.AdaGradStep(
-                eta=float(d["eta"]), b=float(d.get("b", 0.0)),
-                eps=float(d.get("eps", 0.0)))
+        return solvers.AdaGradStep(
+            eta=float(d["eta"]), b=float(d.get("b", 0.0)),
+            eps=float(d.get("eps", 0.0)))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad step config {d!r}: {exc}") from exc
-    raise ConfigError(f"unknown step kind {kind!r}")
 
 
 def load_config(source) -> dict:
@@ -96,6 +112,9 @@ def load_config(source) -> dict:
             cfg = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError("config must be a JSON object")
+    _reject_unknown_keys(cfg, _CONFIG_KEYS, "config")
     for key in ("tensor", "algorithms", "solver"):
         if key not in cfg:
             raise ConfigError(f"config missing required key {key!r}")
@@ -136,6 +155,7 @@ def load_tensor(tensor_cfg) -> np.ndarray:
 
 def solver_config(solver_cfg, sampling_kind: str, seed: int) -> solvers.SolverConfig:
     d = dict(solver_cfg)
+    _reject_unknown_keys(d, _SOLVER_KEYS, "solver")
     try:
         return solvers.SolverConfig(
             ranks=tuple(int(r) for r in d["ranks"]),
@@ -150,7 +170,6 @@ def solver_config(solver_cfg, sampling_kind: str, seed: int) -> solvers.SolverCo
             eval_every=None if d.get("eval_every") is None else int(d["eval_every"]),
             seed=seed,
             init_scale=float(d.get("init_scale", 1.0)),
-            share_hessian_batch=bool(d.get("share_hessian_batch", False)),
             time_includes_eval=bool(d.get("time_includes_eval", False)),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -212,8 +231,9 @@ def _sort_key(item):
 
 
 def summarize(traces) -> list[dict]:
-    """One row per (algorithm, sampling): mean terminal RSE, iterations and
-    elapsed seconds over trials, in canonical table order."""
+    """One row per (algorithm, sampling), in canonical table order: the trial
+    count, how many trials diverged, and the mean terminal RSE, iterations and
+    elapsed seconds over the trials that did not (None when all diverged)."""
     if not traces:
         raise ValueError("no traces to summarize")
     groups: dict[tuple[str, str], list[RunTrace]] = {}
@@ -221,13 +241,19 @@ def summarize(traces) -> list[dict]:
         groups.setdefault((tr.algorithm, tr.sampling), []).append(tr)
     rows = []
     for (algo, samp) in sorted(groups, key=_sort_key):
-        finals = [tr.final() for tr in groups[(algo, samp)]]
+        group = groups[(algo, samp)]
+        finals = [tr.final() for tr in group if not tr.diverged]
+
+        def mean(i):
+            return float(np.mean([f[i] for f in finals])) if finals else None
+
         rows.append({
             "algorithm": display_name(algo, samp),
-            "rse": float(np.mean([f[2] for f in finals])),
-            "iterations": float(np.mean([f[0] for f in finals])),
-            "time_s": float(np.mean([f[1] for f in finals])),
-            "trials": len(finals),
+            "rse": mean(2),
+            "iterations": mean(0),
+            "time_s": mean(1),
+            "trials": len(group),
+            "diverged": len(group) - len(finals),
         })
     return rows
 
@@ -236,14 +262,13 @@ def emit_summary(traces, time_includes_eval: bool = False):
     """Markdown summary table (and its rows) in the canonical row order."""
     rows = summarize(traces)
     lines = [
-        "| Method | RSE | Iterations | Time (s) |",
-        "| --- | --- | --- | --- |",
+        "| Method | RSE | Iterations | Time (s) | Diverged |",
+        "| --- | --- | --- | --- | --- |",
     ]
     for r in rows:
-        lines.append(
-            f"| {r['algorithm']} | {r['rse']:.3e} | {r['iterations']:.3e} "
-            f"| {r['time_s']:.3e} |"
-        )
+        means = " | ".join("-" if r[k] is None else f"{r[k]:.3e}"
+                           for k in ("rse", "iterations", "time_s"))
+        lines.append(f"| {r['algorithm']} | {means} | {r['diverged']}/{r['trials']} |")
     lines.append("")
     lines.append(f"Elapsed time {'includes' if time_includes_eval else 'excludes'} "
                  "RSE evaluation overhead.")
@@ -252,12 +277,11 @@ def emit_summary(traces, time_includes_eval: bool = False):
 
 def _summary_csv(rows, time_includes_eval: bool) -> str:
     lines = [f"# time_includes_eval={int(time_includes_eval)}",
-             "algorithm,rse,iterations,time_s,trials"]
+             "algorithm,rse,iterations,time_s,trials,diverged"]
     for r in rows:
-        lines.append(
-            f"{r['algorithm']},{fmt_float(r['rse'])},{fmt_float(r['iterations'])},"
-            f"{fmt_float(r['time_s'])},{r['trials']}"
-        )
+        means = ",".join("" if r[k] is None else fmt_float(r[k])
+                         for k in ("rse", "iterations", "time_s"))
+        lines.append(f"{r['algorithm']},{means},{r['trials']},{r['diverged']}")
     return "\n".join(lines) + "\n"
 
 

@@ -7,7 +7,7 @@ Subcommands:
   report     summarize a directory of trace CSVs into a table
 
 Exit codes: 0 success, 2 configuration/input error, 3 numerical failure
-(a run tripped the divergence flag).
+(a run stopped as diverged: its RSE or a core went non-finite).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import sys
 import numpy as np
 
 from .bench import (
-    STOCHASTIC_ALGORITHMS,
     SOLVER_FUNCTIONS,
     ConfigError,
     emit_summary,
@@ -51,7 +50,6 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-seconds", type=float, default=None)
     p.add_argument("--rse-tol", type=float, default=None)
     p.add_argument("--eval-every", type=int, default=None)
-    p.add_argument("--share-hessian-batch", action="store_true")
     p.add_argument("--time-includes-eval", action="store_true")
     p.add_argument("--init-scale", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
@@ -75,7 +73,6 @@ def _solver_dict(args) -> dict:
         "max_seconds": args.max_seconds,
         "rse_tol": args.rse_tol,
         "eval_every": args.eval_every,
-        "share_hessian_batch": args.share_hessian_batch,
         "time_includes_eval": args.time_includes_eval,
         "init_scale": args.init_scale,
     }
@@ -94,14 +91,11 @@ def cmd_decompose(args) -> int:
     x = read_tensor(args.tensor)
     cfg = solver_config(_solver_dict(args), args.sampling, args.seed)
     cores, trace = SOLVER_FUNCTIONS[args.algorithm](x, cfg)
-    trace.trial = 0
     os.makedirs(args.out_dir, exist_ok=True)
     np.savez(os.path.join(args.out_dir, "cores.npz"),
              **{f"core{n}": c for n, c in enumerate(cores)})
-    sampling = args.sampling if args.algorithm in STOCHASTIC_ALGORITHMS else "none"
-    trace.sampling = sampling
     write_trace_csv(trace, os.path.join(
-        args.out_dir, trace_filename(args.algorithm, sampling, 0)))
+        args.out_dir, trace_filename(args.algorithm, trace.sampling, 0)))
     it, elapsed, rse_val = trace.final()
     print(f"{args.algorithm}: stopped by {trace.terminal_reason} at iteration {it}, "
           f"rse {rse_val:.3e}, {elapsed:.2f}s")

@@ -28,8 +28,9 @@ SAMPLING_KINDS = ("uniform", "leverage", "euclidean", "optimal")
 class SamplingSpec:
     """Which per-core distribution to sample with.
 
-    `optimal` requires the full residual matrix and is only usable in
-    diagnostic mode (see SolverConfig.allow_oracle_sampling).
+    `optimal` draws from the variance-minimizing distribution, which needs
+    the full residual matrix at every iteration; it is a diagnostic, and the
+    benchmark configs and the CLI refuse it.
     """
 
     kind: str = "uniform"

@@ -14,7 +14,6 @@ streams, so draws do not depend on evaluation cadence.
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import math
 import time
@@ -45,8 +44,6 @@ from .sampling import (
 from .trace import RunTrace
 
 logger = logging.getLogger(__name__)
-
-DIVERGENCE_NORM = 1e8
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +221,7 @@ class SolverConfig:
 
     ranks are the target TR-ranks (length = tensor order, cyclically chained).
     batch_grad / batch_hess are the gradient and Hessian sampling sizes.
-    damping is the preconditioner ridge (scalar, or callable of the iteration).
+    damping is the preconditioner ridge.
     Stopping: any subset of max_iters / max_seconds / rse_tol, at least one
     set; they are checked in the order rse_tol, max_iters, max_seconds at each
     evaluation point, after a non-finite RSE or core, which always stops the
@@ -246,9 +243,7 @@ class SolverConfig:
     eval_every: int | None = None
     seed: int = 0
     init_scale: float = 1.0
-    share_hessian_batch: bool = False
     time_includes_eval: bool = False
-    allow_oracle_sampling: bool = False
 
     def __post_init__(self):
         self.ranks = tuple(int(r) for r in self.ranks)
@@ -260,14 +255,6 @@ class SolverConfig:
             raise ValueError("at least one stopping criterion must be set")
         if self.eval_every is not None and self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
-
-
-def _config_snapshot(config: SolverConfig) -> dict:
-    snap = dataclasses.asdict(config)
-    if callable(snap.get("damping")):
-        snap["damping"] = repr(snap["damping"])
-    snap["schedule"] = {"kind": type(config.schedule).__name__, **dataclasses.asdict(config.schedule)}
-    return snap
 
 
 def _root_rng(seed: int) -> np.random.Generator:
@@ -304,9 +291,8 @@ def _run_loop(x, cores, config, algorithm, sampling_name, do_iteration,
     whenever the iteration count or elapsed budget is hit, or when
     `do_iteration` returns False: the stochastic solvers do so as soon as they
     write a non-finite core, because the next draw from that core's
-    distribution would raise.  A non-finite RSE or core sets
-    `diverged` and stops the run with reason "diverged"; core norms above
-    DIVERGENCE_NORM only set the flag.
+    distribution would raise.  A non-finite RSE or core stops the run with
+    reason "diverged".
     """
     clock = clock if clock is not None else time.perf_counter
     x = np.asfortranarray(x)  # residual_norm reads a column-major x in place
@@ -321,19 +307,15 @@ def _run_loop(x, cores, config, algorithm, sampling_name, do_iteration,
     tol = config.rse_tol
 
     records: list[tuple[int, float, float]] = []
-    state = {"elapsed": 0.0, "diverged": False, "non_finite": False}
+    state = {"elapsed": 0.0, "non_finite": False}
 
     def evaluate(t: int) -> float:
         t0 = clock()
         rse_val = float(residual_norm(cores, x) / norm_x)
         if not (math.isfinite(rse_val) and all(np.isfinite(c).all() for c in cores)):
-            state["diverged"] = state["non_finite"] = True
+            state["non_finite"] = True
             logger.warning("%s: non-finite RSE or core at iteration %d, stopping",
                            algorithm, t)
-        elif not state["diverged"] and any(np.linalg.norm(c) > DIVERGENCE_NORM for c in cores):
-            state["diverged"] = True
-            logger.warning("%s: iterate norms exceed %.1e, flagging divergence",
-                           algorithm, DIVERGENCE_NORM)
         dt = clock() - t0
         if config.time_includes_eval:
             state["elapsed"] += dt
@@ -370,14 +352,8 @@ def _run_loop(x, cores, config, algorithm, sampling_name, do_iteration,
         sampling=sampling_name,
         records=records,
         terminal_reason=reason,
-        diverged=state["diverged"],
-        config=_config_snapshot(config),
     )
     return cores, trace
-
-
-def _damping_at(config: SolverConfig, t: int) -> float:
-    return config.damping(t) if callable(config.damping) else config.damping
 
 
 def _apply_step(cores, mode, direction, config, t, adagrad_state) -> bool:
@@ -437,12 +413,12 @@ def _gradient_descent(x, config, init, callback, clock, scaled):
     name = "tr-scaled-gd" if scaled else "tr-gd"
 
     def iteration(t, cores):
-        eta_t = _damping_at(config, t)
+        damping = config.damping
         blocks = [_grad_and_gram(cores, x, n) for n in range(x.ndim)]
         for n, (g, gram) in enumerate(blocks):
             if scaled:
-                h = gram + eta_t * np.eye(gram.shape[0]) if eta_t else gram
-                direction = search_direction(g, h, damping=eta_t)
+                h = gram + damping * np.eye(gram.shape[0]) if damping else gram
+                direction = search_direction(g, h, damping=damping)
             else:
                 direction = -g
             _apply_step(cores, n, direction, config, t, adagrad_state)
@@ -472,11 +448,6 @@ def tr_scaled_gd(x, config: SolverConfig, init=None, callback=None, clock=None):
 
 def _stochastic_solver(x, config, init, callback, clock, scaled):
     x = np.asarray(x, dtype=np.float64)
-    if config.sampling.kind == "optimal" and not config.allow_oracle_sampling:
-        raise ValueError(
-            "optimal sampling needs the full residual; it is a diagnostic mode, "
-            "set allow_oracle_sampling=True to use it"
-        )
     cores = _init_cores(x, config, init)
     n_modes = x.ndim
     sizes = [x.size // x.shape[n] for n in range(n_modes)]
@@ -502,25 +473,21 @@ def _stochastic_solver(x, config, init, callback, clock, scaled):
             batch = sample_rows_batch(cores, x, n, config.batch_grad, q, rng)
             if not scaled:
                 return n, batch, None
-            batch_h = batch if config.share_hessian_batch else sample_rows_batch(
-                cores, x, n, config.batch_hess, q, rng)
-            return n, batch, batch_h
+            return n, batch, sample_rows_batch(cores, x, n, config.batch_hess, q, rng)
         dists = dists_for(n, cores)
         batch = sample_subchain_fibers(cores, x, n, config.batch_grad, dists, rng)
         if not scaled:
             return n, batch, None
-        batch_h = batch if config.share_hessian_batch else sample_subchain_fibers(
+        return n, batch, sample_subchain_fibers(
             cores, x, n, config.batch_hess, dists, rng, with_fibers=False)
-        return n, batch, batch_h
 
     def iteration(t, cores):
         rng = _iteration_rng(config.seed, t)
         n, batch, batch_h = draw_batches(cores, rng)
         g = stochastic_gradient(cores[n], batch, sizes[n])
         if scaled:
-            eta_t = _damping_at(config, t)
-            h = stochastic_hessian(batch_h, sizes[n], eta_t)
-            direction = search_direction(g, h, damping=eta_t)
+            h = stochastic_hessian(batch_h, sizes[n], config.damping)
+            direction = search_direction(g, h, damping=config.damping)
         else:
             direction = -g
         return _apply_step(cores, n, direction, config, t, adagrad_state)
@@ -538,8 +505,7 @@ def tr_brsgd(x, config: SolverConfig, init=None, callback=None, clock=None):
 
 def tr_scaled_brsgd(x, config: SolverConfig, init=None, callback=None, clock=None):
     """Stochastic block updates preconditioned by the inverse of the damped
-    row-sampled Gram factor (drawn from an independent batch unless
-    config.share_hessian_batch)."""
+    Gram factor of an independent row-sampled batch."""
     return _stochastic_solver(x, config, init, callback, clock, scaled=True)
 
 
@@ -561,5 +527,4 @@ __all__ = [
     "tr_scaled_gd",
     "tr_brsgd",
     "tr_scaled_brsgd",
-    "DIVERGENCE_NORM",
 ]

@@ -2,7 +2,8 @@
 
 Trace files render floats with 17 significant digits so parsing them back
 reproduces the exact float64 values.  The first line is a `#` comment carrying
-run identity (algorithm, sampling, trial, terminal reason, divergence flag);
+run identity (algorithm, sampling, trial, terminal reason, and `diverged`,
+which repeats whether the reason is "diverged" and is ignored when parsing);
 the rest is plain CSV with header `iteration,elapsed_s,rse`.
 """
 
@@ -22,9 +23,12 @@ class RunTrace:
     sampling: str
     records: list[tuple[int, float, float]] = field(default_factory=list)
     terminal_reason: str | None = None
-    diverged: bool = False
     trial: int = 0
-    config: dict | None = None
+
+    @property
+    def diverged(self) -> bool:
+        """The run was stopped by a non-finite RSE or core."""
+        return self.terminal_reason == "diverged"
 
     def final(self) -> tuple[int, float, float]:
         if not self.records:
@@ -75,7 +79,6 @@ def parse_trace_csv(text: str) -> RunTrace:
         sampling=meta.get("sampling", ""),
         records=records,
         terminal_reason=None if reason in (None, "None") else reason,
-        diverged=bool(int(meta.get("diverged", "0"))),
         trial=int(meta.get("trial", "0")),
     )
 

@@ -5,10 +5,12 @@ import pytest
 
 from trdecomp.bench import (
     ConfigError,
+    _summary_csv,
     display_name,
     emit_summary,
     load_config,
     run_experiment,
+    solver_config,
     summarize,
 )
 from trdecomp.trace import (
@@ -53,8 +55,7 @@ class TestTraceCsv:
             (3, 0.1 + 0.2, 1e-300),
             (7, 123.456789012345678, np.pi * 1e-15),
         ]
-        trace = RunTrace("tr-brsgd", "leverage", records, "max_iters",
-                         diverged=False, trial=4)
+        trace = RunTrace("tr-brsgd", "leverage", records, "max_iters", trial=4)
         back = parse_trace_csv(render_trace_csv(trace))
         assert back.records == records  # float64-exact via 17 digit rendering
         assert back.algorithm == "tr-brsgd"
@@ -62,6 +63,18 @@ class TestTraceCsv:
         assert back.terminal_reason == "max_iters"
         assert back.trial == 4
         assert back.diverged is False
+
+    def test_diverged_reads_the_terminal_reason(self):
+        # the metadata's diverged= is written for readers of the file and
+        # ignored on parsing: a run diverged exactly when it stopped so
+        for reason, flag in (("diverged", 0), ("max_iters", 1), ("tol", 1)):
+            text = (f"# algorithm=tr-gd;sampling=none;trial=0;"
+                    f"terminal_reason={reason};diverged={flag}\n"
+                    "iteration,elapsed_s,rse\n0,0,1\n")
+            back = parse_trace_csv(text)
+            assert back.diverged == (reason == "diverged")
+        trace = RunTrace("tr-gd", "none", [(0, 0.0, float("nan"))], "diverged")
+        assert "diverged=1" in render_trace_csv(trace).splitlines()[0]
 
     def test_file_roundtrip(self, tmp_path):
         trace = RunTrace("tr-als", "none", [(0, 0.0, 0.5)], "tol")
@@ -81,7 +94,7 @@ class TestSummaries:
         rows = summarize([trace])
         assert rows == [{
             "algorithm": "TR-ALS", "rse": 0.25, "iterations": 4.0,
-            "time_s": 2.0, "trials": 1,
+            "time_s": 2.0, "trials": 1, "diverged": 0,
         }]
 
     def test_mean_over_trials(self):
@@ -91,6 +104,30 @@ class TestSummaries:
         assert rows[0]["rse"] == pytest.approx(0.3)
         assert rows[0]["time_s"] == pytest.approx(2.0)
         assert rows[0]["trials"] == 2
+
+    def test_diverged_trials_counted_not_averaged(self, tmp_path):
+        nan = float("nan")
+        traces = [
+            RunTrace("tr-brsgd", "uniform", [(10, 1.0, 0.25)], "max_iters", trial=0),
+            RunTrace("tr-brsgd", "uniform", [(4, 9.0, nan)], "diverged", trial=1),
+            RunTrace("tr-brsgd", "uniform", [(10, 3.0, 0.75)], "max_iters", trial=2),
+            RunTrace("tr-gd", "none", [(10, 1.0, nan)], "diverged", trial=0),
+            RunTrace("tr-gd", "none", [(20, 2.0, nan)], "diverged", trial=1),
+        ]
+        gd, brsgd = summarize(traces)
+        assert (brsgd["rse"], brsgd["iterations"], brsgd["time_s"]) == (0.5, 10.0, 2.0)
+        assert (brsgd["trials"], brsgd["diverged"]) == (3, 1)
+        assert gd == {"algorithm": "TR-GD", "rse": None, "iterations": None,
+                      "time_s": None, "trials": 2, "diverged": 2}
+        md, _ = emit_summary(traces)
+        assert "| TR-GD | - | - | - | 2/2 |" in md
+        assert "| TR-BRSGD-U | 5.000e-01 | 1.000e+01 | 2.000e+00 | 1/3 |" in md
+        assert "nan" not in md
+        assert _summary_csv(summarize(traces), False).splitlines()[1:] == [
+            "algorithm,rse,iterations,time_s,trials,diverged",
+            "TR-GD,,,,2,2",
+            "TR-BRSGD-U,0.5,10,2,3,1",
+        ]
 
     def test_canonical_row_order(self):
         traces = []
@@ -142,6 +179,45 @@ class TestConfig:
         cfg = dict(BASE_CONFIG, sampling=["optimal"])
         with pytest.raises(ConfigError):
             load_config(cfg)
+
+    def test_not_an_object(self):
+        with pytest.raises(ConfigError, match="JSON object"):
+            load_config("[1, 2]")
+
+    def test_unknown_top_level_key(self):
+        cfg = dict(BASE_CONFIG, trails=5)
+        with pytest.raises(ConfigError, match="'trails'"):
+            load_config(cfg)
+
+    @pytest.mark.parametrize("key, value", [
+        ("recompute", "sweep"), ("batchgrad", 50), ("share_hessian_batch", True)])
+    def test_unknown_solver_key(self, key, value):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            solver_config(dict(BASE_CONFIG["solver"], **{key: value}), "uniform", 0)
+
+    @pytest.mark.parametrize("step, bad", [
+        ({"kind": "constant", "alpha": 0.7, "gamma": 0.7}, "gamma"),
+        ({"alpha": 0.1, "eta": 0.1}, "eta"),
+        ({"kind": "robbins_monro", "alpha0": 0.1, "alpha": 0.1}, "alpha"),
+        ({"kind": "adagrad", "eta": 0.1, "gamma": 1.0}, "gamma"),
+    ])
+    def test_step_key_the_kind_does_not_take(self, step, bad):
+        solver = dict(BASE_CONFIG["solver"], step=step)
+        with pytest.raises(ConfigError, match=f"'{bad}'"):
+            solver_config(solver, "uniform", 0)
+
+    def test_every_step_key_accepted(self):
+        for step in ({"kind": "constant", "alpha": 0.1},
+                     {"kind": "robbins_monro", "alpha0": 0.1, "gamma": 0.75},
+                     {"kind": "adagrad", "eta": 0.1, "b": 1.0, "eps": 0.1}):
+            solver_config(dict(BASE_CONFIG["solver"], step=step), "uniform", 0)
+
+    def test_unknown_solver_key_fails_the_run(self, tmp_path):
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["solver"]["recompute"] = "sweep"
+        with pytest.raises(ConfigError, match="'recompute'"):
+            run_experiment(cfg, tmp_path / "r", clock=counting_clock())
+        assert not list((tmp_path / "r").glob("*.csv"))
 
     def test_json_file(self, tmp_path):
         path = tmp_path / "cfg.json"

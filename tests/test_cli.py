@@ -85,6 +85,25 @@ def test_benchmark_override(tmp_path, capsys):
     assert trace.final()[0] == 2
 
 
+def test_benchmark_rejects_removed_solver_key(tmp_path, capsys):
+    cfg = {
+        "tensor": {"synth": {"order": 3, "dim": 6, "rank": 2, "seed": 3}},
+        "algorithms": ["tr-scaled-brsgd"],
+        "solver": {"ranks": [2, 2, 2], "max_iters": 2},
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    rc = main(["benchmark", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o"),
+               "--set", "solver.share_hessian_batch=true"])
+    assert rc == 2
+    assert "share_hessian_batch" in capsys.readouterr().err
+    cfg["trails"] = 5
+    cfg_path.write_text(json.dumps(cfg))
+    rc = main(["benchmark", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")])
+    assert rc == 2
+    assert "trails" in capsys.readouterr().err
+
+
 def test_benchmark_bad_config(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text("{broken")

@@ -521,18 +521,12 @@ class TestTrBrsgd:
         assert trace.final()[0] == iters
         assert 2 <= len(calls) <= 2 + iters
 
-    def test_optimal_sampling_gated(self):
+    def test_optimal_sampling_runs(self):
         x, _ = synth_tensor(SynthSpec(order=3, dim=6, rank=2, seed=14))
         cfg = SolverConfig(ranks=(2, 2, 2), schedule=ConstantStep(0.05),
                            batch_grad=10, max_iters=10, seed=6,
                            sampling=SamplingSpec("optimal"))
-        with pytest.raises(ValueError, match="diagnostic"):
-            tr_brsgd(x, cfg)
-        cfg2 = SolverConfig(ranks=(2, 2, 2), schedule=ConstantStep(0.05),
-                            batch_grad=10, max_iters=10, seed=6,
-                            sampling=SamplingSpec("optimal"),
-                            allow_oracle_sampling=True)
-        _, trace = tr_brsgd(x, cfg2)
+        _, trace = tr_brsgd(x, cfg)
         assert trace.final()[0] == 10
 
     def test_divergence_flag(self):
@@ -542,7 +536,7 @@ class TestTrBrsgd:
                            sampling=SamplingSpec("uniform"))
         with np.errstate(over="ignore", invalid="ignore"):
             _, trace = tr_brsgd(x, cfg)
-        assert trace.diverged
+        assert trace.diverged and trace.terminal_reason == "diverged"
 
 
 class TestTrScaledBrsgd:
@@ -579,16 +573,6 @@ class TestTrScaledBrsgd:
         d = search_direction(g, h, damping=1e8)
         cos = np.sum(d * (-g)) / (np.linalg.norm(d) * np.linalg.norm(g))
         assert cos > 1 - 1e-6
-
-    def test_share_hessian_batch(self):
-        x, _ = synth_tensor(SynthSpec(order=3, dim=8, rank=2, seed=17))
-        cfg = SolverConfig(ranks=(2, 2, 2), schedule=ConstantStep(0.05),
-                           batch_grad=10, batch_hess=10, damping=1e-6,
-                           max_iters=20, eval_every=5, seed=8,
-                           sampling=SamplingSpec("uniform"),
-                           share_hessian_batch=True)
-        _, trace = tr_scaled_brsgd(x, cfg)
-        assert trace.final()[0] == 20
 
     def test_approximately_unbiased_direction(self):
         # instance scaled so the Hessian factor has spectral norm <= 1; the
@@ -666,8 +650,7 @@ class TestStoppingCriteria:
         assert [r[1] for r in trace.records] == [0.0, 1.0, 2.0, 3.0]
 
     def test_non_finite_rse_stops_as_diverged(self):
-        # kappa=1e4 instance at alpha=0.1: GD overflows to NaN by iteration 10,
-        # and nan > DIVERGENCE_NORM is false, so the norm flag alone misses it
+        # kappa=1e4 instance at alpha=0.1: GD overflows to NaN by iteration 10
         x, _ = synth_tensor(SynthSpec(order=3, dim=25, rank=3, kind="ill_conditioned",
                                       kappa=1e4, seed=2))
         cfg = SolverConfig(ranks=(3, 3, 3), schedule=ConstantStep(0.1),
