@@ -16,8 +16,9 @@ A benchmark config is one JSON document:
       "seed": 0
     }
 
-Unknown keys at the top level, in `solver` and in `step` (for the chosen step
-kind) are errors.  Each requested (algorithm, sampling) cell runs `trials`
+Unknown keys at the top level, in `tensor`, in `tensor.synth`, in `solver` and
+in `step` (for the chosen step kind) are errors, and so is a `tensor` with both
+`file` and `synth`.  Each requested (algorithm, sampling) cell runs `trials`
 times with derived seeds; every run writes a trace CSV, and the summary
 reports per cell how many trials diverged and the arithmetic mean of the
 terminal RSE, iteration count and elapsed seconds over the other trials.
@@ -56,6 +57,8 @@ _DISPLAY = {
 }
 _SAMPLING_SUFFIX = {"uniform": "U", "euclidean": "E", "leverage": "L", "optimal": "O"}
 _CONFIG_KEYS = ("tensor", "algorithms", "sampling", "solver", "trials", "seed")
+_TENSOR_KEYS = ("file", "synth")
+_SYNTH_KEYS = ("order", "dim", "rank", "kind", "kappa", "seed")
 _SOLVER_KEYS = ("ranks", "step", "batch_grad", "batch_hess", "damping", "max_iters",
                 "max_seconds", "rse_tol", "eval_every", "init_scale",
                 "time_includes_eval")
@@ -135,22 +138,28 @@ def load_config(source) -> dict:
 
 
 def load_tensor(tensor_cfg) -> np.ndarray:
+    if not isinstance(tensor_cfg, dict):
+        raise ConfigError("tensor config must be an object")
+    _reject_unknown_keys(tensor_cfg, _TENSOR_KEYS, "tensor")
+    if len(tensor_cfg) != 1:
+        raise ConfigError("tensor config needs exactly one of 'file' or 'synth'")
     if "file" in tensor_cfg:
         try:
             return read_tensor(tensor_cfg["file"])
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read tensor file: {exc}") from exc
-    if "synth" in tensor_cfg:
-        s = tensor_cfg["synth"]
-        try:
-            spec = SynthSpec(
-                order=int(s["order"]), dim=int(s["dim"]), rank=int(s["rank"]),
-                kind=s.get("kind", "gaussian"), kappa=float(s.get("kappa", 1.0)),
-                seed=int(s.get("seed", 0)))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad synth spec: {exc}") from exc
-        return synth_tensor(spec)[0]
-    raise ConfigError("tensor config needs a 'file' or 'synth' entry")
+    s = tensor_cfg["synth"]
+    if not isinstance(s, dict):
+        raise ConfigError("tensor.synth must be an object")
+    _reject_unknown_keys(s, _SYNTH_KEYS, "tensor.synth")
+    try:
+        spec = SynthSpec(
+            order=int(s["order"]), dim=int(s["dim"]), rank=int(s["rank"]),
+            kind=s.get("kind", "gaussian"), kappa=float(s.get("kappa", 1.0)),
+            seed=int(s.get("seed", 0)))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad synth spec: {exc}") from exc
+    return synth_tensor(spec)[0]
 
 
 def solver_config(solver_cfg, sampling_kind: str, seed: int) -> solvers.SolverConfig:

@@ -374,36 +374,57 @@ def _apply_step(cores, mode, direction, config, t, adagrad_state) -> bool:
 # deterministic solvers
 
 
+def _min_norm_update(sub: np.ndarray, xn: np.ndarray) -> tuple[np.ndarray, int]:
+    """Minimum-norm solution G of min ||G S^T - X_[n]||_F, and the numerical
+    rank of S.
+
+    One thin QR S = QR and the SVD R = U diag(s) V^T of the small factor give
+    G = ((X_[n] Q) U_r / s_r) V_r^T, where r counts the singular values above
+    max(J, R^2) * eps * s_max, the cut-off of np.linalg.lstsq(rcond=None).
+    The solve works at the conditioning of S; the normal equations would
+    square it.
+    """
+    q, r = np.linalg.qr(sub)
+    u, s, vt = np.linalg.svd(r, full_matrices=False)
+    rank = int(np.count_nonzero(s > max(sub.shape) * np.finfo(float).eps * s[0]))
+    return ((xn @ q) @ u[:, :rank] / s[:rank]) @ vt[:rank], rank
+
+
 def tr_als(x, config: SolverConfig, init=None, callback=None, clock=None,
            on_core_update=None):
     """Alternating least squares: cyclic sweeps where each core update solves
     its linear least-squares subproblem exactly.
 
-    One iteration of the trace is one full sweep.  Rank-deficient subchain
-    unfoldings fall back to the minimum-norm solution with a logged warning.
+    One iteration of the trace is one full sweep.  Every update is the
+    minimum-norm least-squares solution, so a rank-deficient subchain
+    unfolding needs no second path; the run logs one warning giving how many
+    of its core updates were rank deficient.
     `on_core_update(mode, cores)`, if given, fires after every core update.
     """
     x = np.asarray(x, dtype=np.float64)
     cores = _init_cores(x, config, init)
+    counts = {"updates": 0, "deficient": 0}
 
     def sweep(_t, cores):
         for n in range(x.ndim):
-            a = subchain_unfolding(subchain_tensor(cores, n))
-            rhs = mode_n_unfolding(x, n).T
-            sol, _res, rank, _sv = np.linalg.lstsq(a, rhs, rcond=None)
-            if rank < a.shape[1]:
-                logger.warning(
-                    "tr_als: subchain unfolding for mode %d is rank deficient "
-                    "(%d < %d); using the minimum-norm update", n, rank, a.shape[1]
-                )
+            sub = subchain_unfolding(subchain_tensor(cores, n))
+            sol, rank = _min_norm_update(sub, mode_n_unfolding(x, n))
+            counts["updates"] += 1
+            counts["deficient"] += rank < sub.shape[1]
             r_left, _, r_right = cores[n].shape
-            cores[n] = fold_core(sol.T, r_left, r_right)
+            cores[n] = fold_core(sol, r_left, r_right)
             if on_core_update is not None:
                 on_core_update(n, cores)
         return True
 
-    return _run_loop(x, cores, config, "tr-als", "none", sweep,
-                     callback=callback, clock=clock)
+    result = _run_loop(x, cores, config, "tr-als", "none", sweep,
+                       callback=callback, clock=clock)
+    if counts["deficient"]:
+        logger.warning(
+            "tr_als: %d of %d core updates were rank deficient; each took "
+            "the minimum-norm solution",
+            counts["deficient"], counts["updates"])
+    return result
 
 
 def _gradient_descent(x, config, init, callback, clock, scaled):

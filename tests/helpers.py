@@ -57,6 +57,13 @@ def leverage_by_svd(m):
     return np.array([np.dot(row, row) for row in basis]), rank
 
 
+def lstsq_core_update(sub, xn):
+    """Minimum-norm G of min ||G sub^T - xn||_F by LAPACK's gelsd, and the
+    rank gelsd found."""
+    sol, _res, rank, _sv = np.linalg.lstsq(sub, xn.T, rcond=None)
+    return sol.T, rank
+
+
 def half_squared_error(cores, x):
     return 0.5 * np.linalg.norm(reconstruct_by_trace(cores) - x) ** 2
 

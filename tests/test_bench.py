@@ -9,6 +9,7 @@ from trdecomp.bench import (
     display_name,
     emit_summary,
     load_config,
+    load_tensor,
     run_experiment,
     solver_config,
     summarize,
@@ -218,6 +219,30 @@ class TestConfig:
         with pytest.raises(ConfigError, match="'recompute'"):
             run_experiment(cfg, tmp_path / "r", clock=counting_clock())
         assert not list((tmp_path / "r").glob("*.csv"))
+
+    def test_misspelt_synth_key(self):
+        # "kapa" would silently build the kappa=1 tensor
+        spec = {"order": 3, "dim": 9, "rank": 3, "kind": "ill_conditioned",
+                "kapa": 1e4, "seed": 2}
+        with pytest.raises(ConfigError, match="'kapa'"):
+            load_tensor({"synth": spec})
+
+    @pytest.mark.parametrize("tensor, match", [
+        ({"path": "x.trt"}, "'path'"),
+        ({"synth": BASE_CONFIG["tensor"]["synth"], "path": "x.trt"}, "'path'"),
+        ({"file": "x.trt", "synth": BASE_CONFIG["tensor"]["synth"]}, "exactly one"),
+        ({}, "exactly one"),
+        ("x.trt", "must be an object"),
+        ({"synth": 3}, "must be an object"),
+    ])
+    def test_malformed_tensor_config(self, tensor, match):
+        with pytest.raises(ConfigError, match=match):
+            load_tensor(tensor)
+
+    def test_every_synth_key_accepted(self):
+        x = load_tensor({"synth": {"order": 3, "dim": 9, "rank": 3, "kind": "ill_conditioned",
+                                   "kappa": 1e4, "seed": 2}})
+        assert x.shape == (9, 9, 9)
 
     def test_json_file(self, tmp_path):
         path = tmp_path / "cfg.json"

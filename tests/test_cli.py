@@ -104,6 +104,21 @@ def test_benchmark_rejects_removed_solver_key(tmp_path, capsys):
     assert "trails" in capsys.readouterr().err
 
 
+def test_benchmark_rejects_misspelt_synth_key(tmp_path, capsys):
+    cfg = {
+        "tensor": {"synth": {"order": 3, "dim": 9, "rank": 3, "kind": "ill_conditioned",
+                             "kapa": 1e4, "seed": 2}},
+        "algorithms": ["tr-als"],
+        "solver": {"ranks": [3, 3, 3], "max_iters": 2},
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    rc = main(["benchmark", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")])
+    assert rc == 2
+    assert "kapa" in capsys.readouterr().err
+    assert not list((tmp_path / "o").glob("*.csv"))
+
+
 def test_benchmark_bad_config(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text("{broken")

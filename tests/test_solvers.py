@@ -24,6 +24,8 @@ from trdecomp.solvers import (
     ConstantStep,
     RobbinsMonroStep,
     SolverConfig,
+    _init_cores,
+    _min_norm_update,
     adagrad_update,
     full_gradient,
     objective,
@@ -39,7 +41,7 @@ from trdecomp.solvers import (
 )
 from trdecomp.trace import TERMINAL_REASONS
 
-from helpers import finite_diff_core_gradient, reconstruct_by_trace
+from helpers import finite_diff_core_gradient, lstsq_core_update, reconstruct_by_trace
 
 
 def random_cores(rng, dims, ranks):
@@ -365,7 +367,32 @@ class TestTrAls:
         cfg = SolverConfig(ranks=(2, 2), max_iters=2, seed=0)
         with caplog.at_level(logging.WARNING):
             tr_als(x, cfg)
-        assert any("rank deficient" in r.message for r in caplog.records)
+        records = [r for r in caplog.records if "rank deficient" in r.message]
+        assert len(records) == 1
+        assert "4 of 4 core updates" in records[0].message
+
+    @pytest.mark.parametrize("spec, ranks, deficient", [
+        (SynthSpec(order=3, dim=10, rank=2, seed=1), (2, 2, 2), False),
+        (SynthSpec(order=3, dim=25, rank=3, kind="ill_conditioned", kappa=1e4,
+                   seed=2), (3, 3, 3), False),
+        # N=2 with J < R*R: the minimum-norm solution is the only one pinned
+        (SynthSpec(order=2, dim=2, rank=1, seed=3), (2, 2), True),
+    ], ids=["full-rank", "paper-k1e4", "n2-j-below-r2"])
+    def test_update_matches_lstsq(self, spec, ranks, deficient):
+        x, truth = synth_tensor(spec)
+        starts = [_init_cores(x, SolverConfig(ranks=ranks, seed=0), None)]
+        if truth[0].shape[0] == ranks[0]:
+            starts.append(truth)
+        for cores in starts:
+            for n in range(x.ndim):
+                sub = subchain_unfolding(subchain_tensor(cores, n))
+                xn = mode_n_unfolding(x, n)
+                sol, rank = _min_norm_update(sub, xn)
+                expected, expected_rank = lstsq_core_update(sub, xn)
+                assert rank == expected_rank
+                assert (rank < sub.shape[1]) == deficient
+                err = np.linalg.norm(sol - expected) / np.linalg.norm(expected)
+                assert err < 1e-10
 
     def test_monotone_rse_trace(self):
         x, _ = synth_tensor(SynthSpec(order=3, dim=20, rank=3, seed=1))

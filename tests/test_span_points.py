@@ -5,7 +5,10 @@ keep resolving, or `perfbench/run.py --trace 1` breaks."""
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from trdecomp import sampling, solvers
+from trdecomp.datagen import SynthSpec, synth_tensor
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -22,3 +25,23 @@ def test_every_span_point_resolves():
     missing = [f"{mod}.{attr}" for mod, attr, _name in _span_points()
                if not callable(getattr(modules[mod], attr, None))]
     assert missing == []
+
+
+# The dense-1m per-layer trace spans these names in `solvers`; a refactor
+# that stops calling one through that module zeroes its metric silently.
+DENSE_PATH_NAMES = ("subchain_tensor", "subchain_unfolding", "mode_n_unfolding",
+                    "residual_norm")
+
+
+@pytest.mark.parametrize("solve", [solvers.tr_als, solvers.tr_scaled_gd],
+                         ids=["tr_als", "tr_scaled_gd"])
+def test_dense_solvers_call_through_the_spanned_names(solve, monkeypatch):
+    calls = dict.fromkeys(DENSE_PATH_NAMES, 0)
+    for name in DENSE_PATH_NAMES:
+        def spy(*args, _name=name, _original=getattr(solvers, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(solvers, name, spy)
+    x, _ = synth_tensor(SynthSpec(order=3, dim=6, rank=2, seed=1))
+    solve(x, solvers.SolverConfig(ranks=(2, 2, 2), max_iters=1, seed=0))
+    assert [name for name, n in calls.items() if n == 0] == []
