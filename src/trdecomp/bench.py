@@ -10,8 +10,7 @@ A benchmark config is one JSON document:
       "solver": {"ranks": [3, 3, 3], "step": {"kind": "constant", "alpha": 0.05},
                   "batch_grad": 100, "batch_hess": 100, "damping": 0.0,
                   "max_iters": 1000, "max_seconds": null, "rse_tol": null,
-                  "eval_every": null, "init_scale": 1.0,
-                  "time_includes_eval": false},
+                  "eval_every": null, "init_scale": 1.0},
       "trials": 1,
       "seed": 0
     }
@@ -21,7 +20,8 @@ in `step` (for the chosen step kind) are errors, and so is a `tensor` with both
 `file` and `synth`.  Each requested (algorithm, sampling) cell runs `trials`
 times with derived seeds; every run writes a trace CSV, and the summary
 reports per cell how many trials diverged and the arithmetic mean of the
-terminal RSE, iteration count and elapsed seconds over the other trials.
+terminal RSE, iteration count, elapsed (iteration) seconds and RSE-evaluation
+seconds over the other trials.
 """
 
 from __future__ import annotations
@@ -60,8 +60,7 @@ _CONFIG_KEYS = ("tensor", "algorithms", "sampling", "solver", "trials", "seed")
 _TENSOR_KEYS = ("file", "synth")
 _SYNTH_KEYS = ("order", "dim", "rank", "kind", "kappa", "seed")
 _SOLVER_KEYS = ("ranks", "step", "batch_grad", "batch_hess", "damping", "max_iters",
-                "max_seconds", "rse_tol", "eval_every", "init_scale",
-                "time_includes_eval")
+                "max_seconds", "rse_tol", "eval_every", "init_scale")
 _STEP_KEYS = {"constant": ("alpha",), "robbins_monro": ("alpha0", "gamma"),
               "adagrad": ("eta", "b", "eps")}
 
@@ -179,7 +178,6 @@ def solver_config(solver_cfg, sampling_kind: str, seed: int) -> solvers.SolverCo
             eval_every=None if d.get("eval_every") is None else int(d["eval_every"]),
             seed=seed,
             init_scale=float(d.get("init_scale", 1.0)),
-            time_includes_eval=bool(d.get("time_includes_eval", False)),
         )
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
@@ -219,11 +217,9 @@ def run_experiment(config, out_dir, clock=None) -> list[RunTrace]:
                 traces.append(trace)
                 write_trace_csv(trace, os.path.join(
                     out_dir, trace_filename(algo, samp, trial)))
-    time_includes_eval = bool(cfg["solver"].get("time_includes_eval", False))
-    summary_md, rows = emit_summary(traces, time_includes_eval=time_includes_eval)
+    summary_md, rows = emit_summary(traces)
     atomic_write_bytes(os.path.join(out_dir, "summary.md"), summary_md.encode())
-    atomic_write_bytes(os.path.join(out_dir, "summary.csv"),
-                       _summary_csv(rows, time_includes_eval).encode())
+    atomic_write_bytes(os.path.join(out_dir, "summary.csv"), _summary_csv(rows).encode())
     atomic_write_bytes(os.path.join(out_dir, "config.json"),
                        (json.dumps(cfg, indent=2, sort_keys=True) + "\n").encode())
     meta = {"started": started, "finished": datetime.datetime.now().isoformat()}
@@ -241,8 +237,10 @@ def _sort_key(item):
 
 def summarize(traces) -> list[dict]:
     """One row per (algorithm, sampling), in canonical table order: the trial
-    count, how many trials diverged, and the mean terminal RSE, iterations and
-    elapsed seconds over the trials that did not (None when all diverged)."""
+    count, how many trials diverged, and the mean terminal RSE, iterations,
+    elapsed seconds and evaluation seconds over the trials that did not (None
+    when all diverged, and the evaluation mean also when a trace does not
+    record its evaluation time)."""
     if not traces:
         raise ValueError("no traces to summarize")
     groups: dict[tuple[str, str], list[RunTrace]] = {}
@@ -251,45 +249,45 @@ def summarize(traces) -> list[dict]:
     rows = []
     for (algo, samp) in sorted(groups, key=_sort_key):
         group = groups[(algo, samp)]
-        finals = [tr.final() for tr in group if not tr.diverged]
+        kept = [tr for tr in group if not tr.diverged]
 
-        def mean(i):
-            return float(np.mean([f[i] for f in finals])) if finals else None
+        def mean(values):
+            return None if not values or None in values else float(np.mean(values))
 
         rows.append({
             "algorithm": display_name(algo, samp),
-            "rse": mean(2),
-            "iterations": mean(0),
-            "time_s": mean(1),
+            "rse": mean([tr.final()[2] for tr in kept]),
+            "iterations": mean([tr.final()[0] for tr in kept]),
+            "time_s": mean([tr.final()[1] for tr in kept]),
+            "eval_s": mean([tr.eval_s for tr in kept]),
             "trials": len(group),
-            "diverged": len(group) - len(finals),
+            "diverged": len(group) - len(kept),
         })
     return rows
 
 
-def emit_summary(traces, time_includes_eval: bool = False):
+_MEANS = ("rse", "iterations", "time_s", "eval_s")
+
+
+def emit_summary(traces):
     """Markdown summary table (and its rows) in the canonical row order."""
     rows = summarize(traces)
     lines = [
-        "| Method | RSE | Iterations | Time (s) | Diverged |",
-        "| --- | --- | --- | --- | --- |",
+        "| Method | RSE | Iterations | Time (s) | Eval (s) | Diverged |",
+        "| --- | --- | --- | --- | --- | --- |",
     ]
     for r in rows:
-        means = " | ".join("-" if r[k] is None else f"{r[k]:.3e}"
-                           for k in ("rse", "iterations", "time_s"))
+        means = " | ".join("-" if r[k] is None else f"{r[k]:.3e}" for k in _MEANS)
         lines.append(f"| {r['algorithm']} | {means} | {r['diverged']}/{r['trials']} |")
     lines.append("")
-    lines.append(f"Elapsed time {'includes' if time_includes_eval else 'excludes'} "
-                 "RSE evaluation overhead.")
+    lines.append("Time counts iteration work only; Eval is the RSE evaluation time.")
     return "\n".join(lines) + "\n", rows
 
 
-def _summary_csv(rows, time_includes_eval: bool) -> str:
-    lines = [f"# time_includes_eval={int(time_includes_eval)}",
-             "algorithm,rse,iterations,time_s,trials,diverged"]
+def _summary_csv(rows) -> str:
+    lines = ["algorithm,rse,iterations,time_s,eval_s,trials,diverged"]
     for r in rows:
-        means = ",".join("" if r[k] is None else fmt_float(r[k])
-                         for k in ("rse", "iterations", "time_s"))
+        means = ",".join("" if r[k] is None else fmt_float(r[k]) for k in _MEANS)
         lines.append(f"{r['algorithm']},{means},{r['trials']},{r['diverged']}")
     return "\n".join(lines) + "\n"
 

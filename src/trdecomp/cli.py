@@ -50,7 +50,6 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-seconds", type=float, default=None)
     p.add_argument("--rse-tol", type=float, default=None)
     p.add_argument("--eval-every", type=int, default=None)
-    p.add_argument("--time-includes-eval", action="store_true")
     p.add_argument("--init-scale", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
 
@@ -73,7 +72,6 @@ def _solver_dict(args) -> dict:
         "max_seconds": args.max_seconds,
         "rse_tol": args.rse_tol,
         "eval_every": args.eval_every,
-        "time_includes_eval": args.time_includes_eval,
         "init_scale": args.init_scale,
     }
 
@@ -98,7 +96,8 @@ def cmd_decompose(args) -> int:
         args.out_dir, trace_filename(args.algorithm, trace.sampling, 0)))
     it, elapsed, rse_val = trace.final()
     print(f"{args.algorithm}: stopped by {trace.terminal_reason} at iteration {it}, "
-          f"rse {rse_val:.3e}, {elapsed:.2f}s")
+          f"rse {rse_val:.3e}, {elapsed:.2f}s iterating + {trace.eval_s:.2f}s evaluating "
+          f"every {trace.eval_every}")
     return 3 if trace.diverged else 0
 
 
@@ -137,7 +136,7 @@ def cmd_report(args) -> int:
     traces = [read_trace_csv(p) for p in paths]
     if not traces:
         raise ConfigError(f"no trace CSVs found under {args.traces}")
-    summary_md, _rows = emit_summary(traces, time_includes_eval=args.time_includes_eval)
+    summary_md, _rows = emit_summary(traces)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
             f.write(summary_md)
@@ -182,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="summarize a directory of trace CSVs")
     p.add_argument("--traces", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--time-includes-eval", action="store_true")
     p.set_defaults(func=cmd_report)
 
     return parser

@@ -56,8 +56,8 @@ class ConstantStep:
 
     def __post_init__(self):
         # zero is allowed as a degenerate diagnostic (iterates stay put)
-        if self.alpha < 0:
-            raise ValueError("constant step size must be nonnegative")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError("constant step size must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,8 @@ class RobbinsMonroStep:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if self.alpha0 <= 0:
-            raise ValueError("alpha0 must be positive")
+        if not 0 < self.alpha0 < math.inf:
+            raise ValueError("alpha0 must be finite and positive")
         if not 0.5 < self.gamma <= 1.0:
             raise ValueError("gamma must lie in (0.5, 1]")
 
@@ -84,10 +84,10 @@ class AdaGradStep:
     eps: float = 0.0
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
-        if self.b < 0 or self.eps < 0:
-            raise ValueError("b and eps must be nonnegative")
+        if not 0 < self.eta < math.inf:
+            raise ValueError("eta must be finite and positive")
+        if not (0 <= self.b < math.inf and 0 <= self.eps < math.inf):
+            raise ValueError("b and eps must be finite and nonnegative")
 
 
 def schedule_value(schedule, t: int) -> float:
@@ -221,12 +221,16 @@ class SolverConfig:
 
     ranks are the target TR-ranks (length = tensor order, cyclically chained).
     batch_grad / batch_hess are the gradient and Hessian sampling sizes.
-    damping is the preconditioner ridge.
+    damping is the preconditioner ridge; init_scale the standard deviation of
+    the random start.
     Stopping: any subset of max_iters / max_seconds / rse_tol, at least one
     set; they are checked in the order rse_tol, max_iters, max_seconds at each
     evaluation point, after a non-finite RSE or core, which always stops the
-    run.  eval_every=None evaluates every iteration for tensors
-    under 1e6 entries and every 100 iterations above.
+    run.  max_seconds counts iteration time only, never RSE evaluation.
+    eval_every=None takes the cadence from the cost model of `_run_loop`: the
+    smallest interval, at most 100, at which the modelled evaluation cost is
+    at most 10% of the run.  Invalid values raise ValueError here, before a
+    run starts.
     """
 
     ranks: tuple[int, ...]
@@ -243,7 +247,6 @@ class SolverConfig:
     eval_every: int | None = None
     seed: int = 0
     init_scale: float = 1.0
-    time_includes_eval: bool = False
 
     def __post_init__(self):
         self.ranks = tuple(int(r) for r in self.ranks)
@@ -253,8 +256,19 @@ class SolverConfig:
             raise ValueError("batch sizes must be >= 1")
         if self.max_iters is None and self.max_seconds is None and self.rse_tol is None:
             raise ValueError("at least one stopping criterion must be set")
-        if self.eval_every is not None and self.eval_every < 1:
+        # written so that NaN fails every check
+        if self.max_iters is not None and not self.max_iters >= 0:
+            raise ValueError("max_iters must be >= 0")
+        if self.max_seconds is not None and not self.max_seconds >= 0:
+            raise ValueError("max_seconds must be >= 0")
+        if self.rse_tol is not None and not self.rse_tol >= 0:
+            raise ValueError("rse_tol must be >= 0")
+        if self.eval_every is not None and not self.eval_every >= 1:
             raise ValueError("eval_every must be >= 1")
+        if not 0 <= self.damping < math.inf:
+            raise ValueError("damping must be finite and >= 0")
+        if not 0 < self.init_scale < math.inf:
+            raise ValueError("init_scale must be finite and positive")
 
 
 def _root_rng(seed: int) -> np.random.Generator:
@@ -280,19 +294,93 @@ def _init_cores(x: np.ndarray, config: SolverConfig, init) -> list[np.ndarray]:
     ]
 
 
+# Default evaluation cadence.  Costs are modelled in floating-point operations
+# from shapes, ranks and batch sizes only (never a clock), so the cadence and
+# hence every run stay bitwise deterministic.  Interpreter and memory
+# overheads enter as flop equivalents at the ~10 GFlop/s the evaluation's slab
+# matmul reaches on 1e6-entry tensors: one unit is ~0.1 ns.  The constants
+# were fit once against single-threaded OpenBLAS timings on a 2-vCPU Xeon of
+# residual_norm and of iterations of every solver (orders 3-5, dims 5-100,
+# ranks 2-5, batches 100/300).  The model's rms error there is ~30%; its
+# largest misses put ALS/GD iterations at order >= 4 up to ~2.4x too cheap,
+# where it still gives k = 1.
+EVAL_CALL_FLOPS = 3e5  # one residual_norm call (~0.03 ms)
+CORE_UPDATE_FLOPS = 1e6  # the calls of one dense core update (~0.1 ms)
+UNFOLD_FLOPS_PER_ENTRY = 15  # mode_n_unfolding copies x per core update (~1.5 ns)
+STEP_FLOPS = 5e5  # one stochastic iteration: generator, mode draw, step (~0.05 ms)
+DRAW_FLOPS = 1e6  # one sampled batch over one other mode (~0.1 ms)
+SOLVE_FLOPS = 1.8e6  # the scaled step's Hessian and Cholesky solve (~0.18 ms)
+MAX_EVAL_EVERY = 100
+
+
+def _eval_cost(shape, ranks) -> float:
+    """One residual_norm call: the slab matmul, 2 |X| R_0 R_h flops with R_h
+    the rank where the ring is cut in half, plus the call."""
+    return 2 * math.prod(shape) * ranks[0] * ranks[len(shape) // 2] + EVAL_CALL_FLOPS
+
+
+def _dense_iteration_cost(shape, ranks, qr: bool) -> float:
+    """One ALS sweep (qr) or GD/ScaledGD iteration: per core n, build the
+    J x R^2 subchain unfolding S (its last product dominates), unfold x, form
+    X_(n) Q or X_(n) S, and factor S by a thin QR (4 J R^4) or form its Gram
+    matrix (2 J R^4), plus the calls."""
+    size = math.prod(shape)
+    cost = 0.0
+    for n in range(len(shape)):
+        j = size // shape[n]
+        r2 = ranks[n] * ranks[(n + 1) % len(shape)]
+        cost += (2 * j * r2 * max(ranks) + (4 if qr else 2) * j * r2 * r2
+                 + (2 * r2 + UNFOLD_FLOPS_PER_ENTRY) * size + CORE_UPDATE_FLOPS)
+    return cost
+
+
+def _stochastic_step_cost(shape, ranks, config, scaled: bool) -> float:
+    """One block-randomized iteration: per sampled row, the product of its
+    N-1 subchain slices and its share of the R^2 x R^2 Gram factor; the
+    fiber product of the gradient; the Cholesky solve of the scaled step;
+    plus the iteration and each batch drawn over each other mode.  The
+    `optimal` diagnostic also forms the full residual of the drawn mode."""
+    n_modes, r, dim = len(shape), max(ranks), max(shape)
+    r2 = r * r
+    rows = config.batch_grad + (config.batch_hess if scaled else 0)
+    cost = (rows * (2 * (n_modes - 1) * r**3 + 2 * r2 * r2)
+            + 2 * config.batch_grad * dim * r2
+            + STEP_FLOPS + (2 if scaled else 1) * (n_modes - 1) * DRAW_FLOPS)
+    if scaled:
+        cost += r2**3 / 3 + 2 * dim * r2 * r2 + SOLVE_FLOPS
+    if config.sampling.kind == "optimal":
+        cost += _dense_iteration_cost(shape, ranks, qr=False) / n_modes
+    return cost
+
+
+def _default_eval_every(eval_cost: float, iteration_cost: float) -> int:
+    """Smallest k <= MAX_EVAL_EVERY whose modelled evaluation share
+    eval_cost / (eval_cost + k * iteration_cost) is at most 10%, i.e.
+    k * iteration_cost >= 9 * eval_cost."""
+    return min(MAX_EVAL_EVERY, max(1, math.ceil(9 * eval_cost / iteration_cost)))
+
+
+def _ranks(cores) -> tuple[int, ...]:
+    return tuple(c.shape[0] for c in cores)
+
+
 def _run_loop(x, cores, config, algorithm, sampling_name, do_iteration,
-              callback=None, clock=None):
+              iteration_cost, callback=None, clock=None):
     """Drive `do_iteration(t, cores)` until a stopping criterion fires.
 
-    Iteration work is timed with `clock` (default perf_counter); evaluation
-    time is excluded from elapsed unless config.time_includes_eval.  Stopping
-    criteria are checked only at evaluation points, in the order
-    non-finite -> rse_tol -> max_iters -> max_seconds; an evaluation is forced
-    whenever the iteration count or elapsed budget is hit, or when
-    `do_iteration` returns False: the stochastic solvers do so as soon as they
-    write a non-finite core, because the next draw from that core's
-    distribution would raise.  A non-finite RSE or core stops the run with
-    reason "diverged".
+    Iteration work is timed with `clock` (default perf_counter) into the
+    records' elapsed time, which max_seconds is checked against; evaluation
+    time is kept apart, in the trace's eval_s.  The RSE is evaluated every
+    config.eval_every iterations; when that is None, the cadence is
+    `_default_eval_every` of the modelled cost of one evaluation
+    (`_eval_cost`) and of one iteration (`iteration_cost`, which each solver
+    models for itself).  Stopping criteria are checked only at evaluation
+    points, in the order non-finite -> rse_tol -> max_iters -> max_seconds;
+    an evaluation is forced whenever the iteration count or elapsed budget is
+    hit, or when `do_iteration` returns False: the stochastic solvers do so
+    as soon as they write a non-finite core, because the next draw from that
+    core's distribution would raise.  A non-finite RSE or core stops the run
+    with reason "diverged".
     """
     clock = clock if clock is not None else time.perf_counter
     x = np.asfortranarray(x)  # residual_norm reads a column-major x in place
@@ -301,13 +389,14 @@ def _run_loop(x, cores, config, algorithm, sampling_name, do_iteration,
         raise ValueError("cannot fit an all-zero tensor (RSE undefined)")
     eval_every = config.eval_every
     if eval_every is None:
-        eval_every = 1 if x.size < 1_000_000 else 100
+        eval_every = _default_eval_every(_eval_cost(x.shape, _ranks(cores)),
+                                         iteration_cost)
     max_iters = math.inf if config.max_iters is None else config.max_iters
     max_seconds = math.inf if config.max_seconds is None else config.max_seconds
     tol = config.rse_tol
 
     records: list[tuple[int, float, float]] = []
-    state = {"elapsed": 0.0, "non_finite": False}
+    state = {"elapsed": 0.0, "eval_s": 0.0, "non_finite": False}
 
     def evaluate(t: int) -> float:
         t0 = clock()
@@ -316,9 +405,7 @@ def _run_loop(x, cores, config, algorithm, sampling_name, do_iteration,
             state["non_finite"] = True
             logger.warning("%s: non-finite RSE or core at iteration %d, stopping",
                            algorithm, t)
-        dt = clock() - t0
-        if config.time_includes_eval:
-            state["elapsed"] += dt
+        state["eval_s"] += clock() - t0
         records.append((t, state["elapsed"], rse_val))
         if callback is not None:
             callback(t, state["elapsed"], rse_val)
@@ -352,6 +439,8 @@ def _run_loop(x, cores, config, algorithm, sampling_name, do_iteration,
         sampling=sampling_name,
         records=records,
         terminal_reason=reason,
+        eval_every=eval_every,
+        eval_s=state["eval_s"],
     )
     return cores, trace
 
@@ -418,6 +507,7 @@ def tr_als(x, config: SolverConfig, init=None, callback=None, clock=None,
         return True
 
     result = _run_loop(x, cores, config, "tr-als", "none", sweep,
+                       _dense_iteration_cost(x.shape, _ranks(cores), qr=True),
                        callback=callback, clock=clock)
     if counts["deficient"]:
         logger.warning(
@@ -448,6 +538,7 @@ def _gradient_descent(x, config, init, callback, clock, scaled):
         return True
 
     return _run_loop(x, cores, config, name, "none", iteration,
+                     _dense_iteration_cost(x.shape, _ranks(cores), qr=False),
                      callback=callback, clock=clock)
 
 
@@ -514,6 +605,7 @@ def _stochastic_solver(x, config, init, callback, clock, scaled):
         return _apply_step(cores, n, direction, config, t, adagrad_state)
 
     return _run_loop(x, cores, config, name, config.sampling.kind, iteration,
+                     _stochastic_step_cost(x.shape, _ranks(cores), config, scaled),
                      callback=callback, clock=clock)
 
 

@@ -1,10 +1,15 @@
 """Run traces: per-evaluation (iteration, elapsed, rse) records plus CSV I/O.
 
+Elapsed time counts iteration work only; the run's total RSE-evaluation time
+is `eval_s`, and `eval_every` is the evaluation cadence the run used (both
+None when unknown, as for a trace file that does not record them).
+
 Trace files render floats with 17 significant digits so parsing them back
 reproduces the exact float64 values.  The first line is a `#` comment carrying
 run identity (algorithm, sampling, trial, terminal reason, and `diverged`,
-which repeats whether the reason is "diverged" and is ignored when parsing);
-the rest is plain CSV with header `iteration,elapsed_s,rse`.
+which repeats whether the reason is "diverged" and is ignored when parsing)
+and then `eval_every` and `eval_s`; the rest is plain CSV with header
+`iteration,elapsed_s,rse`.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ class RunTrace:
     records: list[tuple[int, float, float]] = field(default_factory=list)
     terminal_reason: str | None = None
     trial: int = 0
+    eval_every: int | None = None
+    eval_s: float | None = None
 
     @property
     def diverged(self) -> bool:
@@ -48,7 +55,8 @@ def render_trace_csv(trace: RunTrace) -> str:
     meta = (
         f"# algorithm={trace.algorithm};sampling={trace.sampling};"
         f"trial={trace.trial};terminal_reason={trace.terminal_reason};"
-        f"diverged={int(trace.diverged)}"
+        f"diverged={int(trace.diverged)};eval_every={trace.eval_every};"
+        f"eval_s={None if trace.eval_s is None else fmt_float(trace.eval_s)}"
     )
     lines = [meta, TRACE_HEADER]
     for it, elapsed, rse in trace.records:
@@ -74,12 +82,15 @@ def parse_trace_csv(text: str) -> RunTrace:
         it, elapsed, rse = ln.split(",")
         records.append((int(it), float(elapsed), float(rse)))
     reason = meta.get("terminal_reason")
+    eval_every, eval_s = meta.get("eval_every"), meta.get("eval_s")
     return RunTrace(
         algorithm=meta.get("algorithm", ""),
         sampling=meta.get("sampling", ""),
         records=records,
         terminal_reason=None if reason in (None, "None") else reason,
         trial=int(meta.get("trial", "0")),
+        eval_every=None if eval_every in (None, "None") else int(eval_every),
+        eval_s=None if eval_s in (None, "None") else float(eval_s),
     )
 
 

@@ -56,14 +56,31 @@ class TestTraceCsv:
             (3, 0.1 + 0.2, 1e-300),
             (7, 123.456789012345678, np.pi * 1e-15),
         ]
-        trace = RunTrace("tr-brsgd", "leverage", records, "max_iters", trial=4)
-        back = parse_trace_csv(render_trace_csv(trace))
+        trace = RunTrace("tr-brsgd", "leverage", records, "max_iters", trial=4,
+                         eval_every=3, eval_s=0.1 + 0.7)
+        text = render_trace_csv(trace)
+        assert text.splitlines()[0].endswith(";eval_every=3;eval_s=0.79999999999999993")
+        back = parse_trace_csv(text)
         assert back.records == records  # float64-exact via 17 digit rendering
         assert back.algorithm == "tr-brsgd"
         assert back.sampling == "leverage"
         assert back.terminal_reason == "max_iters"
         assert back.trial == 4
         assert back.diverged is False
+        assert back.eval_every == 3
+        assert back.eval_s == 0.1 + 0.7
+
+    def test_metadata_without_cadence_fields(self):
+        # a `#` line without eval_every/eval_s (an older trace file) parses
+        # with the defaults
+        back = parse_trace_csv("# algorithm=tr-als;sampling=none;trial=0;"
+                               "terminal_reason=tol;diverged=0\n"
+                               "iteration,elapsed_s,rse\n0,0,1\n")
+        assert (back.eval_every, back.eval_s) == (None, None)
+        assert render_trace_csv(back).splitlines()[0].endswith(
+            ";eval_every=None;eval_s=None")
+        # and an unknown evaluation time is not averaged as zero
+        assert summarize([back])[0]["eval_s"] is None
 
     def test_diverged_reads_the_terminal_reason(self):
         # the metadata's diverged= is written for readers of the file and
@@ -91,11 +108,12 @@ class TestTraceCsv:
 
 class TestSummaries:
     def test_single_trace(self):
-        trace = RunTrace("tr-als", "none", [(0, 0.0, 1.0), (4, 2.0, 0.25)], "tol")
+        trace = RunTrace("tr-als", "none", [(0, 0.0, 1.0), (4, 2.0, 0.25)], "tol",
+                         eval_every=2, eval_s=0.5)
         rows = summarize([trace])
         assert rows == [{
             "algorithm": "TR-ALS", "rse": 0.25, "iterations": 4.0,
-            "time_s": 2.0, "trials": 1, "diverged": 0,
+            "time_s": 2.0, "eval_s": 0.5, "trials": 1, "diverged": 0,
         }]
 
     def test_mean_over_trials(self):
@@ -109,25 +127,29 @@ class TestSummaries:
     def test_diverged_trials_counted_not_averaged(self, tmp_path):
         nan = float("nan")
         traces = [
-            RunTrace("tr-brsgd", "uniform", [(10, 1.0, 0.25)], "max_iters", trial=0),
-            RunTrace("tr-brsgd", "uniform", [(4, 9.0, nan)], "diverged", trial=1),
-            RunTrace("tr-brsgd", "uniform", [(10, 3.0, 0.75)], "max_iters", trial=2),
+            RunTrace("tr-brsgd", "uniform", [(10, 1.0, 0.25)], "max_iters", trial=0,
+                     eval_s=0.5),
+            RunTrace("tr-brsgd", "uniform", [(4, 9.0, nan)], "diverged", trial=1,
+                     eval_s=7.0),
+            RunTrace("tr-brsgd", "uniform", [(10, 3.0, 0.75)], "max_iters", trial=2,
+                     eval_s=1.5),
             RunTrace("tr-gd", "none", [(10, 1.0, nan)], "diverged", trial=0),
             RunTrace("tr-gd", "none", [(20, 2.0, nan)], "diverged", trial=1),
         ]
         gd, brsgd = summarize(traces)
-        assert (brsgd["rse"], brsgd["iterations"], brsgd["time_s"]) == (0.5, 10.0, 2.0)
+        assert ((brsgd["rse"], brsgd["iterations"], brsgd["time_s"], brsgd["eval_s"])
+                == (0.5, 10.0, 2.0, 1.0))
         assert (brsgd["trials"], brsgd["diverged"]) == (3, 1)
         assert gd == {"algorithm": "TR-GD", "rse": None, "iterations": None,
-                      "time_s": None, "trials": 2, "diverged": 2}
+                      "time_s": None, "eval_s": None, "trials": 2, "diverged": 2}
         md, _ = emit_summary(traces)
-        assert "| TR-GD | - | - | - | 2/2 |" in md
-        assert "| TR-BRSGD-U | 5.000e-01 | 1.000e+01 | 2.000e+00 | 1/3 |" in md
+        assert "| TR-GD | - | - | - | - | 2/2 |" in md
+        assert "| TR-BRSGD-U | 5.000e-01 | 1.000e+01 | 2.000e+00 | 1.000e+00 | 1/3 |" in md
         assert "nan" not in md
-        assert _summary_csv(summarize(traces), False).splitlines()[1:] == [
-            "algorithm,rse,iterations,time_s,trials,diverged",
-            "TR-GD,,,,2,2",
-            "TR-BRSGD-U,0.5,10,2,3,1",
+        assert _summary_csv(summarize(traces)).splitlines() == [
+            "algorithm,rse,iterations,time_s,eval_s,trials,diverged",
+            "TR-GD,,,,,2,2",
+            "TR-BRSGD-U,0.5,10,2,1,3,1",
         ]
 
     def test_canonical_row_order(self):
@@ -148,12 +170,12 @@ class TestSummaries:
         with pytest.raises(ValueError):
             summarize([])
 
-    def test_markdown_notes_timing_choice(self):
+    def test_markdown_notes_timing(self):
+        # one convention: time counts iterations, evaluation has its own column
         trace = RunTrace("tr-als", "none", [(1, 0.0, 0.1)], "max_iters")
-        md, _ = emit_summary([trace], time_includes_eval=True)
-        assert "includes" in md
-        md, _ = emit_summary([trace], time_includes_eval=False)
-        assert "excludes" in md
+        md, _ = emit_summary([trace])
+        assert "| Time (s) | Eval (s) |" in md
+        assert "Time counts iteration work only; Eval is the RSE evaluation time." in md
 
     def test_display_names(self):
         assert display_name("tr-als", "none") == "TR-ALS"
@@ -191,7 +213,8 @@ class TestConfig:
             load_config(cfg)
 
     @pytest.mark.parametrize("key, value", [
-        ("recompute", "sweep"), ("batchgrad", 50), ("share_hessian_batch", True)])
+        ("recompute", "sweep"), ("batchgrad", 50), ("share_hessian_batch", True),
+        ("time_includes_eval", True)])
     def test_unknown_solver_key(self, key, value):
         with pytest.raises(ConfigError, match=f"'{key}'"):
             solver_config(dict(BASE_CONFIG["solver"], **{key: value}), "uniform", 0)
@@ -272,8 +295,13 @@ class TestRunExperiment:
         assert (out / "config.json").exists()
         assert (out / "meta.json").exists()
         summary = (out / "summary.csv").read_text()
-        assert summary.startswith("# time_includes_eval=0")
+        assert summary.startswith("algorithm,rse,iterations,time_s,eval_s,trials,diverged\n")
         assert "TR-BRSGD-U" in summary
+        # under a counting clock every evaluation costs one tick
+        for tr in traces:
+            assert tr.eval_s == len(tr.records)
+            assert read_trace_csv(out / trace_filename(
+                tr.algorithm, tr.sampling, tr.trial)).eval_s == tr.eval_s
 
     def test_max_iters_bounds_records(self, tmp_path):
         traces = run_experiment(BASE_CONFIG, tmp_path / "r", clock=counting_clock())

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from trdecomp.cli import main
 from trdecomp.tensorfile import read_tensor
@@ -33,6 +34,7 @@ def test_decompose(tmp_path, capsys):
     assert rc == 0
     trace = read_trace_csv(out_dir / "tr-als-none-t0.csv")
     assert trace.terminal_reason in ("tol", "max_iters")
+    assert f"evaluating every {trace.eval_every}" in capsys.readouterr().out
     cores = np.load(out_dir / "cores.npz")
     assert {k for k in cores.files} == {"core0", "core1", "core2"}
     assert cores["core0"].shape == (2, 8, 2)
@@ -65,7 +67,8 @@ def test_benchmark_and_report(tmp_path, capsys):
 
     rc = main(["report", "--traces", str(out_dir)])
     assert rc == 0
-    assert "TR-BRSGD-U" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "TR-BRSGD-U" in printed and "| Eval (s) |" in printed
 
 
 def test_benchmark_override(tmp_path, capsys):
@@ -174,3 +177,42 @@ def test_non_finite_stochastic_run_exit_code(tmp_path, capsys):
     trace = read_trace_csv(out_dir / "tr-brsgd-leverage-t0.csv")
     assert trace.terminal_reason == "diverged"
     assert trace.final()[0] < 100
+
+
+@pytest.mark.parametrize("flags", [
+    ["--rse-tol", "-1"], ["--rse-tol", "nan"], ["--max-iters", "-1"],
+    ["--max-seconds", "-1"], ["--damping", "nan"], ["--damping=-1e-8"],
+    ["--init-scale", "0"], ["--init-scale", "inf"], ["--alpha", "nan"],
+    ["--eval-every", "0"]])
+def test_decompose_rejects_bad_solver_values(tmp_path, capsys, flags):
+    tensor_path = tmp_path / "x.trt"
+    main(["synth", "--order", "3", "--dim", "6", "--rank", "2", "--seed", "1",
+          "--out", str(tensor_path)])
+    out_dir = tmp_path / "o"
+    rc = main(["decompose", "--tensor", str(tensor_path), "--algorithm", "tr-scaled-brsgd",
+               "--out-dir", str(out_dir), "--ranks", "2", "2", "2", "--max-iters", "5",
+               *flags])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_time_includes_eval_rejected(tmp_path, capsys):
+    for argv in (["decompose", "--tensor", "x.trt", "--algorithm", "tr-als",
+                  "--out-dir", str(tmp_path), "--ranks", "2", "2",
+                  "--time-includes-eval"],
+                 ["report", "--traces", str(tmp_path), "--time-includes-eval"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    cfg = {
+        "tensor": {"synth": {"order": 3, "dim": 6, "rank": 2, "seed": 3}},
+        "algorithms": ["tr-als"],
+        "solver": {"ranks": [2, 2, 2], "max_iters": 2},
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    rc = main(["benchmark", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o"),
+               "--set", "solver.time_includes_eval=true"])
+    assert rc == 2
+    assert "time_includes_eval" in capsys.readouterr().err

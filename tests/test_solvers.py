@@ -22,10 +22,15 @@ from trdecomp.sampling import (
 from trdecomp.solvers import (
     AdaGradStep,
     ConstantStep,
+    MAX_EVAL_EVERY,
     RobbinsMonroStep,
     SolverConfig,
+    _default_eval_every,
+    _dense_iteration_cost,
+    _eval_cost,
     _init_cores,
     _min_norm_update,
+    _stochastic_step_cost,
     adagrad_update,
     full_gradient,
     objective,
@@ -78,6 +83,24 @@ class TestSchedules:
             RobbinsMonroStep(1.0, 1.5)
         with pytest.raises(ValueError):
             AdaGradStep(0.0)
+
+    # a non-finite step would make the run diverge at its first iteration
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -1.0])
+    def test_constant_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="constant step"):
+            ConstantStep(alpha)
+
+    @pytest.mark.parametrize("alpha0", [math.nan, math.inf, 0.0])
+    def test_robbins_monro_alpha0_rejected(self, alpha0):
+        with pytest.raises(ValueError, match="alpha0"):
+            RobbinsMonroStep(alpha0)
+
+    @pytest.mark.parametrize("kwargs", [{"eta": math.nan}, {"eta": math.inf},
+                                        {"eta": 1.0, "b": math.nan},
+                                        {"eta": 1.0, "eps": math.nan}])
+    def test_adagrad_values_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            AdaGradStep(**kwargs)
 
     @pytest.mark.parametrize("gamma", [0.6, 0.75, 1.0])
     def test_robbins_monro_sums(self, gamma):
@@ -664,17 +687,19 @@ class TestStoppingCriteria:
     def test_callback_fires(self):
         x, _ = synth_tensor(SynthSpec(order=3, dim=5, rank=2, seed=21))
         seen = []
-        cfg = SolverConfig(ranks=(2, 2, 2), max_iters=3, seed=0)
+        cfg = SolverConfig(ranks=(2, 2, 2), max_iters=3, eval_every=1, seed=0)
         tr_als(x, cfg, callback=lambda it, el, r: seen.append(it))
         assert seen == [0, 1, 2, 3]
 
     def test_injected_clock(self):
         x, _ = synth_tensor(SynthSpec(order=3, dim=5, rank=2, seed=22))
         ticks = iter(range(1000))
-        cfg = SolverConfig(ranks=(2, 2, 2), max_iters=3, seed=0)
+        cfg = SolverConfig(ranks=(2, 2, 2), max_iters=3, eval_every=1, seed=0)
         _, trace = tr_als(x, cfg, clock=lambda: float(next(ticks)))
         # iteration work costs one tick; evaluations are excluded from elapsed
+        # and counted apart, one tick each
         assert [r[1] for r in trace.records] == [0.0, 1.0, 2.0, 3.0]
+        assert (trace.eval_every, trace.eval_s) == (1, 4.0)
 
     def test_non_finite_rse_stops_as_diverged(self):
         # kappa=1e4 instance at alpha=0.1: GD overflows to NaN by iteration 10
@@ -730,3 +755,120 @@ class TestStoppingCriteria:
         cores, trace = solver(x, cfg)
         oracle = np.linalg.norm(reconstruct_by_trace(cores) - x) / np.linalg.norm(x)
         assert trace.final()[2] == pytest.approx(oracle, rel=1e-12)
+
+
+class TestSolverConfigValidation:
+    """Values no run can use are rejected when the config is built, not once
+    the run has started (or never, for a tolerance that cannot fire)."""
+
+    def test_boundary_values_stay_valid(self):
+        SolverConfig(ranks=(2, 2), max_iters=0, max_seconds=0.0, rse_tol=0.0,
+                     damping=0.0)
+
+    @pytest.mark.parametrize("rse_tol", [math.nan, -1e-8, -math.inf])
+    def test_rse_tol(self, rse_tol):
+        with pytest.raises(ValueError, match="rse_tol"):
+            SolverConfig(ranks=(2, 2), rse_tol=rse_tol)
+
+    @pytest.mark.parametrize("max_iters", [-1, -1000])
+    def test_max_iters(self, max_iters):
+        with pytest.raises(ValueError, match="max_iters"):
+            SolverConfig(ranks=(2, 2), max_iters=max_iters)
+
+    @pytest.mark.parametrize("max_seconds", [-1.0, math.nan])
+    def test_max_seconds(self, max_seconds):
+        with pytest.raises(ValueError, match="max_seconds"):
+            SolverConfig(ranks=(2, 2), max_seconds=max_seconds)
+
+    @pytest.mark.parametrize("damping", [-1e-8, math.nan, math.inf])
+    def test_damping(self, damping):
+        with pytest.raises(ValueError, match="damping"):
+            SolverConfig(ranks=(2, 2), damping=damping)
+
+    @pytest.mark.parametrize("init_scale", [0.0, -0.3, math.nan, math.inf])
+    def test_init_scale(self, init_scale):
+        with pytest.raises(ValueError, match="init_scale"):
+            SolverConfig(ranks=(2, 2), init_scale=init_scale)
+
+    @pytest.mark.parametrize("eval_every", [0, -5])
+    def test_eval_every(self, eval_every):
+        with pytest.raises(ValueError, match="eval_every"):
+            SolverConfig(ranks=(2, 2), eval_every=eval_every)
+
+
+def _model_eval_every(solver, shape, ranks, cfg):
+    """The default cadence the cost model gives `solver`."""
+    if solver in (tr_als, tr_gd, tr_scaled_gd):
+        cost = _dense_iteration_cost(shape, ranks, qr=solver is tr_als)
+    else:
+        cost = _stochastic_step_cost(shape, ranks, cfg, scaled=solver is tr_scaled_brsgd)
+    return _default_eval_every(_eval_cost(shape, ranks), cost)
+
+
+ALL_SOLVERS = [tr_als, tr_gd, tr_scaled_gd, tr_brsgd, tr_scaled_brsgd]
+
+
+class TestEvalCadence:
+    def test_als_stops_within_the_cadence_of_its_target(self):
+        # 1e6 entries: a cadence of 100 sweeps would stop this run at sweep 100
+        x, _ = synth_tensor(SynthSpec(order=3, dim=100, rank=3, seed=2))
+        every = SolverConfig(ranks=(3, 3, 3), rse_tol=1e-8, eval_every=1, seed=2)
+        _, trace1 = tr_als(x, every)
+        assert trace1.terminal_reason == "tol" and trace1.final()[0] == 11
+        cfg = SolverConfig(ranks=(3, 3, 3), rse_tol=1e-8, seed=2)
+        _, trace = tr_als(x, cfg)
+        k = trace.eval_every
+        assert 1 <= k <= 3
+        assert trace.terminal_reason == "tol"
+        assert 11 <= trace.final()[0] <= 11 + k - 1
+
+    @pytest.mark.parametrize("solver, dim", [
+        (tr_als, 40), (tr_gd, 40), (tr_scaled_gd, 40), (tr_brsgd, 25),
+        (tr_scaled_brsgd, 40)], ids=lambda v: getattr(v, "__name__", str(v)))
+    def test_cadence_moves_only_the_checks(self, solver, dim):
+        # draws come from per-iteration streams, so a run evaluated every k
+        # iterations has the iterates of one evaluated every iteration
+        x, _ = synth_tensor(SynthSpec(order=3, dim=dim, rank=3, seed=5))
+        kw = dict(ranks=(3, 3, 3), schedule=ConstantStep(1e-3 if solver is tr_gd else 0.3),
+                  batch_grad=100, batch_hess=300, damping=1e-8, seed=3, init_scale=0.3)
+        k = _model_eval_every(solver, x.shape, (3, 3, 3), SolverConfig(**kw))
+        assert k > 1
+        cores_k, trace_k = solver(x, SolverConfig(max_iters=3 * k, **kw),
+                                  clock=_counting_clock())
+        cores_1, trace_1 = solver(x, SolverConfig(max_iters=3 * k, eval_every=1, **kw),
+                                  clock=_counting_clock())
+        assert (trace_k.eval_every, trace_1.eval_every) == (k, 1)
+        for a, b in zip(cores_k, cores_1):
+            assert a.tobytes() == b.tobytes()
+        assert trace_k.records == [r for r in trace_1.records if r[0] % k == 0]
+        assert trace_k.terminal_reason == trace_1.terminal_reason == "max_iters"
+        assert trace_k.eval_s == 4 and trace_1.eval_s == 3 * k + 1
+
+    @pytest.mark.parametrize("solver", ALL_SOLVERS, ids=lambda f: f.__name__)
+    def test_model(self, solver):
+        cfg = SolverConfig(ranks=(3,), batch_grad=100, batch_hess=300)
+        for order, top in ((3, 400), (4, 80)):
+            for rank in (2, 3, 5):
+                ks = [_model_eval_every(solver, (dim,) * order, (rank,) * order, cfg)
+                      for dim in range(2, top)]
+                assert all(1 <= k <= MAX_EVAL_EVERY for k in ks)
+                assert all(b >= a for a, b in zip(ks, ks[1:]))  # non-decreasing in |X|
+        if solver in (tr_brsgd, tr_scaled_brsgd):
+            # an iteration costs the same at any size, so large tensors hit the cap
+            assert ks[-1] == MAX_EVAL_EVERY
+        # the recorded cadence is the model's
+        for dim in (6, 30):
+            x, _ = synth_tensor(SynthSpec(order=3, dim=dim, rank=2, seed=1))
+            run = SolverConfig(ranks=(2, 2, 2), schedule=ConstantStep(1e-3),
+                               batch_grad=100, batch_hess=300, damping=1e-8,
+                               max_iters=2, seed=0)
+            _, trace = solver(x, run)
+            assert trace.eval_every == _model_eval_every(solver, x.shape, (2, 2, 2), run)
+
+    def test_explicit_cadence_honoured(self):
+        x, _ = synth_tensor(SynthSpec(order=3, dim=30, rank=2, seed=1))
+        cfg = SolverConfig(ranks=(2, 2, 2), batch_grad=10, max_iters=10, eval_every=7,
+                           seed=0)
+        _, trace = tr_brsgd(x, cfg)
+        assert trace.eval_every == 7
+        assert [r[0] for r in trace.records] == [0, 7, 10]
