@@ -8,56 +8,31 @@ Library layout:
   datagen    seeded synthetic tensor generators
   metrics    RSE
   bench      experiment grid runner, trace CSVs, summary tables
+  tensorfile the binary .trt tensor format
+  trace      run traces and their CSV files
   cli        command-line interface (see `trdecomp --help`)
+
+The top level exports the user API (`__all__`): the five solvers with their
+configuration, synthetic data, the RSE and residual, tensor files and run
+traces.  Layer functions are imported from their own modules.
 """
 
-from .core import (
-    classical_mode_n_unfolding,
-    core_unfolding,
-    fold_classical_mode_n,
-    fold_core,
-    mode_n_unfolding,
-    residual_norm,
-    slices_hadamard,
-    subchain_product,
-    subchain_tensor,
-    subchain_unfolding,
-    tr_reconstruct,
-    validate_cores,
-)
-from .datagen import SynthSpec, gaussian_cores, ill_conditioned_cores, synth_tensor
+from .core import residual_norm, tr_reconstruct
+from .datagen import SynthSpec, synth_tensor
 from .metrics import rse
-from .sampling import (
-    SampleBatch,
-    SamplingSpec,
-    complete_sample_batch,
-    core_dist_euclidean,
-    core_dist_leverage,
-    leverage_scores,
-    optimal_distribution_oracle,
-    sample_rows_batch,
-    sample_subchain_fibers,
-    variance_functional,
-)
-from .solvers import (
-    AdaGradState,
-    AdaGradStep,
-    ConstantStep,
-    RobbinsMonroStep,
-    SolverConfig,
-    adagrad_update,
-    full_gradient,
-    objective,
-    search_direction,
-    stochastic_gradient,
-    stochastic_hessian,
-    tr_als,
-    tr_brsgd,
-    tr_gd,
-    tr_scaled_brsgd,
-    tr_scaled_gd,
-)
+from .sampling import SamplingSpec
+from .solvers import (AdaGradStep, ConstantStep, RobbinsMonroStep, SolverConfig,
+                      tr_als, tr_brsgd, tr_gd, tr_scaled_brsgd, tr_scaled_gd)
 from .tensorfile import read_tensor, write_tensor
 from .trace import RunTrace, read_trace_csv, write_trace_csv
+
+__all__ = [
+    # solvers and their configuration
+    "tr_als", "tr_gd", "tr_scaled_gd", "tr_brsgd", "tr_scaled_brsgd",
+    "SolverConfig", "ConstantStep", "RobbinsMonroStep", "AdaGradStep", "SamplingSpec",
+    # data, fit and files
+    "SynthSpec", "synth_tensor", "rse", "residual_norm", "tr_reconstruct",
+    "read_tensor", "write_tensor", "RunTrace", "read_trace_csv", "write_trace_csv",
+]
 
 __version__ = "0.1.0"

@@ -17,7 +17,10 @@ A benchmark config is one JSON document:
 
 Unknown keys at the top level, in `tensor`, in `tensor.synth`, in `solver` and
 in `step` (for the chosen step kind) are errors, and so is a `tensor` with both
-`file` and `synth`.  Each requested (algorithm, sampling) cell runs `trials`
+`file` and `synth`, as are `algorithms` or `sampling` that are not a non-empty
+list of distinct known names, and an integer field (`trials`, `seed`, ranks,
+batch sizes, `max_iters`, `eval_every`, synth sizes) given a bool or a
+fractional number.  Each requested (algorithm, sampling) cell runs `trials`
 times with derived seeds; every run writes a trace CSV, and the summary
 reports per cell how many trials diverged and the arithmetic mean of the
 terminal RSE, iteration count, elapsed (iteration) seconds and RSE-evaluation
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import datetime
 import json
+import numbers
 import os
 
 import numpy as np
@@ -83,6 +87,29 @@ def _reject_unknown_keys(d, allowed, where: str) -> None:
                           f"allowed keys: {', '.join(allowed)}")
 
 
+def _int(value, where: str) -> int:
+    """An integer config value; a bool, or a number int() would truncate, is
+    refused rather than silently changing the run."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{where} must be an integer, not {value!r}")
+    return int(value)
+
+
+def _check_names(cfg, key: str, known, what: str) -> None:
+    names = cfg[key]
+    # a string would be read one character at a time
+    if not isinstance(names, (list, tuple)) or not names:
+        raise ConfigError(f"{key} must be a non-empty list, not {names!r}")
+    for name in names:
+        if not isinstance(name, str) or name not in known:
+            raise ConfigError(f"unknown {what} {name!r}")
+        # a repeated name would run again into the same trace files
+        if names.count(name) > 1:
+            raise ConfigError(f"{what} {name!r} is listed more than once")
+
+
 def _step_from_dict(d) -> object:
     kind = d.get("kind", "constant")
     if kind not in _STEP_KEYS:
@@ -123,15 +150,13 @@ def load_config(source) -> dict:
     cfg.setdefault("sampling", ["uniform"])
     cfg.setdefault("trials", 1)
     cfg.setdefault("seed", 0)
-    for algo in cfg["algorithms"]:
-        if algo not in SOLVER_FUNCTIONS:
-            raise ConfigError(f"unknown algorithm {algo!r}")
-    for samp in cfg["sampling"]:
-        if samp not in SAMPLING_ORDER:
-            raise ConfigError(f"unknown sampling kind {samp!r}")
-        if samp == "optimal":
-            raise ConfigError("optimal sampling is a diagnostic mode, not for benchmarks")
-    if int(cfg["trials"]) < 1:
+    _check_names(cfg, "algorithms", SOLVER_FUNCTIONS, "algorithm")
+    _check_names(cfg, "sampling", SAMPLING_ORDER, "sampling kind")
+    if "optimal" in cfg["sampling"]:
+        raise ConfigError("optimal sampling is a diagnostic mode, not for benchmarks")
+    cfg["trials"] = _int(cfg["trials"], "trials")
+    cfg["seed"] = _int(cfg["seed"], "seed")
+    if cfg["trials"] < 1:
         raise ConfigError("trials must be >= 1")
     return cfg
 
@@ -153,9 +178,9 @@ def load_tensor(tensor_cfg) -> np.ndarray:
     _reject_unknown_keys(s, _SYNTH_KEYS, "tensor.synth")
     try:
         spec = SynthSpec(
-            order=int(s["order"]), dim=int(s["dim"]), rank=int(s["rank"]),
-            kind=s.get("kind", "gaussian"), kappa=float(s.get("kappa", 1.0)),
-            seed=int(s.get("seed", 0)))
+            order=_int(s["order"], "order"), dim=_int(s["dim"], "dim"),
+            rank=_int(s["rank"], "rank"), kind=s.get("kind", "gaussian"),
+            kappa=float(s.get("kappa", 1.0)), seed=_int(s.get("seed", 0), "seed"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad synth spec: {exc}") from exc
     return synth_tensor(spec)[0]
@@ -166,16 +191,17 @@ def solver_config(solver_cfg, sampling_kind: str, seed: int) -> solvers.SolverCo
     _reject_unknown_keys(d, _SOLVER_KEYS, "solver")
     try:
         return solvers.SolverConfig(
-            ranks=tuple(int(r) for r in d["ranks"]),
+            ranks=tuple(_int(r, "ranks") for r in d["ranks"]),
             schedule=_step_from_dict(d.get("step", {"kind": "constant", "alpha": 1e-2})),
-            batch_grad=int(d.get("batch_grad", 1)),
-            batch_hess=int(d.get("batch_hess", 1)),
+            batch_grad=_int(d.get("batch_grad", 1), "batch_grad"),
+            batch_hess=_int(d.get("batch_hess", 1), "batch_hess"),
             damping=float(d.get("damping", 0.0)),
             sampling=SamplingSpec(kind=sampling_kind),
-            max_iters=None if d.get("max_iters") is None else int(d["max_iters"]),
+            max_iters=None if d.get("max_iters") is None else _int(d["max_iters"], "max_iters"),
             max_seconds=None if d.get("max_seconds") is None else float(d["max_seconds"]),
             rse_tol=None if d.get("rse_tol") is None else float(d["rse_tol"]),
-            eval_every=None if d.get("eval_every") is None else int(d["eval_every"]),
+            eval_every=(None if d.get("eval_every") is None
+                        else _int(d["eval_every"], "eval_every")),
             seed=seed,
             init_scale=float(d.get("init_scale", 1.0)),
         )
@@ -205,8 +231,8 @@ def run_experiment(config, out_dir, clock=None) -> list[RunTrace]:
     for algo in cfg["algorithms"]:
         samplings = cfg["sampling"] if algo in STOCHASTIC_ALGORITHMS else ["none"]
         for samp in samplings:
-            for trial in range(int(cfg["trials"])):
-                seed = _trial_seed(int(cfg["seed"]),
+            for trial in range(cfg["trials"]):
+                seed = _trial_seed(cfg["seed"],
                                    ALGORITHM_ORDER.index(algo),
                                    SAMPLING_ORDER.index(samp) if samp != "none" else 0,
                                    trial)
@@ -293,15 +319,7 @@ def _summary_csv(rows) -> str:
 
 
 __all__ = [
-    "ALGORITHM_ORDER",
-    "STOCHASTIC_ALGORITHMS",
-    "SAMPLING_ORDER",
-    "ConfigError",
-    "display_name",
-    "load_config",
-    "load_tensor",
-    "solver_config",
-    "run_experiment",
-    "summarize",
-    "emit_summary",
+    "ALGORITHM_ORDER", "STOCHASTIC_ALGORITHMS", "SAMPLING_ORDER", "ConfigError",
+    "display_name", "load_config", "load_tensor", "solver_config", "run_experiment",
+    "summarize", "emit_summary",
 ]

@@ -28,7 +28,7 @@ from .bench import (
     run_experiment,
     solver_config,
 )
-from .datagen import SynthSpec, synth_tensor
+from .datagen import GENERATOR_KINDS, SynthSpec, synth_tensor
 from .tensorfile import read_tensor, write_tensor
 from .trace import read_trace_csv, trace_filename, write_trace_csv
 
@@ -153,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=3)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--kind", choices=["gaussian", "ill_conditioned"], default="gaussian")
+    p.add_argument("--kind", choices=GENERATOR_KINDS, default="gaussian")
     p.add_argument("--kappa", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

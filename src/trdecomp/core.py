@@ -22,19 +22,9 @@ import numpy as np
 SLAB_BYTES = 256 * 1024
 
 __all__ = [
-    "mode_n_unfolding",
-    "classical_mode_n_unfolding",
-    "fold_classical_mode_n",
-    "core_unfolding",
-    "fold_core",
-    "subchain_unfolding",
-    "subchain_product",
-    "slices_hadamard",
-    "subchain_tensor",
-    "rotation_modes",
-    "validate_cores",
-    "tr_reconstruct",
-    "residual_norm",
+    "mode_n_unfolding", "core_unfolding", "fold_core", "subchain_unfolding",
+    "slices_hadamard", "subchain_tensor", "rotation_modes", "validate_cores",
+    "tr_reconstruct", "residual_norm",
 ]
 
 
@@ -64,35 +54,19 @@ def mode_n_unfolding(x: np.ndarray, mode: int) -> np.ndarray:
     return _materialized(out, x)
 
 
-def classical_mode_n_unfolding(x: np.ndarray, mode: int) -> np.ndarray:
-    """Unfold with rows indexed by `mode` and columns by the remaining modes
-    in their original order (0, ..., mode-1, mode+1, ...), first fastest."""
-    x = np.asarray(x)
-    _check_mode(mode, x.ndim)
-    perm = [mode] + list(range(mode)) + list(range(mode + 1, x.ndim))
-    out = np.transpose(x, perm).reshape(x.shape[mode], -1, order="F")
-    return _materialized(out, x)
-
-
-def fold_classical_mode_n(mat: np.ndarray, shape, mode: int) -> np.ndarray:
-    """Exact inverse of :func:`classical_mode_n_unfolding`."""
-    shape = tuple(shape)
-    _check_mode(mode, len(shape))
-    perm = [mode] + list(range(mode)) + list(range(mode + 1, len(shape)))
-    arr = np.asarray(mat).reshape([shape[p] for p in perm], order="F")
-    return np.transpose(arr, np.argsort(perm))
-
-
 def core_unfolding(core: np.ndarray) -> np.ndarray:
     """Mode-2 classical unfolding of a TR-core: (R_n, I_n, R_{n+1}) ->
     (I_n, R_n*R_{n+1}) with the left rank index fastest along columns."""
-    return classical_mode_n_unfolding(core, 1)
+    core = np.asarray(core)
+    out = np.transpose(core, (1, 0, 2)).reshape(core.shape[1], -1, order="F")
+    return _materialized(out, core)
 
 
 def fold_core(mat: np.ndarray, left_rank: int, right_rank: int) -> np.ndarray:
     """Inverse of :func:`core_unfolding`: (I_n, R_n*R_{n+1}) -> (R_n, I_n, R_{n+1})."""
     mat = np.asarray(mat)
-    return fold_classical_mode_n(mat, (left_rank, mat.shape[0], right_rank), 1)
+    arr = mat.reshape((mat.shape[0], left_rank, right_rank), order="F")
+    return np.transpose(arr, (1, 0, 2))
 
 
 def subchain_unfolding(sub: np.ndarray) -> np.ndarray:
@@ -104,7 +78,7 @@ def subchain_unfolding(sub: np.ndarray) -> np.ndarray:
     return mode_n_unfolding(sub, 1)
 
 
-def subchain_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _subchain_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Mode-2 subchain product of 3-way tensors.
 
     (I_1, J_1, K) x (K, J_2, I_2) -> (I_1, J_1*J_2, I_2); the lateral slice at
@@ -114,7 +88,7 @@ def subchain_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     b = np.ascontiguousarray(b)
     if a.ndim != 3 or b.ndim != 3:
-        raise ValueError("subchain_product expects two 3-way tensors")
+        raise ValueError("a subchain product takes two 3-way tensors")
     if a.shape[2] != b.shape[0]:
         raise ValueError(f"inner ranks differ: {a.shape[2]} vs {b.shape[0]}")
     i1, j1, _ = a.shape
@@ -159,7 +133,7 @@ def _chain(cores) -> np.ndarray:
     """Subchain product of consecutive cores, first core's slice index fastest."""
     sub = cores[0]
     for c in cores[1:]:
-        sub = subchain_product(sub, c)
+        sub = _subchain_product(sub, c)
     return sub
 
 

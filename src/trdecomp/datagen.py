@@ -14,6 +14,8 @@ import numpy as np
 from .core import fold_core, tr_reconstruct
 
 GENERATOR_KINDS = ("gaussian", "ill_conditioned")
+# synth_tensor refuses larger tensors (8 bytes an entry: 800 MB)
+MAX_SYNTH_ENTRIES = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -56,10 +58,8 @@ def _orthonormal_columns(rng, rows, cols):
     return q * np.sign(np.diag(r))
 
 
-def gaussian_cores(spec: SynthSpec) -> list[np.ndarray]:
+def _gaussian_cores(spec: SynthSpec) -> list[np.ndarray]:
     """Cores with i.i.d. standard normal entries."""
-    if spec.kind != "gaussian":
-        raise ValueError("spec.kind must be 'gaussian'")
     rng = _rng(spec)
     return [
         rng.standard_normal((spec.rank, spec.dim, spec.rank))
@@ -67,12 +67,10 @@ def gaussian_cores(spec: SynthSpec) -> list[np.ndarray]:
     ]
 
 
-def ill_conditioned_cores(spec: SynthSpec) -> list[np.ndarray]:
+def _ill_conditioned_cores(spec: SynthSpec) -> list[np.ndarray]:
     """Cores whose unfoldings are U_n S V^T with fresh orthonormal U_n per
     core, a single orthogonal V shared by all cores, and singular values
     decaying geometrically from 1 to 1/kappa."""
-    if spec.kind != "ill_conditioned":
-        raise ValueError("spec.kind must be 'ill_conditioned'")
     rng = _rng(spec)
     r2 = spec.rank**2
     v = _orthonormal_columns(rng, r2, r2)
@@ -88,28 +86,18 @@ def ill_conditioned_cores(spec: SynthSpec) -> list[np.ndarray]:
     return cores
 
 
-def synth_cores(spec: SynthSpec) -> list[np.ndarray]:
-    if spec.kind == "gaussian":
-        return gaussian_cores(spec)
-    return ill_conditioned_cores(spec)
-
-
-def synth_tensor(spec: SynthSpec, max_entries: int = 100_000_000):
+def synth_tensor(spec: SynthSpec):
     """Ground-truth cores and the dense tensor they represent."""
-    if spec.dim**spec.order > max_entries:
+    if spec.dim**spec.order > MAX_SYNTH_ENTRIES:
         raise ValueError(
             f"synthetic tensor would hold {spec.dim**spec.order} entries "
-            f"(cap {max_entries})"
+            f"(cap {MAX_SYNTH_ENTRIES})"
         )
-    cores = synth_cores(spec)
+    if spec.kind == "gaussian":
+        cores = _gaussian_cores(spec)
+    else:
+        cores = _ill_conditioned_cores(spec)
     return tr_reconstruct(cores), cores
 
 
-__all__ = [
-    "GENERATOR_KINDS",
-    "SynthSpec",
-    "gaussian_cores",
-    "ill_conditioned_cores",
-    "synth_cores",
-    "synth_tensor",
-]
+__all__ = ["GENERATOR_KINDS", "SynthSpec", "synth_tensor"]

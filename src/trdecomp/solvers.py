@@ -18,6 +18,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -90,62 +91,18 @@ class AdaGradStep:
             raise ValueError("b and eps must be finite and nonnegative")
 
 
-def schedule_value(schedule, t: int) -> float:
-    if isinstance(schedule, ConstantStep):
-        return schedule.alpha
-    if isinstance(schedule, RobbinsMonroStep):
-        return schedule.alpha0 / (t + 1) ** schedule.gamma
-    raise TypeError(f"no scalar step value for {type(schedule).__name__}")
-
-
-def adagrad_update(acc: np.ndarray, direction: np.ndarray, eta: float,
-                   b: float = 0.0, eps: float = 0.0) -> np.ndarray:
-    """Accumulate squared direction entries into `acc` (in place) and return
-    the per-entry step matrix eta / (b + acc)^(1/2+eps).
-
-    Entries whose accumulator (plus b) is zero get step eta; that only happens
-    where every past direction entry was zero, so the step multiplies zero.
-    """
-    acc += direction * direction
-    base = b + acc
-    steps = np.full_like(base, eta)
-    mask = base > 0
-    steps[mask] = eta / base[mask] ** (0.5 + eps)
-    return steps
-
-
-class AdaGradState:
-    """Per-core accumulators of squared search-direction entries."""
-
-    def __init__(self):
-        self.acc: dict[int, np.ndarray] = {}
-
-    def step_matrix(self, mode: int, direction: np.ndarray, sched: AdaGradStep) -> np.ndarray:
-        if mode not in self.acc:
-            self.acc[mode] = np.zeros_like(direction)
-        return adagrad_update(self.acc[mode], direction, sched.eta, sched.b, sched.eps)
-
-
 # ---------------------------------------------------------------------------
 # gradients, Hessians, directions
 
 
-def objective(cores, x: np.ndarray) -> float:
-    """0.5 * squared Frobenius error of the TR model against x."""
-    return 0.5 * residual_norm(cores, x) ** 2
-
-
 def _grad_and_gram(cores, x, mode):
+    """Exact block gradient of the half squared error w.r.t. the unfolded
+    core, G_(2) (S^T S) - X_[n] S with S the subchain unfolding, and the Gram
+    matrix S^T S."""
     sub = subchain_unfolding(subchain_tensor(cores, mode))
     gram = sub.T @ sub
     g = core_unfolding(cores[mode]) @ gram - mode_n_unfolding(x, mode) @ sub
     return g, gram
-
-
-def full_gradient(cores, x: np.ndarray, mode: int) -> np.ndarray:
-    """Exact block gradient of the half squared error w.r.t. the unfolded core:
-    G_(2) (S^T S) - X_[n] S with S the subchain unfolding."""
-    return _grad_and_gram(cores, x, mode)[0]
 
 
 def stochastic_gradient(core: np.ndarray, batch: SampleBatch, j_total: int) -> np.ndarray:
@@ -156,8 +113,9 @@ def stochastic_gradient(core: np.ndarray, batch: SampleBatch, j_total: int) -> n
 
         (1/(batch * J)) * (G_(2) S^T D S - X_S D S),
 
-    whose expectation is full_gradient / J, so J times it is unbiased for the
-    full gradient.  Solvers step with this value (the constant is absorbed by
+    whose expectation is the exact block gradient G_(2) (S^T S) - X_[n] S over
+    the full subchain unfolding S, divided by J; so J times it is unbiased for
+    the full gradient.  Solvers step with this value (the constant is absorbed by
     the step size).
     """
     if batch.fibers is None:
@@ -171,7 +129,7 @@ def stochastic_gradient(core: np.ndarray, batch: SampleBatch, j_total: int) -> n
     return (g2 @ (s.T @ (s * w[:, None])) - (batch.fibers * w) @ s) / (m * j_total)
 
 
-def stochastic_hessian(batch: SampleBatch, j_total: int, damping: float = 0.0) -> np.ndarray:
+def stochastic_hessian(batch: SampleBatch, j_total: int, damping: float) -> np.ndarray:
     """Small-factor Hessian estimate (1/(batch * J)) S^T D S + damping * I.
 
     The full Hessian block is this factor Kronecker the identity on the mode
@@ -187,16 +145,13 @@ def stochastic_hessian(batch: SampleBatch, j_total: int, damping: float = 0.0) -
     return h
 
 
-def search_direction(g: np.ndarray, h: np.ndarray | None = None,
-                     damping: float = 0.0) -> np.ndarray:
-    """Descent direction -g, or -g h^{-1} through a symmetric positive-definite
-    solve when a (damped) Hessian factor is given.
+def search_direction(g: np.ndarray, h: np.ndarray, damping: float = 0.0) -> np.ndarray:
+    """Descent direction -g h^{-1} through a symmetric positive-definite solve
+    with the (damped) Hessian factor h.
 
     A non-finite g or h (an overflowed estimate) has no solve and gives an
     all-NaN direction, so the step it makes is caught as a non-finite core.
     """
-    if h is None:
-        return -g
     if not (np.isfinite(g).all() and np.isfinite(h).all()):
         return np.full_like(g, np.nan)
     try:
@@ -360,10 +315,6 @@ def _default_eval_every(eval_cost: float, iteration_cost: float) -> int:
     return min(MAX_EVAL_EVERY, max(1, math.ceil(9 * eval_cost / iteration_cost)))
 
 
-def _ranks(cores) -> tuple[int, ...]:
-    return tuple(c.shape[0] for c in cores)
-
-
 def _run_loop(x, cores, config, algorithm, sampling_name, do_iteration,
               iteration_cost, callback=None, clock=None):
     """Drive `do_iteration(t, cores)` until a stopping criterion fires.
@@ -373,24 +324,29 @@ def _run_loop(x, cores, config, algorithm, sampling_name, do_iteration,
     time is kept apart, in the trace's eval_s.  The RSE is evaluated every
     config.eval_every iterations; when that is None, the cadence is
     `_default_eval_every` of the modelled cost of one evaluation
-    (`_eval_cost`) and of one iteration (`iteration_cost`, which each solver
-    models for itself).  Stopping criteria are checked only at evaluation
-    points, in the order non-finite -> rse_tol -> max_iters -> max_seconds;
+    (`_eval_cost`) and of one iteration (`iteration_cost(shape, ranks)`, which
+    each solver models for itself).  Stopping criteria are checked only at
+    evaluation points, in the order non-finite -> rse_tol -> max_iters -> max_seconds;
     an evaluation is forced whenever the iteration count or elapsed budget is
     hit, or when `do_iteration` returns False: the stochastic solvers do so
     as soon as they write a non-finite core, because the next draw from that
     core's distribution would raise.  A non-finite RSE or core stops the run
-    with reason "diverged".
+    with reason "diverged".  Every solver comes here before it models a cost or
+    runs an iteration, so a tensor with no entries, only zeros or a non-finite
+    norm is rejected (ValueError) here.
     """
     clock = clock if clock is not None else time.perf_counter
     x = np.asfortranarray(x)  # residual_norm reads a column-major x in place
-    norm_x = np.linalg.norm(x)
-    if norm_x == 0:
-        raise ValueError("cannot fit an all-zero tensor (RSE undefined)")
+    with np.errstate(over="ignore"):  # an overflowing norm is rejected below
+        norm_x = np.linalg.norm(x)
+    if not 0 < norm_x < math.inf:
+        raise ValueError(f"cannot fit a tensor of norm {norm_x}: it is empty, all zero "
+                         "or not finite (RSE undefined)")
     eval_every = config.eval_every
     if eval_every is None:
-        eval_every = _default_eval_every(_eval_cost(x.shape, _ranks(cores)),
-                                         iteration_cost)
+        ranks = tuple(c.shape[0] for c in cores)
+        eval_every = _default_eval_every(_eval_cost(x.shape, ranks),
+                                         iteration_cost(x.shape, ranks))
     max_iters = math.inf if config.max_iters is None else config.max_iters
     max_seconds = math.inf if config.max_seconds is None else config.max_seconds
     tol = config.rse_tol
@@ -445,15 +401,40 @@ def _run_loop(x, cores, config, algorithm, sampling_name, do_iteration,
     return cores, trace
 
 
-def _apply_step(cores, mode, direction, config, t, adagrad_state) -> bool:
+def _adagrad_steps(acc: np.ndarray, direction: np.ndarray, sched: AdaGradStep) -> np.ndarray:
+    """Accumulate squared direction entries into `acc` (in place) and return
+    the per-entry step matrix eta / (b + acc)^(1/2+eps).
+
+    Entries whose accumulator (plus b) is zero get step eta; that only happens
+    where every past direction entry was zero, so the step multiplies zero.
+    """
+    eta, b, eps = sched.eta, sched.b, sched.eps
+    acc += direction * direction
+    base = b + acc
+    steps = np.full_like(base, eta)
+    mask = base > 0
+    steps[mask] = eta / base[mask] ** (0.5 + eps)
+    return steps
+
+
+def _apply_step(cores, mode, direction, config, t, adagrad_acc) -> bool:
     """Replace cores[mode] by a new array one step along `direction`; never
-    write into the old one.  Returns whether the new core is finite."""
+    write into the old one.  Returns whether the new core is finite.
+
+    The step is the constant alpha, the Robbins-Monro alpha0 / (t+1)^gamma,
+    or AdaGrad's per-entry steps from the accumulator adagrad_acc[mode] of
+    that core's squared past directions.
+    """
     g2 = core_unfolding(cores[mode])
-    if isinstance(config.schedule, AdaGradStep):
-        steps = adagrad_state.step_matrix(mode, direction, config.schedule)
-        g2 = g2 + steps * direction
+    sched = config.schedule
+    if isinstance(sched, AdaGradStep):
+        if mode not in adagrad_acc:
+            adagrad_acc[mode] = np.zeros_like(direction)
+        g2 = g2 + _adagrad_steps(adagrad_acc[mode], direction, sched) * direction
+    elif isinstance(sched, RobbinsMonroStep):
+        g2 = g2 + sched.alpha0 / (t + 1) ** sched.gamma * direction
     else:
-        g2 = g2 + schedule_value(config.schedule, t) * direction
+        g2 = g2 + sched.alpha * direction
     r_left, _, r_right = cores[mode].shape
     cores[mode] = fold_core(g2, r_left, r_right)
     return bool(np.isfinite(g2).all())
@@ -479,8 +460,7 @@ def _min_norm_update(sub: np.ndarray, xn: np.ndarray) -> tuple[np.ndarray, int]:
     return ((xn @ q) @ u[:, :rank] / s[:rank]) @ vt[:rank], rank
 
 
-def tr_als(x, config: SolverConfig, init=None, callback=None, clock=None,
-           on_core_update=None):
+def tr_als(x, config: SolverConfig, init=None, callback=None, clock=None):
     """Alternating least squares: cyclic sweeps where each core update solves
     its linear least-squares subproblem exactly.
 
@@ -488,7 +468,6 @@ def tr_als(x, config: SolverConfig, init=None, callback=None, clock=None,
     minimum-norm least-squares solution, so a rank-deficient subchain
     unfolding needs no second path; the run logs one warning giving how many
     of its core updates were rank deficient.
-    `on_core_update(mode, cores)`, if given, fires after every core update.
     """
     x = np.asarray(x, dtype=np.float64)
     cores = _init_cores(x, config, init)
@@ -502,12 +481,10 @@ def tr_als(x, config: SolverConfig, init=None, callback=None, clock=None,
             counts["deficient"] += rank < sub.shape[1]
             r_left, _, r_right = cores[n].shape
             cores[n] = fold_core(sol, r_left, r_right)
-            if on_core_update is not None:
-                on_core_update(n, cores)
         return True
 
     result = _run_loop(x, cores, config, "tr-als", "none", sweep,
-                       _dense_iteration_cost(x.shape, _ranks(cores), qr=True),
+                       partial(_dense_iteration_cost, qr=True),
                        callback=callback, clock=clock)
     if counts["deficient"]:
         logger.warning(
@@ -520,7 +497,7 @@ def tr_als(x, config: SolverConfig, init=None, callback=None, clock=None,
 def _gradient_descent(x, config, init, callback, clock, scaled):
     x = np.asarray(x, dtype=np.float64)
     cores = _init_cores(x, config, init)
-    adagrad_state = AdaGradState()
+    adagrad_acc: dict[int, np.ndarray] = {}
     name = "tr-scaled-gd" if scaled else "tr-gd"
 
     def iteration(t, cores):
@@ -532,13 +509,13 @@ def _gradient_descent(x, config, init, callback, clock, scaled):
                 direction = search_direction(g, h, damping=damping)
             else:
                 direction = -g
-            _apply_step(cores, n, direction, config, t, adagrad_state)
+            _apply_step(cores, n, direction, config, t, adagrad_acc)
         # a non-finite core only propagates NaN through full-gradient
         # iterations, so it is left to the next evaluation
         return True
 
     return _run_loop(x, cores, config, name, "none", iteration,
-                     _dense_iteration_cost(x.shape, _ranks(cores), qr=False),
+                     partial(_dense_iteration_cost, qr=False),
                      callback=callback, clock=clock)
 
 
@@ -562,8 +539,7 @@ def _stochastic_solver(x, config, init, callback, clock, scaled):
     x = np.asarray(x, dtype=np.float64)
     cores = _init_cores(x, config, init)
     n_modes = x.ndim
-    sizes = [x.size // x.shape[n] for n in range(n_modes)]
-    adagrad_state = AdaGradState()
+    adagrad_acc: dict[int, np.ndarray] = {}
     name = "tr-scaled-brsgd" if scaled else "tr-brsgd"
     # k -> (core array, its distribution).  An entry is exact while cores[k]
     # is the stored array: _apply_step replaces a core with a new array and
@@ -596,16 +572,17 @@ def _stochastic_solver(x, config, init, callback, clock, scaled):
     def iteration(t, cores):
         rng = _iteration_rng(config.seed, t)
         n, batch, batch_h = draw_batches(cores, rng)
-        g = stochastic_gradient(cores[n], batch, sizes[n])
+        j_total = x.size // x.shape[n]
+        g = stochastic_gradient(cores[n], batch, j_total)
         if scaled:
-            h = stochastic_hessian(batch_h, sizes[n], config.damping)
+            h = stochastic_hessian(batch_h, j_total, config.damping)
             direction = search_direction(g, h, damping=config.damping)
         else:
             direction = -g
-        return _apply_step(cores, n, direction, config, t, adagrad_state)
+        return _apply_step(cores, n, direction, config, t, adagrad_acc)
 
     return _run_loop(x, cores, config, name, config.sampling.kind, iteration,
-                     _stochastic_step_cost(x.shape, _ranks(cores), config, scaled),
+                     partial(_stochastic_step_cost, config=config, scaled=scaled),
                      callback=callback, clock=clock)
 
 
@@ -623,21 +600,7 @@ def tr_scaled_brsgd(x, config: SolverConfig, init=None, callback=None, clock=Non
 
 
 __all__ = [
-    "ConstantStep",
-    "RobbinsMonroStep",
-    "AdaGradStep",
-    "schedule_value",
-    "adagrad_update",
-    "AdaGradState",
-    "objective",
-    "full_gradient",
-    "stochastic_gradient",
-    "stochastic_hessian",
-    "search_direction",
-    "SolverConfig",
-    "tr_als",
-    "tr_gd",
-    "tr_scaled_gd",
-    "tr_brsgd",
-    "tr_scaled_brsgd",
+    "ConstantStep", "RobbinsMonroStep", "AdaGradStep", "SolverConfig",
+    "stochastic_gradient", "stochastic_hessian", "search_direction",
+    "tr_als", "tr_gd", "tr_scaled_gd", "tr_brsgd", "tr_scaled_brsgd",
 ]

@@ -7,6 +7,7 @@ float64 in column-major (first index fastest) order.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
@@ -44,12 +45,15 @@ def read_tensor(path) -> np.ndarray:
         data = f.read()
     if data[:4] != MAGIC:
         raise ValueError(f"{path}: bad magic {data[:4]!r}, expected {MAGIC!r}")
-    off = 4
-    (ndim,) = struct.unpack_from("<Q", data, off)
-    off += 8
-    dims = struct.unpack_from(f"<{ndim}Q", data, off)
-    off += 8 * ndim
-    count = int(np.prod(dims)) if ndim else 0
+    if len(data) < 12:
+        raise ValueError(f"{path}: truncated header, {len(data)} bytes")
+    (ndim,) = struct.unpack_from("<Q", data, 4)
+    off = 12 + 8 * ndim
+    if len(data) < off:
+        raise ValueError(f"{path}: header gives order {ndim}, file has {len(data)} bytes")
+    dims = struct.unpack_from(f"<{ndim}Q", data, 12)
+    # exact integers: a numpy product of the extents would wrap at 2**64
+    count = math.prod(dims)
     expected = off + 8 * count
     if len(data) != expected:
         raise ValueError(f"{path}: expected {expected} bytes, found {len(data)}")

@@ -1,10 +1,14 @@
-"""Independent brute-force oracles used to pin expected values.
+"""Oracles used to pin expected values.
 
-Everything here is written as plain loops over definitions, deliberately not
-sharing code paths with the package internals it checks.
+The brute-force ones are plain loops over definitions, deliberately not
+sharing code paths with the package internals they check.
 """
 
 import numpy as np
+
+from trdecomp import solvers
+from trdecomp.core import mode_n_unfolding, residual_norm, rotation_modes, subchain_tensor
+from trdecomp.sampling import SampleBatch, check_prob_vector
 
 
 def arange_tensor(shape):
@@ -97,3 +101,69 @@ def product_dist_by_enumeration(dists_rot, dims_rot):
             val *= dists_rot[c][i]
         q[linear_pos(idx, dims_rot)] = val
     return q
+
+
+# The oracles below are built from the package's dense primitives (they check
+# the sampled paths against the dense ones, not the primitives themselves).
+
+
+def uniform_dist(n):
+    return np.full(n, 1.0 / n)
+
+
+def complete_sample_batch(cores, x, mode):
+    """Batch covering every subchain row exactly once at uniform probability
+    1/J; stochastic estimates on it equal their deterministic counterparts up
+    to roundoff."""
+    dims_rot = [cores[k].shape[1] for k in rotation_modes(mode, len(cores))]
+    j_total = int(np.prod(dims_rot))
+    tuples = np.unravel_index(np.arange(j_total), dims_rot, order="F")
+    return SampleBatch(
+        idxs=np.stack(tuples, axis=1).astype(np.int64),
+        subchain=subchain_tensor(cores, mode),
+        fibers=mode_n_unfolding(x, mode),
+        probs=np.full(j_total, 1.0 / j_total),
+    )
+
+
+def product_row_distribution(cores, mode, dists):
+    """Row distribution induced by per-core distributions, materialized:
+    q(row) = prod over k != mode of dists[k][i_k], rows ordered with the
+    mode+1 index fastest."""
+    q = np.ones(1)
+    for k in rotation_modes(mode, len(cores)):
+        q = np.outer(q, check_prob_vector(dists[k])).ravel(order="F")
+    return q
+
+
+def variance_functional(residual, subchain_mat, q, batch_size):
+    """Expected squared Frobenius error of the normalized row-sampled gradient
+    estimator under row distribution q with the given batch size:
+
+        (1/batch) * [ sum_j ||r_j||^2 ||s_j||^2 / q_j  -  ||residual @ subchain||_F^2 ]
+    """
+    q = check_prob_vector(q)
+    w = np.linalg.norm(residual, axis=0) ** 2 * np.linalg.norm(subchain_mat, axis=1) ** 2
+    if np.any((q == 0) & (w > 0)):
+        raise ValueError("zero probability on a row with nonzero weight")
+    terms = np.divide(w, q, out=np.zeros_like(w), where=w > 0)
+    grad = residual @ subchain_mat
+    return float((terms.sum() - np.linalg.norm(grad) ** 2) / batch_size)
+
+
+def als_objectives(x, config, monkeypatch):
+    """Half squared error 0.5 ||TR(G) - x||^2 after every core update of one
+    tr_als run.  tr_als calls `solvers.subchain_tensor` just before each core
+    update, so a spy on it sees each iterate; the returned cores give the
+    value after the last update."""
+    objs = []
+    original = solvers.subchain_tensor
+
+    def spy(cores, mode):
+        objs.append(0.5 * residual_norm(cores, x) ** 2)
+        return original(cores, mode)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "subchain_tensor", spy)
+        cores, _ = solvers.tr_als(x, config)
+    return objs[1:] + [0.5 * residual_norm(cores, x) ** 2]

@@ -21,19 +21,16 @@ from trdecomp.core import (
 from trdecomp.datagen import SynthSpec, synth_tensor
 from trdecomp.sampling import (
     SamplingSpec,
-    complete_sample_batch,
     core_distributions,
     optimal_distribution_oracle,
-    product_row_distribution,
     sample_subchain_fibers,
-    variance_functional,
 )
 from trdecomp.solvers import (
+    AdaGradStep,
     ConstantStep,
     SolverConfig,
-    adagrad_update,
-    full_gradient,
-    objective,
+    _adagrad_steps,
+    _grad_and_gram,
     stochastic_hessian,
     tr_als,
     tr_brsgd,
@@ -41,7 +38,15 @@ from trdecomp.solvers import (
     tr_scaled_gd,
 )
 
-from helpers import finite_diff_core_gradient, leverage_by_svd, linear_pos
+from helpers import (
+    als_objectives,
+    complete_sample_batch,
+    finite_diff_core_gradient,
+    leverage_by_svd,
+    linear_pos,
+    product_row_distribution,
+    variance_functional,
+)
 
 
 def random_cores(rng, dims, ranks):
@@ -125,7 +130,7 @@ def test_criterion_2_gradient_finite_differences():
     x = rng.standard_normal(dims)
     worst = 0.0
     for mode in range(3):
-        g = full_gradient(cores, x, mode)
+        g = _grad_and_gram(cores, x, mode)[0]
         fd = finite_diff_core_gradient(cores, x, mode)
         worst = max(worst, np.linalg.norm(g - fd) / np.linalg.norm(fd))
     elapsed = time.perf_counter() - t0
@@ -153,7 +158,7 @@ def test_criterion_3_gradient_unbiasedness(mc_instance):
     j = x.size // dims[mode]
     assert j <= 24
     g2 = core_unfolding(cores[mode])
-    full = full_gradient(cores, x, mode)
+    full = _grad_and_gram(cores, x, mode)[0]
     n_batches = 100_000
     for kind in ("uniform", "leverage", "euclidean"):
         dists = core_distributions(cores, mode, kind)
@@ -175,7 +180,7 @@ def test_criterion_4_variance_formula(mc_instance):
     mode = 0
     j = x.size // dims[mode]
     g2 = core_unfolding(cores[mode])
-    full = full_gradient(cores, x, mode)
+    full = _grad_and_gram(cores, x, mode)[0]
     sub_mat = subchain_unfolding(subchain_tensor(cores, mode))
     xn = mode_n_unfolding(x, mode)
     residual = g2 @ sub_mat.T - xn
@@ -295,7 +300,7 @@ def test_criterion_7_hessian_identities():
     for n in range(3):
         sub = subchain_unfolding(subchain_tensor(cores, n))
         gram = sub.T @ sub
-        g = full_gradient(cores, x, n)
+        g = _grad_and_gram(cores, x, n)[0]
         h_block = np.kron(gram, np.eye(dims[n]))
         vec_new = core_unfolding(cores[n]).ravel(order="F") - alpha * np.linalg.solve(
             h_block, g.ravel(order="F"))
@@ -340,16 +345,16 @@ def test_criterion_8_ill_conditioned_trend():
           f"TR-BRSGD-U {plain[0]:.2e} (alpha {plain[1]}) ({elapsed:.0f}s)")
 
 
-def test_criterion_9_als_monotonicity():
+def test_criterion_9_als_monotonicity(monkeypatch):
     rng = np.random.default_rng(9)
     for trial in range(10):
         n = 3 if trial % 2 == 0 else 4
         dims = tuple(rng.integers(4, 7, size=n))
         rank = 2 if trial % 3 else 3
         x = rng.standard_normal(dims)
-        objs = []
         cfg = SolverConfig(ranks=(rank,) * n, max_iters=8, seed=trial)
-        tr_als(x, cfg, on_core_update=lambda m, cores: objs.append(objective(cores, x)))
+        objs = als_objectives(x, cfg, monkeypatch)
+        assert len(objs) == 8 * n
         f0 = objs[0]
         for a, b in zip(objs, objs[1:]):
             assert b <= a + 1e-12 * f0
@@ -387,9 +392,9 @@ def test_criterion_11_adagrad_arithmetic():
     acc = np.zeros((1, 1))
     d1 = np.array([[0.3]])
     d2 = np.array([[-0.2]])
-    step1 = adagrad_update(acc, d1, eta)
+    step1 = _adagrad_steps(acc, d1, AdaGradStep(eta))
     assert abs(step1[0, 0] - eta / 0.3) <= 1e-15 * (eta / 0.3)
-    step2 = adagrad_update(acc, d2, eta)
+    step2 = _adagrad_steps(acc, d2, AdaGradStep(eta))
     expected = eta / np.sqrt(0.3**2 + 0.2**2)
     assert abs(step2[0, 0] - expected) <= 1e-15 * expected
     print("\nACCEPTANCE 11 PASS: two-step accumulator arithmetic exact to 1e-15")

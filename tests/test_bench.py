@@ -198,6 +198,32 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(cfg)
 
+    @pytest.mark.parametrize("key, value, match", [
+        ("algorithms", ["tr-als", "tr-als"], "more than once"),
+        ("sampling", ["uniform", "leverage", "uniform"], "more than once"),
+        ("algorithms", "tr-als", "non-empty list"),
+        ("algorithms", [], "non-empty list"),
+        ("sampling", [], "non-empty list"),
+        ("trials", 1.7, "integer"),
+        ("trials", True, "integer"),
+    ], ids=["duplicate-algorithm", "duplicate-sampling", "string-algorithms",
+            "empty-algorithms", "empty-sampling", "fractional-trials", "bool-trials"])
+    def test_rejects_what_silently_changes_the_run(self, key, value, match):
+        with pytest.raises(ConfigError, match=match):
+            load_config(dict(BASE_CONFIG, **{key: value}))
+
+    @pytest.mark.parametrize("key, value", [("max_iters", 2.9), ("batch_grad", True),
+                                            ("ranks", [2, 2.5, 2])])
+    def test_rejects_a_truncated_solver_integer(self, key, value):
+        with pytest.raises(ConfigError, match="integer"):
+            solver_config(dict(BASE_CONFIG["solver"], **{key: value}), "uniform", 0)
+
+    def test_integral_float_accepted(self):
+        # JSON 1e3 or 2.0 is a float that names an integer exactly
+        assert load_config(dict(BASE_CONFIG, trials=2.0))["trials"] == 2
+        cfg = solver_config(dict(BASE_CONFIG["solver"], max_iters=1e3), "uniform", 0)
+        assert cfg.max_iters == 1000
+
     def test_optimal_rejected(self):
         cfg = dict(BASE_CONFIG, sampling=["optimal"])
         with pytest.raises(ConfigError):
@@ -257,6 +283,7 @@ class TestConfig:
         ({}, "exactly one"),
         ("x.trt", "must be an object"),
         ({"synth": 3}, "must be an object"),
+        ({"synth": dict(BASE_CONFIG["tensor"]["synth"], dim=8.5)}, "integer"),
     ])
     def test_malformed_tensor_config(self, tensor, match):
         with pytest.raises(ConfigError, match=match):

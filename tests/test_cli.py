@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from trdecomp.cli import main
-from trdecomp.tensorfile import read_tensor
+from trdecomp.tensorfile import MAGIC, read_tensor, write_tensor
 from trdecomp.trace import read_trace_csv
 
 
@@ -45,6 +45,36 @@ def test_decompose_missing_tensor(tmp_path):
                "--algorithm", "tr-als", "--out-dir", str(tmp_path / "o"),
                "--ranks", "2", "2", "--max-iters", "1"])
     assert rc == 2
+
+
+def test_malformed_tensor_file_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "x.trt"
+    path.write_bytes(MAGIC + b"\x01")
+    rc = main(["decompose", "--tensor", str(path), "--algorithm", "tr-als",
+               "--out-dir", str(tmp_path / "o"), "--ranks", "2", "2", "--max-iters", "1"])
+    assert rc == 2
+    cfg = {"tensor": {"file": str(path)}, "algorithms": ["tr-als"],
+           "solver": {"ranks": [2, 2], "max_iters": 1}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    rc = main(["benchmark", "--config", str(cfg_path), "--out-dir", str(tmp_path / "b")])
+    assert rc == 2
+    assert capsys.readouterr().err.count("truncated header") == 2
+
+
+@pytest.mark.parametrize("x", [np.zeros((3, 0, 2)), np.full((3, 4, 2), np.nan),
+                               np.full((3, 4, 2), 1e200)],
+                         ids=["empty-mode", "nan", "norm-overflows"])
+@pytest.mark.parametrize("algorithm", ["tr-als", "tr-brsgd"])
+def test_decompose_rejects_a_tensor_no_run_can_fit(tmp_path, capsys, x, algorithm):
+    path = tmp_path / "x.trt"
+    write_tensor(path, x)
+    out_dir = tmp_path / "o"
+    rc = main(["decompose", "--tensor", str(path), "--algorithm", algorithm,
+               "--out-dir", str(out_dir), "--ranks", "2", "2", "2", "--max-iters", "3"])
+    assert rc == 2
+    assert "cannot fit" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_benchmark_and_report(tmp_path, capsys):

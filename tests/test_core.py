@@ -3,14 +3,12 @@ import pytest
 
 from trdecomp import core
 from trdecomp.core import (
-    classical_mode_n_unfolding,
+    _subchain_product,
     core_unfolding,
-    fold_classical_mode_n,
     fold_core,
     mode_n_unfolding,
     residual_norm,
     slices_hadamard,
-    subchain_product,
     subchain_tensor,
     subchain_unfolding,
     tr_reconstruct,
@@ -25,8 +23,6 @@ class TestUnfoldings:
         x = arange_tensor((2, 2, 2))
         expected = np.array([[1, 3, 5, 7], [2, 4, 6, 8]], dtype=float)
         np.testing.assert_array_equal(mode_n_unfolding(x, 0), expected)
-        # mode 1 coincides with the classical unfolding
-        np.testing.assert_array_equal(classical_mode_n_unfolding(x, 0), expected)
 
     def test_mode_2_of_counting_tensor(self):
         x = arange_tensor((2, 2, 2))
@@ -36,15 +32,16 @@ class TestUnfoldings:
 
     def test_classical_mode_2_of_counting_tensor(self):
         x = arange_tensor((2, 2, 2))
-        # columns ordered (i1, i3) with i1 fastest
+        # the core unfolding is the classical mode-2 one: columns ordered
+        # (i1, i3) with i1 fastest
         expected = np.array([[1, 2, 5, 6], [3, 4, 7, 8]], dtype=float)
-        np.testing.assert_array_equal(classical_mode_n_unfolding(x, 1), expected)
+        np.testing.assert_array_equal(core_unfolding(x), expected)
 
     def test_zero_tensor(self):
         x = np.zeros((2, 2, 2))
         for mode in range(3):
             np.testing.assert_array_equal(mode_n_unfolding(x, mode), np.zeros((2, 4)))
-            np.testing.assert_array_equal(classical_mode_n_unfolding(x, mode), np.zeros((2, 4)))
+        np.testing.assert_array_equal(core_unfolding(x), np.zeros((2, 4)))
 
     @pytest.mark.parametrize("shape", [(4, 3), (3, 4, 2), (2, 3, 2, 4), (2, 2, 3, 2, 2)])
     def test_matches_definition(self, shape):
@@ -53,34 +50,31 @@ class TestUnfoldings:
         for mode in range(len(shape)):
             np.testing.assert_array_equal(
                 mode_n_unfolding(x, mode), unfold_by_definition(x, mode))
+        if len(shape) == 3:
             np.testing.assert_array_equal(
-                classical_mode_n_unfolding(x, mode),
-                unfold_by_definition(x, mode, classical=True))
+                core_unfolding(x), unfold_by_definition(x, 1, classical=True))
 
-    @pytest.mark.parametrize("shape", [(4, 3), (3, 4, 2), (2, 3, 2, 4), (2, 2, 3, 2, 2)])
+    @pytest.mark.parametrize("shape", [(1, 4, 1), (3, 4, 2), (2, 3, 4), (2, 1, 3)])
     def test_fold_roundtrip(self, shape):
         rng = np.random.default_rng(2)
-        x = rng.standard_normal(shape)
-        for mode in range(len(shape)):
-            back = fold_classical_mode_n(
-                classical_mode_n_unfolding(x, mode), shape, mode)
-            np.testing.assert_array_equal(back, x)
+        core = rng.standard_normal(shape)
+        back = fold_core(core_unfolding(core), shape[0], shape[2])
+        np.testing.assert_array_equal(back, core)
 
     def test_invalid_mode(self):
         x = np.zeros((2, 2))
         for bad in (-1, 2):
             with pytest.raises(ValueError):
                 mode_n_unfolding(x, bad)
-            with pytest.raises(ValueError):
-                classical_mode_n_unfolding(x, bad)
 
     def test_unfoldings_never_alias_input(self):
         # F-ordered input makes the mode-0 reshape a candidate view
         x = np.asfortranarray(np.random.default_rng(0).standard_normal((3, 4, 5)))
         for mode in range(3):
-            for fn in (mode_n_unfolding, classical_mode_n_unfolding):
-                out = fn(x, mode)
-                assert not np.may_share_memory(out, x)
+            assert not np.may_share_memory(mode_n_unfolding(x, mode), x)
+        # the unfolding of a folded core reshapes to a view of its buffer
+        core = fold_core(np.random.default_rng(1).standard_normal((4, 15)), 3, 5)
+        assert not np.may_share_memory(core_unfolding(core), core)
 
     def test_core_unfolding_roundtrip(self):
         rng = np.random.default_rng(3)
@@ -98,7 +92,7 @@ class TestSubchainProduct:
     def test_scalar_slices(self):
         a = np.array([[[2.0]], [[3.0]]]).transpose(1, 0, 2)  # slices [2], [3]
         b = np.array([[[5.0]], [[7.0]]]).transpose(1, 0, 2)  # slices [5], [7]
-        out = subchain_product(a, b)
+        out = _subchain_product(a, b)
         assert out.shape == (1, 4, 1)
         # merged index has the first operand's slice index fastest
         np.testing.assert_allclose(out[0, :, 0], [10, 15, 14, 21])
@@ -108,7 +102,7 @@ class TestSubchainProduct:
         r = 3
         a = np.stack([np.eye(r)] * 2, axis=1)  # 2 identity slices
         b = rng.standard_normal((r, 4, 2))
-        out = subchain_product(a, b)
+        out = _subchain_product(a, b)
         for j2 in range(4):
             for j1 in range(2):
                 np.testing.assert_array_equal(out[:, j1 + 2 * j2, :], b[:, j2, :])
@@ -118,7 +112,7 @@ class TestSubchainProduct:
         r = 2
         a = rng.standard_normal((3, 4, r))
         b = np.stack([np.eye(r)] * 3, axis=1)
-        out = subchain_product(a, b)
+        out = _subchain_product(a, b)
         for j1 in range(4):
             for j2 in range(3):
                 np.testing.assert_array_equal(out[:, j1 + 4 * j2, :], a[:, j1, :])
@@ -127,7 +121,7 @@ class TestSubchainProduct:
         rng = np.random.default_rng(6)
         a = rng.standard_normal((2, 3, 4))
         b = rng.standard_normal((4, 5, 3))
-        out = subchain_product(a, b)
+        out = _subchain_product(a, b)
         assert out.shape == (2, 15, 3)
         for j1 in range(3):
             for j2 in range(5):
@@ -136,7 +130,7 @@ class TestSubchainProduct:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            subchain_product(np.zeros((2, 2, 3)), np.zeros((2, 2, 2)))
+            _subchain_product(np.zeros((2, 2, 3)), np.zeros((2, 2, 2)))
 
 
 class TestSlicesHadamard:

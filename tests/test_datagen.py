@@ -4,8 +4,8 @@ import pytest
 from trdecomp.core import core_unfolding, tr_reconstruct, validate_cores
 from trdecomp.datagen import (
     SynthSpec,
-    gaussian_cores,
-    ill_conditioned_cores,
+    _gaussian_cores,
+    _ill_conditioned_cores,
     synth_tensor,
 )
 from trdecomp.metrics import rse
@@ -31,20 +31,20 @@ class TestSpecValidation:
 class TestGaussianCores:
     def test_deterministic(self):
         spec = SynthSpec(order=3, dim=6, rank=2, seed=42)
-        a = gaussian_cores(spec)
-        b = gaussian_cores(spec)
+        a = _gaussian_cores(spec)
+        b = _gaussian_cores(spec)
         for c1, c2 in zip(a, b):
             np.testing.assert_array_equal(c1, c2)
 
     def test_seeds_differ(self):
-        a = gaussian_cores(SynthSpec(order=3, dim=6, rank=2, seed=1))
-        b = gaussian_cores(SynthSpec(order=3, dim=6, rank=2, seed=2))
+        a = _gaussian_cores(SynthSpec(order=3, dim=6, rank=2, seed=1))
+        b = _gaussian_cores(SynthSpec(order=3, dim=6, rank=2, seed=2))
         assert not np.array_equal(a[0], b[0])
 
     def test_moments(self):
         # enough entries for tight moment checks
         spec = SynthSpec(order=3, dim=900, rank=20, seed=7)
-        cores = gaussian_cores(spec)
+        cores = _gaussian_cores(spec)
         entries = np.concatenate([c.ravel() for c in cores])
         n = entries.size
         assert n >= 1_000_000
@@ -52,7 +52,7 @@ class TestGaussianCores:
         assert abs(entries.var() - 1.0) <= 0.02
 
     def test_shapes_and_chain(self):
-        cores = gaussian_cores(SynthSpec(order=4, dim=5, rank=3, seed=3))
+        cores = _gaussian_cores(SynthSpec(order=4, dim=5, rank=3, seed=3))
         validate_cores(cores)
         assert all(c.shape == (3, 5, 3) for c in cores)
 
@@ -61,21 +61,21 @@ class TestIllConditionedCores:
     def test_kappa_one_gives_unit_condition(self):
         spec = SynthSpec(order=3, dim=5, rank=2, kind="ill_conditioned",
                          kappa=1.0, seed=4)
-        for core in ill_conditioned_cores(spec):
+        for core in _ill_conditioned_cores(spec):
             s = np.linalg.svd(core_unfolding(core), compute_uv=False)
             np.testing.assert_allclose(s, np.ones(4), atol=1e-12)
 
     def test_condition_number(self):
         spec = SynthSpec(order=3, dim=6, rank=2, kind="ill_conditioned",
                          kappa=1e4, seed=5)
-        for core in ill_conditioned_cores(spec):
+        for core in _ill_conditioned_cores(spec):
             s = np.linalg.svd(core_unfolding(core), compute_uv=False)
             assert s[0] / s[-1] == pytest.approx(1e4, rel=1e-8)
 
     def test_geometric_profile(self):
         spec = SynthSpec(order=3, dim=9, rank=3, kind="ill_conditioned",
                          kappa=1e3, seed=6)
-        core = ill_conditioned_cores(spec)[0]
+        core = _ill_conditioned_cores(spec)[0]
         s = np.linalg.svd(core_unfolding(core), compute_uv=False)
         ratios = s[1:] / s[:-1]
         np.testing.assert_allclose(ratios, ratios[0], rtol=1e-8)
@@ -85,7 +85,7 @@ class TestIllConditionedCores:
         # distinct singular values identify right singular vectors up to sign
         spec = SynthSpec(order=3, dim=6, rank=2, kind="ill_conditioned",
                          kappa=100.0, seed=8)
-        cores = ill_conditioned_cores(spec)
+        cores = _ill_conditioned_cores(spec)
         _, _, vt1 = np.linalg.svd(core_unfolding(cores[0]), full_matrices=False)
         _, _, vt2 = np.linalg.svd(core_unfolding(cores[1]), full_matrices=False)
         align = np.abs(np.sum(vt1 * vt2, axis=1))
@@ -94,8 +94,8 @@ class TestIllConditionedCores:
     def test_deterministic(self):
         spec = SynthSpec(order=3, dim=5, rank=2, kind="ill_conditioned",
                          kappa=10.0, seed=9)
-        a = ill_conditioned_cores(spec)
-        b = ill_conditioned_cores(spec)
+        a = _ill_conditioned_cores(spec)
+        b = _ill_conditioned_cores(spec)
         for c1, c2 in zip(a, b):
             np.testing.assert_array_equal(c1, c2)
 
@@ -108,8 +108,7 @@ class TestSynthTensor:
 
     def test_memory_guard(self):
         with pytest.raises(ValueError, match="cap"):
-            synth_tensor(SynthSpec(order=3, dim=1000, rank=2, seed=0),
-                         max_entries=10_000)
+            synth_tensor(SynthSpec(order=3, dim=1000, rank=2, seed=0))
 
     def test_recovery_by_als(self):
         x, _ = synth_tensor(SynthSpec(order=3, dim=10, rank=2, seed=11))

@@ -11,21 +11,24 @@ from trdecomp.core import (
 )
 from trdecomp.sampling import (
     SamplingSpec,
+    _leverage_scores_rank,
     check_prob_vector,
-    complete_sample_batch,
-    core_dist_euclidean,
-    core_dist_leverage,
+    core_distribution,
     core_distributions,
-    leverage_scores,
     optimal_distribution_oracle,
-    product_row_distribution,
     sample_rows_batch,
     sample_subchain_fibers,
+)
+
+from helpers import (
+    complete_sample_batch,
+    leverage_by_svd,
+    linear_pos,
+    product_dist_by_enumeration,
+    product_row_distribution,
     uniform_dist,
     variance_functional,
 )
-
-from helpers import leverage_by_svd, linear_pos, product_dist_by_enumeration
 
 
 def random_cores(rng, dims, ranks):
@@ -61,24 +64,27 @@ class TestCheckProbVector:
 class TestLeverageScores:
     def test_orthonormal_rows_given(self):
         m = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-        np.testing.assert_allclose(leverage_scores(m), [1.0, 1.0, 0.0], atol=1e-14)
+        np.testing.assert_allclose(_leverage_scores_rank(m)[0], [1.0, 1.0, 0.0], atol=1e-14)
 
     def test_orthonormal_columns(self):
         rng = np.random.default_rng(0)
         q, _ = np.linalg.qr(rng.standard_normal((7, 3)))
         np.testing.assert_allclose(
-            leverage_scores(q), (q * q).sum(axis=1), atol=1e-13)
+            _leverage_scores_rank(q)[0], (q * q).sum(axis=1), atol=1e-13)
 
     def test_matches_svd_oracle(self):
         rng = np.random.default_rng(1)
         m = rng.standard_normal((6, 2))
         expected, rank = leverage_by_svd(m)
-        scores = leverage_scores(m)
+        scores, got_rank = _leverage_scores_rank(m)
         np.testing.assert_allclose(scores, expected, atol=1e-12)
+        assert got_rank == rank
         assert scores.sum() == pytest.approx(rank, abs=1e-10)
 
     def test_zero_matrix(self):
-        np.testing.assert_array_equal(leverage_scores(np.zeros((4, 2))), np.zeros(4))
+        scores, rank = _leverage_scores_rank(np.zeros((4, 2)))
+        np.testing.assert_array_equal(scores, np.zeros(4))
+        assert rank == 0
 
 
 class TestCoreDistributions:
@@ -88,42 +94,43 @@ class TestCoreDistributions:
         core = mat.reshape(3, 2, 1, order="F").transpose(1, 0, 2)
         assert core_unfolding(core).shape == (3, 2)
         np.testing.assert_array_equal(core_unfolding(core), mat)
-        np.testing.assert_allclose(core_dist_leverage(core), [0.5, 0.5, 0.0], atol=1e-14)
+        np.testing.assert_allclose(
+            core_distribution(core, "leverage"), [0.5, 0.5, 0.0], atol=1e-14)
 
     def test_leverage_rank_one(self):
         v = np.array([1.0, -2.0, 3.0])
         core = v.reshape(1, 3, 1)
         np.testing.assert_allclose(
-            core_dist_leverage(core), v**2 / np.sum(v**2), atol=1e-14)
+            core_distribution(core, "leverage"), v**2 / np.sum(v**2), atol=1e-14)
 
     def test_leverage_matches_oracle(self):
         rng = np.random.default_rng(2)
         core = rng.standard_normal((2, 6, 2))
         scores, rank = leverage_by_svd(core_unfolding(core))
         np.testing.assert_allclose(
-            core_dist_leverage(core), scores / rank, atol=1e-12)
+            core_distribution(core, "leverage"), scores / rank, atol=1e-12)
 
     def test_leverage_zero_core(self):
         with pytest.raises(ValueError):
-            core_dist_leverage(np.zeros((2, 3, 2)))
+            core_distribution(np.zeros((2, 3, 2)), "leverage")
 
     def test_euclidean_examples(self):
         rng = np.random.default_rng(3)
         slices = [rng.standard_normal((2, 2)) for _ in range(2)]
         slices = [s / np.linalg.norm(s) for s in slices]  # equal-norm slices
         core = np.stack(slices, axis=1)
-        p = core_dist_euclidean(core)
+        p = core_distribution(core, "euclidean")
         np.testing.assert_allclose(p, [0.5, 0.5], atol=1e-12)
 
         core = np.zeros((1, 2, 1))
         core[0, :, 0] = [1.0, np.sqrt(3.0)]  # squared slice norms 1 and 3
-        np.testing.assert_allclose(core_dist_euclidean(core), [0.25, 0.75], atol=1e-14)
+        np.testing.assert_allclose(core_distribution(core, "euclidean"), [0.25, 0.75], atol=1e-14)
 
         single = np.full((2, 1, 2), 0.3)
-        np.testing.assert_allclose(core_dist_euclidean(single), [1.0])
+        np.testing.assert_allclose(core_distribution(single, "euclidean"), [1.0])
 
         with pytest.raises(ValueError):
-            core_dist_euclidean(np.zeros((2, 2, 2)))
+            core_distribution(np.zeros((2, 2, 2)), "euclidean")
 
     def test_prob_vector_invariants(self):
         rng = np.random.default_rng(4)
@@ -184,6 +191,24 @@ class TestProductRowDistribution:
                 [dists[k] for k in rot], [dims[k] for k in rot])
             np.testing.assert_allclose(q, expected, atol=1e-14)
             assert abs(q.sum() - 1.0) < 1e-12
+
+    def test_is_the_distribution_rows_are_drawn_from(self):
+        rng = np.random.default_rng(15)
+        dims = (3, 4, 2)
+        cores = random_cores(rng, dims, (2, 2, 2))
+        x = rng.standard_normal(dims)
+        draws = 100_000
+        for mode in range(3):
+            dists = core_distributions(cores, mode, "euclidean")
+            q = product_row_distribution(cores, mode, dists)
+            batch = sample_subchain_fibers(cores, x, mode, draws, dists, rng,
+                                           with_fibers=False)
+            dims_rot = [dims[k] for k in rotation_modes(mode, 3)]
+            rows = np.ravel_multi_index(batch.idxs.T, dims_rot, order="F")
+            np.testing.assert_allclose(batch.probs, q[rows], rtol=1e-15)
+            counts = np.bincount(rows, minlength=q.size)
+            se = np.sqrt(draws * q * (1 - q))
+            assert np.all(np.abs(counts - draws * q) <= 5 * se)
 
 
 class TestSampleSubchainFibers:

@@ -10,8 +10,8 @@ from helpers import arange_tensor
 
 def test_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
-    for shape in [(2, 3), (3, 4, 5), (2, 2, 2, 2)]:
-        x = rng.standard_normal(shape)
+    for shape in [(), (2, 3), (3, 4, 5), (2, 2, 2, 2)]:
+        x = np.asarray(rng.standard_normal(shape))
         path = tmp_path / "t.trt"
         write_tensor(path, x)
         back = read_tensor(path)
@@ -43,4 +43,17 @@ def test_truncated(tmp_path):
     raw = path.read_bytes()
     path.write_bytes(raw[:-8])
     with pytest.raises(ValueError, match="bytes"):
+        read_tensor(path)
+
+
+@pytest.mark.parametrize("raw, match", [
+    (MAGIC + b"\x01", "truncated header"),
+    (MAGIC + struct.pack("<Q", 2**60) + b"\x00" * 16, "order"),
+    # the numpy product of these extents wraps to 0, matching an empty payload
+    (MAGIC + struct.pack("<QQQ", 2, 2**62, 4), "bytes"),
+], ids=["truncated-header", "huge-order", "wrapping-extents"])
+def test_malformed_header(tmp_path, raw, match):
+    path = tmp_path / "t.trt"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match=match):
         read_tensor(path)
