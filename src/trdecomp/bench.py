@@ -8,19 +8,20 @@ A benchmark config is one JSON document:
       "algorithms": ["tr-als", "tr-brsgd"],
       "sampling": ["uniform", "leverage"],      # used by stochastic algorithms only
       "solver": {"ranks": [3, 3, 3], "step": {"kind": "constant", "alpha": 0.05},
-                  "batch_grad": 100, "batch_hess": 100, "damping": 0.0,
-                  "max_iters": 1000, "max_seconds": null, "rse_tol": null,
-                  "eval_every": null, "init_scale": 1.0},
-      "trials": 1,
-      "seed": 0
+                  "batch_grad": 100, "batch_hess": 300, "damping": 1e-8,
+                  "max_iters": 500, "rse_tol": 1e-10, "eval_every": 10},
+      "trials": 3,
+      "seed": 7
     }
 
-Unknown keys at the top level, in `tensor`, in `tensor.synth`, in `solver` and
-in `step` (for the chosen step kind) are errors, and so is a `tensor` with both
-`file` and `synth`, as are `algorithms` or `sampling` that are not a non-empty
-list of distinct known names, and an integer field (`trials`, `seed`, ranks,
-batch sizes, `max_iters`, `eval_every`, synth sizes) given a bool or a
-fractional number.  Each requested (algorithm, sampling) cell runs `trials`
+The keys of `solver`, `step` and `tensor.synth` are the fields of
+`solvers.SolverConfig` (`schedule` spelt `step`, less `sampling` and `seed`,
+which the grid sets per run), of the step class `kind` names (default
+`constant`) and of `datagen.SynthSpec`; a key left out takes the dataclass's
+default.  Unknown keys, blocks that are not objects, a `tensor` with both
+`file` and `synth`, `algorithms` or `sampling` that are not a non-empty list
+of distinct known names, and a bool or fraction for an integer field (a bool
+for a real one) are errors.  Each (algorithm, sampling) cell runs `trials`
 times with derived seeds; every run writes a trace CSV, and the summary
 reports per cell how many trials diverged and the arithmetic mean of the
 terminal RSE, iteration count, elapsed (iteration) seconds and RSE-evaluation
@@ -29,54 +30,56 @@ seconds over the other trials.
 
 from __future__ import annotations
 
+import dataclasses
 import datetime
 import json
 import numbers
 import os
+import typing
 
 import numpy as np
 
 from . import solvers
 from .datagen import SynthSpec, synth_tensor
-from .sampling import SamplingSpec
+from .sampling import SAMPLING_KINDS, SamplingSpec
 from .tensorfile import atomic_write_bytes, read_tensor
 from .trace import RunTrace, fmt_float, trace_filename, write_trace_csv
 
-ALGORITHM_ORDER = ["tr-als", "tr-gd", "tr-scaled-gd", "tr-brsgd", "tr-scaled-brsgd"]
-STOCHASTIC_ALGORITHMS = {"tr-brsgd", "tr-scaled-brsgd"}
-SAMPLING_ORDER = ["uniform", "euclidean", "leverage", "optimal"]
-SOLVER_FUNCTIONS = {
-    "tr-als": solvers.tr_als,
-    "tr-gd": solvers.tr_gd,
-    "tr-scaled-gd": solvers.tr_scaled_gd,
-    "tr-brsgd": solvers.tr_brsgd,
-    "tr-scaled-brsgd": solvers.tr_scaled_brsgd,
+# name -> (display name, solver, stochastic), in the canonical order of the
+# summary rows and the trial seeds
+ALGORITHMS = {
+    "tr-als": ("TR-ALS", solvers.tr_als, False),
+    "tr-gd": ("TR-GD", solvers.tr_gd, False),
+    "tr-scaled-gd": ("TR-ScaledGD", solvers.tr_scaled_gd, False),
+    "tr-brsgd": ("TR-BRSGD", solvers.tr_brsgd, True),
+    "tr-scaled-brsgd": ("TR-ScaledBRSGD", solvers.tr_scaled_brsgd, True),
 }
-_DISPLAY = {
-    "tr-als": "TR-ALS",
-    "tr-gd": "TR-GD",
-    "tr-scaled-gd": "TR-ScaledGD",
-    "tr-brsgd": "TR-BRSGD",
-    "tr-scaled-brsgd": "TR-ScaledBRSGD",
-}
-_SAMPLING_SUFFIX = {"uniform": "U", "euclidean": "E", "leverage": "L", "optimal": "O"}
+STEP_KINDS = {"constant": solvers.ConstantStep, "robbins_monro": solvers.RobbinsMonroStep,
+              "adagrad": solvers.AdaGradStep}
 _CONFIG_KEYS = ("tensor", "algorithms", "sampling", "solver", "trials", "seed")
 _TENSOR_KEYS = ("file", "synth")
-_SYNTH_KEYS = ("order", "dim", "rank", "kind", "kappa", "seed")
-_SOLVER_KEYS = ("ranks", "step", "batch_grad", "batch_hess", "damping", "max_iters",
-                "max_seconds", "rse_tol", "eval_every", "init_scale")
-_STEP_KEYS = {"constant": ("alpha",), "robbins_monro": ("alpha0", "gamma"),
-              "adagrad": ("eta", "b", "eps")}
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
+def config_keys(cls) -> dict:
+    """Config key -> field type of a settings dataclass (`SolverConfig`, a
+    step class, `SynthSpec`): its fields, except that a SolverConfig spells
+    `schedule` as `step` and leaves `sampling` and `seed` to each run."""
+    hints = typing.get_type_hints(cls)
+    keys = {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+    if cls is solvers.SolverConfig:
+        keys["step"] = keys.pop("schedule")
+        del keys["sampling"], keys["seed"]
+    return keys
+
+
 def display_name(algorithm: str, sampling: str) -> str:
-    base = _DISPLAY.get(algorithm, algorithm)
-    if algorithm in STOCHASTIC_ALGORITHMS:
-        return f"{base}-{_SAMPLING_SUFFIX.get(sampling, sampling)}"
+    base, _solve, stochastic = ALGORITHMS.get(algorithm, (algorithm, None, False))
+    if stochastic:  # the kind's initial: U, E, L or O
+        return f"{base}-{sampling[0].upper() if sampling in SAMPLING_KINDS else sampling}"
     return base
 
 
@@ -87,6 +90,12 @@ def _reject_unknown_keys(d, allowed, where: str) -> None:
                           f"allowed keys: {', '.join(allowed)}")
 
 
+def _object(d, where: str) -> dict:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be an object, not {d!r}")
+    return d
+
+
 def _int(value, where: str) -> int:
     """An integer config value; a bool, or a number int() would truncate, is
     refused rather than silently changing the run."""
@@ -95,6 +104,53 @@ def _int(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{where} must be an integer, not {value!r}")
     return int(value)
+
+
+def _float(value, where: str) -> float:
+    """A real config value; a bool or a string is refused, as for an integer."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{where} must be a number, not {value!r}")
+    return float(value)
+
+
+def _value(value, hint, where: str):
+    """A config value read as a field of type `hint`: None only where the
+    field takes it, a tuple as a list, integers by `_int`, reals by `_float`;
+    other values (a name, a step object) unchanged."""
+    types = typing.get_args(hint) or (hint,)
+    if value is None and type(None) in types:
+        return None
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list, not {value!r}")
+        return tuple(_value(v, types[0], where) for v in value)
+    if int in types:
+        return _int(value, where)
+    if float in types:
+        return _float(value, where)
+    return value
+
+
+def _from_dict(cls, d, where: str, **per_run):
+    """Build settings dataclass `cls` from config object `d`.  Only the keys
+    `d` has are passed on, so every default is the dataclass's own."""
+    keys = config_keys(cls)
+    _reject_unknown_keys(_object(d, where), keys, where)
+    kw = {key: _value(value, keys[key], key) for key, value in d.items()}
+    if "step" in kw:
+        kw["schedule"] = _step_from_dict(kw.pop("step"))
+    try:
+        return cls(**kw, **per_run)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {where} config: {exc}") from exc
+
+
+def _step_from_dict(d) -> object:
+    kind = _object(d, "step").get("kind", "constant")
+    if not isinstance(kind, str) or kind not in STEP_KINDS:
+        raise ConfigError(f"unknown step kind {kind!r}")
+    return _from_dict(STEP_KINDS[kind], {k: v for k, v in d.items() if k != "kind"},
+                      f"{kind} step")
 
 
 def _check_names(cfg, key: str, known, what: str) -> None:
@@ -108,24 +164,6 @@ def _check_names(cfg, key: str, known, what: str) -> None:
         # a repeated name would run again into the same trace files
         if names.count(name) > 1:
             raise ConfigError(f"{what} {name!r} is listed more than once")
-
-
-def _step_from_dict(d) -> object:
-    kind = d.get("kind", "constant")
-    if kind not in _STEP_KEYS:
-        raise ConfigError(f"unknown step kind {kind!r}")
-    _reject_unknown_keys(d, ("kind", *_STEP_KEYS[kind]), f"{kind} step")
-    try:
-        if kind == "constant":
-            return solvers.ConstantStep(alpha=float(d["alpha"]))
-        if kind == "robbins_monro":
-            return solvers.RobbinsMonroStep(
-                alpha0=float(d["alpha0"]), gamma=float(d.get("gamma", 1.0)))
-        return solvers.AdaGradStep(
-            eta=float(d["eta"]), b=float(d.get("b", 0.0)),
-            eps=float(d.get("eps", 0.0)))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad step config {d!r}: {exc}") from exc
 
 
 def load_config(source) -> dict:
@@ -150,8 +188,8 @@ def load_config(source) -> dict:
     cfg.setdefault("sampling", ["uniform"])
     cfg.setdefault("trials", 1)
     cfg.setdefault("seed", 0)
-    _check_names(cfg, "algorithms", SOLVER_FUNCTIONS, "algorithm")
-    _check_names(cfg, "sampling", SAMPLING_ORDER, "sampling kind")
+    _check_names(cfg, "algorithms", ALGORITHMS, "algorithm")
+    _check_names(cfg, "sampling", SAMPLING_KINDS, "sampling kind")
     if "optimal" in cfg["sampling"]:
         raise ConfigError("optimal sampling is a diagnostic mode, not for benchmarks")
     cfg["trials"] = _int(cfg["trials"], "trials")
@@ -162,9 +200,7 @@ def load_config(source) -> dict:
 
 
 def load_tensor(tensor_cfg) -> np.ndarray:
-    if not isinstance(tensor_cfg, dict):
-        raise ConfigError("tensor config must be an object")
-    _reject_unknown_keys(tensor_cfg, _TENSOR_KEYS, "tensor")
+    _reject_unknown_keys(_object(tensor_cfg, "tensor config"), _TENSOR_KEYS, "tensor")
     if len(tensor_cfg) != 1:
         raise ConfigError("tensor config needs exactly one of 'file' or 'synth'")
     if "file" in tensor_cfg:
@@ -172,43 +208,12 @@ def load_tensor(tensor_cfg) -> np.ndarray:
             return read_tensor(tensor_cfg["file"])
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read tensor file: {exc}") from exc
-    s = tensor_cfg["synth"]
-    if not isinstance(s, dict):
-        raise ConfigError("tensor.synth must be an object")
-    _reject_unknown_keys(s, _SYNTH_KEYS, "tensor.synth")
-    try:
-        spec = SynthSpec(
-            order=_int(s["order"], "order"), dim=_int(s["dim"], "dim"),
-            rank=_int(s["rank"], "rank"), kind=s.get("kind", "gaussian"),
-            kappa=float(s.get("kappa", 1.0)), seed=_int(s.get("seed", 0), "seed"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad synth spec: {exc}") from exc
-    return synth_tensor(spec)[0]
+    return synth_tensor(_from_dict(SynthSpec, tensor_cfg["synth"], "tensor.synth"))[0]
 
 
 def solver_config(solver_cfg, sampling_kind: str, seed: int) -> solvers.SolverConfig:
-    d = dict(solver_cfg)
-    _reject_unknown_keys(d, _SOLVER_KEYS, "solver")
-    try:
-        return solvers.SolverConfig(
-            ranks=tuple(_int(r, "ranks") for r in d["ranks"]),
-            schedule=_step_from_dict(d.get("step", {"kind": "constant", "alpha": 1e-2})),
-            batch_grad=_int(d.get("batch_grad", 1), "batch_grad"),
-            batch_hess=_int(d.get("batch_hess", 1), "batch_hess"),
-            damping=float(d.get("damping", 0.0)),
-            sampling=SamplingSpec(kind=sampling_kind),
-            max_iters=None if d.get("max_iters") is None else _int(d["max_iters"], "max_iters"),
-            max_seconds=None if d.get("max_seconds") is None else float(d["max_seconds"]),
-            rse_tol=None if d.get("rse_tol") is None else float(d["rse_tol"]),
-            eval_every=(None if d.get("eval_every") is None
-                        else _int(d["eval_every"], "eval_every")),
-            seed=seed,
-            init_scale=float(d.get("init_scale", 1.0)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"bad solver config: {exc}") from exc
+    return _from_dict(solvers.SolverConfig, solver_cfg, "solver",
+                      sampling=SamplingSpec(kind=sampling_kind), seed=seed)
 
 
 def _trial_seed(master_seed: int, algo_idx: int, samp_idx: int, trial: int) -> int:
@@ -229,16 +234,16 @@ def run_experiment(config, out_dir, clock=None) -> list[RunTrace]:
     x = load_tensor(cfg["tensor"])
     traces: list[RunTrace] = []
     for algo in cfg["algorithms"]:
-        samplings = cfg["sampling"] if algo in STOCHASTIC_ALGORITHMS else ["none"]
-        for samp in samplings:
+        _display, solve, stochastic = ALGORITHMS[algo]
+        for samp in cfg["sampling"] if stochastic else ["none"]:
             for trial in range(cfg["trials"]):
                 seed = _trial_seed(cfg["seed"],
-                                   ALGORITHM_ORDER.index(algo),
-                                   SAMPLING_ORDER.index(samp) if samp != "none" else 0,
+                                   list(ALGORITHMS).index(algo),
+                                   SAMPLING_KINDS.index(samp) if stochastic else 0,
                                    trial)
                 run_cfg = solver_config(cfg["solver"],
-                                        samp if samp != "none" else "uniform", seed)
-                _cores, trace = SOLVER_FUNCTIONS[algo](x, run_cfg, clock=clock)
+                                        samp if stochastic else "uniform", seed)
+                _cores, trace = solve(x, run_cfg, clock=clock)
                 trace.trial = trial
                 traces.append(trace)
                 write_trace_csv(trace, os.path.join(
@@ -256,8 +261,8 @@ def run_experiment(config, out_dir, clock=None) -> list[RunTrace]:
 
 def _sort_key(item):
     (algo, samp) = item
-    a = ALGORITHM_ORDER.index(algo) if algo in ALGORITHM_ORDER else len(ALGORITHM_ORDER)
-    s = SAMPLING_ORDER.index(samp) if samp in SAMPLING_ORDER else -1
+    a = list(ALGORITHMS).index(algo) if algo in ALGORITHMS else len(ALGORITHMS)
+    s = SAMPLING_KINDS.index(samp) if samp in SAMPLING_KINDS else -1
     return (a, s)
 
 
@@ -319,7 +324,7 @@ def _summary_csv(rows) -> str:
 
 
 __all__ = [
-    "ALGORITHM_ORDER", "STOCHASTIC_ALGORITHMS", "SAMPLING_ORDER", "ConfigError",
-    "display_name", "load_config", "load_tensor", "solver_config", "run_experiment",
+    "ALGORITHMS", "STEP_KINDS", "ConfigError", "config_keys", "display_name",
+    "load_config", "load_tensor", "solver_config", "run_experiment",
     "summarize", "emit_summary",
 ]

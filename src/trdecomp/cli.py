@@ -17,63 +17,51 @@ import glob
 import json
 import os
 import sys
+import typing
 
 import numpy as np
 
 from .bench import (
-    SOLVER_FUNCTIONS,
+    ALGORITHMS,
+    STEP_KINDS,
     ConfigError,
+    config_keys,
     emit_summary,
     load_config,
     run_experiment,
     solver_config,
 )
 from .datagen import GENERATOR_KINDS, SynthSpec, synth_tensor
+from .sampling import SAMPLING_KINDS
+from .solvers import SolverConfig
 from .tensorfile import read_tensor, write_tensor
 from .trace import read_trace_csv, trace_filename, write_trace_csv
 
+# decompose flags: one per key of a solver block and of a step (key -> type),
+# named as the key with dashes; --step-kind gives the step's kind
+_SOLVER_FLAGS = {k: t for k, t in config_keys(SolverConfig).items() if k != "step"}
+_STEP_FLAGS = {k: t for cls in STEP_KINDS.values() for k, t in config_keys(cls).items()}
+
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--ranks", type=int, nargs="+", required=True)
-    p.add_argument("--step-kind", choices=["constant", "robbins_monro", "adagrad"],
-                   default="constant")
-    p.add_argument("--alpha", type=float, default=1e-2)
-    p.add_argument("--alpha0", type=float, default=1e-2)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--eta", type=float, default=1e-2)
-    p.add_argument("--b", type=float, default=0.0)
-    p.add_argument("--eps", type=float, default=0.0)
-    p.add_argument("--batch-grad", type=int, default=1)
-    p.add_argument("--batch-hess", type=int, default=1)
-    p.add_argument("--damping", type=float, default=0.0)
-    p.add_argument("--max-iters", type=int, default=None)
-    p.add_argument("--max-seconds", type=float, default=None)
-    p.add_argument("--rse-tol", type=float, default=None)
-    p.add_argument("--eval-every", type=int, default=None)
-    p.add_argument("--init-scale", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--step-kind", dest="kind", choices=list(STEP_KINDS),
+                   default=argparse.SUPPRESS)
+    for key, hint in {**_SOLVER_FLAGS, **_STEP_FLAGS}.items():
+        p.add_argument("--" + key.replace("_", "-"),
+                       type=int if int in (hint, *typing.get_args(hint)) else float,
+                       nargs="+" if key == "ranks" else None, required=key == "ranks",
+                       default=argparse.SUPPRESS)
 
 
 def _solver_dict(args) -> dict:
-    step = {"kind": args.step_kind}
-    if args.step_kind == "constant":
-        step["alpha"] = args.alpha
-    elif args.step_kind == "robbins_monro":
-        step.update(alpha0=args.alpha0, gamma=args.gamma)
-    else:
-        step.update(eta=args.eta, b=args.b, eps=args.eps)
-    return {
-        "ranks": args.ranks,
-        "step": step,
-        "batch_grad": args.batch_grad,
-        "batch_hess": args.batch_hess,
-        "damping": args.damping,
-        "max_iters": args.max_iters,
-        "max_seconds": args.max_seconds,
-        "rse_tol": args.rse_tol,
-        "eval_every": args.eval_every,
-        "init_scale": args.init_scale,
-    }
+    """The solver block of the flags given.  A flag left out leaves its key
+    out, so the run takes the SolverConfig or step class default."""
+    given = vars(args)
+    solver = {key: given[key] for key in _SOLVER_FLAGS if key in given}
+    step = {key: given[key] for key in ("kind", *_STEP_FLAGS) if key in given}
+    if step:
+        solver["step"] = step
+    return solver
 
 
 def cmd_synth(args) -> int:
@@ -88,7 +76,8 @@ def cmd_synth(args) -> int:
 def cmd_decompose(args) -> int:
     x = read_tensor(args.tensor)
     cfg = solver_config(_solver_dict(args), args.sampling, args.seed)
-    cores, trace = SOLVER_FUNCTIONS[args.algorithm](x, cfg)
+    _display, solve, _stochastic = ALGORITHMS[args.algorithm]
+    cores, trace = solve(x, cfg)
     os.makedirs(args.out_dir, exist_ok=True)
     np.savez(os.path.join(args.out_dir, "cores.npz"),
              **{f"core{n}": c for n, c in enumerate(cores)})
@@ -111,10 +100,12 @@ def _apply_overrides(cfg: dict, assignments) -> dict:
         except json.JSONDecodeError:
             value = raw
         node = cfg
-        parts = key.split(".")
-        for part in parts[:-1]:
+        *path, last = key.split(".")
+        for part in path:
             node = node.setdefault(part, {})
-        node[parts[-1]] = value
+            if not isinstance(node, dict):
+                raise ConfigError(f"override {item!r}: {part!r} is not an object")
+        node[last] = value
     return cfg
 
 
@@ -159,11 +150,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("decompose", help="run one algorithm on one tensor")
+    p = sub.add_parser("decompose", help="run one algorithm on one tensor",
+                       description="A solver or step flag left out takes the "
+                                   "SolverConfig or step class default.")
     p.add_argument("--tensor", required=True)
-    p.add_argument("--algorithm", required=True, choices=sorted(SOLVER_FUNCTIONS))
-    p.add_argument("--sampling", choices=["uniform", "leverage", "euclidean"],
+    p.add_argument("--algorithm", required=True, choices=list(ALGORITHMS))
+    # optimal is a diagnostic, refused here as in benchmark configs
+    p.add_argument("--sampling", choices=[k for k in SAMPLING_KINDS if k != "optimal"],
                    default="uniform")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", required=True)
     _add_solver_flags(p)
     p.set_defaults(func=cmd_decompose)

@@ -23,7 +23,8 @@ from .core import (
     subchain_tensor,
 )
 
-SAMPLING_KINDS = ("uniform", "leverage", "euclidean", "optimal")
+# in the canonical order of the summary rows and the trial seeds
+SAMPLING_KINDS = ("uniform", "euclidean", "leverage", "optimal")
 
 
 @dataclass(frozen=True)

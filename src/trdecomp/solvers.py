@@ -129,8 +129,8 @@ def stochastic_gradient(core: np.ndarray, batch: SampleBatch, j_total: int) -> n
     return (g2 @ (s.T @ (s * w[:, None])) - (batch.fibers * w) @ s) / (m * j_total)
 
 
-def stochastic_hessian(batch: SampleBatch, j_total: int, damping: float) -> np.ndarray:
-    """Small-factor Hessian estimate (1/(batch * J)) S^T D S + damping * I.
+def stochastic_hessian(batch: SampleBatch, j_total: int) -> np.ndarray:
+    """Small-factor Hessian estimate (1/(batch * J)) S^T D S.
 
     The full Hessian block is this factor Kronecker the identity on the mode
     extent; the identity factor is exploited by the solvers, never formed.
@@ -139,19 +139,18 @@ def stochastic_hessian(batch: SampleBatch, j_total: int, damping: float) -> np.n
         raise ValueError("nonpositive realized probability in batch")
     s = subchain_unfolding(batch.subchain)
     w = 1.0 / batch.probs
-    h = s.T @ (s * w[:, None]) / (len(w) * j_total)
-    if damping:
-        h = h + damping * np.eye(h.shape[0])
-    return h
+    return s.T @ (s * w[:, None]) / (len(w) * j_total)
 
 
-def search_direction(g: np.ndarray, h: np.ndarray, damping: float = 0.0) -> np.ndarray:
-    """Descent direction -g h^{-1} through a symmetric positive-definite solve
-    with the (damped) Hessian factor h.
+def search_direction(g: np.ndarray, h: np.ndarray, damping: float) -> np.ndarray:
+    """Descent direction -g (h + damping I)^{-1} through a symmetric
+    positive-definite solve with the damped Hessian factor.
 
     A non-finite g or h (an overflowed estimate) has no solve and gives an
     all-NaN direction, so the step it makes is caught as a non-finite core.
     """
+    if damping:
+        h = h + damping * np.eye(h.shape[0])
     if not (np.isfinite(g).all() and np.isfinite(h).all()):
         return np.full_like(g, np.nan)
     try:
@@ -501,14 +500,9 @@ def _gradient_descent(x, config, init, callback, clock, scaled):
     name = "tr-scaled-gd" if scaled else "tr-gd"
 
     def iteration(t, cores):
-        damping = config.damping
         blocks = [_grad_and_gram(cores, x, n) for n in range(x.ndim)]
         for n, (g, gram) in enumerate(blocks):
-            if scaled:
-                h = gram + damping * np.eye(gram.shape[0]) if damping else gram
-                direction = search_direction(g, h, damping=damping)
-            else:
-                direction = -g
+            direction = search_direction(g, gram, config.damping) if scaled else -g
             _apply_step(cores, n, direction, config, t, adagrad_acc)
         # a non-finite core only propagates NaN through full-gradient
         # iterations, so it is left to the next evaluation
@@ -575,8 +569,8 @@ def _stochastic_solver(x, config, init, callback, clock, scaled):
         j_total = x.size // x.shape[n]
         g = stochastic_gradient(cores[n], batch, j_total)
         if scaled:
-            h = stochastic_hessian(batch_h, j_total, config.damping)
-            direction = search_direction(g, h, damping=config.damping)
+            direction = search_direction(g, stochastic_hessian(batch_h, j_total),
+                                         config.damping)
         else:
             direction = -g
         return _apply_step(cores, n, direction, config, t, adagrad_acc)

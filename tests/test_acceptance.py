@@ -31,6 +31,7 @@ from trdecomp.solvers import (
     SolverConfig,
     _adagrad_steps,
     _grad_and_gram,
+    search_direction,
     stochastic_hessian,
     tr_als,
     tr_brsgd,
@@ -288,11 +289,14 @@ def test_criterion_7_hessian_identities():
         j = x.size // dims[mode]
         sub = subchain_unfolding(subchain_tensor(cores, mode))
         gram = sub.T @ sub
+        batch = complete_sample_batch(cores, x, mode)
+        h = stochastic_hessian(batch, j)
+        np.testing.assert_allclose(h, gram / j, atol=1e-12)
+        # the direction solves with the damped factor h + eta I
+        g = np.random.default_rng(70 + mode).standard_normal((dims[mode], gram.shape[0]))
         for eta in (0.0, 0.05):
-            batch = complete_sample_batch(cores, x, mode)
-            h = stochastic_hessian(batch, j, eta)
-            np.testing.assert_allclose(
-                h, gram / j + eta * np.eye(gram.shape[0]), atol=1e-12)
+            damped = gram / j + eta * np.eye(gram.shape[0])
+            np.testing.assert_allclose(search_direction(g, h, eta) @ damped, -g, atol=1e-10)
     # one scaled full-gradient step equals the vectorized block form
     alpha = 0.3
     cfg = SolverConfig(ranks=ranks, schedule=ConstantStep(alpha), max_iters=1, seed=0)

@@ -14,6 +14,8 @@ from trdecomp.bench import (
     solver_config,
     summarize,
 )
+from trdecomp.sampling import SamplingSpec
+from trdecomp.solvers import AdaGradStep, SolverConfig
 from trdecomp.trace import (
     RunTrace,
     parse_trace_csv,
@@ -223,6 +225,47 @@ class TestConfig:
         assert load_config(dict(BASE_CONFIG, trials=2.0))["trials"] == 2
         cfg = solver_config(dict(BASE_CONFIG["solver"], max_iters=1e3), "uniform", 0)
         assert cfg.max_iters == 1000
+
+    @pytest.mark.parametrize("solver, match", [
+        (3, "solver must be an object"),
+        ([2, 2, 2], "solver must be an object"),
+        (dict(BASE_CONFIG["solver"], step=0.1), "step must be an object"),
+        (dict(BASE_CONFIG["solver"], step=None), "step must be an object"),
+        (dict(BASE_CONFIG["solver"], ranks=3), "ranks must be a list"),
+    ], ids=["number", "list", "number-step", "null-step", "number-ranks"])
+    def test_rejects_a_non_object_block(self, solver, match):
+        with pytest.raises(ConfigError, match=match):
+            solver_config(solver, "uniform", 0)
+
+    @pytest.mark.parametrize("key, value", [
+        ("damping", True), ("init_scale", True), ("rse_tol", False),
+        ("step", {"kind": "constant", "alpha": True}),
+        ("step", {"kind": "adagrad", "eta": 0.1, "eps": True}),
+    ], ids=["damping", "init_scale", "rse_tol", "alpha", "eps"])
+    def test_rejects_a_bool_for_a_real(self, key, value):
+        with pytest.raises(ConfigError, match="must be a number"):
+            solver_config(dict(BASE_CONFIG["solver"], **{key: value}), "uniform", 0)
+
+    def test_rejects_a_bool_synth_kappa(self):
+        spec = dict(BASE_CONFIG["tensor"]["synth"], kind="ill_conditioned", kappa=True)
+        with pytest.raises(ConfigError, match="kappa must be a number"):
+            load_tensor({"synth": spec})
+
+    def test_left_out_keys_take_the_dataclass_defaults(self):
+        # max_iters among them: a block without it runs at most 1000 iterations
+        assert solver_config({"ranks": [2, 2, 2]}, "leverage", 5) == SolverConfig(
+            ranks=(2, 2, 2), sampling=SamplingSpec("leverage"), seed=5)
+        step = solver_config({"ranks": [2, 2], "step": {"kind": "adagrad", "eta": 0.5}},
+                             "uniform", 0).schedule
+        assert step == AdaGradStep(eta=0.5)
+
+    def test_null_only_where_the_field_takes_it(self):
+        cfg = solver_config(dict(BASE_CONFIG["solver"], max_iters=None, rse_tol=1e-3,
+                                 eval_every=None), "uniform", 0)
+        assert cfg.max_iters is None and cfg.eval_every is None
+        for key in ("damping", "batch_grad"):
+            with pytest.raises(ConfigError, match=f"{key} must be"):
+                solver_config(dict(BASE_CONFIG["solver"], **{key: None}), "uniform", 0)
 
     def test_optimal_rejected(self):
         cfg = dict(BASE_CONFIG, sampling=["optimal"])

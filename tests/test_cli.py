@@ -1,9 +1,16 @@
+import dataclasses
 import json
+import re
+import shlex
+import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from trdecomp.cli import main
+from trdecomp.bench import STEP_KINDS, solver_config
+from trdecomp.cli import _solver_dict, build_parser, main
+from trdecomp.solvers import SolverConfig
 from trdecomp.tensorfile import MAGIC, read_tensor, write_tensor
 from trdecomp.trace import read_trace_csv
 
@@ -246,3 +253,127 @@ def test_time_includes_eval_rejected(tmp_path, capsys):
                "--set", "solver.time_includes_eval=true"])
     assert rc == 2
     assert "time_includes_eval" in capsys.readouterr().err
+
+
+def _tiny_tensor(tmp_path):
+    path = tmp_path / "x.trt"
+    main(["synth", "--order", "3", "--dim", "4", "--rank", "2", "--seed", "1",
+          "--out", str(path)])
+    return path
+
+
+def _decompose_argv(tmp_path, *flags, algorithm="tr-brsgd"):
+    return ["decompose", "--tensor", str(tmp_path / "x.trt"), "--algorithm", algorithm,
+            "--out-dir", str(tmp_path / "o"), "--ranks", "2", "2", "2", *flags]
+
+
+# A value of each field type that differs from every default and that every
+# field of that type accepts (gamma lies in (0.5, 1]).
+def _sample_value(hint):
+    return 7 if int in (hint, *typing.get_args(hint)) else 0.75
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
+def _settings_from_flags(*flags):
+    args = build_parser().parse_args(
+        ["decompose", "--tensor", "x.trt", "--algorithm", "tr-brsgd", "--out-dir", "o",
+         *flags])
+    return solver_config(_solver_dict(args), args.sampling, args.seed)
+
+
+SOLVER_HINTS = typing.get_type_hints(SolverConfig)
+SOLVER_FIELDS = [f.name for f in dataclasses.fields(SolverConfig)
+                 if f.name not in ("sampling", "seed", "schedule")]
+
+
+@pytest.mark.parametrize("name", SOLVER_FIELDS)
+def test_every_solver_field_is_a_config_key_and_a_flag(name):
+    if name == "ranks":
+        value, flags = (2, 3, 4), ["--ranks", "2", "3", "4"]
+    else:
+        value = _sample_value(SOLVER_HINTS[name])
+        flags = ["--ranks", "2", "2", "2", _flag(name), str(value)]
+    block = {"ranks": [2, 2, 2], name: list(value) if name == "ranks" else value}
+    assert getattr(solver_config(block, "uniform", 0), name) == value
+    assert getattr(_settings_from_flags(*flags), name) == value
+
+
+def test_every_step_class_is_a_step_kind():
+    assert set(typing.get_args(SOLVER_HINTS["schedule"])) == set(STEP_KINDS.values())
+
+
+@pytest.mark.parametrize("kind", list(STEP_KINDS))
+def test_every_step_field_is_a_config_key_and_a_flag(kind):
+    cls = STEP_KINDS[kind]
+    values = {f.name: 0.75 for f in dataclasses.fields(cls)}
+    block = {"ranks": [2, 2, 2], "step": {"kind": kind, **values}}
+    assert solver_config(block, "uniform", 0).schedule == cls(**values)
+    flags = [arg for name, v in values.items() for arg in (_flag(name), str(v))]
+    settings = _settings_from_flags("--ranks", "2", "2", "2", "--step-kind", kind, *flags)
+    assert settings.schedule == cls(**values)
+
+
+@pytest.mark.parametrize("flags, match", [
+    (["--step-kind", "adagrad", "--eta", "0.1", "--alpha", "0.5"], "'alpha'"),
+    (["--step-kind", "robbins_monro"], "alpha0"),
+    (["--alpha0", "0.1"], "'alpha0'"),
+], ids=["alpha-with-adagrad", "robbins-monro-without-alpha0", "alpha0-with-constant"])
+def test_decompose_rejects_a_step_flag_set_it_cannot_use(tmp_path, capsys, flags, match):
+    _tiny_tensor(tmp_path)
+    rc = main(_decompose_argv(tmp_path, "--max-iters", "2", *flags))
+    assert rc == 2
+    assert re.search(match, capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
+def test_decompose_takes_the_solver_config_defaults(tmp_path, capsys):
+    # no --max-iters: the run stops at SolverConfig's 1000 iterations
+    _tiny_tensor(tmp_path)
+    rc = main(_decompose_argv(tmp_path, "--eval-every", "500"))
+    assert rc == 0
+    trace = read_trace_csv(tmp_path / "o" / "tr-brsgd-uniform-t0.csv")
+    assert trace.terminal_reason == "max_iters"
+    assert trace.final()[0] == SolverConfig(ranks=(2, 2, 2)).max_iters == 1000
+
+
+@pytest.mark.parametrize("override, match", [
+    ("solver=3", "solver must be an object"),
+    ("solver.step=0.1", "step must be an object"),
+    ("seed.x=1", "'seed' is not an object"),
+    ("algorithms.x=1", "'algorithms' is not an object"),
+])
+def test_benchmark_rejects_a_non_object_block(tmp_path, capsys, override, match):
+    cfg = {
+        "tensor": {"synth": {"order": 3, "dim": 4, "rank": 2, "seed": 3}},
+        "algorithms": ["tr-als"],
+        "solver": {"ranks": [2, 2, 2], "max_iters": 2},
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    rc = main(["benchmark", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o"),
+               "--set", override])
+    assert rc == 2
+    assert match in capsys.readouterr().err
+    assert not list((tmp_path / "o").glob("*.csv"))
+
+
+def _readme_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("trdecomp "):
+                commands.append(shlex.split(line)[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    # parse only: every documented command and flag exists as written
+    commands = _readme_commands()
+    assert len(commands) >= 5
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)

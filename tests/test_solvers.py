@@ -266,18 +266,15 @@ class TestStochasticHessian:
             j = self.x.size // self.dims[mode]
             sub = subchain_unfolding(subchain_tensor(self.cores, mode))
             gram = sub.T @ sub
-            for eta in (0.0, 0.3):
-                batch = complete_sample_batch(self.cores, self.x, mode)
-                h = stochastic_hessian(batch, j, eta)
-                expected = gram / j + eta * np.eye(gram.shape[0])
-                np.testing.assert_allclose(h, expected, atol=1e-12)
+            batch = complete_sample_batch(self.cores, self.x, mode)
+            np.testing.assert_allclose(stochastic_hessian(batch, j), gram / j, atol=1e-12)
 
     def test_symmetric_psd(self):
         rng = np.random.default_rng(10)
         dists = [None, uniform_dist(4), uniform_dist(2)]
         batch = sample_subchain_fibers(self.cores, self.x, 0, 6, dists, rng,
                                        with_fibers=False)
-        h = stochastic_hessian(batch, 8, 0.0)
+        h = stochastic_hessian(batch, 8)
         assert np.abs(h - h.T).max() < 1e-12
         assert np.linalg.eigvalsh(h).min() > -1e-12
 
@@ -289,7 +286,7 @@ class TestStochasticHessian:
         dists = [None, uniform_dist(4), uniform_dist(2)]
         batch = sample_subchain_fibers(self.cores, self.x, mode, 200_000, dists, rng,
                                        with_fibers=False)
-        h = stochastic_hessian(batch, j, 0.0)
+        h = stochastic_hessian(batch, j)
         sub = subchain_unfolding(subchain_tensor(self.cores, mode))
         gram = sub.T @ sub
         err = np.linalg.norm(j * h - gram) / np.linalg.norm(gram)
@@ -348,19 +345,30 @@ class TestStochasticHessian:
 class TestSearchDirection:
     def test_identity_hessian(self):
         g = np.arange(6.0).reshape(2, 3)
-        np.testing.assert_array_equal(search_direction(g, np.eye(3)), -g)
+        np.testing.assert_array_equal(search_direction(g, np.eye(3), 0.0), -g)
 
     def test_zero_gradient(self):
         h = np.eye(3) * 2.0
-        np.testing.assert_array_equal(search_direction(np.zeros((2, 3)), h), np.zeros((2, 3)))
+        np.testing.assert_array_equal(search_direction(np.zeros((2, 3)), h, 0.0),
+                                      np.zeros((2, 3)))
 
     def test_solve_residual(self):
         rng = np.random.default_rng(13)
         a = rng.standard_normal((4, 4))
         h = a @ a.T + 0.5 * np.eye(4)
         g = rng.standard_normal((3, 4))
-        d = search_direction(g, h)
+        d = search_direction(g, h, 0.0)
         assert np.linalg.norm(d @ h + g) < 1e-10
+
+    def test_damping_is_added_once(self):
+        # the ridge is added here, to the undamped factor the estimates return
+        rng = np.random.default_rng(14)
+        a = rng.standard_normal((4, 4))
+        h = a @ a.T
+        g = rng.standard_normal((3, 4))
+        for eta in (0.3, 2.0):
+            d = search_direction(g, h, eta)
+            assert np.linalg.norm(d @ (h + eta * np.eye(4)) + g) < 1e-10
 
     def test_singular_without_damping(self):
         g = np.ones((2, 2))
@@ -623,11 +631,11 @@ class TestTrScaledBrsgd:
         g = stochastic_gradient(cores[mode], batch, j)
         norms = []
         for eta in (1e-2, 1e0, 1e2, 1e4):
-            h = stochastic_hessian(batch_h, j, eta)
+            h = stochastic_hessian(batch_h, j)
             d = search_direction(g, h, damping=eta)
             norms.append(np.linalg.norm(d))
         assert all(b < a for a, b in zip(norms, norms[1:]))  # monotone shrink
-        h = stochastic_hessian(batch_h, j, 1e8)
+        h = stochastic_hessian(batch_h, j)
         d = search_direction(g, h, damping=1e8)
         cos = np.sum(d * (-g)) / (np.linalg.norm(d) * np.linalg.norm(g))
         assert cos > 1 - 1e-6
@@ -659,7 +667,7 @@ class TestTrScaledBrsgd:
             b_h = sample_subchain_fibers(cores, x, mode, 32, dists, mc_rng,
                                          with_fibers=False)
             g = stochastic_gradient(cores[mode], b_g, j)
-            h = stochastic_hessian(b_h, j, 1e-4)
+            h = stochastic_hessian(b_h, j)
             acc += search_direction(g, h, damping=1e-4)
         mean_dir = acc / trials
         err = np.linalg.norm(mean_dir - target) / np.linalg.norm(target)
