@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration/input error, 3 numerical failure
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import glob
 import json
 import os
@@ -28,10 +29,11 @@ from .bench import (
     config_keys,
     emit_summary,
     load_config,
+    load_tensor,
     run_experiment,
     solver_config,
 )
-from .datagen import GENERATOR_KINDS, SynthSpec, synth_tensor
+from .datagen import GENERATOR_KINDS, SynthSpec
 from .sampling import SAMPLING_KINDS
 from .solvers import SolverConfig
 from .tensorfile import read_tensor, write_tensor
@@ -41,6 +43,10 @@ from .trace import read_trace_csv, trace_filename, write_trace_csv
 # named as the key with dashes; --step-kind gives the step's kind
 _SOLVER_FLAGS = {k: t for k, t in config_keys(SolverConfig).items() if k != "step"}
 _STEP_FLAGS = {k: t for cls in STEP_KINDS.values() for k, t in config_keys(cls).items()}
+# synth flags: one per SynthSpec field, required where the field has no default
+_SYNTH_FLAGS = config_keys(SynthSpec)
+_SYNTH_REQUIRED = {f.name for f in dataclasses.fields(SynthSpec)
+                   if f.default is dataclasses.MISSING}
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
@@ -65,9 +71,9 @@ def _solver_dict(args) -> dict:
 
 
 def cmd_synth(args) -> int:
-    spec = SynthSpec(order=args.order, dim=args.dim, rank=args.rank,
-                     kind=args.kind, kappa=args.kappa, seed=args.seed)
-    x, _cores = synth_tensor(spec)
+    # the flags given form a config's tensor.synth block, read as a config is
+    given = vars(args)
+    x = load_tensor({"synth": {key: given[key] for key in _SYNTH_FLAGS if key in given}})
     write_tensor(args.out, x)
     print(f"wrote {args.out}: shape {x.shape}")
     return 0
@@ -140,13 +146,12 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Tensor ring decomposition benchmark CLI")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="write a synthetic tensor file")
-    p.add_argument("--order", type=int, default=3)
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--kind", choices=GENERATOR_KINDS, default="gaussian")
-    p.add_argument("--kappa", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser("synth", help="write a synthetic tensor file",
+                       description="A flag left out takes the SynthSpec default; "
+                                   f"--kind is one of {', '.join(GENERATOR_KINDS)}.")
+    for key, hint in _SYNTH_FLAGS.items():
+        p.add_argument("--" + key, type=hint, required=key in _SYNTH_REQUIRED,
+                       default=argparse.SUPPRESS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 

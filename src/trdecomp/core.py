@@ -100,7 +100,10 @@ def _subchain_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def slices_hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Slice-wise matrix product: result slice j is A(j) @ B(j).
 
-    (I_1, J, K) x (K, J, I_2) -> (I_1, J, I_2).
+    (I_1, J, K) x (K, J, I_2) -> (I_1, J, I_2), computed as one batched
+    matmul over the slice index, (J, I_1, K) @ (J, K, I_2).  The result is a
+    transposed view of that contiguous (J, I_1, I_2) product, so passing it
+    back in as `a` hands matmul contiguous slices.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -110,7 +113,7 @@ def slices_hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(f"middle extents differ: {a.shape[1]} vs {b.shape[1]}")
     if a.shape[2] != b.shape[0]:
         raise ValueError(f"inner ranks differ: {a.shape[2]} vs {b.shape[0]}")
-    return np.einsum("ajk,kjb->ajb", a, b)
+    return np.matmul(a.transpose(1, 0, 2), b.transpose(1, 0, 2)).transpose(1, 0, 2)
 
 
 def validate_cores(cores) -> None:

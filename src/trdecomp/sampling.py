@@ -12,6 +12,7 @@ the full residual.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,15 +45,23 @@ class SamplingSpec:
 
 
 def check_prob_vector(p: np.ndarray) -> np.ndarray:
+    """Return `p` as a float64 vector, or raise ValueError unless it is a
+    probability vector: finite, nonnegative and summing to 1 within 1e-12.
+
+    Two reductions decide it: a NaN or infinite entry, or a sum that
+    overflows, makes the sum non-finite; then the minimum and the sum are
+    tested.
+    """
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 1:
         raise ValueError("probability vector must be 1-D")
-    if not np.isfinite(p).all():
-        raise ValueError("probability vector has non-finite entries")
-    if np.any(p < 0):
+    total = p.sum()
+    if not math.isfinite(total):
+        raise ValueError("probability vector has non-finite entries or sum")
+    if p.size and p.min() < 0:
         raise ValueError("probability vector has negative entries")
-    if abs(p.sum() - 1.0) > 1e-12:
-        raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
+    if abs(total - 1.0) > 1e-12:
+        raise ValueError(f"probabilities sum to {total!r}, not 1")
     return p
 
 
@@ -117,7 +126,9 @@ class SampleBatch:
 
     idxs holds each row's drawn slice indices (batch, N-1), one column per
     core in the order mode+1, ..., mode-1; subchain has shape
-    (R_{mode+1}, batch, R_mode); fibers holds the sampled
+    (R_{mode+1}, batch, R_mode), and from `sample_subchain_fibers` it may be
+    a transposed view (for N > 2, of the contiguous (batch, R_{mode+1},
+    R_mode) product); fibers holds the sampled
     columns of the mode unfolding (I_mode, batch) and may be None when only
     the subchain rows are needed; probs are the realized row probabilities
     (product of the per-core draw probabilities).
@@ -150,21 +161,19 @@ def sample_subchain_fibers(
     drawn i.i.d. with replacement from dists[k] by inverting its CDF at
     uniform variates.  That is what Generator.choice(p=...) does after its own
     checks, so draws and generator state match it bit for bit.  Each sampled
-    subchain slice is the product of the drawn core slices in that order, and
-    the realized row probability is the product of the per-core
-    probabilities.  Matching mode-`mode` fibers of `x` are gathered unless
-    with_fibers is False.
+    subchain slice is the product of the drawn core slices in that order,
+    started from the first core's slices (so for N = 2 it is those slices),
+    and the realized row probability is the product of the per-core
+    probabilities, likewise started from the first core's.  Matching
+    mode-`mode` fibers of `x` are gathered unless with_fibers is False.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     n = len(cores)
-    order = rotation_modes(mode, n)
-    r_next = cores[order[0]].shape[0]
     idxs = np.empty((batch_size, n - 1), dtype=np.int64)
-    probs = np.ones(batch_size)
-    sub = np.broadcast_to(np.eye(r_next)[:, None, :], (r_next, batch_size, r_next))
+    sub = probs = None
     drawn_by_mode = {}
-    for col, k in enumerate(order):
+    for col, k in enumerate(rotation_modes(mode, n)):
         p_k = check_prob_vector(dists[k])
         if len(p_k) != cores[k].shape[1]:
             raise ValueError(f"distribution for core {k} has wrong length")
@@ -173,8 +182,11 @@ def sample_subchain_fibers(
         drawn = cdf.searchsorted(rng.random(batch_size), side="right")
         idxs[:, col] = drawn
         drawn_by_mode[k] = drawn
-        probs *= p_k[drawn]
-        sub = slices_hadamard(sub, cores[k][:, drawn, :])
+        slices = cores[k][:, drawn, :]
+        if sub is None:
+            sub, probs = slices, p_k[drawn]
+        else:
+            sub, probs = slices_hadamard(sub, slices), probs * p_k[drawn]
     fibers = _gather_fibers(x, mode, drawn_by_mode) if with_fibers else None
     return SampleBatch(idxs, sub, fibers, probs)
 

@@ -17,11 +17,12 @@ from __future__ import annotations
 import logging
 import math
 import time
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .core import (
     core_unfolding,
@@ -45,6 +46,10 @@ from .sampling import (
 from .trace import RunTrace
 
 logger = logging.getLogger(__name__)
+
+# Cholesky jitter fallbacks of the run in progress: `_run_loop` sets a fresh
+# one-element counter for each run and `search_direction` adds to it.
+_chol_jitter: ContextVar[list[int] | None] = ContextVar("chol_jitter", default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -146,23 +151,37 @@ def search_direction(g: np.ndarray, h: np.ndarray, damping: float) -> np.ndarray
     """Descent direction -g (h + damping I)^{-1} through a symmetric
     positive-definite solve with the damped Hessian factor.
 
-    A non-finite g or h (an overflowed estimate) has no solve and gives an
-    all-NaN direction, so the step it makes is caught as a non-finite core.
+    The solve calls LAPACK dpotrf/dpotrs (upper factor) directly: the
+    routines and arguments of scipy.linalg.cho_factor/cho_solve, without
+    their checking wrappers, so the result is bitwise theirs.  If the damped
+    factor is not numerically positive definite, it is factored once more
+    with the ridge raised by max(damping, 1e-12 * trace / R^2); the run in
+    progress counts that jitter fallback in `RunTrace.chol_jitter`.  With zero
+    damping there is no fallback: a singular factor raises ValueError.  A
+    jittered factor that still fails raises LinAlgError.  A non-finite g or h
+    (an overflowed estimate) has no solve and gives an all-NaN direction, so
+    the step it makes is caught as a non-finite core.
     """
+    size = h.shape[0]
     if damping:
-        h = h + damping * np.eye(h.shape[0])
+        h = h + damping * np.eye(size)
     if not (np.isfinite(g).all() and np.isfinite(h).all()):
         return np.full_like(g, np.nan)
-    try:
-        factor = scipy.linalg.cho_factor(h)
-    except np.linalg.LinAlgError as exc:
+    factor, info = dpotrf(h, lower=0, clean=0)
+    if info > 0:
         if damping <= 0:
-            raise ValueError(
-                "Hessian factor is singular; use a positive damping parameter"
-            ) from exc
-        jitter = max(damping, 1e-12 * np.trace(h) / h.shape[0])
-        factor = scipy.linalg.cho_factor(h + jitter * np.eye(h.shape[0]))
-    return -scipy.linalg.cho_solve(factor, g.T).T
+            raise ValueError("Hessian factor is singular; use a positive damping parameter")
+        counter = _chol_jitter.get()
+        if counter is not None:
+            counter[0] += 1
+        jitter = max(damping, 1e-12 * np.trace(h) / size)
+        factor, info = dpotrf(h + jitter * np.eye(size), lower=0, clean=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dpotrf failed on the damped Hessian factor (info {info})")
+    direction, info = dpotrs(factor, g.T, lower=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dpotrs failed (info {info})")
+    return -direction.T
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +351,9 @@ def _run_loop(x, cores, config, algorithm, sampling_name, do_iteration,
     core's distribution would raise.  A non-finite RSE or core stops the run
     with reason "diverged".  Every solver comes here before it models a cost or
     runs an iteration, so a tensor with no entries, only zeros or a non-finite
-    norm is rejected (ValueError) here.
+    norm is rejected (ValueError) here.  The Cholesky jitter fallbacks that
+    `search_direction` takes during the run are counted into the trace's
+    chol_jitter.
     """
     clock = clock if clock is not None else time.perf_counter
     x = np.asfortranarray(x)  # residual_norm reads a column-major x in place
@@ -377,18 +398,23 @@ def _run_loop(x, cores, config, algorithm, sampling_name, do_iteration,
             return "max_time"
         return None
 
-    rse_val = evaluate(0)
-    reason = stop_reason(0, rse_val)
-    t = 0
-    while reason is None:
-        t0 = clock()
-        finite = do_iteration(t, cores)
-        state["elapsed"] += clock() - t0
-        t += 1
-        if (not finite or t % eval_every == 0 or t >= max_iters
-                or state["elapsed"] >= max_seconds):
-            rse_val = evaluate(t)
-            reason = stop_reason(t, rse_val)
+    chol_jitter = [0]
+    token = _chol_jitter.set(chol_jitter)
+    try:
+        rse_val = evaluate(0)
+        reason = stop_reason(0, rse_val)
+        t = 0
+        while reason is None:
+            t0 = clock()
+            finite = do_iteration(t, cores)
+            state["elapsed"] += clock() - t0
+            t += 1
+            if (not finite or t % eval_every == 0 or t >= max_iters
+                    or state["elapsed"] >= max_seconds):
+                rse_val = evaluate(t)
+                reason = stop_reason(t, rse_val)
+    finally:
+        _chol_jitter.reset(token)
     trace = RunTrace(
         algorithm=algorithm,
         sampling=sampling_name,
@@ -396,6 +422,7 @@ def _run_loop(x, cores, config, algorithm, sampling_name, do_iteration,
         terminal_reason=reason,
         eval_every=eval_every,
         eval_s=state["eval_s"],
+        chol_jitter=chol_jitter[0],
     )
     return cores, trace
 

@@ -1,15 +1,17 @@
 """Run traces: per-evaluation (iteration, elapsed, rse) records plus CSV I/O.
 
 Elapsed time counts iteration work only; the run's total RSE-evaluation time
-is `eval_s`, and `eval_every` is the evaluation cadence the run used (both
-None when unknown, as for a trace file that does not record them).
+is `eval_s`, `eval_every` is the evaluation cadence the run used, and
+`chol_jitter` counts the Cholesky jitter fallbacks of its preconditioned
+solves (each None when unknown, as for a trace file that does not record it).
 
 Trace files render floats with 17 significant digits so parsing them back
 reproduces the exact float64 values.  The first line is a `#` comment carrying
 run identity (algorithm, sampling, trial, terminal reason, and `diverged`,
 which repeats whether the reason is "diverged" and is ignored when parsing)
-and then `eval_every` and `eval_s`; the rest is plain CSV with header
-`iteration,elapsed_s,rse`.
+and then `chol_jitter`, `eval_every` and `eval_s`; the rest is plain CSV with
+header `iteration,elapsed_s,rse`.  Parsing rejects a terminal reason outside
+TERMINAL_REASONS.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ class RunTrace:
     trial: int = 0
     eval_every: int | None = None
     eval_s: float | None = None
+    chol_jitter: int | None = None
 
     @property
     def diverged(self) -> bool:
@@ -55,7 +58,8 @@ def render_trace_csv(trace: RunTrace) -> str:
     meta = (
         f"# algorithm={trace.algorithm};sampling={trace.sampling};"
         f"trial={trace.trial};terminal_reason={trace.terminal_reason};"
-        f"diverged={int(trace.diverged)};eval_every={trace.eval_every};"
+        f"diverged={int(trace.diverged)};chol_jitter={trace.chol_jitter};"
+        f"eval_every={trace.eval_every};"
         f"eval_s={None if trace.eval_s is None else fmt_float(trace.eval_s)}"
     )
     lines = [meta, TRACE_HEADER]
@@ -81,17 +85,26 @@ def parse_trace_csv(text: str) -> RunTrace:
     for ln in lines[1:]:
         it, elapsed, rse = ln.split(",")
         records.append((int(it), float(elapsed), float(rse)))
-    reason = meta.get("terminal_reason")
-    eval_every, eval_s = meta.get("eval_every"), meta.get("eval_s")
+    reason = _optional(meta, "terminal_reason", str)
+    if reason is not None and reason not in TERMINAL_REASONS:
+        raise ValueError(f"unknown terminal_reason {reason!r}; "
+                         f"expected one of {', '.join(TERMINAL_REASONS)}")
     return RunTrace(
         algorithm=meta.get("algorithm", ""),
         sampling=meta.get("sampling", ""),
         records=records,
-        terminal_reason=None if reason in (None, "None") else reason,
+        terminal_reason=reason,
         trial=int(meta.get("trial", "0")),
-        eval_every=None if eval_every in (None, "None") else int(eval_every),
-        eval_s=None if eval_s in (None, "None") else float(eval_s),
+        eval_every=_optional(meta, "eval_every", int),
+        eval_s=_optional(meta, "eval_s", float),
+        chol_jitter=_optional(meta, "chol_jitter", int),
     )
+
+
+def _optional(meta: dict, key: str, kind):
+    """A metadata value read by `kind`; None when absent or written as None."""
+    value = meta.get(key)
+    return None if value in (None, "None") else kind(value)
 
 
 def read_trace_csv(path) -> RunTrace:

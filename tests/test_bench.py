@@ -17,6 +17,7 @@ from trdecomp.bench import (
 from trdecomp.sampling import SamplingSpec
 from trdecomp.solvers import AdaGradStep, SolverConfig
 from trdecomp.trace import (
+    TERMINAL_REASONS,
     RunTrace,
     parse_trace_csv,
     read_trace_csv,
@@ -95,6 +96,30 @@ class TestTraceCsv:
             assert back.diverged == (reason == "diverged")
         trace = RunTrace("tr-gd", "none", [(0, 0.0, float("nan"))], "diverged")
         assert "diverged=1" in render_trace_csv(trace).splitlines()[0]
+
+    def test_chol_jitter_roundtrip(self):
+        trace = RunTrace("tr-scaled-brsgd", "uniform", [(0, 0.0, 1.0)], "max_iters",
+                         chol_jitter=3)
+        text = render_trace_csv(trace)
+        assert ";chol_jitter=3;" in text.splitlines()[0]
+        assert parse_trace_csv(text).chol_jitter == 3
+        # a `#` line without the field (an older trace file) reads None
+        back = parse_trace_csv("# algorithm=tr-als;sampling=none;trial=0;"
+                               "terminal_reason=tol;diverged=0\n"
+                               "iteration,elapsed_s,rse\n0,0,1\n")
+        assert back.chol_jitter is None
+
+    @pytest.mark.parametrize("reason", ["max_iter", "tolerance", "Diverged", ""])
+    def test_unknown_terminal_reason_rejected(self, reason):
+        text = (f"# algorithm=tr-gd;sampling=none;trial=0;terminal_reason={reason}\n"
+                "iteration,elapsed_s,rse\n0,0,1\n")
+        with pytest.raises(ValueError, match="terminal_reason"):
+            parse_trace_csv(text)
+
+    def test_every_terminal_reason_parses(self):
+        for reason in (*TERMINAL_REASONS, None):
+            trace = RunTrace("tr-gd", "none", [(0, 0.0, 1.0)], reason)
+            assert parse_trace_csv(render_trace_csv(trace)).terminal_reason == reason
 
     def test_file_roundtrip(self, tmp_path):
         trace = RunTrace("tr-als", "none", [(0, 0.0, 0.5)], "tol")

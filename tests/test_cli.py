@@ -10,6 +10,7 @@ import pytest
 
 from trdecomp.bench import STEP_KINDS, solver_config
 from trdecomp.cli import _solver_dict, build_parser, main
+from trdecomp.datagen import SynthSpec, synth_tensor
 from trdecomp.solvers import SolverConfig
 from trdecomp.tensorfile import MAGIC, read_tensor, write_tensor
 from trdecomp.trace import read_trace_csv
@@ -25,9 +26,44 @@ def test_synth_writes_tensor(tmp_path, capsys):
 
 
 def test_synth_ill_conditioned_validation(tmp_path, capsys):
-    rc = main(["synth", "--dim", "3", "--rank", "2", "--kind", "ill_conditioned",
-               "--kappa", "100", "--out", str(tmp_path / "x.trt")])
+    rc = main(["synth", "--order", "3", "--dim", "3", "--rank", "2", "--kind",
+               "ill_conditioned", "--kappa", "100", "--out", str(tmp_path / "x.trt")])
     assert rc == 2  # dim < rank^2
+    assert "dim >= rank^2" in capsys.readouterr().err
+
+
+SYNTH_FIELDS = dataclasses.fields(SynthSpec)
+
+
+@pytest.mark.parametrize("field", SYNTH_FIELDS, ids=[f.name for f in SYNTH_FIELDS])
+def test_every_synth_field_is_a_flag(field):
+    # the synth flags are SynthSpec's fields: required exactly where the field
+    # has no default, and a flag left out takes the field's default
+    required = {"order": "4", "dim": "9", "rank": "3"}
+    argv = ["synth", "--out", "x.trt"]
+    for name, value in required.items():
+        if name != field.name:
+            argv += [_flag(name), value]
+    if field.default is dataclasses.MISSING:
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        argv += [_flag(field.name), required[field.name]]
+        assert getattr(build_parser().parse_args(argv), field.name) == int(required[field.name])
+    else:
+        assert field.name not in vars(build_parser().parse_args(argv))
+        value = {"kind": "ill_conditioned", "kappa": "10.5", "seed": "7"}[field.name]
+        args = build_parser().parse_args(argv + [_flag(field.name), value])
+        assert str(getattr(args, field.name)) == value
+
+
+def test_synth_flags_build_the_spec_a_config_does(tmp_path, capsys):
+    out = tmp_path / "x.trt"
+    rc = main(["synth", "--order", "3", "--dim", "9", "--rank", "3", "--kind",
+               "ill_conditioned", "--kappa", "10", "--seed", "4", "--out", str(out)])
+    assert rc == 0
+    expected, _ = synth_tensor(SynthSpec(order=3, dim=9, rank=3, kind="ill_conditioned",
+                                         kappa=10.0, seed=4))
+    np.testing.assert_array_equal(read_tensor(out), expected)
 
 
 def test_decompose(tmp_path, capsys):
@@ -169,6 +205,15 @@ def test_benchmark_bad_config(tmp_path, capsys):
 def test_report_empty_dir(tmp_path):
     rc = main(["report", "--traces", str(tmp_path)])
     assert rc == 2
+
+
+def test_report_rejects_a_misspelt_terminal_reason(tmp_path, capsys):
+    (tmp_path / "tr-gd-none-t0.csv").write_text(
+        "# algorithm=tr-gd;sampling=none;trial=0;terminal_reason=max_iter;diverged=0\n"
+        "iteration,elapsed_s,rse\n0,0,1\n")
+    rc = main(["report", "--traces", str(tmp_path)])
+    assert rc == 2
+    assert "unknown terminal_reason 'max_iter'" in capsys.readouterr().err
 
 
 def test_divergence_exit_code(tmp_path, capsys):

@@ -229,18 +229,24 @@ class TestSampleSubchainFibers:
                 atol=1e-14)
             np.testing.assert_array_equal(batch.fibers[:, f], x[:, 0, 0])
 
-    def test_rows_match_subchain_and_fibers_match_columns(self):
-        rng = np.random.default_rng(8)
-        dims = (3, 4, 5)
-        cores = random_cores(rng, dims, (2, 3, 2))
+    @staticmethod
+    def _check_rows_and_fibers(rng, dims, ranks):
+        n = len(dims)
+        cores = random_cores(rng, dims, ranks)
         x = rng.standard_normal(dims)
-        for mode in range(3):
+        for mode in range(n):
             dists = core_distributions(cores, mode, "euclidean")
             batch = sample_subchain_fibers(cores, x, mode, 50, dists, rng)
             sub = subchain_tensor(cores, mode)
             xn = mode_n_unfolding(x, mode)
-            rot = rotation_modes(mode, 3)
+            rot = rotation_modes(mode, n)
             dims_rot = [dims[k] for k in rot]
+            assert batch.subchain.shape == (ranks[(mode + 1) % n], 50, ranks[mode])
+            if n == 2:
+                # the subchain starts from the first drawn slices: for N = 2
+                # there is no product at all
+                np.testing.assert_array_equal(batch.subchain,
+                                              cores[rot[0]][:, batch.idxs[:, 0], :])
             for f in range(50):
                 idx = batch.idxs[f]
                 j = linear_pos(idx, dims_rot)
@@ -249,6 +255,17 @@ class TestSampleSubchainFibers:
                 np.testing.assert_array_equal(batch.fibers[:, f], xn[:, j])
                 expected_p = np.prod([dists[k][idx[c]] for c, k in enumerate(rot)])
                 assert batch.probs[f] == pytest.approx(expected_p, rel=1e-15)
+
+    def test_rows_match_subchain_and_fibers_match_columns(self):
+        self._check_rows_and_fibers(np.random.default_rng(8), (3, 4, 5), (2, 3, 2))
+
+    @pytest.mark.parametrize("dims, ranks", [
+        ((3, 4), (2, 3)),
+        ((3, 4, 2, 3), (2, 3, 2, 1)),
+        ((2, 3, 2, 2, 3), (2, 1, 3, 2, 2)),
+    ], ids=["order2", "order4", "order5"])
+    def test_rows_match_subchain_and_fibers_match_columns_at_other_orders(self, dims, ranks):
+        self._check_rows_and_fibers(np.random.default_rng(len(dims)), dims, ranks)
 
     def test_empirical_frequencies_uniform(self):
         rng = np.random.default_rng(9)

@@ -1,8 +1,10 @@
+import dataclasses
 import logging
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from trdecomp import solvers
 from trdecomp.core import (
@@ -38,7 +40,7 @@ from trdecomp.solvers import (
     tr_scaled_brsgd,
     tr_scaled_gd,
 )
-from trdecomp.trace import TERMINAL_REASONS
+from trdecomp.trace import TERMINAL_REASONS, parse_trace_csv, render_trace_csv
 
 from helpers import (
     als_objectives,
@@ -376,6 +378,37 @@ class TestSearchDirection:
         with pytest.raises(ValueError, match="damping"):
             search_direction(g, h, damping=0.0)
 
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    @pytest.mark.parametrize("damping", [0.0, 1e-8, 0.5])
+    def test_bitwise_equal_to_scipy_cholesky(self, r, damping):
+        # the same LAPACK routines with the same arguments as scipy's wrappers
+        rng = np.random.default_rng(r)
+        a = rng.standard_normal((r * r, 2 * r * r))
+        h = a @ a.T
+        g = rng.standard_normal((7, r * r))
+        expected = -scipy.linalg.cho_solve(
+            scipy.linalg.cho_factor(h + damping * np.eye(r * r)), g.T).T
+        np.testing.assert_array_equal(search_direction(g, h, damping), expected)
+
+    def test_jitter_fallback_on_a_numerically_singular_factor(self):
+        # h + 1e-8 I rounds to the rank-one h, whose Cholesky factorization
+        # fails; the retry raises the ridge by 1e-12 * trace / R^2 = 1e8
+        h = 1e20 * np.ones((4, 4))
+        g = np.random.default_rng(15).standard_normal((3, 4))
+        damping = 1e-8
+        jitter = max(damping, 1e-12 * np.trace(h) / 4)
+        d = search_direction(g, h, damping)
+        assert np.isfinite(d).all()
+        expected = -scipy.linalg.cho_solve(
+            scipy.linalg.cho_factor(h + jitter * np.eye(4)), g.T).T
+        np.testing.assert_array_equal(d, expected)
+
+    def test_failed_jitter_retry_raises(self):
+        # an indefinite factor stays indefinite after the jitter
+        h = np.diag([1.0, -1.0])
+        with pytest.raises(np.linalg.LinAlgError, match="dpotrf"):
+            search_direction(np.ones((2, 2)), h, damping=1e-8)
+
 
 class TestTrAls:
     def test_exact_recovery_small(self):
@@ -508,6 +541,20 @@ class TestTrScaledGd:
         cfg = SolverConfig(ranks=(3, 3), schedule=ConstantStep(0.1), max_iters=1, seed=0)
         with pytest.raises(ValueError, match="damping"):
             tr_scaled_gd(x, cfg)
+
+    def test_jitter_fallbacks_are_counted_in_the_trace(self):
+        # the same singular Gram matrices with a ridge too small to change
+        # them: every core update of every iteration takes the fallback
+        x, _ = synth_tensor(SynthSpec(order=2, dim=3, rank=1, seed=10))
+        cfg = SolverConfig(ranks=(3, 3), schedule=ConstantStep(0.1), max_iters=5,
+                           damping=1e-30, seed=0)
+        _cores, trace = tr_scaled_gd(x, cfg)
+        assert trace.chol_jitter == 2 * 5
+        assert parse_trace_csv(render_trace_csv(trace)).chol_jitter == 2 * 5
+        # a well-posed run takes none, and one run's count does not leak into
+        # the next
+        _cores, trace = tr_scaled_gd(x, dataclasses.replace(cfg, ranks=(1, 1)))
+        assert trace.chol_jitter == 0
 
     def test_faster_than_gd_when_ill_conditioned(self):
         # iterations to reach RSE 1e-3 at each method's best constant step
