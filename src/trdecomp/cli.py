@@ -116,12 +116,7 @@ def _apply_overrides(cfg: dict, assignments) -> dict:
 
 
 def cmd_benchmark(args) -> int:
-    cfg = load_config(args.config)
-    if args.trials is not None:
-        cfg["trials"] = args.trials
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    _apply_overrides(cfg, args.set)
+    cfg = _apply_overrides(load_config(args.config), args.set)
     traces = run_experiment(cfg, args.out_dir)
     with open(os.path.join(args.out_dir, "summary.md"), encoding="utf-8") as f:
         print(f.read(), end="")
@@ -171,8 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("benchmark", help="run the grid described by a JSON config")
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override a config entry, dotted keys allowed "
                         "(e.g. solver.max_iters=50)")

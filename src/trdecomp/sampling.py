@@ -5,9 +5,11 @@ leverage-based or Euclidean-based).  The distributions of the cores other than
 the sampled mode induce a product distribution over the rows of the subchain
 unfolding, and `sample_subchain_fibers` realizes a row draw by drawing one
 slice index per core, without ever materializing that matrix.  The `optimal`
-diagnostic instead draws whole rows (`sample_rows_batch`) from the
-variance-minimizing distribution of `optimal_distribution_oracle`, which needs
-the full residual.
+diagnostic instead draws whole rows (`sample_rows_batch`) of a subchain and
+mode unfolding its caller has materialized, from the variance-minimizing
+distribution of `optimal_distribution_oracle`, which needs the full residual.
+Every draw, per core or per row, inverts the CDF of a checked probability
+vector at uniform variates, exactly as Generator.choice(p=...) does.
 """
 
 from __future__ import annotations
@@ -17,12 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    core_unfolding,
-    rotation_modes,
-    slices_hadamard,
-    subchain_tensor,
-)
+from .core import core_unfolding, rotation_modes, slices_hadamard
 
 # in the canonical order of the summary rows and the trial seeds
 SAMPLING_KINDS = ("uniform", "euclidean", "leverage", "optimal")
@@ -124,26 +121,33 @@ def core_distributions(cores, mode: int, kind: str) -> list:
 class SampleBatch:
     """Sampled subchain rows with matching tensor fibers and row probabilities.
 
-    idxs holds each row's drawn slice indices (batch, N-1), one column per
-    core in the order mode+1, ..., mode-1; subchain has shape
-    (R_{mode+1}, batch, R_mode), and from `sample_subchain_fibers` it may be
-    a transposed view (for N > 2, of the contiguous (batch, R_{mode+1},
-    R_mode) product); fibers holds the sampled
+    subchain has shape (R_{mode+1}, batch, R_mode), and from
+    `sample_subchain_fibers` it may be a transposed view (for N > 2, of the
+    contiguous (batch, R_{mode+1}, R_mode) product); fibers holds the sampled
     columns of the mode unfolding (I_mode, batch) and may be None when only
     the subchain rows are needed; probs are the realized row probabilities
-    (product of the per-core draw probabilities).
+    (for per-core draws, the product of the per-core draw probabilities).
     """
 
-    idxs: np.ndarray
     subchain: np.ndarray
     fibers: np.ndarray | None
     probs: np.ndarray
 
 
-def _gather_fibers(x, mode, drawn_by_mode):
-    xm = np.moveaxis(np.asarray(x), mode, 0)
-    rest = [k for k in range(x.ndim) if k != mode]
-    return xm[(slice(None),) + tuple(drawn_by_mode[k] for k in rest)]
+def _draw(p, size: int, batch_size: int, rng: np.random.Generator, what: str):
+    """Check `p` as a probability vector over `size` outcomes and draw
+    `batch_size` of them i.i.d. with replacement by inverting its CDF at
+    rng.random(batch_size).  That is what Generator.choice(p=...) does after
+    its own checks, so draws and generator state match it bit for bit.
+    Returns the checked vector and the drawn indices."""
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+    p = check_prob_vector(p)
+    if len(p) != size:
+        raise ValueError(f"{what} has length {len(p)}, not {size}")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return p, cdf.searchsorted(rng.random(batch_size), side="right")
 
 
 def sample_subchain_fibers(
@@ -158,67 +162,48 @@ def sample_subchain_fibers(
     """Draw `batch_size` subchain rows by independent per-core slice draws.
 
     For each core k != mode, in the order mode+1, ..., mode-1, indices are
-    drawn i.i.d. with replacement from dists[k] by inverting its CDF at
-    uniform variates.  That is what Generator.choice(p=...) does after its own
-    checks, so draws and generator state match it bit for bit.  Each sampled
+    drawn i.i.d. with replacement from dists[k] (see `_draw`).  Each sampled
     subchain slice is the product of the drawn core slices in that order,
     started from the first core's slices (so for N = 2 it is those slices),
     and the realized row probability is the product of the per-core
     probabilities, likewise started from the first core's.  Matching
     mode-`mode` fibers of `x` are gathered unless with_fibers is False.
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    n = len(cores)
-    idxs = np.empty((batch_size, n - 1), dtype=np.int64)
     sub = probs = None
     drawn_by_mode = {}
-    for col, k in enumerate(rotation_modes(mode, n)):
-        p_k = check_prob_vector(dists[k])
-        if len(p_k) != cores[k].shape[1]:
-            raise ValueError(f"distribution for core {k} has wrong length")
-        cdf = p_k.cumsum()
-        cdf /= cdf[-1]
-        drawn = cdf.searchsorted(rng.random(batch_size), side="right")
-        idxs[:, col] = drawn
+    for k in rotation_modes(mode, len(cores)):
+        p_k, drawn = _draw(dists[k], cores[k].shape[1], batch_size, rng,
+                           f"distribution for core {k}")
         drawn_by_mode[k] = drawn
         slices = cores[k][:, drawn, :]
         if sub is None:
             sub, probs = slices, p_k[drawn]
         else:
             sub, probs = slices_hadamard(sub, slices), probs * p_k[drawn]
-    fibers = _gather_fibers(x, mode, drawn_by_mode) if with_fibers else None
-    return SampleBatch(idxs, sub, fibers, probs)
+    fibers = None
+    if with_fibers:
+        xm = np.moveaxis(np.asarray(x), mode, 0)
+        rest = [k for k in range(x.ndim) if k != mode]
+        fibers = xm[(slice(None),) + tuple(drawn_by_mode[k] for k in rest)]
+    return SampleBatch(sub, fibers, probs)
 
 
 def sample_rows_batch(
-    cores,
-    x: np.ndarray,
-    mode: int,
+    subchain: np.ndarray,
+    unfolding: np.ndarray,
     batch_size: int,
     q: np.ndarray,
     rng: np.random.Generator,
 ) -> SampleBatch:
-    """Draw rows directly from a full distribution q over the subchain rows.
+    """Draw `batch_size` rows i.i.d. from a full distribution q over the rows
+    of a materialized subchain tensor (R_{mode+1}, J, R_mode), with the
+    matching columns of the mode unfolding (I_mode, J).
 
-    Materializes the whole subchain tensor, so this is a diagnostic path only
-    (it is how the oracle distribution is sampled).
+    The caller has built the whole subchain, so this is a diagnostic path
+    only (it is how the oracle distribution is sampled).
     """
-    q = check_prob_vector(q)
-    sub = subchain_tensor(cores, mode)
-    if len(q) != sub.shape[1]:
-        raise ValueError("row distribution length does not match subchain")
-    rows = rng.choice(len(q), size=batch_size, replace=True, p=q)
-    order = rotation_modes(mode, len(cores))
-    dims_rot = [cores[k].shape[1] for k in order]
-    tuples = np.unravel_index(rows, dims_rot, order="F")
-    drawn_by_mode = {k: tuples[c] for c, k in enumerate(order)}
-    return SampleBatch(
-        idxs=np.stack(tuples, axis=1).astype(np.int64),
-        subchain=sub[:, rows, :],
-        fibers=_gather_fibers(x, mode, drawn_by_mode),
-        probs=q[rows],
-    )
+    q, rows = _draw(q, subchain.shape[1], batch_size, rng, "row distribution")
+    return SampleBatch(subchain[:, rows, :], unfolding[:, rows], q[rows])
 
 
 def optimal_distribution_oracle(residual: np.ndarray, subchain_mat: np.ndarray) -> np.ndarray:

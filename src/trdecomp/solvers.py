@@ -8,8 +8,10 @@ gradient.  Step schedules include a constant step, a decaying
 Robbins-Monro step, and per-entry AdaGrad.
 
 All solvers return ``(cores, RunTrace)`` and are bitwise deterministic given
-(config, seed): per-iteration randomness comes from counter-derived Philox
-streams, so draws do not depend on evaluation cadence.
+(config, seed, BLAS build, BLAS thread count): a different BLAS, or the same
+one at another thread count, may round the dense products differently.
+Per-iteration randomness comes from counter-derived Philox streams, so draws
+do not depend on evaluation cadence.
 """
 
 from __future__ import annotations
@@ -576,13 +578,14 @@ def _stochastic_solver(x, config, init, callback, clock, scaled):
     def draw_batches(cores, rng):
         n = int(rng.integers(n_modes))
         if config.sampling.kind == "optimal":
-            sub_mat = subchain_unfolding(subchain_tensor(cores, n))
-            resid = core_unfolding(cores[n]) @ sub_mat.T - mode_n_unfolding(x, n)
-            q = optimal_distribution_oracle(resid, sub_mat)
-            batch = sample_rows_batch(cores, x, n, config.batch_grad, q, rng)
+            sub = subchain_tensor(cores, n)
+            sub_mat = subchain_unfolding(sub)
+            xn = mode_n_unfolding(x, n)
+            q = optimal_distribution_oracle(core_unfolding(cores[n]) @ sub_mat.T - xn, sub_mat)
+            batch = sample_rows_batch(sub, xn, config.batch_grad, q, rng)
             if not scaled:
                 return n, batch, None
-            return n, batch, sample_rows_batch(cores, x, n, config.batch_hess, q, rng)
+            return n, batch, sample_rows_batch(sub, xn, config.batch_hess, q, rng)
         dists = dists_for(n, cores)
         batch = sample_subchain_fibers(cores, x, n, config.batch_grad, dists, rng)
         if not scaled:

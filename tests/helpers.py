@@ -115,15 +115,29 @@ def complete_sample_batch(cores, x, mode):
     """Batch covering every subchain row exactly once at uniform probability
     1/J; stochastic estimates on it equal their deterministic counterparts up
     to roundoff."""
-    dims_rot = [cores[k].shape[1] for k in rotation_modes(mode, len(cores))]
-    j_total = int(np.prod(dims_rot))
-    tuples = np.unravel_index(np.arange(j_total), dims_rot, order="F")
+    sub = subchain_tensor(cores, mode)
+    j_total = sub.shape[1]
     return SampleBatch(
-        idxs=np.stack(tuples, axis=1).astype(np.int64),
-        subchain=subchain_tensor(cores, mode),
+        subchain=sub,
         fibers=mode_n_unfolding(x, mode),
         probs=np.full(j_total, 1.0 / j_total),
     )
+
+
+def choice_draws(cores, mode, dists, batch_size, rng):
+    """Replay the per-core draws of `sample_subchain_fibers` with
+    Generator.choice on `rng`, a twin of the generator the sampler was given.
+
+    Returns the drawn slice indices (batch, N-1), one column per core in the
+    order mode+1, ..., mode-1, and the subchain rows they address (mode+1
+    index fastest).  `rng` ends in the state the sampler leaves its
+    generator in.
+    """
+    rot = rotation_modes(mode, len(cores))
+    idxs = np.stack([rng.choice(cores[k].shape[1], size=batch_size, replace=True, p=dists[k])
+                     for k in rot], axis=1)
+    rows = np.ravel_multi_index(idxs.T, [cores[k].shape[1] for k in rot], order="F")
+    return idxs, rows
 
 
 def product_row_distribution(cores, mode, dists):

@@ -5,11 +5,16 @@ Each test prints a PASS line after its assertions; run with `pytest -s` (or
 stays within its stated runtime budgets.
 """
 
+import copy
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import trdecomp
 from trdecomp.bench import run_experiment
 from trdecomp.core import (
     core_unfolding,
@@ -41,6 +46,7 @@ from trdecomp.solvers import (
 
 from helpers import (
     als_objectives,
+    choice_draws,
     complete_sample_batch,
     finite_diff_core_gradient,
     leverage_by_svd,
@@ -263,19 +269,23 @@ def test_criterion_6_row_sampling_correctness():
     x = rng.standard_normal(dims)
     mode = 1
     dists = core_distributions(cores, mode, "euclidean")
+    ref = copy.deepcopy(rng)
     batch = sample_subchain_fibers(cores, x, mode, 1000, dists, rng)
+    idxs, _ = choice_draws(cores, mode, dists, 1000, ref)
+    assert rng.random() == ref.random()
     sub = subchain_tensor(cores, mode)
     xn = mode_n_unfolding(x, mode)
     rot = rotation_modes(mode, 3)
     dims_rot = [dims[k] for k in rot]
-    rows = np.array([linear_pos(idx, dims_rot) for idx in batch.idxs])
+    rows = np.array([linear_pos(idx, dims_rot) for idx in idxs])
     np.testing.assert_allclose(
         batch.subchain, sub[:, rows, :], atol=1e-13)
+    # on a Gaussian x a fiber identifies its row
     np.testing.assert_array_equal(batch.fibers, xn[:, rows])
-    expected_p = np.ones(1000)
-    for c, k in enumerate(rot):
-        expected_p = expected_p * dists[k][batch.idxs[:, c]]
-    np.testing.assert_allclose(batch.probs, expected_p, rtol=1e-15)
+    expected_p = dists[rot[0]][idxs[:, 0]]
+    for c, k in enumerate(rot[1:], start=1):
+        expected_p = expected_p * dists[k][idxs[:, c]]
+    np.testing.assert_array_equal(batch.probs, expected_p)
     print("\nACCEPTANCE 6 PASS: sampled rows, fibers and probabilities match "
           "the materialized subchain over 1000 draws")
 
@@ -388,7 +398,25 @@ def test_criterion_10_determinism(tmp_path):
     for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
     print(f"\nACCEPTANCE 10 PASS: {len(names)} CSV outputs byte-identical "
-          "across reruns")
+          "across reruns at one BLAS thread count")
+
+
+def test_criterion_10_determinism_at_two_blas_threads():
+    # runs are bitwise deterministic given (config, seed, BLAS build, BLAS
+    # thread count); OpenBLAS reads its thread count when it loads, so the
+    # rerun check runs again in a fresh interpreter at two threads
+    src = os.path.dirname(os.path.dirname(trdecomp.__file__))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    t0 = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{__file__}::test_criterion_10_determinism"],
+        env=env, capture_output=True, text=True, timeout=60)
+    elapsed = time.perf_counter() - t0
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "1 passed" in result.stdout
+    print(f"\nACCEPTANCE 10 PASS at OPENBLAS_NUM_THREADS=2 ({elapsed:.1f}s)")
 
 
 def test_criterion_11_adagrad_arithmetic():

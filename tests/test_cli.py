@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trdecomp.bench import STEP_KINDS, solver_config
+from trdecomp.bench import STEP_KINDS, run_experiment, solver_config
 from trdecomp.cli import _solver_dict, build_parser, main
 from trdecomp.datagen import SynthSpec, synth_tensor
 from trdecomp.solvers import SolverConfig
@@ -159,6 +159,41 @@ def test_benchmark_override(tmp_path, capsys):
     assert rc == 0
     trace = read_trace_csv(out_dir / "tr-als-none-t0.csv")
     assert trace.final()[0] == 2
+
+
+def test_benchmark_trials_and_seed_are_config_overrides(tmp_path, capsys):
+    # trials and seed are set like any other config entry; they have no flags
+    cfg = {
+        "tensor": {"synth": {"order": 3, "dim": 6, "rank": 2, "seed": 3}},
+        "algorithms": ["tr-als", "tr-brsgd"],
+        "sampling": ["uniform"],
+        "solver": {"ranks": [2, 2, 2], "batch_grad": 5, "max_iters": 4, "eval_every": 1},
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "bench"
+    rc = main(["benchmark", "--config", str(cfg_path), "--out-dir", str(out_dir),
+               "--set", "trials=2", "--set", "seed=4"])
+    assert rc == 0
+    assert sorted(p.name for p in out_dir.glob("*-t*.csv")) == [
+        "tr-als-none-t0.csv", "tr-als-none-t1.csv",
+        "tr-brsgd-uniform-t0.csv", "tr-brsgd-uniform-t1.csv"]
+
+    def rses(out):
+        return [[r[2] for r in read_trace_csv(out / f"tr-brsgd-uniform-t{t}.csv").records]
+                for t in (0, 1)]
+
+    reference = tmp_path / "ref"
+    run_experiment({**cfg, "trials": 2, "seed": 4}, reference)
+    assert rses(out_dir) == rses(reference)
+    run_experiment({**cfg, "trials": 2}, tmp_path / "seed0")
+    assert rses(out_dir) != rses(tmp_path / "seed0")
+
+    for flag in ("--trials", "--seed"):
+        with pytest.raises(SystemExit) as exc:
+            main(["benchmark", "--config", str(cfg_path), "--out-dir", str(out_dir),
+                  flag, "2"])
+        assert exc.value.code == 2
 
 
 def test_benchmark_rejects_removed_solver_key(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from trdecomp.sampling import (
 )
 
 from helpers import (
+    choice_draws,
     complete_sample_batch,
     leverage_by_svd,
     linear_pos,
@@ -198,13 +201,14 @@ class TestProductRowDistribution:
         cores = random_cores(rng, dims, (2, 2, 2))
         x = rng.standard_normal(dims)
         draws = 100_000
+        ref = copy.deepcopy(rng)
         for mode in range(3):
             dists = core_distributions(cores, mode, "euclidean")
             q = product_row_distribution(cores, mode, dists)
-            batch = sample_subchain_fibers(cores, x, mode, draws, dists, rng,
-                                           with_fibers=False)
-            dims_rot = [dims[k] for k in rotation_modes(mode, 3)]
-            rows = np.ravel_multi_index(batch.idxs.T, dims_rot, order="F")
+            batch = sample_subchain_fibers(cores, x, mode, draws, dists, rng)
+            _, rows = choice_draws(cores, mode, dists, draws, ref)
+            # on a Gaussian x a fiber identifies its row
+            np.testing.assert_array_equal(batch.fibers, mode_n_unfolding(x, mode)[:, rows])
             np.testing.assert_allclose(batch.probs, q[rows], rtol=1e-15)
             counts = np.bincount(rows, minlength=q.size)
             se = np.sqrt(draws * q * (1 - q))
@@ -234,9 +238,11 @@ class TestSampleSubchainFibers:
         n = len(dims)
         cores = random_cores(rng, dims, ranks)
         x = rng.standard_normal(dims)
+        ref = copy.deepcopy(rng)
         for mode in range(n):
             dists = core_distributions(cores, mode, "euclidean")
             batch = sample_subchain_fibers(cores, x, mode, 50, dists, rng)
+            idxs, rows = choice_draws(cores, mode, dists, 50, ref)
             sub = subchain_tensor(cores, mode)
             xn = mode_n_unfolding(x, mode)
             rot = rotation_modes(mode, n)
@@ -246,15 +252,20 @@ class TestSampleSubchainFibers:
                 # the subchain starts from the first drawn slices: for N = 2
                 # there is no product at all
                 np.testing.assert_array_equal(batch.subchain,
-                                              cores[rot[0]][:, batch.idxs[:, 0], :])
+                                              cores[rot[0]][:, idxs[:, 0], :])
+            # on a Gaussian x a fiber identifies its row
+            np.testing.assert_array_equal(batch.fibers, xn[:, rows])
             for f in range(50):
-                idx = batch.idxs[f]
+                idx = idxs[f]
                 j = linear_pos(idx, dims_rot)
                 np.testing.assert_allclose(
                     batch.subchain[:, f, :], sub[:, j, :], atol=1e-13)
                 np.testing.assert_array_equal(batch.fibers[:, f], xn[:, j])
-                expected_p = np.prod([dists[k][idx[c]] for c, k in enumerate(rot)])
-                assert batch.probs[f] == pytest.approx(expected_p, rel=1e-15)
+                expected_p = dists[rot[0]][idx[0]]
+                for c, k in enumerate(rot[1:], start=1):
+                    expected_p = expected_p * dists[k][idx[c]]
+                assert batch.probs[f] == expected_p
+        assert rng.random() == ref.random()
 
     def test_rows_match_subchain_and_fibers_match_columns(self):
         self._check_rows_and_fibers(np.random.default_rng(8), (3, 4, 5), (2, 3, 2))
@@ -274,11 +285,14 @@ class TestSampleSubchainFibers:
         x = tr_reconstruct(cores)
         dists = [None, uniform_dist(3), uniform_dist(2)]
         draws = 100_000
+        ref = copy.deepcopy(rng)
         batch = sample_subchain_fibers(cores, x, 0, draws, dists, rng)
         np.testing.assert_allclose(batch.probs, 1.0 / 6.0, rtol=1e-15)
+        idxs, _ = choice_draws(cores, 0, dists, draws, ref)
         rot = rotation_modes(0, 3)
         dims_rot = [dims[k] for k in rot]
-        rows = np.array([linear_pos(idx, dims_rot) for idx in batch.idxs])
+        rows = np.array([linear_pos(idx, dims_rot) for idx in idxs])
+        np.testing.assert_array_equal(batch.fibers, mode_n_unfolding(x, 0)[:, rows])
         counts = np.bincount(rows, minlength=6)
         p = 1.0 / 6.0
         se = np.sqrt(draws * p * (1 - p))
@@ -301,9 +315,14 @@ class TestSampleSubchainFibers:
                 dists = core_distributions(cores, mode, kind)
             ours, ref = np.random.default_rng(13 + mode), np.random.default_rng(13 + mode)
             batch = sample_subchain_fibers(cores, x, mode, 1000, dists, ours)
-            for col, k in enumerate(rotation_modes(mode, 3)):
-                expected = ref.choice(dims[k], size=1000, replace=True, p=dists[k])
-                np.testing.assert_array_equal(batch.idxs[:, col], expected)
+            idxs, rows = choice_draws(cores, mode, dists, 1000, ref)
+            # on a Gaussian x a fiber identifies its row
+            np.testing.assert_array_equal(batch.fibers, mode_n_unfolding(x, mode)[:, rows])
+            rot = rotation_modes(mode, 3)
+            expected_p = dists[rot[0]][idxs[:, 0]] * dists[rot[1]][idxs[:, 1]]
+            np.testing.assert_array_equal(batch.probs, expected_p)
+            np.testing.assert_allclose(
+                batch.subchain, subchain_tensor(cores, mode)[:, rows, :], atol=1e-13)
             assert ours.random() == ref.random()
             assert np.all(batch.probs > 0)
 
@@ -314,6 +333,13 @@ class TestSampleSubchainFibers:
         dists = [None, uniform_dist(4)]
         batch = sample_subchain_fibers(cores, x, 0, 3, dists, rng, with_fibers=False)
         assert batch.fibers is None
+
+    def test_rejects_a_wrong_length_distribution(self):
+        rng = np.random.default_rng(11)
+        cores = random_cores(rng, (3, 4), (2, 2))
+        with pytest.raises(ValueError, match="core 1"):
+            sample_subchain_fibers(cores, tr_reconstruct(cores), 0, 2,
+                                   [None, uniform_dist(3)], rng)
 
     def test_bad_batch_size(self):
         rng = np.random.default_rng(11)
@@ -347,16 +373,24 @@ class TestSampleRowsBatch:
         cores = random_cores(rng, dims, (2, 2, 2))
         x = rng.standard_normal(dims)
         q = rng.dirichlet(np.ones(8))
-        batch = sample_rows_batch(cores, x, 0, 40, q, rng)
         sub = subchain_tensor(cores, 0)
         xn = mode_n_unfolding(x, 0)
-        rot = rotation_modes(0, 3)
-        dims_rot = [dims[k] for k in rot]
-        for f in range(40):
-            j = linear_pos(batch.idxs[f], dims_rot)
-            np.testing.assert_array_equal(batch.subchain[:, f, :], sub[:, j, :])
-            np.testing.assert_array_equal(batch.fibers[:, f], xn[:, j])
-            assert batch.probs[f] == q[j]
+        ref = copy.deepcopy(rng)
+        batch = sample_rows_batch(sub, xn, 40, q, rng)
+        rows = ref.choice(len(q), size=40, replace=True, p=q)
+        np.testing.assert_array_equal(batch.subchain, sub[:, rows, :])
+        # on a Gaussian x a fiber identifies its row
+        np.testing.assert_array_equal(batch.fibers, xn[:, rows])
+        np.testing.assert_array_equal(batch.probs, q[rows])
+        assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("q", [np.full(7, 1 / 7), np.full(8, 0.2),
+                                   np.r_[np.nan, np.full(7, 1 / 7)]],
+                             ids=["wrong-length", "sum", "nan"])
+    def test_rejects_a_bad_distribution(self, q):
+        with pytest.raises(ValueError):
+            sample_rows_batch(np.zeros((1, 8, 1)), np.zeros((2, 8)), 3, q,
+                              np.random.default_rng(0))
 
 
 class TestOptimalDistribution:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from trdecomp import solvers
+from trdecomp import core, sampling, solvers
 from trdecomp.core import (
     core_unfolding,
     mode_n_unfolding,
@@ -725,6 +725,44 @@ def _with_entry(value):
     x = np.ones((3, 4, 2))
     x[1, 2, 0] = value
     return x
+
+
+class TestOptimalSampling:
+    """The `optimal` diagnostic samples whole rows of the subchain that the
+    iteration builds once to form its residual."""
+
+    @staticmethod
+    def _config(**extra):
+        return SolverConfig(ranks=(2, 2, 2), schedule=ConstantStep(0.05), batch_grad=10,
+                            batch_hess=20, damping=1e-8, sampling=SamplingSpec("optimal"),
+                            **extra)
+
+    @pytest.mark.parametrize("solver", [tr_brsgd, tr_scaled_brsgd])
+    def test_one_subchain_build_per_iteration(self, solver, monkeypatch):
+        builds = []
+        original = core.subchain_tensor
+
+        def spy(cores, mode):
+            builds.append(mode)
+            return original(cores, mode)
+
+        for module in (core, solvers, sampling):
+            if hasattr(module, "subchain_tensor"):
+                monkeypatch.setattr(module, "subchain_tensor", spy)
+        x, _ = synth_tensor(SynthSpec(order=3, dim=6, rank=2, seed=14))
+        _, trace = solver(x, self._config(max_iters=12, eval_every=12, seed=6))
+        assert trace.final()[0] == 12
+        assert len(builds) == 12
+
+    def test_fixed_seed_bitwise_reproducible(self):
+        x, _ = synth_tensor(SynthSpec(order=3, dim=6, rank=2, seed=14))
+        cfg = self._config(max_iters=40, eval_every=10, seed=23)
+        c1, t1 = tr_scaled_brsgd(x, cfg, clock=_counting_clock())
+        c2, t2 = tr_scaled_brsgd(x, cfg, clock=_counting_clock())
+        assert t1.records == t2.records
+        assert render_trace_csv(t1) == render_trace_csv(t2)
+        for a, b in zip(c1, c2):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestUnfittableTensor:

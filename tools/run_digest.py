@@ -1,0 +1,72 @@
+"""Print one SHA-256 digest per solver run: its trace CSV and final cores.
+
+Every solver runs at seeds 2, 3 and 5 under a counting clock, the stochastic
+ones with each of the four sampling kinds (`optimal` included), on an
+ill-conditioned order-3 tensor and a Gaussian order-4 tensor.  Two source
+trees behave identically on these runs when their outputs are equal:
+
+    PYTHONPATH=OLD/src python tools/run_digest.py > old.txt
+    PYTHONPATH=NEW/src python tools/run_digest.py > new.txt
+    diff old.txt new.txt
+
+Pin OPENBLAS_NUM_THREADS for both runs: results are bitwise only per BLAS
+build and thread count.
+"""
+
+import hashlib
+import sys
+
+from trdecomp import (ConstantStep, SamplingSpec, SolverConfig, SynthSpec, synth_tensor,
+                      tr_als, tr_brsgd, tr_gd, tr_scaled_brsgd, tr_scaled_gd)
+from trdecomp.sampling import SAMPLING_KINDS
+from trdecomp.trace import render_trace_csv
+
+SEEDS = (2, 3, 5)
+ITERS = 200
+TENSORS = {
+    "order3-k1e4": SynthSpec(order=3, dim=12, rank=3, kind="ill_conditioned",
+                             kappa=1e4, seed=2),
+    "order4": SynthSpec(order=4, dim=6, rank=2, seed=3),
+}
+# (solver, step, sampling kinds): the dense solvers draw nothing
+SOLVERS = {
+    "tr-als": (tr_als, 1.0, ("uniform",)),
+    "tr-gd": (tr_gd, 1e-3, ("uniform",)),
+    "tr-scaled-gd": (tr_scaled_gd, 0.3, ("uniform",)),
+    "tr-brsgd": (tr_brsgd, 0.1, SAMPLING_KINDS),
+    "tr-scaled-brsgd": (tr_scaled_brsgd, 0.3, SAMPLING_KINDS),
+}
+
+
+def counting_clock():
+    state = [0.0]
+
+    def clock():
+        state[0] += 1.0
+        return state[0]
+
+    return clock
+
+
+def main() -> int:
+    for tensor_name, spec in TENSORS.items():
+        x, _ = synth_tensor(spec)
+        ranks = (spec.rank,) * spec.order
+        for name, (solve, alpha, kinds) in SOLVERS.items():
+            for kind in kinds:
+                for seed in SEEDS:
+                    cfg = SolverConfig(ranks=ranks, schedule=ConstantStep(alpha),
+                                       batch_grad=20, batch_hess=40, damping=1e-8,
+                                       sampling=SamplingSpec(kind), max_iters=ITERS,
+                                       eval_every=20, seed=seed, init_scale=0.5)
+                    cores, trace = solve(x, cfg, clock=counting_clock())
+                    digest = hashlib.sha256(render_trace_csv(trace).encode())
+                    for core in cores:
+                        digest.update(core.tobytes())
+                    print(f"{tensor_name} {name} {kind} seed={seed} "
+                          f"{trace.terminal_reason} {digest.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
