@@ -166,8 +166,10 @@ def _check_names(cfg, key: str, known, what: str) -> None:
             raise ConfigError(f"{what} {name!r} is listed more than once")
 
 
-def load_config(source) -> dict:
-    """Parse a config given as a dict, a JSON string, or a file path."""
+def parse_config(source) -> dict:
+    """A config given as a dict, a JSON string, or a file path, as a new
+    dict with the defaults of `sampling`, `trials` and `seed` filled in.
+    Only its being a JSON object is checked; `load_config` checks the rest."""
     if isinstance(source, dict):
         cfg = dict(source)
     else:
@@ -181,13 +183,20 @@ def load_config(source) -> dict:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
+    cfg.setdefault("sampling", ["uniform"])
+    cfg.setdefault("trials", 1)
+    cfg.setdefault("seed", 0)
+    return cfg
+
+
+def load_config(source) -> dict:
+    """Parse a config given as a dict, a JSON string, or a file path, and
+    check it."""
+    cfg = parse_config(source)
     _reject_unknown_keys(cfg, _CONFIG_KEYS, "config")
     for key in ("tensor", "algorithms", "solver"):
         if key not in cfg:
             raise ConfigError(f"config missing required key {key!r}")
-    cfg.setdefault("sampling", ["uniform"])
-    cfg.setdefault("trials", 1)
-    cfg.setdefault("seed", 0)
     _check_names(cfg, "algorithms", ALGORITHMS, "algorithm")
     _check_names(cfg, "sampling", SAMPLING_KINDS, "sampling kind")
     if "optimal" in cfg["sampling"]:
@@ -325,6 +334,6 @@ def _summary_csv(rows) -> str:
 
 __all__ = [
     "ALGORITHMS", "STEP_KINDS", "ConfigError", "config_keys", "display_name",
-    "load_config", "load_tensor", "solver_config", "run_experiment",
+    "parse_config", "load_config", "load_tensor", "solver_config", "run_experiment",
     "summarize", "emit_summary",
 ]

@@ -28,8 +28,8 @@ from .bench import (
     ConfigError,
     config_keys,
     emit_summary,
-    load_config,
     load_tensor,
+    parse_config,
     run_experiment,
     solver_config,
 )
@@ -116,7 +116,8 @@ def _apply_overrides(cfg: dict, assignments) -> dict:
 
 
 def cmd_benchmark(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args.set)
+    # run_experiment checks the config once the overrides are in
+    cfg = _apply_overrides(parse_config(args.config), args.set)
     traces = run_experiment(cfg, args.out_dir)
     with open(os.path.join(args.out_dir, "summary.md"), encoding="utf-8") as f:
         print(f.read(), end="")

@@ -124,13 +124,14 @@ class SampleBatch:
     subchain has shape (R_{mode+1}, batch, R_mode), and from
     `sample_subchain_fibers` it may be a transposed view (for N > 2, of the
     contiguous (batch, R_{mode+1}, R_mode) product); fibers holds the sampled
-    columns of the mode unfolding (I_mode, batch) and may be None when only
-    the subchain rows are needed; probs are the realized row probabilities
-    (for per-core draws, the product of the per-core draw probabilities).
+    columns of the mode unfolding (I_mode, batch); probs are the realized row
+    probabilities (for per-core draws, the product of the per-core draw
+    probabilities).  Rows are i.i.d., so disjoint slices of a batch are
+    independent batches.
     """
 
     subchain: np.ndarray
-    fibers: np.ndarray | None
+    fibers: np.ndarray
     probs: np.ndarray
 
 
@@ -157,7 +158,6 @@ def sample_subchain_fibers(
     batch_size: int,
     dists,
     rng: np.random.Generator,
-    with_fibers: bool = True,
 ) -> SampleBatch:
     """Draw `batch_size` subchain rows by independent per-core slice draws.
 
@@ -166,8 +166,8 @@ def sample_subchain_fibers(
     subchain slice is the product of the drawn core slices in that order,
     started from the first core's slices (so for N = 2 it is those slices),
     and the realized row probability is the product of the per-core
-    probabilities, likewise started from the first core's.  Matching
-    mode-`mode` fibers of `x` are gathered unless with_fibers is False.
+    probabilities, likewise started from the first core's.  The matching
+    mode-`mode` fibers of `x` are gathered for every row.
     """
     sub = probs = None
     drawn_by_mode = {}
@@ -180,11 +180,9 @@ def sample_subchain_fibers(
             sub, probs = slices, p_k[drawn]
         else:
             sub, probs = slices_hadamard(sub, slices), probs * p_k[drawn]
-    fibers = None
-    if with_fibers:
-        xm = np.moveaxis(np.asarray(x), mode, 0)
-        rest = [k for k in range(x.ndim) if k != mode]
-        fibers = xm[(slice(None),) + tuple(drawn_by_mode[k] for k in rest)]
+    xm = np.moveaxis(np.asarray(x), mode, 0)
+    rest = [k for k in range(x.ndim) if k != mode]
+    fibers = xm[(slice(None),) + tuple(drawn_by_mode[k] for k in rest)]
     return SampleBatch(sub, fibers, probs)
 
 
@@ -220,6 +218,12 @@ def optimal_distribution_oracle(residual: np.ndarray, subchain_mat: np.ndarray) 
         raise ValueError("residual columns must match subchain rows")
     w = np.linalg.norm(residual, axis=0) * np.linalg.norm(subchain_mat, axis=1)
     total = w.sum()
+    if (not math.isfinite(total) and np.isfinite(residual).all()
+            and np.isfinite(subchain_mat).all()):
+        # the norms or their products overflowed; the distribution does not
+        # depend on either input's scale
+        return optimal_distribution_oracle(residual / np.abs(residual).max(),
+                                           subchain_mat / np.abs(subchain_mat).max())
     if total == 0:
         raise ValueError("all sampling weights are zero")
     return w / total

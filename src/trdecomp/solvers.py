@@ -10,8 +10,9 @@ Robbins-Monro step, and per-entry AdaGrad.
 All solvers return ``(cores, RunTrace)`` and are bitwise deterministic given
 (config, seed, BLAS build, BLAS thread count): a different BLAS, or the same
 one at another thread count, may round the dense products differently.
-Per-iteration randomness comes from counter-derived Philox streams, so draws
-do not depend on evaluation cadence.
+A run draws its initial cores from one Philox stream and every iteration's
+mode and rows from a second; evaluation draws nothing, so draws do not
+depend on evaluation cadence.
 """
 
 from __future__ import annotations
@@ -125,8 +126,6 @@ def stochastic_gradient(core: np.ndarray, batch: SampleBatch, j_total: int) -> n
     the full gradient.  Solvers step with this value (the constant is absorbed by
     the step size).
     """
-    if batch.fibers is None:
-        raise ValueError("gradient estimation needs sampled fibers")
     if np.any(batch.probs <= 0):
         raise ValueError("nonpositive realized probability in batch")
     s = subchain_unfolding(batch.subchain)
@@ -246,12 +245,9 @@ class SolverConfig:
             raise ValueError("init_scale must be finite and positive")
 
 
-def _root_rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(0,))))
-
-
-def _iteration_rng(seed: int, t: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(1, t))))
+def _run_rng(seed: int, stream: int) -> np.random.Generator:
+    """Stream 0 of a run draws the initial cores, stream 1 the iterations."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(stream,))))
 
 
 def _init_cores(x: np.ndarray, config: SolverConfig, init) -> list[np.ndarray]:
@@ -261,7 +257,7 @@ def _init_cores(x: np.ndarray, config: SolverConfig, init) -> list[np.ndarray]:
         cores = [np.array(c, dtype=np.float64, copy=True) for c in init]
         validate_cores(cores)
         return cores
-    rng = _root_rng(config.seed)
+    rng = _run_rng(config.seed, 0)
     ranks = config.ranks
     return [
         config.init_scale * rng.standard_normal((ranks[n], x.shape[n], ranks[(n + 1) % x.ndim]))
@@ -350,10 +346,12 @@ def _run_loop(x, cores, config, algorithm, sampling_name, do_iteration,
     an evaluation is forced whenever the iteration count or elapsed budget is
     hit, or when `do_iteration` returns False: the stochastic solvers do so
     as soon as they write a non-finite core, because the next draw from that
-    core's distribution would raise.  A non-finite RSE or core stops the run
-    with reason "diverged".  Every solver comes here before it models a cost or
-    runs an iteration, so a tensor with no entries, only zeros or a non-finite
-    norm is rejected (ValueError) here.  The Cholesky jitter fallbacks that
+    core's distribution would raise, and when the `optimal` residual is not
+    finite, which leaves no distribution to draw from.  A False return, or a
+    non-finite RSE or core, stops the run with reason "diverged".  Every
+    solver comes here before it models a cost or runs an iteration, so a
+    tensor with no entries, only zeros or a non-finite norm is rejected
+    (ValueError) here.  The Cholesky jitter fallbacks that
     `search_direction` takes during the run are counted into the trace's
     chol_jitter.
     """
@@ -376,12 +374,13 @@ def _run_loop(x, cores, config, algorithm, sampling_name, do_iteration,
     records: list[tuple[int, float, float]] = []
     state = {"elapsed": 0.0, "eval_s": 0.0, "non_finite": False}
 
-    def evaluate(t: int) -> float:
+    def evaluate(t: int, finite: bool = True) -> float:
         t0 = clock()
         rse_val = float(residual_norm(cores, x) / norm_x)
-        if not (math.isfinite(rse_val) and all(np.isfinite(c).all() for c in cores)):
+        if not (finite and math.isfinite(rse_val)
+                and all(np.isfinite(c).all() for c in cores)):
             state["non_finite"] = True
-            logger.warning("%s: non-finite RSE or core at iteration %d, stopping",
+            logger.warning("%s: non-finite iterate, RSE or core at iteration %d, stopping",
                            algorithm, t)
         state["eval_s"] += clock() - t0
         records.append((t, state["elapsed"], rse_val))
@@ -413,7 +412,7 @@ def _run_loop(x, cores, config, algorithm, sampling_name, do_iteration,
             t += 1
             if (not finite or t % eval_every == 0 or t >= max_iters
                     or state["elapsed"] >= max_seconds):
-                rse_val = evaluate(t)
+                rse_val = evaluate(t, finite)
                 reason = stop_reason(t, rse_val)
     finally:
         _chol_jitter.reset(token)
@@ -575,32 +574,31 @@ def _stochastic_solver(x, config, init, callback, clock, scaled):
                 dist_cache[k] = (core, core_distribution(core, config.sampling.kind))
         return [None if k == mode else dist_cache[k][1] for k in range(n_modes)]
 
-    def draw_batches(cores, rng):
+    rng = _run_rng(config.seed, 1)
+    b = config.batch_grad
+    rows = b + (config.batch_hess if scaled else 0)
+
+    def iteration(t, cores):
         n = int(rng.integers(n_modes))
         if config.sampling.kind == "optimal":
             sub = subchain_tensor(cores, n)
             sub_mat = subchain_unfolding(sub)
             xn = mode_n_unfolding(x, n)
-            q = optimal_distribution_oracle(core_unfolding(cores[n]) @ sub_mat.T - xn, sub_mat)
-            batch = sample_rows_batch(sub, xn, config.batch_grad, q, rng)
-            if not scaled:
-                return n, batch, None
-            return n, batch, sample_rows_batch(sub, xn, config.batch_hess, q, rng)
-        dists = dists_for(n, cores)
-        batch = sample_subchain_fibers(cores, x, n, config.batch_grad, dists, rng)
-        if not scaled:
-            return n, batch, None
-        return n, batch, sample_subchain_fibers(
-            cores, x, n, config.batch_hess, dists, rng, with_fibers=False)
-
-    def iteration(t, cores):
-        rng = _iteration_rng(config.seed, t)
-        n, batch, batch_h = draw_batches(cores, rng)
+            residual = core_unfolding(cores[n]) @ sub_mat.T - xn
+            if not np.isfinite(residual).all():
+                return False
+            q = optimal_distribution_oracle(residual, sub_mat)
+            batch = sample_rows_batch(sub, xn, rows, q, rng)
+        else:
+            batch = sample_subchain_fibers(cores, x, n, rows, dists_for(n, cores), rng)
+        # i.i.d. rows: the first b form the gradient batch, the rest the Hessian batch
         j_total = x.size // x.shape[n]
-        g = stochastic_gradient(cores[n], batch, j_total)
+        g = stochastic_gradient(cores[n], SampleBatch(batch.subchain[:, :b], batch.fibers[:, :b],
+                                                      batch.probs[:b]), j_total)
         if scaled:
-            direction = search_direction(g, stochastic_hessian(batch_h, j_total),
-                                         config.damping)
+            h = stochastic_hessian(SampleBatch(batch.subchain[:, b:], batch.fibers[:, b:],
+                                               batch.probs[b:]), j_total)
+            direction = search_direction(g, h, config.damping)
         else:
             direction = -g
         return _apply_step(cores, n, direction, config, t, adagrad_acc)
@@ -619,7 +617,9 @@ def tr_brsgd(x, config: SolverConfig, init=None, callback=None, clock=None):
 
 def tr_scaled_brsgd(x, config: SolverConfig, init=None, callback=None, clock=None):
     """Stochastic block updates preconditioned by the inverse of the damped
-    Gram factor of an independent row-sampled batch."""
+    Gram factor of an independent row-sampled batch.  Each iteration draws
+    batch_grad + batch_hess i.i.d. rows in one call: the first batch_grad form
+    the gradient batch, the rest the Hessian batch."""
     return _stochastic_solver(x, config, init, callback, clock, scaled=True)
 
 

@@ -161,6 +161,31 @@ def test_benchmark_override(tmp_path, capsys):
     assert trace.final()[0] == 2
 
 
+def test_benchmark_checks_the_config_once_overridden(tmp_path, capsys):
+    cfg = {
+        "tensor": {"synth": {"order": 3, "dim": 6, "rank": 2, "seed": 3}},
+        "algorithms": ["tr-als"],
+        "solver": {"ranks": [2, 2, 2], "max_iters": 2},
+        "trials": 0,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "bench"
+    rc = main(["benchmark", "--config", str(cfg_path), "--out-dir", str(out_dir),
+               "--set", "trials=1"])
+    assert rc == 0
+    assert [p.name for p in out_dir.glob("*-t*.csv")] == ["tr-als-none-t0.csv"]
+    capsys.readouterr()
+    rc = main(["benchmark", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")])
+    assert rc == 2
+    assert "trials must be >= 1" in capsys.readouterr().err
+    cfg_path.write_text('{"tensor": ')
+    rc = main(["benchmark", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o"),
+               "--set", "trials=1"])
+    assert rc == 2
+    assert "not valid JSON" in capsys.readouterr().err
+
+
 def test_benchmark_trials_and_seed_are_config_overrides(tmp_path, capsys):
     # trials and seed are set like any other config entry; they have no flags
     cfg = {

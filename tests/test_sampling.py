@@ -326,14 +326,6 @@ class TestSampleSubchainFibers:
             assert ours.random() == ref.random()
             assert np.all(batch.probs > 0)
 
-    def test_with_fibers_false(self):
-        rng = np.random.default_rng(10)
-        cores = random_cores(rng, (3, 4), (2, 2))
-        x = tr_reconstruct(cores)
-        dists = [None, uniform_dist(4)]
-        batch = sample_subchain_fibers(cores, x, 0, 3, dists, rng, with_fibers=False)
-        assert batch.fibers is None
-
     def test_rejects_a_wrong_length_distribution(self):
         rng = np.random.default_rng(11)
         cores = random_cores(rng, (3, 4), (2, 2))
@@ -409,6 +401,18 @@ class TestOptimalDistribution:
     def test_all_zero_weights(self):
         with pytest.raises(ValueError):
             optimal_distribution_oracle(np.zeros((2, 3)), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("scale", [1e200, 1e160], ids=["norms", "products"])
+    def test_overflowing_finite_inputs(self, scale):
+        # the norms (or only their products) overflow; the distribution does
+        # not depend on either input's scale
+        rng = np.random.default_rng(15)
+        residual = rng.standard_normal((4, 6))
+        subchain = rng.standard_normal((6, 3))
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = optimal_distribution_oracle(scale * residual, 1e160 * subchain)
+        np.testing.assert_allclose(q, optimal_distribution_oracle(residual, subchain),
+                                   rtol=1e-12)
 
     def test_minimizes_variance_functional(self):
         rng = np.random.default_rng(14)

@@ -15,7 +15,7 @@ from trdecomp.core import (
     tr_reconstruct,
 )
 from trdecomp.datagen import SynthSpec, synth_tensor
-from trdecomp.sampling import SamplingSpec, sample_subchain_fibers
+from trdecomp.sampling import SampleBatch, SamplingSpec, sample_subchain_fibers
 from trdecomp.solvers import (
     AdaGradStep,
     ConstantStep,
@@ -274,8 +274,7 @@ class TestStochasticHessian:
     def test_symmetric_psd(self):
         rng = np.random.default_rng(10)
         dists = [None, uniform_dist(4), uniform_dist(2)]
-        batch = sample_subchain_fibers(self.cores, self.x, 0, 6, dists, rng,
-                                       with_fibers=False)
+        batch = sample_subchain_fibers(self.cores, self.x, 0, 6, dists, rng)
         h = stochastic_hessian(batch, 8)
         assert np.abs(h - h.T).max() < 1e-12
         assert np.linalg.eigvalsh(h).min() > -1e-12
@@ -286,8 +285,7 @@ class TestStochasticHessian:
         j = self.x.size // self.dims[mode]
         rng = np.random.default_rng(11)
         dists = [None, uniform_dist(4), uniform_dist(2)]
-        batch = sample_subchain_fibers(self.cores, self.x, mode, 200_000, dists, rng,
-                                       with_fibers=False)
+        batch = sample_subchain_fibers(self.cores, self.x, mode, 200_000, dists, rng)
         h = stochastic_hessian(batch, j)
         sub = subchain_unfolding(subchain_tensor(self.cores, mode))
         gram = sub.T @ sub
@@ -301,8 +299,7 @@ class TestStochasticHessian:
         rng = np.random.default_rng(12)
         dists = [None, uniform_dist(4), uniform_dist(2)]
         n_draws = 200_000
-        batch = sample_subchain_fibers(self.cores, self.x, mode, n_draws, dists, rng,
-                                       with_fibers=False)
+        batch = sample_subchain_fibers(self.cores, self.x, mode, n_draws, dists, rng)
         s = subchain_unfolding(batch.subchain)
         w = 1.0 / batch.probs
         contrib = np.einsum("f,fr,fs->frs", w, s, s)
@@ -665,6 +662,41 @@ class TestTrScaledBrsgd:
         for a, b in zip(c1, c2):
             np.testing.assert_array_equal(a, b)
 
+    def test_one_generator_and_one_draw_per_iteration(self, monkeypatch):
+        # replay: stream 1 of the seed gives each iteration's mode, then all
+        # of its rows in one sampler call; the first batch_grad rows form the
+        # gradient batch and the rest the Hessian batch
+        x, _ = synth_tensor(SynthSpec(order=3, dim=8, rank=2, seed=16))
+        cfg = SolverConfig(ranks=(2, 2, 2), schedule=ConstantStep(0.05),
+                           batch_grad=10, batch_hess=20, damping=1e-8,
+                           max_iters=3, eval_every=3, seed=22,
+                           sampling=SamplingSpec("euclidean"))
+        batch_sizes = []
+
+        def spy(*args, **kwargs):
+            batch_sizes.append(args[3])
+            return sample_subchain_fibers(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "sample_subchain_fibers", spy)
+        solved, _ = tr_scaled_brsgd(x, cfg)
+        assert batch_sizes == [30, 30, 30]
+
+        cores = _init_cores(x, cfg, None)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(22, spawn_key=(1,))))
+        for t in range(3):
+            n = int(rng.integers(3))
+            dists = [None if k == n else sampling.core_distribution(c, "euclidean")
+                     for k, c in enumerate(cores)]
+            batch = sample_subchain_fibers(cores, x, n, 30, dists, rng)
+            j = x.size // x.shape[n]
+            g = stochastic_gradient(cores[n], SampleBatch(
+                batch.subchain[:, :10], batch.fibers[:, :10], batch.probs[:10]), j)
+            h = stochastic_hessian(SampleBatch(
+                batch.subchain[:, 10:], batch.fibers[:, 10:], batch.probs[10:]), j)
+            _apply_step(cores, n, search_direction(g, h, 1e-8), cfg, t, {})
+        for a, b in zip(solved, cores):
+            assert a.tobytes() == b.tobytes()
+
     def test_huge_damping_approaches_plain_direction(self):
         rng = np.random.default_rng(18)
         dims, ranks = (3, 4, 2), (2, 2, 2)
@@ -673,8 +705,7 @@ class TestTrScaledBrsgd:
         mode, j = 0, 8
         dists = [None, uniform_dist(4), uniform_dist(2)]
         batch = sample_subchain_fibers(cores, x, mode, 6, dists, rng)
-        batch_h = sample_subchain_fibers(cores, x, mode, 6, dists, rng,
-                                         with_fibers=False)
+        batch_h = sample_subchain_fibers(cores, x, mode, 6, dists, rng)
         g = stochastic_gradient(cores[mode], batch, j)
         norms = []
         for eta in (1e-2, 1e0, 1e2, 1e4):
@@ -711,8 +742,7 @@ class TestTrScaledBrsgd:
         mc_rng = np.random.default_rng(20)
         for _ in range(trials):
             b_g = sample_subchain_fibers(cores, x, mode, 16, dists, mc_rng)
-            b_h = sample_subchain_fibers(cores, x, mode, 32, dists, mc_rng,
-                                         with_fibers=False)
+            b_h = sample_subchain_fibers(cores, x, mode, 32, dists, mc_rng)
             g = stochastic_gradient(cores[mode], b_g, j)
             h = stochastic_hessian(b_h, j)
             acc += search_direction(g, h, damping=1e-4)
@@ -753,6 +783,19 @@ class TestOptimalSampling:
         _, trace = solver(x, self._config(max_iters=12, eval_every=12, seed=6))
         assert trace.final()[0] == 12
         assert len(builds) == 12
+
+    @pytest.mark.parametrize("seed", [2, 3, 5])
+    def test_overflow_stops_as_diverged(self, seed):
+        # between two evaluations the cores grow huge but stay finite, so the
+        # oracle's norms and then the residual overflow; the run stops as
+        # diverged instead of raising
+        x, _ = synth_tensor(SynthSpec(order=4, dim=6, rank=2, seed=3))
+        cfg = SolverConfig(ranks=(2, 2, 2, 2), schedule=ConstantStep(1.0), batch_grad=20,
+                           init_scale=0.5, sampling=SamplingSpec("optimal"), max_iters=200,
+                           eval_every=20, seed=seed)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, trace = tr_brsgd(x, cfg)
+        assert trace.terminal_reason == "diverged"
 
     def test_fixed_seed_bitwise_reproducible(self):
         x, _ = synth_tensor(SynthSpec(order=3, dim=6, rank=2, seed=14))
@@ -947,8 +990,8 @@ class TestEvalCadence:
         (tr_als, 40), (tr_gd, 40), (tr_scaled_gd, 40), (tr_brsgd, 25),
         (tr_scaled_brsgd, 40)], ids=lambda v: getattr(v, "__name__", str(v)))
     def test_cadence_moves_only_the_checks(self, solver, dim):
-        # draws come from per-iteration streams, so a run evaluated every k
-        # iterations has the iterates of one evaluated every iteration
+        # evaluation draws nothing, so a run evaluated every k iterations
+        # has the iterates of one evaluated every iteration
         x, _ = synth_tensor(SynthSpec(order=3, dim=dim, rank=3, seed=5))
         kw = dict(ranks=(3, 3, 3), schedule=ConstantStep(1e-3 if solver is tr_gd else 0.3),
                   batch_grad=100, batch_hess=300, damping=1e-8, seed=3, init_scale=0.3)
