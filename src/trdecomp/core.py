@@ -22,7 +22,7 @@ import numpy as np
 SLAB_BYTES = 256 * 1024
 
 __all__ = [
-    "mode_n_unfolding", "core_unfolding", "fold_core", "subchain_unfolding",
+    "mode_n_unfolding", "unfolding_matmul", "core_unfolding", "fold_core", "subchain_unfolding",
     "slices_hadamard", "subchain_tensor", "rotation_modes", "validate_cores",
     "tr_reconstruct", "residual_norm",
 ]
@@ -52,6 +52,33 @@ def mode_n_unfolding(x: np.ndarray, mode: int) -> np.ndarray:
     perm = list(range(mode, x.ndim)) + list(range(mode))
     out = np.transpose(x, perm).reshape(x.shape[mode], -1, order="F")
     return _materialized(out, x)
+
+
+def unfolding_matmul(x: np.ndarray, mode: int, m: np.ndarray) -> np.ndarray:
+    """X_[mode] @ m without unfolding x: a column-major x is read in place.
+
+    x is viewed as x3 of shape (A, I_mode, B) in column-major order, A the
+    product of the extents before `mode` and B of those after it, so column
+    b + B*a of X_[mode] is the fiber x3[a, :, b].  Mode 0 (A = 1) is one
+    matrix product.  Any other mode is one batched product over b of the
+    contiguous (I_mode, A) slabs of x3 with the (A, K) blocks of m, summed
+    over b: a Python loop over a would be far slower on the last mode, and
+    the batched form on mode 0 would make I_mode x 1 batches.  Any other
+    layout of x is copied by every call.
+    """
+    x = np.asarray(x)
+    m = np.asarray(m)
+    _check_mode(mode, x.ndim)
+    a = math.prod(x.shape[:mode])
+    b = math.prod(x.shape[mode + 1:])
+    if m.ndim != 2 or m.shape[0] != a * b:
+        raise ValueError(f"m of shape {m.shape} does not match the {a * b} columns "
+                         f"of the mode-{mode} unfolding")
+    x3 = x.reshape(a, x.shape[mode], b, order="F")
+    if a == 1:
+        return x3[0] @ m
+    m3 = m.reshape(a, b, m.shape[1]).transpose(1, 0, 2)
+    return (x3.transpose(2, 1, 0) @ m3).sum(axis=0)
 
 
 def core_unfolding(core: np.ndarray) -> np.ndarray:

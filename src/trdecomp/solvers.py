@@ -35,6 +35,7 @@ from .core import (
     subchain_tensor,
     subchain_unfolding,
     tr_reconstruct,  # noqa: F401  (perfbench/tracing.py spans calls made through here)
+    unfolding_matmul,
     validate_cores,
 )
 from .sampling import (
@@ -106,10 +107,11 @@ class AdaGradStep:
 def _grad_and_gram(cores, x, mode):
     """Exact block gradient of the half squared error w.r.t. the unfolded
     core, G_(2) (S^T S) - X_[n] S with S the subchain unfolding, and the Gram
-    matrix S^T S."""
+    matrix S^T S.  X_[n] S is read off a column-major x in place
+    (`unfolding_matmul`); x is never unfolded."""
     sub = subchain_unfolding(subchain_tensor(cores, mode))
     gram = sub.T @ sub
-    g = core_unfolding(cores[mode]) @ gram - mode_n_unfolding(x, mode) @ sub
+    g = core_unfolding(cores[mode]) @ gram - unfolding_matmul(x, mode, sub)
     return g, gram
 
 
@@ -277,7 +279,6 @@ def _init_cores(x: np.ndarray, config: SolverConfig, init) -> list[np.ndarray]:
 # where it still gives k = 1.
 EVAL_CALL_FLOPS = 3e5  # one residual_norm call (~0.03 ms)
 CORE_UPDATE_FLOPS = 1e6  # the calls of one dense core update (~0.1 ms)
-UNFOLD_FLOPS_PER_ENTRY = 15  # mode_n_unfolding copies x per core update (~1.5 ns)
 STEP_FLOPS = 5e5  # one stochastic iteration: generator, mode draw, step (~0.05 ms)
 DRAW_FLOPS = 1e6  # one sampled batch over one other mode (~0.1 ms)
 SOLVE_FLOPS = 1.8e6  # the scaled step's Hessian and Cholesky solve (~0.18 ms)
@@ -292,16 +293,16 @@ def _eval_cost(shape, ranks) -> float:
 
 def _dense_iteration_cost(shape, ranks, qr: bool) -> float:
     """One ALS sweep (qr) or GD/ScaledGD iteration: per core n, build the
-    J x R^2 subchain unfolding S (its last product dominates), unfold x, form
-    X_(n) Q or X_(n) S, and factor S by a thin QR (4 J R^4) or form its Gram
-    matrix (2 J R^4), plus the calls."""
+    J x R^2 subchain unfolding S (its last product dominates), form X_(n) Q
+    or X_(n) S from x in place, and factor S by a thin QR (4 J R^4) or form
+    its Gram matrix (2 J R^4), plus the calls."""
     size = math.prod(shape)
     cost = 0.0
     for n in range(len(shape)):
         j = size // shape[n]
         r2 = ranks[n] * ranks[(n + 1) % len(shape)]
         cost += (2 * j * r2 * max(ranks) + (4 if qr else 2) * j * r2 * r2
-                 + (2 * r2 + UNFOLD_FLOPS_PER_ENTRY) * size + CORE_UPDATE_FLOPS)
+                 + 2 * r2 * size + CORE_UPDATE_FLOPS)
     return cost
 
 
@@ -471,20 +472,21 @@ def _apply_step(cores, mode, direction, config, t, adagrad_acc) -> bool:
 # deterministic solvers
 
 
-def _min_norm_update(sub: np.ndarray, xn: np.ndarray) -> tuple[np.ndarray, int]:
-    """Minimum-norm solution G of min ||G S^T - X_[n]||_F, and the numerical
-    rank of S.
+def _min_norm_update(sub: np.ndarray, x: np.ndarray, mode: int) -> tuple[np.ndarray, int]:
+    """Minimum-norm solution G of min ||G S^T - X_[n]||_F, n = mode, and the
+    numerical rank of S.
 
     One thin QR S = QR and the SVD R = U diag(s) V^T of the small factor give
     G = ((X_[n] Q) U_r / s_r) V_r^T, where r counts the singular values above
     max(J, R^2) * eps * s_max, the cut-off of np.linalg.lstsq(rcond=None).
     The solve works at the conditioning of S; the normal equations would
-    square it.
+    square it.  X_[n] Q is read off a column-major x in place
+    (`unfolding_matmul`).
     """
     q, r = np.linalg.qr(sub)
     u, s, vt = np.linalg.svd(r, full_matrices=False)
     rank = int(np.count_nonzero(s > max(sub.shape) * np.finfo(float).eps * s[0]))
-    return ((xn @ q) @ u[:, :rank] / s[:rank]) @ vt[:rank], rank
+    return (unfolding_matmul(x, mode, q) @ u[:, :rank] / s[:rank]) @ vt[:rank], rank
 
 
 def tr_als(x, config: SolverConfig, init=None, callback=None, clock=None):
@@ -494,16 +496,18 @@ def tr_als(x, config: SolverConfig, init=None, callback=None, clock=None):
     One iteration of the trace is one full sweep.  Every update is the
     minimum-norm least-squares solution, so a rank-deficient subchain
     unfolding needs no second path; the run logs one warning giving how many
-    of its core updates were rank deficient.
+    of its core updates were rank deficient.  x is taken column-major once
+    (no copy for the column-major tensors that `read_tensor` and
+    `synth_tensor` return), and every update reads X_[n] Q off it in place.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asfortranarray(x, dtype=np.float64)
     cores = _init_cores(x, config, init)
     counts = {"updates": 0, "deficient": 0}
 
     def sweep(_t, cores):
         for n in range(x.ndim):
             sub = subchain_unfolding(subchain_tensor(cores, n))
-            sol, rank = _min_norm_update(sub, mode_n_unfolding(x, n))
+            sol, rank = _min_norm_update(sub, x, n)
             counts["updates"] += 1
             counts["deficient"] += rank < sub.shape[1]
             r_left, _, r_right = cores[n].shape
@@ -522,7 +526,7 @@ def tr_als(x, config: SolverConfig, init=None, callback=None, clock=None):
 
 
 def _gradient_descent(x, config, init, callback, clock, scaled):
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asfortranarray(x, dtype=np.float64)  # read in place by _grad_and_gram
     cores = _init_cores(x, config, init)
     adagrad_acc: dict[int, np.ndarray] = {}
     name = "tr-scaled-gd" if scaled else "tr-gd"

@@ -41,21 +41,31 @@ def write_tensor(path, x: np.ndarray) -> None:
 
 
 def read_tensor(path) -> np.ndarray:
+    """Read a tensor file into one column-major float64 array.
+
+    The header and the file size are checked before the entries are read,
+    straight into the array that is returned: the file is never held in
+    memory a second time.
+    """
     with open(path, "rb") as f:
-        data = f.read()
-    if data[:4] != MAGIC:
-        raise ValueError(f"{path}: bad magic {data[:4]!r}, expected {MAGIC!r}")
-    if len(data) < 12:
-        raise ValueError(f"{path}: truncated header, {len(data)} bytes")
-    (ndim,) = struct.unpack_from("<Q", data, 4)
-    off = 12 + 8 * ndim
-    if len(data) < off:
-        raise ValueError(f"{path}: header gives order {ndim}, file has {len(data)} bytes")
-    dims = struct.unpack_from(f"<{ndim}Q", data, 12)
-    # exact integers: a numpy product of the extents would wrap at 2**64
-    count = math.prod(dims)
-    expected = off + 8 * count
-    if len(data) != expected:
-        raise ValueError(f"{path}: expected {expected} bytes, found {len(data)}")
-    flat = np.frombuffer(data, dtype="<f8", count=count, offset=off)
-    return flat.reshape(dims, order="F").astype(np.float64)
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(12)
+        if head[:4] != MAGIC:
+            raise ValueError(f"{path}: bad magic {head[:4]!r}, expected {MAGIC!r}")
+        if len(head) < 12:
+            raise ValueError(f"{path}: truncated header, {size} bytes")
+        (ndim,) = struct.unpack_from("<Q", head, 4)
+        off = 12 + 8 * ndim
+        if size < off:
+            raise ValueError(f"{path}: header gives order {ndim}, file has {size} bytes")
+        dims = struct.unpack(f"<{ndim}Q", f.read(8 * ndim))
+        # exact integers: a numpy product of the extents would wrap at 2**64
+        count = math.prod(dims)
+        expected = off + 8 * count
+        if size != expected:
+            raise ValueError(f"{path}: expected {expected} bytes, found {size}")
+        flat = np.empty(count, dtype="<f8")
+        got = f.readinto(flat)
+        if got != flat.nbytes:
+            raise ValueError(f"{path}: expected {expected} bytes, read {off + got}")
+    return flat.reshape(dims, order="F").astype(np.float64, copy=False)

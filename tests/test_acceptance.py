@@ -419,6 +419,35 @@ def test_criterion_10_determinism_at_two_blas_threads():
     print(f"\nACCEPTANCE 10 PASS at OPENBLAS_NUM_THREADS=2 ({elapsed:.1f}s)")
 
 
+def test_dense_solvers_rerun_bitwise():
+    x, _ = synth_tensor(SynthSpec(order=3, dim=40, rank=3, seed=2))
+    runs = [(tr_als, SolverConfig(ranks=(3, 3, 3), max_iters=6, eval_every=1, seed=2)),
+            (tr_scaled_gd, SolverConfig(ranks=(3, 3, 3), schedule=ConstantStep(0.5),
+                                        max_iters=10, eval_every=1, seed=2))]
+    for solve, cfg in runs:
+        (cores_a, trace_a), (cores_b, trace_b) = (
+            solve(x, cfg, clock=counting_clock()) for _ in range(2))
+        assert trace_a.records == trace_b.records, solve.__name__
+        assert [c.tobytes() for c in cores_a] == [c.tobytes() for c in cores_b], solve.__name__
+
+
+def test_dense_solvers_rerun_bitwise_at_two_blas_threads():
+    # the in-place X_[n] products of TR-ALS and TR-ScaledGD, at two threads
+    src = os.path.dirname(os.path.dirname(trdecomp.__file__))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    t0 = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{__file__}::test_dense_solvers_rerun_bitwise"],
+        env=env, capture_output=True, text=True, timeout=60)
+    elapsed = time.perf_counter() - t0
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "1 passed" in result.stdout
+    print(f"\nTR-ALS and TR-ScaledGD reruns byte-identical at OPENBLAS_NUM_THREADS=2 "
+          f"({elapsed:.1f}s)")
+
+
 def test_criterion_11_adagrad_arithmetic():
     eta = 0.7
     acc = np.zeros((1, 1))

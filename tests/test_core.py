@@ -12,6 +12,7 @@ from trdecomp.core import (
     subchain_tensor,
     subchain_unfolding,
     tr_reconstruct,
+    unfolding_matmul,
     validate_cores,
 )
 
@@ -86,6 +87,28 @@ class TestUnfoldings:
             for r2 in range(3):
                 np.testing.assert_array_equal(mat[:, r1 + 2 * r2], core[r1, :, r2])
         np.testing.assert_array_equal(fold_core(mat, 2, 3), core)
+
+
+class TestUnfoldingMatmul:
+    @pytest.mark.parametrize("shape", [(4, 3), (3, 4, 2), (2, 3, 4, 2), (2, 3, 2, 2, 3)])
+    @pytest.mark.parametrize("x_order", ["C", "F"])
+    @pytest.mark.parametrize("m_order", ["C", "F"])
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_matches_the_unfolding(self, shape, x_order, m_order, k):
+        rng = np.random.default_rng(4)
+        x = np.asarray(rng.standard_normal(shape), order=x_order)
+        for mode in range(len(shape)):
+            m = np.asarray(rng.standard_normal((x.size // shape[mode], k)), order=m_order)
+            got = unfolding_matmul(x, mode, m)
+            assert got.shape == (shape[mode], k)
+            np.testing.assert_allclose(got, mode_n_unfolding(x, mode) @ m, rtol=1e-13, atol=0)
+
+    def test_rejects_a_bad_mode_or_row_count(self):
+        x = np.zeros((2, 3, 4))
+        with pytest.raises(ValueError, match="mode"):
+            unfolding_matmul(x, 3, np.zeros((6, 1)))
+        with pytest.raises(ValueError, match="columns"):
+            unfolding_matmul(x, 1, np.zeros((7, 1)))
 
 
 class TestSubchainProduct:

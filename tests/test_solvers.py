@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -456,7 +457,7 @@ class TestTrAls:
             for n in range(x.ndim):
                 sub = subchain_unfolding(subchain_tensor(cores, n))
                 xn = mode_n_unfolding(x, n)
-                sol, rank = _min_norm_update(sub, xn)
+                sol, rank = _min_norm_update(sub, x, n)
                 expected, expected_rank = lstsq_core_update(sub, xn)
                 assert rank == expected_rank
                 assert (rank < sub.shape[1]) == deficient
@@ -573,6 +574,42 @@ class TestTrScaledGd:
         gd_iters = iters_to_tol(tr_gd, (0.1, 0.3, 1.0))
         scaled_iters = iters_to_tol(tr_scaled_gd, (0.1, 0.3, 1.0), damping=1e-10)
         assert scaled_iters < gd_iters
+
+
+DENSE_SOLVERS = [tr_als, tr_gd, tr_scaled_gd]
+
+
+class TestDenseSolversReadXInPlace:
+    @pytest.mark.parametrize("solver", DENSE_SOLVERS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_x_is_never_unfolded(self, solver, order, monkeypatch):
+        x, _ = synth_tensor(SynthSpec(order=3, dim=6, rank=2, seed=1))
+        x = np.asarray(x, order=order)
+        unfolded = []
+        for module in (core, solvers):
+            def spy(t, mode, _original=module.mode_n_unfolding):
+                unfolded.append(t.shape == x.shape)
+                return _original(t, mode)
+            monkeypatch.setattr(module, "mode_n_unfolding", spy)
+        cfg = SolverConfig(ranks=(2, 2, 2), schedule=ConstantStep(1e-3), max_iters=2,
+                           eval_every=1, seed=0)
+        solver(x, cfg)
+        assert unfolded and not any(unfolded)  # subchains are unfolded, x is not
+
+    @pytest.mark.parametrize("solver", [tr_als, tr_scaled_gd], ids=lambda f: f.__name__)
+    def test_an_iteration_allocates_no_copy_of_x(self, solver):
+        # what an iteration still allocates are the J x R^2 subchain
+        # unfoldings, about a third of x at rank 2 on a cube
+        x, _ = synth_tensor(SynthSpec(order=3, dim=60, rank=2, seed=1))
+        cfg = SolverConfig(ranks=(2, 2, 2), schedule=ConstantStep(0.5), max_iters=1,
+                           eval_every=1, seed=0)
+        tracemalloc.start()
+        try:
+            solver(x, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * x.nbytes
 
 
 class TestTrBrsgd:

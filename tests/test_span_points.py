@@ -29,7 +29,7 @@ def test_every_span_point_resolves():
 
 # The dense-1m per-layer trace spans these names in `solvers`; a refactor
 # that stops calling one through that module zeroes its metric silently.
-DENSE_PATH_NAMES = ("subchain_tensor", "subchain_unfolding", "mode_n_unfolding",
+DENSE_PATH_NAMES = ("subchain_tensor", "subchain_unfolding", "unfolding_matmul",
                     "residual_norm")
 
 

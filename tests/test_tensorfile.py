@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,3 +58,20 @@ def test_malformed_header(tmp_path, raw, match):
     path.write_bytes(raw)
     with pytest.raises(ValueError, match=match):
         read_tensor(path)
+
+
+def test_read_holds_one_copy_of_the_entries(tmp_path):
+    # the entries are read into the returned array, not into a bytes object
+    # that is then converted
+    x = np.asfortranarray(np.random.default_rng(0).standard_normal((50, 50, 50)))
+    path = tmp_path / "t.trt"
+    write_tensor(path, x)
+    tracemalloc.start()
+    try:
+        back = read_tensor(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(back, x)
+    assert back.flags.f_contiguous
+    assert peak < 1.5 * x.nbytes
