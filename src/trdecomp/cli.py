@@ -36,7 +36,7 @@ from .bench import (
 from .datagen import GENERATOR_KINDS, SynthSpec
 from .sampling import SAMPLING_KINDS
 from .solvers import SolverConfig
-from .tensorfile import read_tensor, write_tensor
+from .tensorfile import atomic_write_bytes, read_tensor, write_tensor
 from .trace import read_trace_csv, trace_filename, write_trace_csv
 
 # decompose flags: one per key of a solver block and of a step (key -> type),
@@ -131,8 +131,7 @@ def cmd_report(args) -> int:
         raise ConfigError(f"no trace CSVs found under {args.traces}")
     summary_md, _rows = emit_summary(traces)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(summary_md)
+        atomic_write_bytes(args.out, summary_md.encode())
     print(summary_md, end="")
     return 0
 

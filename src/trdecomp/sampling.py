@@ -10,6 +10,13 @@ mode unfolding its caller has materialized, from the variance-minimizing
 distribution of `optimal_distribution_oracle`, which needs the full residual.
 Every draw, per core or per row, inverts the CDF of a checked probability
 vector at uniform variates, exactly as Generator.choice(p=...) does.
+
+A sampled batch is three arrays `(s, fibers, probs)`: the drawn rows of the
+subchain unfolding as a C-contiguous (batch, R_mode*R_{mode+1}) matrix, the
+matching columns of the mode unfolding (I_mode, batch), and the realized row
+probabilities (for per-core draws, the product of the per-core draw
+probabilities).  Rows are i.i.d., so disjoint row ranges of a batch are
+independent batches.
 """
 
 from __future__ import annotations
@@ -117,24 +124,6 @@ def core_distributions(cores, mode: int, kind: str) -> list:
     return dists
 
 
-@dataclass
-class SampleBatch:
-    """Sampled subchain rows with matching tensor fibers and row probabilities.
-
-    subchain has shape (R_{mode+1}, batch, R_mode), and from
-    `sample_subchain_fibers` it may be a transposed view (for N > 2, of the
-    contiguous (batch, R_{mode+1}, R_mode) product); fibers holds the sampled
-    columns of the mode unfolding (I_mode, batch); probs are the realized row
-    probabilities (for per-core draws, the product of the per-core draw
-    probabilities).  Rows are i.i.d., so disjoint slices of a batch are
-    independent batches.
-    """
-
-    subchain: np.ndarray
-    fibers: np.ndarray
-    probs: np.ndarray
-
-
 def _draw(p, size: int, batch_size: int, rng: np.random.Generator, what: str):
     """Check `p` as a probability vector over `size` outcomes and draw
     `batch_size` of them i.i.d. with replacement by inverting its CDF at
@@ -158,16 +147,19 @@ def sample_subchain_fibers(
     batch_size: int,
     dists,
     rng: np.random.Generator,
-) -> SampleBatch:
-    """Draw `batch_size` subchain rows by independent per-core slice draws.
+):
+    """Draw `batch_size` subchain rows by independent per-core slice draws
+    and return the batch `(s, fibers, probs)`.
 
     For each core k != mode, in the order mode+1, ..., mode-1, indices are
     drawn i.i.d. with replacement from dists[k] (see `_draw`).  Each sampled
     subchain slice is the product of the drawn core slices in that order,
-    started from the first core's slices (so for N = 2 it is those slices),
-    and the realized row probability is the product of the per-core
-    probabilities, likewise started from the first core's.  The matching
-    mode-`mode` fibers of `x` are gathered for every row.
+    started from the first core's slices, and the realized row probability is
+    the product of the per-core probabilities, likewise started from the
+    first core's.  The slice products come out contiguous as
+    (batch, R_{mode+1}, R_mode), so the rows `s` of the subchain unfolding
+    are a reshape of them; an order-2 batch, which has no product, is copied
+    once.  The matching mode-`mode` fibers of `x` are gathered for every row.
     """
     sub = probs = None
     drawn_by_mode = {}
@@ -175,7 +167,7 @@ def sample_subchain_fibers(
         p_k, drawn = _draw(dists[k], cores[k].shape[1], batch_size, rng,
                            f"distribution for core {k}")
         drawn_by_mode[k] = drawn
-        slices = cores[k][:, drawn, :]
+        slices = cores[k].take(drawn, axis=1)
         if sub is None:
             sub, probs = slices, p_k[drawn]
         else:
@@ -183,25 +175,27 @@ def sample_subchain_fibers(
     xm = np.moveaxis(np.asarray(x), mode, 0)
     rest = [k for k in range(x.ndim) if k != mode]
     fibers = xm[(slice(None),) + tuple(drawn_by_mode[k] for k in rest)]
-    return SampleBatch(sub, fibers, probs)
+    s = np.ascontiguousarray(sub.transpose(1, 0, 2)).reshape(batch_size, -1)
+    return s, fibers, probs
 
 
 def sample_rows_batch(
-    subchain: np.ndarray,
+    subchain_mat: np.ndarray,
     unfolding: np.ndarray,
     batch_size: int,
     q: np.ndarray,
     rng: np.random.Generator,
-) -> SampleBatch:
+):
     """Draw `batch_size` rows i.i.d. from a full distribution q over the rows
-    of a materialized subchain tensor (R_{mode+1}, J, R_mode), with the
-    matching columns of the mode unfolding (I_mode, J).
+    of a materialized subchain unfolding (J, R_mode*R_{mode+1}) and return
+    the batch `(s, fibers, probs)`, the fibers being the matching columns of
+    the mode unfolding (I_mode, J).
 
     The caller has built the whole subchain, so this is a diagnostic path
     only (it is how the oracle distribution is sampled).
     """
-    q, rows = _draw(q, subchain.shape[1], batch_size, rng, "row distribution")
-    return SampleBatch(subchain[:, rows, :], unfolding[:, rows], q[rows])
+    q, rows = _draw(q, subchain_mat.shape[0], batch_size, rng, "row distribution")
+    return subchain_mat.take(rows, axis=0), unfolding[:, rows], q[rows]
 
 
 def optimal_distribution_oracle(residual: np.ndarray, subchain_mat: np.ndarray) -> np.ndarray:
@@ -231,6 +225,6 @@ def optimal_distribution_oracle(residual: np.ndarray, subchain_mat: np.ndarray) 
 
 __all__ = [
     "SamplingSpec", "check_prob_vector", "core_distribution", "core_distributions",
-    "SampleBatch", "sample_subchain_fibers", "sample_rows_batch",
+    "sample_subchain_fibers", "sample_rows_batch",
     "optimal_distribution_oracle",
 ]

@@ -39,7 +39,6 @@ from .core import (
     validate_cores,
 )
 from .sampling import (
-    SampleBatch,
     SamplingSpec,
     core_distribution,
     core_distributions,  # noqa: F401  (perfbench/tracing.py spans calls made through here)
@@ -115,11 +114,12 @@ def _grad_and_gram(cores, x, mode):
     return g, gram
 
 
-def stochastic_gradient(core: np.ndarray, batch: SampleBatch, j_total: int) -> np.ndarray:
+def stochastic_gradient(core: np.ndarray, s: np.ndarray, fibers: np.ndarray,
+                        probs: np.ndarray, j_total: int) -> np.ndarray:
     """Row-sampled gradient estimate for the core whose mode was sampled.
 
-    With S the sampled subchain rows, X_S the matching fibers and
-    D = diag(1/probs), the value is
+    With S = s the sampled rows of the subchain unfolding, X_S the matching
+    fibers and D = diag(1/probs), the value is
 
         (1/(batch * J)) * (G_(2) S^T D S - X_S D S),
 
@@ -128,25 +128,23 @@ def stochastic_gradient(core: np.ndarray, batch: SampleBatch, j_total: int) -> n
     the full gradient.  Solvers step with this value (the constant is absorbed by
     the step size).
     """
-    if np.any(batch.probs <= 0):
+    if np.any(probs <= 0):
         raise ValueError("nonpositive realized probability in batch")
-    s = subchain_unfolding(batch.subchain)
-    w = 1.0 / batch.probs
+    w = 1.0 / probs
     g2 = core_unfolding(core)
-    m = len(w)
-    return (g2 @ (s.T @ (s * w[:, None])) - (batch.fibers * w) @ s) / (m * j_total)
+    return (g2 @ (s.T @ (s * w[:, None])) - (fibers * w) @ s) / (len(w) * j_total)
 
 
-def stochastic_hessian(batch: SampleBatch, j_total: int) -> np.ndarray:
-    """Small-factor Hessian estimate (1/(batch * J)) S^T D S.
+def stochastic_hessian(s: np.ndarray, probs: np.ndarray, j_total: int) -> np.ndarray:
+    """Small-factor Hessian estimate (1/(batch * J)) S^T D S from the sampled
+    subchain-unfolding rows S = s and D = diag(1/probs).
 
     The full Hessian block is this factor Kronecker the identity on the mode
     extent; the identity factor is exploited by the solvers, never formed.
     """
-    if np.any(batch.probs <= 0):
+    if np.any(probs <= 0):
         raise ValueError("nonpositive realized probability in batch")
-    s = subchain_unfolding(batch.subchain)
-    w = 1.0 / batch.probs
+    w = 1.0 / probs
     return s.T @ (s * w[:, None]) / (len(w) * j_total)
 
 
@@ -310,14 +308,14 @@ def _stochastic_step_cost(shape, ranks, config, scaled: bool) -> float:
     """One block-randomized iteration: per sampled row, the product of its
     N-1 subchain slices and its share of the R^2 x R^2 Gram factor; the
     fiber product of the gradient; the Cholesky solve of the scaled step;
-    plus the iteration and each batch drawn over each other mode.  The
+    plus the iteration and its one batch, drawn over each other mode.  The
     `optimal` diagnostic also forms the full residual of the drawn mode."""
     n_modes, r, dim = len(shape), max(ranks), max(shape)
     r2 = r * r
     rows = config.batch_grad + (config.batch_hess if scaled else 0)
     cost = (rows * (2 * (n_modes - 1) * r**3 + 2 * r2 * r2)
             + 2 * config.batch_grad * dim * r2
-            + STEP_FLOPS + (2 if scaled else 1) * (n_modes - 1) * DRAW_FLOPS)
+            + STEP_FLOPS + (n_modes - 1) * DRAW_FLOPS)
     if scaled:
         cost += r2**3 / 3 + 2 * dim * r2 * r2 + SOLVE_FLOPS
     if config.sampling.kind == "optimal":
@@ -333,11 +331,13 @@ def _default_eval_every(eval_cost: float, iteration_cost: float) -> int:
 
 
 def _run_loop(x, cores, config, algorithm, sampling_name, do_iteration,
-              iteration_cost, callback=None, clock=None):
+              iteration_cost, clock=None):
     """Drive `do_iteration(t, cores)` until a stopping criterion fires.
 
-    Iteration work is timed with `clock` (default perf_counter) into the
-    records' elapsed time, which max_seconds is checked against; evaluation
+    x is column-major, as every solver takes it at entry, so `residual_norm`
+    reads it in place.  Iteration work is timed with `clock` (default
+    perf_counter) into the records' elapsed time, which max_seconds is
+    checked against; evaluation
     time is kept apart, in the trace's eval_s.  The RSE is evaluated every
     config.eval_every iterations; when that is None, the cadence is
     `_default_eval_every` of the modelled cost of one evaluation
@@ -357,7 +357,6 @@ def _run_loop(x, cores, config, algorithm, sampling_name, do_iteration,
     chol_jitter.
     """
     clock = clock if clock is not None else time.perf_counter
-    x = np.asfortranarray(x)  # residual_norm reads a column-major x in place
     with np.errstate(over="ignore"):  # an overflowing norm is rejected below
         norm_x = np.linalg.norm(x)
     if not 0 < norm_x < math.inf:
@@ -385,8 +384,6 @@ def _run_loop(x, cores, config, algorithm, sampling_name, do_iteration,
                            algorithm, t)
         state["eval_s"] += clock() - t0
         records.append((t, state["elapsed"], rse_val))
-        if callback is not None:
-            callback(t, state["elapsed"], rse_val)
         return rse_val
 
     def stop_reason(t: int, rse_val: float) -> str | None:
@@ -489,7 +486,7 @@ def _min_norm_update(sub: np.ndarray, x: np.ndarray, mode: int) -> tuple[np.ndar
     return (unfolding_matmul(x, mode, q) @ u[:, :rank] / s[:rank]) @ vt[:rank], rank
 
 
-def tr_als(x, config: SolverConfig, init=None, callback=None, clock=None):
+def tr_als(x, config: SolverConfig, init=None, clock=None):
     """Alternating least squares: cyclic sweeps where each core update solves
     its linear least-squares subproblem exactly.
 
@@ -515,8 +512,7 @@ def tr_als(x, config: SolverConfig, init=None, callback=None, clock=None):
         return True
 
     result = _run_loop(x, cores, config, "tr-als", "none", sweep,
-                       partial(_dense_iteration_cost, qr=True),
-                       callback=callback, clock=clock)
+                       partial(_dense_iteration_cost, qr=True), clock=clock)
     if counts["deficient"]:
         logger.warning(
             "tr_als: %d of %d core updates were rank deficient; each took "
@@ -525,7 +521,7 @@ def tr_als(x, config: SolverConfig, init=None, callback=None, clock=None):
     return result
 
 
-def _gradient_descent(x, config, init, callback, clock, scaled):
+def _gradient_descent(x, config, init, clock, scaled):
     x = np.asfortranarray(x, dtype=np.float64)  # read in place by _grad_and_gram
     cores = _init_cores(x, config, init)
     adagrad_acc: dict[int, np.ndarray] = {}
@@ -541,28 +537,27 @@ def _gradient_descent(x, config, init, callback, clock, scaled):
         return True
 
     return _run_loop(x, cores, config, name, "none", iteration,
-                     partial(_dense_iteration_cost, qr=False),
-                     callback=callback, clock=clock)
+                     partial(_dense_iteration_cost, qr=False), clock=clock)
 
 
-def tr_gd(x, config: SolverConfig, init=None, callback=None, clock=None):
+def tr_gd(x, config: SolverConfig, init=None, clock=None):
     """Full gradient descent: every core is updated each iteration from the
     same iterate (simultaneous block updates)."""
-    return _gradient_descent(x, config, init, callback, clock, scaled=False)
+    return _gradient_descent(x, config, init, clock, scaled=False)
 
 
-def tr_scaled_gd(x, config: SolverConfig, init=None, callback=None, clock=None):
+def tr_scaled_gd(x, config: SolverConfig, init=None, clock=None):
     """Gradient descent with each block gradient right-multiplied by the
     inverse (damped) Gram matrix of its subchain unfolding."""
-    return _gradient_descent(x, config, init, callback, clock, scaled=True)
+    return _gradient_descent(x, config, init, clock, scaled=True)
 
 
 # ---------------------------------------------------------------------------
 # block-randomized stochastic solvers
 
 
-def _stochastic_solver(x, config, init, callback, clock, scaled):
-    x = np.asarray(x, dtype=np.float64)
+def _stochastic_solver(x, config, init, clock, scaled):
+    x = np.asfortranarray(x, dtype=np.float64)
     cores = _init_cores(x, config, init)
     n_modes = x.ndim
     adagrad_acc: dict[int, np.ndarray] = {}
@@ -585,23 +580,21 @@ def _stochastic_solver(x, config, init, callback, clock, scaled):
     def iteration(t, cores):
         n = int(rng.integers(n_modes))
         if config.sampling.kind == "optimal":
-            sub = subchain_tensor(cores, n)
-            sub_mat = subchain_unfolding(sub)
+            sub_mat = subchain_unfolding(subchain_tensor(cores, n))
             xn = mode_n_unfolding(x, n)
             residual = core_unfolding(cores[n]) @ sub_mat.T - xn
             if not np.isfinite(residual).all():
                 return False
             q = optimal_distribution_oracle(residual, sub_mat)
-            batch = sample_rows_batch(sub, xn, rows, q, rng)
+            s, fibers, probs = sample_rows_batch(sub_mat, xn, rows, q, rng)
         else:
-            batch = sample_subchain_fibers(cores, x, n, rows, dists_for(n, cores), rng)
+            s, fibers, probs = sample_subchain_fibers(cores, x, n, rows,
+                                                      dists_for(n, cores), rng)
         # i.i.d. rows: the first b form the gradient batch, the rest the Hessian batch
         j_total = x.size // x.shape[n]
-        g = stochastic_gradient(cores[n], SampleBatch(batch.subchain[:, :b], batch.fibers[:, :b],
-                                                      batch.probs[:b]), j_total)
+        g = stochastic_gradient(cores[n], s[:b], fibers[:, :b], probs[:b], j_total)
         if scaled:
-            h = stochastic_hessian(SampleBatch(batch.subchain[:, b:], batch.fibers[:, b:],
-                                               batch.probs[b:]), j_total)
+            h = stochastic_hessian(s[b:], probs[b:], j_total)
             direction = search_direction(g, h, config.damping)
         else:
             direction = -g
@@ -609,22 +602,22 @@ def _stochastic_solver(x, config, init, callback, clock, scaled):
 
     return _run_loop(x, cores, config, name, config.sampling.kind, iteration,
                      partial(_stochastic_step_cost, config=config, scaled=scaled),
-                     callback=callback, clock=clock)
+                     clock=clock)
 
 
-def tr_brsgd(x, config: SolverConfig, init=None, callback=None, clock=None):
+def tr_brsgd(x, config: SolverConfig, init=None, clock=None):
     """Block-randomized stochastic gradient descent: draw a mode uniformly,
     sample subchain rows and fibers, and update only that core along the
     negative stochastic gradient."""
-    return _stochastic_solver(x, config, init, callback, clock, scaled=False)
+    return _stochastic_solver(x, config, init, clock, scaled=False)
 
 
-def tr_scaled_brsgd(x, config: SolverConfig, init=None, callback=None, clock=None):
+def tr_scaled_brsgd(x, config: SolverConfig, init=None, clock=None):
     """Stochastic block updates preconditioned by the inverse of the damped
     Gram factor of an independent row-sampled batch.  Each iteration draws
     batch_grad + batch_hess i.i.d. rows in one call: the first batch_grad form
     the gradient batch, the rest the Hessian batch."""
-    return _stochastic_solver(x, config, init, callback, clock, scaled=True)
+    return _stochastic_solver(x, config, init, clock, scaled=True)
 
 
 __all__ = [

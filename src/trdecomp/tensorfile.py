@@ -17,14 +17,16 @@ import numpy as np
 MAGIC = b"TRT1"
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
-    """Write via a temp file in the same directory, then rename."""
+def atomic_write_bytes(path, *chunks) -> None:
+    """Write `chunks` (bytes or contiguous buffers) one after another via a
+    temp file in the same directory, then rename."""
     path = os.fspath(path)
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(data)
+            for chunk in chunks:
+                f.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -33,11 +35,12 @@ def atomic_write_bytes(path, data: bytes) -> None:
 
 
 def write_tensor(path, x: np.ndarray) -> None:
-    x = np.asarray(x, dtype=np.float64)
-    header = MAGIC + struct.pack("<Q", x.ndim)
-    header += struct.pack(f"<{x.ndim}Q", *x.shape)
-    payload = x.ravel(order="F").astype("<f8").tobytes()
-    atomic_write_bytes(path, header + payload)
+    """Write a tensor file straight from the column-major little-endian
+    float64 array of x: no copy for the column-major float64 tensors that
+    `read_tensor` and `synth_tensor` return."""
+    x = np.asarray(x, dtype="<f8", order="F")
+    header = MAGIC + struct.pack(f"<{x.ndim + 1}Q", x.ndim, *x.shape)
+    atomic_write_bytes(path, header, x.reshape(-1, order="F"))
 
 
 def read_tensor(path) -> np.ndarray:

@@ -7,8 +7,9 @@ sharing code paths with the package internals they check.
 import numpy as np
 
 from trdecomp import solvers
-from trdecomp.core import mode_n_unfolding, residual_norm, rotation_modes, subchain_tensor
-from trdecomp.sampling import SampleBatch, check_prob_vector
+from trdecomp.core import (mode_n_unfolding, residual_norm, rotation_modes, subchain_tensor,
+                           subchain_unfolding)
+from trdecomp.sampling import check_prob_vector
 
 
 def arange_tensor(shape):
@@ -112,16 +113,12 @@ def uniform_dist(n):
 
 
 def complete_sample_batch(cores, x, mode):
-    """Batch covering every subchain row exactly once at uniform probability
-    1/J; stochastic estimates on it equal their deterministic counterparts up
-    to roundoff."""
-    sub = subchain_tensor(cores, mode)
-    j_total = sub.shape[1]
-    return SampleBatch(
-        subchain=sub,
-        fibers=mode_n_unfolding(x, mode),
-        probs=np.full(j_total, 1.0 / j_total),
-    )
+    """Batch (S, X_(n), 1/J) covering every subchain-unfolding row exactly
+    once at uniform probability 1/J; stochastic estimates on it equal their
+    deterministic counterparts up to roundoff."""
+    s = subchain_unfolding(subchain_tensor(cores, mode))
+    j_total = s.shape[0]
+    return s, mode_n_unfolding(x, mode), np.full(j_total, 1.0 / j_total)
 
 
 def choice_draws(cores, mode, dists, batch_size, rng):

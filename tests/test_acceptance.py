@@ -270,22 +270,21 @@ def test_criterion_6_row_sampling_correctness():
     mode = 1
     dists = core_distributions(cores, mode, "euclidean")
     ref = copy.deepcopy(rng)
-    batch = sample_subchain_fibers(cores, x, mode, 1000, dists, rng)
+    s, fibers, probs = sample_subchain_fibers(cores, x, mode, 1000, dists, rng)
     idxs, _ = choice_draws(cores, mode, dists, 1000, ref)
     assert rng.random() == ref.random()
-    sub = subchain_tensor(cores, mode)
+    sub_mat = subchain_unfolding(subchain_tensor(cores, mode))
     xn = mode_n_unfolding(x, mode)
     rot = rotation_modes(mode, 3)
     dims_rot = [dims[k] for k in rot]
     rows = np.array([linear_pos(idx, dims_rot) for idx in idxs])
-    np.testing.assert_allclose(
-        batch.subchain, sub[:, rows, :], atol=1e-13)
+    np.testing.assert_allclose(s, sub_mat[rows], atol=1e-13)
     # on a Gaussian x a fiber identifies its row
-    np.testing.assert_array_equal(batch.fibers, xn[:, rows])
+    np.testing.assert_array_equal(fibers, xn[:, rows])
     expected_p = dists[rot[0]][idxs[:, 0]]
     for c, k in enumerate(rot[1:], start=1):
         expected_p = expected_p * dists[k][idxs[:, c]]
-    np.testing.assert_array_equal(batch.probs, expected_p)
+    np.testing.assert_array_equal(probs, expected_p)
     print("\nACCEPTANCE 6 PASS: sampled rows, fibers and probabilities match "
           "the materialized subchain over 1000 draws")
 
@@ -299,8 +298,8 @@ def test_criterion_7_hessian_identities():
         j = x.size // dims[mode]
         sub = subchain_unfolding(subchain_tensor(cores, mode))
         gram = sub.T @ sub
-        batch = complete_sample_batch(cores, x, mode)
-        h = stochastic_hessian(batch, j)
+        s, _, probs = complete_sample_batch(cores, x, mode)
+        h = stochastic_hessian(s, probs, j)
         np.testing.assert_allclose(h, gram / j, atol=1e-12)
         # the direction solves with the damped factor h + eta I
         g = np.random.default_rng(70 + mode).standard_normal((dims[mode], gram.shape[0]))

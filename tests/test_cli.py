@@ -138,10 +138,12 @@ def test_benchmark_and_report(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "TR-ALS" in printed and "TR-BRSGD-U" in printed
 
-    rc = main(["report", "--traces", str(out_dir)])
+    report = tmp_path / "report.md"
+    rc = main(["report", "--traces", str(out_dir), "--out", str(report)])
     assert rc == 0
     printed = capsys.readouterr().out
     assert "TR-BRSGD-U" in printed and "| Eval (s) |" in printed
+    assert report.read_text(encoding="utf-8") == printed
 
 
 def test_benchmark_override(tmp_path, capsys):

@@ -205,11 +205,11 @@ class TestProductRowDistribution:
         for mode in range(3):
             dists = core_distributions(cores, mode, "euclidean")
             q = product_row_distribution(cores, mode, dists)
-            batch = sample_subchain_fibers(cores, x, mode, draws, dists, rng)
+            _, fibers, probs = sample_subchain_fibers(cores, x, mode, draws, dists, rng)
             _, rows = choice_draws(cores, mode, dists, draws, ref)
             # on a Gaussian x a fiber identifies its row
-            np.testing.assert_array_equal(batch.fibers, mode_n_unfolding(x, mode)[:, rows])
-            np.testing.assert_allclose(batch.probs, q[rows], rtol=1e-15)
+            np.testing.assert_array_equal(fibers, mode_n_unfolding(x, mode)[:, rows])
+            np.testing.assert_allclose(probs, q[rows], rtol=1e-15)
             counts = np.bincount(rows, minlength=q.size)
             se = np.sqrt(draws * q * (1 - q))
             assert np.all(np.abs(counts - draws * q) <= 5 * se)
@@ -225,13 +225,13 @@ class TestSampleSubchainFibers:
         dists = [None] + [
             np.eye(dims[k])[0] for k in (1, 2)
         ]
-        batch = sample_subchain_fibers(cores, x, mode, 5, dists, rng)
-        np.testing.assert_array_equal(batch.probs, np.ones(5))
+        s, fibers, probs = sample_subchain_fibers(cores, x, mode, 5, dists, rng)
+        np.testing.assert_array_equal(probs, np.ones(5))
+        # slice 0 of both other cores is row 0 of the subchain unfolding
+        row = subchain_unfolding(subchain_tensor(cores, mode))[0]
         for f in range(5):
-            np.testing.assert_allclose(
-                batch.subchain[:, f, :], cores[1][:, 0, :] @ cores[2][:, 0, :],
-                atol=1e-14)
-            np.testing.assert_array_equal(batch.fibers[:, f], x[:, 0, 0])
+            np.testing.assert_allclose(s[f], row, atol=1e-14)
+            np.testing.assert_array_equal(fibers[:, f], x[:, 0, 0])
 
     @staticmethod
     def _check_rows_and_fibers(rng, dims, ranks):
@@ -241,30 +241,30 @@ class TestSampleSubchainFibers:
         ref = copy.deepcopy(rng)
         for mode in range(n):
             dists = core_distributions(cores, mode, "euclidean")
-            batch = sample_subchain_fibers(cores, x, mode, 50, dists, rng)
+            s, fibers, probs = sample_subchain_fibers(cores, x, mode, 50, dists, rng)
             idxs, rows = choice_draws(cores, mode, dists, 50, ref)
-            sub = subchain_tensor(cores, mode)
+            sub_mat = subchain_unfolding(subchain_tensor(cores, mode))
             xn = mode_n_unfolding(x, mode)
             rot = rotation_modes(mode, n)
             dims_rot = [dims[k] for k in rot]
-            assert batch.subchain.shape == (ranks[(mode + 1) % n], 50, ranks[mode])
+            assert s.shape == (50, ranks[mode] * ranks[(mode + 1) % n])
+            assert s.flags.c_contiguous
             if n == 2:
                 # the subchain starts from the first drawn slices: for N = 2
                 # there is no product at all
-                np.testing.assert_array_equal(batch.subchain,
-                                              cores[rot[0]][:, idxs[:, 0], :])
+                np.testing.assert_array_equal(
+                    s, subchain_unfolding(cores[rot[0]][:, idxs[:, 0], :]))
             # on a Gaussian x a fiber identifies its row
-            np.testing.assert_array_equal(batch.fibers, xn[:, rows])
+            np.testing.assert_array_equal(fibers, xn[:, rows])
             for f in range(50):
                 idx = idxs[f]
                 j = linear_pos(idx, dims_rot)
-                np.testing.assert_allclose(
-                    batch.subchain[:, f, :], sub[:, j, :], atol=1e-13)
-                np.testing.assert_array_equal(batch.fibers[:, f], xn[:, j])
+                np.testing.assert_allclose(s[f], sub_mat[j], atol=1e-13)
+                np.testing.assert_array_equal(fibers[:, f], xn[:, j])
                 expected_p = dists[rot[0]][idx[0]]
                 for c, k in enumerate(rot[1:], start=1):
                     expected_p = expected_p * dists[k][idx[c]]
-                assert batch.probs[f] == expected_p
+                assert probs[f] == expected_p
         assert rng.random() == ref.random()
 
     def test_rows_match_subchain_and_fibers_match_columns(self):
@@ -286,13 +286,13 @@ class TestSampleSubchainFibers:
         dists = [None, uniform_dist(3), uniform_dist(2)]
         draws = 100_000
         ref = copy.deepcopy(rng)
-        batch = sample_subchain_fibers(cores, x, 0, draws, dists, rng)
-        np.testing.assert_allclose(batch.probs, 1.0 / 6.0, rtol=1e-15)
+        _, fibers, probs = sample_subchain_fibers(cores, x, 0, draws, dists, rng)
+        np.testing.assert_allclose(probs, 1.0 / 6.0, rtol=1e-15)
         idxs, _ = choice_draws(cores, 0, dists, draws, ref)
         rot = rotation_modes(0, 3)
         dims_rot = [dims[k] for k in rot]
         rows = np.array([linear_pos(idx, dims_rot) for idx in idxs])
-        np.testing.assert_array_equal(batch.fibers, mode_n_unfolding(x, 0)[:, rows])
+        np.testing.assert_array_equal(fibers, mode_n_unfolding(x, 0)[:, rows])
         counts = np.bincount(rows, minlength=6)
         p = 1.0 / 6.0
         se = np.sqrt(draws * p * (1 - p))
@@ -314,17 +314,17 @@ class TestSampleSubchainFibers:
             else:
                 dists = core_distributions(cores, mode, kind)
             ours, ref = np.random.default_rng(13 + mode), np.random.default_rng(13 + mode)
-            batch = sample_subchain_fibers(cores, x, mode, 1000, dists, ours)
+            s, fibers, probs = sample_subchain_fibers(cores, x, mode, 1000, dists, ours)
             idxs, rows = choice_draws(cores, mode, dists, 1000, ref)
             # on a Gaussian x a fiber identifies its row
-            np.testing.assert_array_equal(batch.fibers, mode_n_unfolding(x, mode)[:, rows])
+            np.testing.assert_array_equal(fibers, mode_n_unfolding(x, mode)[:, rows])
             rot = rotation_modes(mode, 3)
             expected_p = dists[rot[0]][idxs[:, 0]] * dists[rot[1]][idxs[:, 1]]
-            np.testing.assert_array_equal(batch.probs, expected_p)
+            np.testing.assert_array_equal(probs, expected_p)
             np.testing.assert_allclose(
-                batch.subchain, subchain_tensor(cores, mode)[:, rows, :], atol=1e-13)
+                s, subchain_unfolding(subchain_tensor(cores, mode))[rows], atol=1e-13)
             assert ours.random() == ref.random()
-            assert np.all(batch.probs > 0)
+            assert np.all(probs > 0)
 
     def test_rejects_a_wrong_length_distribution(self):
         rng = np.random.default_rng(11)
@@ -348,14 +348,13 @@ class TestCompleteSampleBatch:
         cores = random_cores(rng, dims, (2, 2, 2))
         x = rng.standard_normal(dims)
         for mode in range(3):
-            batch = complete_sample_batch(cores, x, mode)
+            s, fibers, probs = complete_sample_batch(cores, x, mode)
             j_total = x.size // dims[mode]
-            assert batch.probs.shape == (j_total,)
-            np.testing.assert_allclose(batch.probs, 1.0 / j_total)
+            assert probs.shape == (j_total,)
+            np.testing.assert_allclose(probs, 1.0 / j_total)
             np.testing.assert_array_equal(
-                batch.subchain, subchain_tensor(cores, mode))
-            np.testing.assert_array_equal(
-                batch.fibers, mode_n_unfolding(x, mode))
+                s, subchain_unfolding(subchain_tensor(cores, mode)))
+            np.testing.assert_array_equal(fibers, mode_n_unfolding(x, mode))
 
 
 class TestSampleRowsBatch:
@@ -365,15 +364,16 @@ class TestSampleRowsBatch:
         cores = random_cores(rng, dims, (2, 2, 2))
         x = rng.standard_normal(dims)
         q = rng.dirichlet(np.ones(8))
-        sub = subchain_tensor(cores, 0)
+        sub_mat = subchain_unfolding(subchain_tensor(cores, 0))
         xn = mode_n_unfolding(x, 0)
         ref = copy.deepcopy(rng)
-        batch = sample_rows_batch(sub, xn, 40, q, rng)
+        s, fibers, probs = sample_rows_batch(sub_mat, xn, 40, q, rng)
         rows = ref.choice(len(q), size=40, replace=True, p=q)
-        np.testing.assert_array_equal(batch.subchain, sub[:, rows, :])
+        np.testing.assert_array_equal(s, sub_mat[rows])
+        assert s.flags.c_contiguous
         # on a Gaussian x a fiber identifies its row
-        np.testing.assert_array_equal(batch.fibers, xn[:, rows])
-        np.testing.assert_array_equal(batch.probs, q[rows])
+        np.testing.assert_array_equal(fibers, xn[:, rows])
+        np.testing.assert_array_equal(probs, q[rows])
         assert rng.random() == ref.random()
 
     @pytest.mark.parametrize("q", [np.full(7, 1 / 7), np.full(8, 0.2),
@@ -381,7 +381,7 @@ class TestSampleRowsBatch:
                              ids=["wrong-length", "sum", "nan"])
     def test_rejects_a_bad_distribution(self, q):
         with pytest.raises(ValueError):
-            sample_rows_batch(np.zeros((1, 8, 1)), np.zeros((2, 8)), 3, q,
+            sample_rows_batch(np.zeros((8, 1)), np.zeros((2, 8)), 3, q,
                               np.random.default_rng(0))
 
 

@@ -75,3 +75,28 @@ def test_read_holds_one_copy_of_the_entries(tmp_path):
     np.testing.assert_array_equal(back, x)
     assert back.flags.f_contiguous
     assert peak < 1.5 * x.nbytes
+
+
+def test_write_holds_no_copy_of_a_column_major_tensor(tmp_path):
+    # the header and then the array's own buffer go to the file: no bytes
+    # object of the entries is built
+    x = np.asfortranarray(np.random.default_rng(1).standard_normal((100, 100, 100)))
+    path = tmp_path / "t.trt"
+    tracemalloc.start()
+    try:
+        write_tensor(path, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * x.nbytes
+    np.testing.assert_array_equal(read_tensor(path), x)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_write_bytes_follow_the_format_for_any_layout(tmp_path, order):
+    x = np.array(np.random.default_rng(2).standard_normal((3, 4, 5)), order=order)
+    path = tmp_path / "t.trt"
+    write_tensor(path, x)
+    expected = (MAGIC + struct.pack("<4Q", 3, 3, 4, 5)
+                + x.ravel(order="F").astype("<f8").tobytes())
+    assert path.read_bytes() == expected
