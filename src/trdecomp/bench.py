@@ -167,20 +167,17 @@ def _check_names(cfg, key: str, known, what: str) -> None:
 
 
 def parse_config(source) -> dict:
-    """A config given as a dict, a JSON string, or a file path, as a new
-    dict with the defaults of `sampling`, `trials` and `seed` filled in.
-    Only its being a JSON object is checked; `load_config` checks the rest."""
+    """A config given as a dict or the path of a JSON file, as a new dict
+    with the defaults of `sampling`, `trials` and `seed` filled in.  Only its
+    being a JSON object is checked; `load_config` checks the rest."""
     if isinstance(source, dict):
         cfg = dict(source)
     else:
-        text = source
-        if os.path.exists(str(source)):
-            with open(source, encoding="utf-8") as f:
-                text = f.read()
-        try:
-            cfg = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        with open(source, encoding="utf-8") as f:
+            try:
+                cfg = json.load(f)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     cfg.setdefault("sampling", ["uniform"])
@@ -190,8 +187,7 @@ def parse_config(source) -> dict:
 
 
 def load_config(source) -> dict:
-    """Parse a config given as a dict, a JSON string, or a file path, and
-    check it."""
+    """Parse a config given as a dict or a JSON file path, and check it."""
     cfg = parse_config(source)
     _reject_unknown_keys(cfg, _CONFIG_KEYS, "config")
     for key in ("tensor", "algorithms", "solver"):
@@ -205,6 +201,8 @@ def load_config(source) -> dict:
     cfg["seed"] = _int(cfg["seed"], "seed")
     if cfg["trials"] < 1:
         raise ConfigError("trials must be >= 1")
+    if cfg["seed"] < 0:
+        raise ConfigError(f"seed must be >= 0, not {cfg['seed']}")
     return cfg
 
 

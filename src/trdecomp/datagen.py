@@ -34,6 +34,8 @@ class SynthSpec:
             raise ValueError("tensor order must be >= 2")
         if self.dim < 1 or self.rank < 1:
             raise ValueError("dim and rank must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, not {self.seed}")
         if self.kind not in GENERATOR_KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.kind == "ill_conditioned":

@@ -32,6 +32,7 @@ from .core import (
     fold_core,
     mode_n_unfolding,
     residual_norm,
+    rotation_modes,
     subchain_tensor,
     subchain_unfolding,
     tr_reconstruct,  # noqa: F401  (perfbench/tracing.py spans calls made through here)
@@ -154,14 +155,14 @@ def search_direction(g: np.ndarray, h: np.ndarray, damping: float) -> np.ndarray
 
     The solve calls LAPACK dpotrf/dpotrs (upper factor) directly: the
     routines and arguments of scipy.linalg.cho_factor/cho_solve, without
-    their checking wrappers, so the result is bitwise theirs.  If the damped
-    factor is not numerically positive definite, it is factored once more
-    with the ridge raised by max(damping, 1e-12 * trace / R^2); the run in
-    progress counts that jitter fallback in `RunTrace.chol_jitter`.  With zero
-    damping there is no fallback: a singular factor raises ValueError.  A
-    jittered factor that still fails raises LinAlgError.  A non-finite g or h
-    (an overflowed estimate) has no solve and gives an all-NaN direction, so
-    the step it makes is caught as a non-finite core.
+    their checking wrappers, so the result is bitwise theirs.  If damping > 0
+    and the damped factor is not numerically positive definite, it is
+    factored once more with the ridge raised by max(damping, 1e-12 * trace /
+    R^2), and the run in progress counts that jitter fallback in
+    `RunTrace.chol_jitter`.  With no Cholesky factor (at zero damping, or
+    after the retry) or a non-finite g or h (an overflowed estimate) there is
+    no solve: the direction is all NaN, so its step writes a non-finite core
+    and the run stops as diverged.  Only a LAPACK argument error raises.
     """
     size = h.shape[0]
     if damping:
@@ -169,19 +170,19 @@ def search_direction(g: np.ndarray, h: np.ndarray, damping: float) -> np.ndarray
     if not (np.isfinite(g).all() and np.isfinite(h).all()):
         return np.full_like(g, np.nan)
     factor, info = dpotrf(h, lower=0, clean=0)
-    if info > 0:
-        if damping <= 0:
-            raise ValueError("Hessian factor is singular; use a positive damping parameter")
+    if info > 0 and damping > 0:
         counter = _chol_jitter.get()
         if counter is not None:
             counter[0] += 1
         jitter = max(damping, 1e-12 * np.trace(h) / size)
         factor, info = dpotrf(h + jitter * np.eye(size), lower=0, clean=0)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dpotrf failed on the damped Hessian factor (info {info})")
+    if info > 0:
+        return np.full_like(g, np.nan)
+    if info < 0:
+        raise np.linalg.LinAlgError(f"dpotrf: illegal argument {-info}")
     direction, info = dpotrs(factor, g.T, lower=0)
     if info != 0:
-        raise np.linalg.LinAlgError(f"dpotrs failed (info {info})")
+        raise np.linalg.LinAlgError(f"dpotrs: illegal argument {-info}")
     return -direction.T
 
 
@@ -228,6 +229,8 @@ class SolverConfig:
             raise ValueError("ranks must be positive")
         if self.batch_grad < 1 or self.batch_hess < 1:
             raise ValueError("batch sizes must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, not {self.seed}")
         if self.max_iters is None and self.max_seconds is None and self.rse_tol is None:
             raise ValueError("at least one stopping criterion must be set")
         # written so that NaN fails every check
@@ -277,7 +280,7 @@ def _init_cores(x: np.ndarray, config: SolverConfig, init) -> list[np.ndarray]:
 # where it still gives k = 1.
 EVAL_CALL_FLOPS = 3e5  # one residual_norm call (~0.03 ms)
 CORE_UPDATE_FLOPS = 1e6  # the calls of one dense core update (~0.1 ms)
-STEP_FLOPS = 5e5  # one stochastic iteration: generator, mode draw, step (~0.05 ms)
+STEP_FLOPS = 5e5  # one stochastic iteration: mode draw, step (~0.05 ms)
 DRAW_FLOPS = 1e6  # one sampled batch over one other mode (~0.1 ms)
 SOLVE_FLOPS = 1.8e6  # the scaled step's Hessian and Cholesky solve (~0.18 ms)
 MAX_EVAL_EVERY = 100
@@ -330,38 +333,44 @@ def _default_eval_every(eval_cost: float, iteration_cost: float) -> int:
     return min(MAX_EVAL_EVERY, max(1, math.ceil(9 * eval_cost / iteration_cost)))
 
 
-def _run_loop(x, cores, config, algorithm, sampling_name, do_iteration,
-              iteration_cost, clock=None):
-    """Drive `do_iteration(t, cores)` until a stopping criterion fires.
-
-    x is column-major, as every solver takes it at entry, so `residual_norm`
-    reads it in place.  Iteration work is timed with `clock` (default
-    perf_counter) into the records' elapsed time, which max_seconds is
-    checked against; evaluation
-    time is kept apart, in the trace's eval_s.  The RSE is evaluated every
-    config.eval_every iterations; when that is None, the cadence is
-    `_default_eval_every` of the modelled cost of one evaluation
-    (`_eval_cost`) and of one iteration (`iteration_cost(shape, ranks)`, which
-    each solver models for itself).  Stopping criteria are checked only at
-    evaluation points, in the order non-finite -> rse_tol -> max_iters -> max_seconds;
-    an evaluation is forced whenever the iteration count or elapsed budget is
-    hit, or when `do_iteration` returns False: the stochastic solvers do so
-    as soon as they write a non-finite core, because the next draw from that
-    core's distribution would raise, and when the `optimal` residual is not
-    finite, which leaves no distribution to draw from.  A False return, or a
-    non-finite RSE or core, stops the run with reason "diverged".  Every
-    solver comes here before it models a cost or runs an iteration, so a
-    tensor with no entries, only zeros or a non-finite norm is rejected
-    (ValueError) here.  The Cholesky jitter fallbacks that
-    `search_direction` takes during the run are counted into the trace's
-    chol_jitter.
-    """
-    clock = clock if clock is not None else time.perf_counter
+def _fit_input(x) -> tuple[np.ndarray, float]:
+    """x column-major (no copy for `read_tensor` and `synth_tensor` output),
+    read in place by every solver, and its norm.  Each solver calls this
+    first: a tensor with no entries, only zeros or a non-finite norm has no
+    RSE and is rejected (ValueError) before any other check."""
+    x = np.asfortranarray(x, dtype=np.float64)
     with np.errstate(over="ignore"):  # an overflowing norm is rejected below
         norm_x = np.linalg.norm(x)
     if not 0 < norm_x < math.inf:
         raise ValueError(f"cannot fit a tensor of norm {norm_x}: it is empty, all zero "
                          "or not finite (RSE undefined)")
+    return x, norm_x
+
+
+def _run_loop(x, norm_x, cores, config, algorithm, sampling_name, do_iteration,
+              iteration_cost, clock=None):
+    """Drive `do_iteration(t, cores)` until a stopping criterion fires.
+
+    x and its norm come from `_fit_input`, so `residual_norm` reads x in
+    place.  Iteration work is timed with `clock` (default perf_counter) into
+    the records' elapsed time, which max_seconds is checked against;
+    evaluation time is kept apart, in the trace's eval_s.  The RSE is
+    evaluated every config.eval_every iterations; when that is None, the
+    cadence is `_default_eval_every` of the modelled cost of one evaluation
+    (`_eval_cost`) and of one iteration (`iteration_cost(shape, ranks)`, which
+    each solver models for itself).  Stopping criteria are checked only at
+    evaluation points, in the order non-finite -> rse_tol -> max_iters ->
+    max_seconds; an evaluation is forced whenever the iteration count or
+    elapsed budget is hit, or when `do_iteration` returns False.  The
+    step-based solvers return whether their step wrote finite cores (a
+    preconditioner with no Cholesky factor gives an all-NaN direction, so its
+    step does not), and the `optimal` sampler returns False for a non-finite
+    residual, which leaves no distribution to draw from.  A False return, or
+    a non-finite RSE or core, stops the run at that iteration with reason
+    "diverged".  The Cholesky jitter fallbacks that `search_direction` takes
+    during the run are counted into the trace's chol_jitter.
+    """
+    clock = clock if clock is not None else time.perf_counter
     eval_every = config.eval_every
     if eval_every is None:
         ranks = tuple(c.shape[0] for c in cores)
@@ -493,11 +502,10 @@ def tr_als(x, config: SolverConfig, init=None, clock=None):
     One iteration of the trace is one full sweep.  Every update is the
     minimum-norm least-squares solution, so a rank-deficient subchain
     unfolding needs no second path; the run logs one warning giving how many
-    of its core updates were rank deficient.  x is taken column-major once
-    (no copy for the column-major tensors that `read_tensor` and
-    `synth_tensor` return), and every update reads X_[n] Q off it in place.
+    of its core updates were rank deficient.  Every update reads X_[n] Q off
+    the column-major x in place.
     """
-    x = np.asfortranarray(x, dtype=np.float64)
+    x, norm_x = _fit_input(x)
     cores = _init_cores(x, config, init)
     counts = {"updates": 0, "deficient": 0}
 
@@ -511,7 +519,7 @@ def tr_als(x, config: SolverConfig, init=None, clock=None):
             cores[n] = fold_core(sol, r_left, r_right)
         return True
 
-    result = _run_loop(x, cores, config, "tr-als", "none", sweep,
+    result = _run_loop(x, norm_x, cores, config, "tr-als", "none", sweep,
                        partial(_dense_iteration_cost, qr=True), clock=clock)
     if counts["deficient"]:
         logger.warning(
@@ -522,21 +530,20 @@ def tr_als(x, config: SolverConfig, init=None, clock=None):
 
 
 def _gradient_descent(x, config, init, clock, scaled):
-    x = np.asfortranarray(x, dtype=np.float64)  # read in place by _grad_and_gram
+    x, norm_x = _fit_input(x)  # read in place by _grad_and_gram
     cores = _init_cores(x, config, init)
     adagrad_acc: dict[int, np.ndarray] = {}
     name = "tr-scaled-gd" if scaled else "tr-gd"
 
     def iteration(t, cores):
         blocks = [_grad_and_gram(cores, x, n) for n in range(x.ndim)]
+        finite = True
         for n, (g, gram) in enumerate(blocks):
             direction = search_direction(g, gram, config.damping) if scaled else -g
-            _apply_step(cores, n, direction, config, t, adagrad_acc)
-        # a non-finite core only propagates NaN through full-gradient
-        # iterations, so it is left to the next evaluation
-        return True
+            finite = _apply_step(cores, n, direction, config, t, adagrad_acc) and finite
+        return finite
 
-    return _run_loop(x, cores, config, name, "none", iteration,
+    return _run_loop(x, norm_x, cores, config, name, "none", iteration,
                      partial(_dense_iteration_cost, qr=False), clock=clock)
 
 
@@ -557,22 +564,20 @@ def tr_scaled_gd(x, config: SolverConfig, init=None, clock=None):
 
 
 def _stochastic_solver(x, config, init, clock, scaled):
-    x = np.asfortranarray(x, dtype=np.float64)
+    x, norm_x = _fit_input(x)
     cores = _init_cores(x, config, init)
     n_modes = x.ndim
+    # an undamped Hessian factor of batch_hess rows has rank <= batch_hess
+    r2 = max(c.shape[0] * c.shape[2] for c in cores)
+    if scaled and config.damping == 0 and config.batch_hess < r2:
+        raise ValueError(f"batch_hess={config.batch_hess} is below the Hessian factor size "
+                         f"R_n*R_(n+1)={r2}, so at damping=0 the factor is singular; "
+                         "raise batch_hess or set a positive damping")
     adagrad_acc: dict[int, np.ndarray] = {}
     name = "tr-scaled-brsgd" if scaled else "tr-brsgd"
-    # k -> (core array, its distribution).  An entry is exact while cores[k]
-    # is the stored array: _apply_step replaces a core with a new array and
-    # never writes into one, so only the core updated last goes stale.
-    dist_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def dists_for(mode, cores):
-        for k, core in enumerate(cores):
-            if k != mode and (k not in dist_cache or dist_cache[k][0] is not core):
-                dist_cache[k] = (core, core_distribution(core, config.sampling.kind))
-        return [None if k == mode else dist_cache[k][1] for k in range(n_modes)]
-
+    # dists[k] is the sampling distribution of cores[k], None until it is
+    # computed and again once the core is replaced
+    dists: list[np.ndarray | None] = [None] * n_modes
     rng = _run_rng(config.seed, 1)
     b = config.batch_grad
     rows = b + (config.batch_hess if scaled else 0)
@@ -588,8 +593,10 @@ def _stochastic_solver(x, config, init, clock, scaled):
             q = optimal_distribution_oracle(residual, sub_mat)
             s, fibers, probs = sample_rows_batch(sub_mat, xn, rows, q, rng)
         else:
-            s, fibers, probs = sample_subchain_fibers(cores, x, n, rows,
-                                                      dists_for(n, cores), rng)
+            for k in rotation_modes(n, n_modes):
+                if dists[k] is None:
+                    dists[k] = core_distribution(cores[k], config.sampling.kind)
+            s, fibers, probs = sample_subchain_fibers(cores, x, n, rows, dists, rng)
         # i.i.d. rows: the first b form the gradient batch, the rest the Hessian batch
         j_total = x.size // x.shape[n]
         g = stochastic_gradient(cores[n], s[:b], fibers[:, :b], probs[:b], j_total)
@@ -598,9 +605,11 @@ def _stochastic_solver(x, config, init, clock, scaled):
             direction = search_direction(g, h, config.damping)
         else:
             direction = -g
-        return _apply_step(cores, n, direction, config, t, adagrad_acc)
+        finite = _apply_step(cores, n, direction, config, t, adagrad_acc)
+        dists[n] = None
+        return finite
 
-    return _run_loop(x, cores, config, name, config.sampling.kind, iteration,
+    return _run_loop(x, norm_x, cores, config, name, config.sampling.kind, iteration,
                      partial(_stochastic_step_cost, config=config, scaled=scaled),
                      clock=clock)
 

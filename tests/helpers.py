@@ -12,6 +12,27 @@ from trdecomp.core import (mode_n_unfolding, residual_norm, rotation_modes, subc
 from trdecomp.sampling import check_prob_vector
 
 
+def random_cores(rng, dims, ranks):
+    """Standard normal cores of extents `dims` and cyclic ranks `ranks`."""
+    n = len(dims)
+    return [
+        rng.standard_normal((ranks[k], dims[k], ranks[(k + 1) % n]))
+        for k in range(n)
+    ]
+
+
+def counting_clock():
+    """A clock that advances by 1.0 at every call, so a run's elapsed and
+    evaluation times count clock calls instead of wall time."""
+    state = {"t": 0.0}
+
+    def clock():
+        state["t"] += 1.0
+        return state["t"]
+
+    return clock
+
+
 def arange_tensor(shape):
     """Tensor whose entry (i_1,...,i_N) is its 1-based column-major position."""
     return np.arange(1.0, np.prod(shape) + 1.0).reshape(shape, order="F")

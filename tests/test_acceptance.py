@@ -48,30 +48,14 @@ from helpers import (
     als_objectives,
     choice_draws,
     complete_sample_batch,
+    counting_clock,
     finite_diff_core_gradient,
     leverage_by_svd,
     linear_pos,
     product_row_distribution,
+    random_cores,
     variance_functional,
 )
-
-
-def random_cores(rng, dims, ranks):
-    n = len(dims)
-    return [
-        rng.standard_normal((ranks[k], dims[k], ranks[(k + 1) % n]))
-        for k in range(n)
-    ]
-
-
-def counting_clock():
-    state = {"t": 0.0}
-
-    def clock():
-        state["t"] += 1.0
-        return state["t"]
-
-    return clock
 
 
 def _draw_product_batches(cores, x, mode, dists, batch, n_batches, rng):

@@ -26,15 +26,7 @@ from trdecomp.trace import (
     write_trace_csv,
 )
 
-
-def counting_clock():
-    state = {"t": 0.0}
-
-    def clock():
-        state["t"] += 1.0
-        return state["t"]
-
-    return clock
+from helpers import counting_clock
 
 
 BASE_CONFIG = {
@@ -128,6 +120,16 @@ class TestTraceCsv:
         back = read_trace_csv(path)
         assert back.records == trace.records
         assert back.terminal_reason == "tol"
+
+    def test_bad_header(self):
+        with pytest.raises(ValueError, match="bad trace header"):
+            parse_trace_csv("# algorithm=tr-gd;terminal_reason=tol\niteration,rse\n0,1\n")
+        with pytest.raises(ValueError, match="bad trace header"):
+            parse_trace_csv("")
+
+    def test_final_of_an_empty_trace(self):
+        with pytest.raises(ValueError, match="empty trace"):
+            RunTrace("tr-gd", "none").final()
 
     def test_filename_scheme(self):
         assert trace_filename("tr-brsgd", "euclidean", 3) == "tr-brsgd-euclidean-t3.csv"
@@ -297,9 +299,21 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(cfg)
 
-    def test_not_an_object(self):
+    def test_not_an_object(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text("[1, 2]")
         with pytest.raises(ConfigError, match="JSON object"):
-            load_config("[1, 2]")
+            load_config(str(path))
+
+    def test_missing_file(self, tmp_path):
+        # a path that names no file is not read as JSON text
+        with pytest.raises(FileNotFoundError):
+            load_config(str(tmp_path / "missing.json"))
+
+    def test_negative_seed(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0, not -5"):
+            load_config(dict(BASE_CONFIG, seed=-5))
+        assert load_config(dict(BASE_CONFIG, seed=0))["seed"] == 0
 
     def test_unknown_top_level_key(self):
         cfg = dict(BASE_CONFIG, trails=5)

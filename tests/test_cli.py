@@ -302,7 +302,8 @@ def test_non_finite_run_exit_code(tmp_path, capsys):
     assert rc == 3
     trace = read_trace_csv(out_dir / "tr-gd-none-t0.csv")
     assert trace.terminal_reason == "diverged" and trace.diverged
-    assert trace.final()[0] == 10
+    # stopped at the iteration that overflowed, not at the next evaluation
+    assert trace.final()[0] == 4
 
 
 def test_non_finite_stochastic_run_exit_code(tmp_path, capsys):
@@ -321,6 +322,117 @@ def test_non_finite_stochastic_run_exit_code(tmp_path, capsys):
     trace = read_trace_csv(out_dir / "tr-brsgd-leverage-t0.csv")
     assert trace.terminal_reason == "diverged"
     assert trace.final()[0] < 100
+
+
+def _config_file(tmp_path, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def test_a_failed_solve_is_a_diverged_trial(tmp_path, capsys):
+    # ranks above what the N=2 data supports make every Gram factor singular:
+    # at damping 0 TR-ScaledGD has no Cholesky factor, and each trial stops as
+    # diverged at its first step while the grid runs on and writes its summary
+    cfg_path = _config_file(tmp_path, {
+        "tensor": {"synth": {"order": 2, "dim": 3, "rank": 1, "seed": 10}},
+        "algorithms": ["tr-als", "tr-scaled-gd"],
+        "solver": {"ranks": [3, 3], "max_iters": 5},
+        "trials": 2,
+    })
+    out_dir = tmp_path / "o"
+    rc = main(["benchmark", "--config", str(cfg_path), "--out-dir", str(out_dir)])
+    assert rc == 3
+    summary = (out_dir / "summary.md").read_text(encoding="utf-8")
+    assert re.search(r"^\| TR-ALS \|.* \| 0/2 \|$", summary, re.M)
+    assert re.search(r"^\| TR-ScaledGD \| - \| - \| - \| - \| 2/2 \|$", summary, re.M)
+    for trial in (0, 1):
+        trace = read_trace_csv(out_dir / f"tr-scaled-gd-none-t{trial}.csv")
+        assert trace.terminal_reason == "diverged"
+        assert [r[0] for r in trace.records] == [0, 1]
+
+
+def test_negative_seed_is_an_input_error(tmp_path, capsys):
+    _tiny_tensor(tmp_path)
+    rc = main(_decompose_argv(tmp_path, "--max-iters", "2", "--seed", "-1",
+                              algorithm="tr-als"))
+    assert rc == 2
+    assert "seed must be >= 0, not -1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    cfg_path = _config_file(tmp_path, {
+        "tensor": {"synth": {"order": 3, "dim": 4, "rank": 2, "seed": 3}},
+        "algorithms": ["tr-als"], "solver": {"ranks": [2, 2, 2], "max_iters": 2},
+        "seed": -5,
+    })
+    rc = main(["benchmark", "--config", str(cfg_path), "--out-dir", str(tmp_path / "b")])
+    assert rc == 2
+    assert "seed must be >= 0, not -5" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
+    rc = main(["synth", "--order", "3", "--dim", "4", "--rank", "2", "--seed", "-2",
+               "--out", str(tmp_path / "y.trt")])
+    assert rc == 2
+    assert "seed must be >= 0, not -2" in capsys.readouterr().err
+
+
+def test_scaled_brsgd_rejects_a_hessian_batch_that_cannot_be_factored(tmp_path, capsys):
+    # at damping 0 a Hessian factor of batch_hess rows has rank <= batch_hess,
+    # below the 2*2 = 4 of these ranks: no step could ever be solved
+    _tiny_tensor(tmp_path)
+    rc = main(_decompose_argv(tmp_path, "--max-iters", "2", algorithm="tr-scaled-brsgd"))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "batch_hess=1" in err and "damping=0" in err
+    assert not (tmp_path / "o").exists()
+    for flags in (["--damping", "1e-8"], ["--batch-hess", "4"]):
+        rc = main(_decompose_argv(tmp_path, "--max-iters", "2", *flags,
+                                  algorithm="tr-scaled-brsgd"))
+        assert rc in (0, 3) and (tmp_path / "o").exists()
+
+
+def test_missing_config_file_is_not_reported_as_bad_json(tmp_path, capsys):
+    rc = main(["benchmark", "--config", str(tmp_path / "missing.json"),
+               "--out-dir", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "No such file" in err and "JSON" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flags, match", [
+    (["--ranks", "2", "2"], "2 ranks for an order-3 tensor"),
+    (["--ranks", "2", "0", "2"], "ranks must be positive"),
+    (["--batch-grad", "0"], "batch sizes must be >= 1"),
+    (["--batch-hess", "0"], "batch sizes must be >= 1"),
+], ids=["rank-count", "rank-zero", "batch-grad-zero", "batch-hess-zero"])
+def test_decompose_rejects_ranks_and_batch_sizes_no_run_can_use(tmp_path, capsys, flags,
+                                                               match):
+    _tiny_tensor(tmp_path)
+    rc = main(_decompose_argv(tmp_path, "--max-iters", "2", *flags))
+    assert rc == 2
+    assert match in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_benchmark_override_syntax(tmp_path, capsys):
+    cfg_path = _config_file(tmp_path, {
+        "tensor": {"synth": {"order": 3, "dim": 4, "rank": 2, "seed": 3}},
+        "algorithms": ["tr-als"], "solver": {"ranks": [2, 2, 2], "max_iters": 2},
+    })
+    out_dir = tmp_path / "o"
+
+    def benchmark(*overrides):
+        return main(["benchmark", "--config", str(cfg_path), "--out-dir", str(out_dir),
+                     *(arg for item in overrides for arg in ("--set", item))])
+
+    assert benchmark("trials") == 2
+    assert "'trials' is not key=value" in capsys.readouterr().err
+    assert benchmark("solver.step.kind=newton") == 2
+    assert "unknown step kind 'newton'" in capsys.readouterr().err
+    assert not list(out_dir.glob("*.csv"))
+    # a value that is not JSON is kept as a string
+    assert benchmark("solver.step.kind=robbins_monro", "solver.step.alpha0=0.5") == 0
+    written = json.loads((out_dir / "config.json").read_text(encoding="utf-8"))
+    assert written["solver"]["step"] == {"kind": "robbins_monro", "alpha0": 0.5}
 
 
 @pytest.mark.parametrize("flags", [

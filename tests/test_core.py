@@ -16,7 +16,13 @@ from trdecomp.core import (
     validate_cores,
 )
 
-from helpers import arange_tensor, linear_pos, reconstruct_by_trace, unfold_by_definition
+from helpers import (
+    arange_tensor,
+    linear_pos,
+    random_cores,
+    reconstruct_by_trace,
+    unfold_by_definition,
+)
 
 
 class TestUnfoldings:
@@ -184,14 +190,6 @@ class TestSlicesHadamard:
             slices_hadamard(np.zeros((2, 3, 2)), np.zeros((2, 4, 2)))
         with pytest.raises(ValueError):
             slices_hadamard(np.zeros((2, 3, 2)), np.zeros((3, 3, 2)))
-
-
-def random_cores(rng, dims, ranks):
-    n = len(dims)
-    return [
-        rng.standard_normal((ranks[k], dims[k], ranks[(k + 1) % n]))
-        for k in range(n)
-    ]
 
 
 class TestSubchainTensor:

@@ -4,13 +4,7 @@ import pytest
 from trdecomp.core import tr_reconstruct
 from trdecomp.metrics import rse
 
-
-def random_cores(rng, dims, ranks):
-    n = len(dims)
-    return [
-        rng.standard_normal((ranks[k], dims[k], ranks[(k + 1) % n]))
-        for k in range(n)
-    ]
+from helpers import random_cores
 
 
 class TestRse:

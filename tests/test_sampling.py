@@ -29,17 +29,10 @@ from helpers import (
     linear_pos,
     product_dist_by_enumeration,
     product_row_distribution,
+    random_cores,
     uniform_dist,
     variance_functional,
 )
-
-
-def random_cores(rng, dims, ranks):
-    n = len(dims)
-    return [
-        rng.standard_normal((ranks[k], dims[k], ranks[(k + 1) % n]))
-        for k in range(n)
-    ]
 
 
 class TestSamplingSpec:

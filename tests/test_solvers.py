@@ -46,29 +46,13 @@ from trdecomp.trace import TERMINAL_REASONS, parse_trace_csv, render_trace_csv
 from helpers import (
     als_objectives,
     complete_sample_batch,
+    counting_clock,
     finite_diff_core_gradient,
     lstsq_core_update,
+    random_cores,
     reconstruct_by_trace,
     uniform_dist,
 )
-
-
-def random_cores(rng, dims, ranks):
-    n = len(dims)
-    return [
-        rng.standard_normal((ranks[k], dims[k], ranks[(k + 1) % n]))
-        for k in range(n)
-    ]
-
-
-def _counting_clock():
-    state = {"t": 0.0}
-
-    def clock():
-        state["t"] += 1.0
-        return state["t"]
-
-    return clock
 
 
 def _step_size(schedule, t):
@@ -369,10 +353,18 @@ class TestSearchDirection:
             assert np.linalg.norm(d @ (h + eta * np.eye(4)) + g) < 1e-10
 
     def test_singular_without_damping(self):
+        # no Cholesky factor and no retry at zero damping: the direction is
+        # all NaN, so the step it makes stops the run as diverged
         g = np.ones((2, 2))
         h = np.zeros((2, 2))
-        with pytest.raises(ValueError, match="damping"):
-            search_direction(g, h, damping=0.0)
+        d = search_direction(g, h, damping=0.0)
+        assert d.shape == g.shape and np.isnan(d).all()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input(self, bad):
+        g, h = np.ones((2, 2)), np.eye(2)
+        for args in ((np.where(g, bad, 0.0), h), (g, np.where(h, bad, 0.0))):
+            assert np.isnan(search_direction(*args, damping=1e-8)).all()
 
     @pytest.mark.parametrize("r", [2, 3, 4])
     @pytest.mark.parametrize("damping", [0.0, 1e-8, 0.5])
@@ -399,11 +391,16 @@ class TestSearchDirection:
             scipy.linalg.cho_factor(h + jitter * np.eye(4)), g.T).T
         np.testing.assert_array_equal(d, expected)
 
-    def test_failed_jitter_retry_raises(self):
-        # an indefinite factor stays indefinite after the jitter
+    def test_failed_jitter_retry_gives_nan(self):
+        # an indefinite factor stays indefinite after the jitter: the retry
+        # is counted, and the direction is all NaN
         h = np.diag([1.0, -1.0])
-        with pytest.raises(np.linalg.LinAlgError, match="dpotrf"):
-            search_direction(np.ones((2, 2)), h, damping=1e-8)
+        token = solvers._chol_jitter.set(counter := [0])
+        try:
+            d = search_direction(np.ones((2, 2)), h, damping=1e-8)
+        finally:
+            solvers._chol_jitter.reset(token)
+        assert np.isnan(d).all() and counter == [1]
 
 
 class TestTrAls:
@@ -530,13 +527,17 @@ class TestTrScaledGd:
             expected = vec_new.reshape(dims[n], ranks[n] * ranks[(n + 1) % 3], order="F")
             np.testing.assert_allclose(core_unfolding(stepped[n]), expected, atol=1e-10)
 
-    def test_singular_gram_zero_damping_raises(self):
+    def test_singular_gram_zero_damping_diverges(self):
         # target ranks above what the data supports at N=2 make the subchain
-        # unfolding rank deficient
+        # unfolding rank deficient: the first step has no Cholesky factor
         x, _ = synth_tensor(SynthSpec(order=2, dim=3, rank=1, seed=10))
-        cfg = SolverConfig(ranks=(3, 3), schedule=ConstantStep(0.1), max_iters=1, seed=0)
-        with pytest.raises(ValueError, match="damping"):
-            tr_scaled_gd(x, cfg)
+        cfg = SolverConfig(ranks=(3, 3), schedule=ConstantStep(0.1), max_iters=5,
+                           eval_every=5, seed=0)
+        cores, trace = tr_scaled_gd(x, cfg)
+        assert trace.terminal_reason == "diverged"
+        assert [r[0] for r in trace.records] == [0, 1]
+        assert trace.chol_jitter == 0
+        assert all(np.isnan(c).all() for c in cores)
 
     def test_jitter_fallbacks_are_counted_in_the_trace(self):
         # the same singular Gram matrices with a ridge too small to change
@@ -628,8 +629,8 @@ class TestTrBrsgd:
                            batch_grad=10, max_iters=60, eval_every=10, seed=21,
                            sampling=SamplingSpec("leverage"))
         # a counting clock removes wall-time noise from the elapsed column
-        c1, t1 = tr_brsgd(x, cfg, clock=_counting_clock())
-        c2, t2 = tr_brsgd(x, cfg, clock=_counting_clock())
+        c1, t1 = tr_brsgd(x, cfg, clock=counting_clock())
+        c2, t2 = tr_brsgd(x, cfg, clock=counting_clock())
         assert t1.records == t2.records
         for a, b in zip(c1, c2):
             np.testing.assert_array_equal(a, b)
@@ -664,7 +665,9 @@ class TestTrBrsgd:
                            sampling=SamplingSpec("leverage"))
         _, trace = tr_brsgd(x, cfg)
         assert trace.final()[0] == iters
-        assert 2 <= len(calls) <= 2 + iters
+        # 2 at the first iteration, then one for each iteration that draws
+        # from the core the one before it replaced
+        assert len(calls) == 22
 
     def test_optimal_sampling_runs(self):
         x, _ = synth_tensor(SynthSpec(order=3, dim=6, rank=2, seed=14))
@@ -691,8 +694,8 @@ class TestTrScaledBrsgd:
                            batch_grad=10, batch_hess=20, damping=1e-8,
                            max_iters=60, eval_every=10, seed=22,
                            sampling=SamplingSpec("euclidean"))
-        c1, t1 = tr_scaled_brsgd(x, cfg, clock=_counting_clock())
-        c2, t2 = tr_scaled_brsgd(x, cfg, clock=_counting_clock())
+        c1, t1 = tr_scaled_brsgd(x, cfg, clock=counting_clock())
+        c2, t2 = tr_scaled_brsgd(x, cfg, clock=counting_clock())
         assert t1.records == t2.records
         for a, b in zip(c1, c2):
             np.testing.assert_array_equal(a, b)
@@ -738,8 +741,8 @@ class TestTrScaledBrsgd:
                            batch_grad=10, batch_hess=20, damping=1e-8,
                            max_iters=40, eval_every=10, seed=23,
                            sampling=SamplingSpec("leverage"))
-        c_cores, c_trace = solver(np.ascontiguousarray(x), cfg, clock=_counting_clock())
-        f_cores, f_trace = solver(np.asfortranarray(x), cfg, clock=_counting_clock())
+        c_cores, c_trace = solver(np.ascontiguousarray(x), cfg, clock=counting_clock())
+        f_cores, f_trace = solver(np.asfortranarray(x), cfg, clock=counting_clock())
         assert c_trace.records == f_trace.records
         for a, b in zip(c_cores, f_cores):
             assert a.tobytes() == b.tobytes()
@@ -847,8 +850,8 @@ class TestOptimalSampling:
     def test_fixed_seed_bitwise_reproducible(self):
         x, _ = synth_tensor(SynthSpec(order=3, dim=6, rank=2, seed=14))
         cfg = self._config(max_iters=40, eval_every=10, seed=23)
-        c1, t1 = tr_scaled_brsgd(x, cfg, clock=_counting_clock())
-        c2, t2 = tr_scaled_brsgd(x, cfg, clock=_counting_clock())
+        c1, t1 = tr_scaled_brsgd(x, cfg, clock=counting_clock())
+        c2, t2 = tr_scaled_brsgd(x, cfg, clock=counting_clock())
         assert t1.records == t2.records
         assert render_trace_csv(t1) == render_trace_csv(t2)
         for a, b in zip(c1, c2):
@@ -906,15 +909,17 @@ class TestStoppingCriteria:
         assert (trace.eval_every, trace.eval_s) == (1, 4.0)
 
     def test_non_finite_rse_stops_as_diverged(self):
-        # kappa=1e4 instance at alpha=0.1: GD overflows to NaN by iteration 10
+        # kappa=1e4 instance at alpha=0.1: a GD step writes a non-finite core
+        # at iteration 4, and the run stops there rather than at the next
+        # evaluation (10)
         x, _ = synth_tensor(SynthSpec(order=3, dim=25, rank=3, kind="ill_conditioned",
                                       kappa=1e4, seed=2))
         cfg = SolverConfig(ranks=(3, 3, 3), schedule=ConstantStep(0.1),
                            max_iters=30, eval_every=10, seed=0)
         with np.errstate(over="ignore", invalid="ignore"):
             cores, trace = tr_gd(x, cfg)
-        assert [r[0] for r in trace.records] == [0, 10]
-        assert np.isfinite(trace.records[0][2]) and np.isnan(trace.records[1][2])
+        assert [r[0] for r in trace.records] == [0, 4]
+        assert np.isfinite(trace.records[0][2]) and not np.isfinite(trace.records[1][2])
         assert trace.diverged
         assert trace.terminal_reason == "diverged" and "diverged" in TERMINAL_REASONS
         assert not all(np.isfinite(c).all() for c in cores)
@@ -938,14 +943,16 @@ class TestStoppingCriteria:
 
     def test_overflowed_preconditioner_stops_as_diverged(self):
         # an overflowed Gram matrix has no Cholesky factor; the step it makes
-        # is non-finite and caught at the next evaluation
+        # is non-finite, and the run stops at that iteration (12), not at the
+        # next evaluation (20)
         x, _ = synth_tensor(SynthSpec(order=3, dim=8, rank=2, seed=15))
         cfg = SolverConfig(ranks=(2, 2, 2), schedule=ConstantStep(1e6),
                            damping=1e-8, max_iters=40, eval_every=20, seed=7)
         with np.errstate(over="ignore", invalid="ignore"):
             _, trace = tr_scaled_gd(x, cfg)
         assert trace.terminal_reason == "diverged" and trace.diverged
-        assert trace.final()[0] == 20 and not math.isfinite(trace.final()[2])
+        assert [r[0] for r in trace.records] == [0, 12]
+        assert not math.isfinite(trace.final()[2])
 
     @pytest.mark.parametrize("solver", [tr_als, tr_scaled_brsgd])
     def test_last_trace_rse_matches_trace_oracle(self, solver):
@@ -1038,9 +1045,9 @@ class TestEvalCadence:
         k = _model_eval_every(solver, x.shape, (3, 3, 3), SolverConfig(**kw))
         assert k > 1
         cores_k, trace_k = solver(x, SolverConfig(max_iters=3 * k, **kw),
-                                  clock=_counting_clock())
+                                  clock=counting_clock())
         cores_1, trace_1 = solver(x, SolverConfig(max_iters=3 * k, eval_every=1, **kw),
-                                  clock=_counting_clock())
+                                  clock=counting_clock())
         assert (trace_k.eval_every, trace_1.eval_every) == (k, 1)
         for a, b in zip(cores_k, cores_1):
             assert a.tobytes() == b.tobytes()

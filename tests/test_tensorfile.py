@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from trdecomp.tensorfile import MAGIC, read_tensor, write_tensor
+from trdecomp.tensorfile import MAGIC, atomic_write_bytes, read_tensor, write_tensor
 
 from helpers import arange_tensor
 
@@ -100,3 +100,14 @@ def test_write_bytes_follow_the_format_for_any_layout(tmp_path, order):
     expected = (MAGIC + struct.pack("<4Q", 3, 3, 4, 5)
                 + x.ravel(order="F").astype("<f8").tobytes())
     assert path.read_bytes() == expected
+
+
+def test_failed_write_leaves_no_file(tmp_path):
+    # the second chunk is not a buffer: the temp file is removed and the
+    # target keeps its old content
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"old")
+    with pytest.raises(TypeError):
+        atomic_write_bytes(path, b"new", object())
+    assert path.read_bytes() == b"old"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]

@@ -2,8 +2,12 @@
 
 Every solver runs at seeds 2, 3 and 5 under a counting clock, the stochastic
 ones with each of the four sampling kinds (`optimal` included), on an
-ill-conditioned order-3 tensor and a Gaussian order-4 tensor.  Two source
-trees behave identically on these runs when their outputs are equal:
+ill-conditioned order-3 tensor and a Gaussian order-4 tensor.  Then come runs
+that stop as diverged: TR-GD at a step that overflows, and TR-ScaledGD at
+damping 0 on ranks the data cannot support, whose Gram factors have no
+Cholesky factor.  A run that raises prints the exception's name instead of a
+digest.  Two source trees behave identically on these runs when their
+outputs are equal:
 
     PYTHONPATH=OLD/src python tools/run_digest.py > old.txt
     PYTHONPATH=NEW/src python tools/run_digest.py > new.txt
@@ -15,6 +19,8 @@ build and thread count.
 
 import hashlib
 import sys
+
+import numpy as np
 
 from trdecomp import (ConstantStep, SamplingSpec, SolverConfig, SynthSpec, synth_tensor,
                       tr_als, tr_brsgd, tr_gd, tr_scaled_brsgd, tr_scaled_gd)
@@ -36,6 +42,13 @@ SOLVERS = {
     "tr-brsgd": (tr_brsgd, 0.1, SAMPLING_KINDS),
     "tr-scaled-brsgd": (tr_scaled_brsgd, 0.3, SAMPLING_KINDS),
 }
+# (tensor name, tensor, ranks, solver name, solver, step, damping), printed
+# after the runs above so that older trees still diff line for line
+DIVERGING = [
+    ("order3-k1e4", TENSORS["order3-k1e4"], (3, 3, 3), "tr-gd", tr_gd, 0.1, 1e-8),
+    ("order2-singular", SynthSpec(order=2, dim=3, rank=1, seed=10), (3, 3),
+     "tr-scaled-gd", tr_scaled_gd, 0.3, 0.0),
+]
 
 
 def counting_clock():
@@ -48,6 +61,21 @@ def counting_clock():
     return clock
 
 
+def run_line(label, solve, x, ranks, alpha, damping, kind, seed) -> str:
+    cfg = SolverConfig(ranks=ranks, schedule=ConstantStep(alpha), batch_grad=20,
+                       batch_hess=40, damping=damping, sampling=SamplingSpec(kind),
+                       max_iters=ITERS, eval_every=20, seed=seed, init_scale=0.5)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            cores, trace = solve(x, cfg, clock=counting_clock())
+    except Exception as exc:  # an older tree may raise where this one stops the run
+        return f"{label} raised {type(exc).__name__}"
+    digest = hashlib.sha256(render_trace_csv(trace).encode())
+    for core in cores:
+        digest.update(core.tobytes())
+    return f"{label} {trace.terminal_reason} {digest.hexdigest()}"
+
+
 def main() -> int:
     for tensor_name, spec in TENSORS.items():
         x, _ = synth_tensor(spec)
@@ -55,16 +83,13 @@ def main() -> int:
         for name, (solve, alpha, kinds) in SOLVERS.items():
             for kind in kinds:
                 for seed in SEEDS:
-                    cfg = SolverConfig(ranks=ranks, schedule=ConstantStep(alpha),
-                                       batch_grad=20, batch_hess=40, damping=1e-8,
-                                       sampling=SamplingSpec(kind), max_iters=ITERS,
-                                       eval_every=20, seed=seed, init_scale=0.5)
-                    cores, trace = solve(x, cfg, clock=counting_clock())
-                    digest = hashlib.sha256(render_trace_csv(trace).encode())
-                    for core in cores:
-                        digest.update(core.tobytes())
-                    print(f"{tensor_name} {name} {kind} seed={seed} "
-                          f"{trace.terminal_reason} {digest.hexdigest()}")
+                    print(run_line(f"{tensor_name} {name} {kind} seed={seed}", solve, x,
+                                   ranks, alpha, 1e-8, kind, seed))
+    for tensor_name, spec, ranks, name, solve, alpha, damping in DIVERGING:
+        x, _ = synth_tensor(spec)
+        for seed in SEEDS:
+            print(run_line(f"{tensor_name} {name} alpha={alpha} damping={damping} "
+                           f"seed={seed}", solve, x, ranks, alpha, damping, "uniform", seed))
     return 0
 
 
