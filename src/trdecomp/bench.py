@@ -233,13 +233,12 @@ def run_experiment(config, out_dir, clock=None) -> list[RunTrace]:
     CSVs plus summaries under out_dir, and return the traces.
 
     Wall-clock metadata lands in meta.json; all other outputs depend only on
-    (config, seed) and the injected clock.
+    (config, seed) and the injected clock.  Every run's SolverConfig is built,
+    and the tensor loaded, before out_dir is made, so a config or input error
+    leaves nothing behind.
     """
     cfg = load_config(config)
-    os.makedirs(out_dir, exist_ok=True)
-    started = datetime.datetime.now().isoformat()
-    x = load_tensor(cfg["tensor"])
-    traces: list[RunTrace] = []
+    runs = []
     for algo in cfg["algorithms"]:
         _display, solve, stochastic = ALGORITHMS[algo]
         for samp in cfg["sampling"] if stochastic else ["none"]:
@@ -250,11 +249,16 @@ def run_experiment(config, out_dir, clock=None) -> list[RunTrace]:
                                    trial)
                 run_cfg = solver_config(cfg["solver"],
                                         samp if stochastic else "uniform", seed)
-                _cores, trace = solve(x, run_cfg, clock=clock)
-                trace.trial = trial
-                traces.append(trace)
-                write_trace_csv(trace, os.path.join(
-                    out_dir, trace_filename(algo, samp, trial)))
+                runs.append((algo, samp, trial, solve, run_cfg))
+    started = datetime.datetime.now().isoformat()
+    x = load_tensor(cfg["tensor"])
+    os.makedirs(out_dir, exist_ok=True)
+    traces: list[RunTrace] = []
+    for algo, samp, trial, solve, run_cfg in runs:
+        _cores, trace = solve(x, run_cfg, clock=clock)
+        trace.trial = trial
+        traces.append(trace)
+        write_trace_csv(trace, os.path.join(out_dir, trace_filename(algo, samp, trial)))
     summary_md, rows = emit_summary(traces)
     atomic_write_bytes(os.path.join(out_dir, "summary.md"), summary_md.encode())
     atomic_write_bytes(os.path.join(out_dir, "summary.csv"), _summary_csv(rows).encode())

@@ -179,11 +179,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# an input path that is missing, is a directory where a file is wanted (or
+# the reverse) or cannot be read is an input error
+_INPUT_OS_ERRORS = (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, ValueError, *_INPUT_OS_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,7 +4,10 @@
 leverage-based or Euclidean-based).  The distributions of the cores other than
 the sampled mode induce a product distribution over the rows of the subchain
 unfolding, and `sample_subchain_fibers` realizes a row draw by drawing one
-slice index per core, without ever materializing that matrix.  The `optimal`
+slice index per core, without ever materializing that matrix.  It draws from
+`CoreSampler`s (`core_sampler`): a core's checked distribution, its CDF and
+its slices in a contiguous stack, which a solver builds once per core array,
+i.e. once per core replacement, not once per draw.  The `optimal`
 diagnostic instead draws whole rows (`sample_rows_batch`) of a subchain and
 mode unfolding its caller has materialized, from the variance-minimizing
 distribution of `optimal_distribution_oracle`, which needs the full residual.
@@ -16,7 +19,9 @@ subchain unfolding as a C-contiguous (batch, R_mode*R_{mode+1}) matrix, the
 matching columns of the mode unfolding (I_mode, batch), and the realized row
 probabilities (for per-core draws, the product of the per-core draw
 probabilities).  Rows are i.i.d., so disjoint row ranges of a batch are
-independent batches.
+independent batches; a caller that needs fibers for only the first rows (the
+gradient batch of a scaled step, whose Hessian batch reads none) asks for
+just those, and only they are gathered from x.
 """
 
 from __future__ import annotations
@@ -124,20 +129,39 @@ def core_distributions(cores, mode: int, kind: str) -> list:
     return dists
 
 
-def _draw(p, size: int, batch_size: int, rng: np.random.Generator, what: str):
-    """Check `p` as a probability vector over `size` outcomes and draw
-    `batch_size` of them i.i.d. with replacement by inverting its CDF at
-    rng.random(batch_size).  That is what Generator.choice(p=...) does after
-    its own checks, so draws and generator state match it bit for bit.
-    Returns the checked vector and the drawn indices."""
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+def _checked_cdf(p, size: int, what: str):
+    """Check `p` as a probability vector over `size` outcomes and return it
+    with its CDF normalised to end at exactly 1.  Inverting that CDF at
+    uniform variates (`searchsorted(u, side="right")`) is what
+    Generator.choice(p=...) does after its own checks, so draws and generator
+    state match it bit for bit."""
     p = check_prob_vector(p)
     if len(p) != size:
         raise ValueError(f"{what} has length {len(p)}, not {size}")
     cdf = p.cumsum()
     cdf /= cdf[-1]
-    return p, cdf.searchsorted(rng.random(batch_size), side="right")
+    return p, cdf
+
+
+@dataclass(frozen=True)
+class CoreSampler:
+    """What a per-core slice draw needs, built once per core array by
+    `core_sampler`: the checked distribution `p` over the core's I slices,
+    its normalised CDF, and the core's lateral slices as a contiguous
+    (I, R_left, R_right) stack, so that a draw's slices are one `take` along
+    axis 0."""
+
+    p: np.ndarray
+    cdf: np.ndarray
+    slices: np.ndarray
+
+
+def core_sampler(core: np.ndarray, p) -> CoreSampler:
+    """Sampler of `core` drawing its slices from distribution `p`; raises
+    ValueError unless `p` is a probability vector over the core's slices."""
+    core = np.asarray(core, dtype=np.float64)
+    p, cdf = _checked_cdf(p, core.shape[1], "core distribution")
+    return CoreSampler(p, cdf, np.ascontiguousarray(core.transpose(1, 0, 2)))
 
 
 def sample_subchain_fibers(
@@ -145,36 +169,45 @@ def sample_subchain_fibers(
     x: np.ndarray,
     mode: int,
     batch_size: int,
-    dists,
+    samplers,
     rng: np.random.Generator,
+    fiber_rows: int | None = None,
 ):
     """Draw `batch_size` subchain rows by independent per-core slice draws
     and return the batch `(s, fibers, probs)`.
 
     For each core k != mode, in the order mode+1, ..., mode-1, indices are
-    drawn i.i.d. with replacement from dists[k] (see `_draw`).  Each sampled
-    subchain slice is the product of the drawn core slices in that order,
-    started from the first core's slices, and the realized row probability is
-    the product of the per-core probabilities, likewise started from the
-    first core's.  The slice products come out contiguous as
-    (batch, R_{mode+1}, R_mode), so the rows `s` of the subchain unfolding
-    are a reshape of them; an order-2 batch, which has no product, is copied
-    once.  The matching mode-`mode` fibers of `x` are gathered for every row.
+    drawn i.i.d. with replacement from samplers[k] (a `CoreSampler` of
+    cores[k]) by inverting its CDF at one row of rng.random((N-1,
+    batch_size)), which is also what N-1 successive Generator.choice calls
+    draw.  Each sampled subchain slice is the product of the drawn core
+    slices in that order, started from the first core's slices, and the
+    realized row probability is the product of the per-core probabilities,
+    likewise started from the first core's.  The slice products come out
+    contiguous as (batch, R_{mode+1}, R_mode), so the rows `s` of the
+    subchain unfolding are a reshape of them; an order-2 batch, which has no
+    product, is the first core's gather itself.  The matching mode-`mode`
+    fibers of `x` are gathered for the first `fiber_rows` rows only (all
+    rows when None).
     """
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+    rotation = rotation_modes(mode, len(cores))
+    u = rng.random((len(rotation), batch_size))
     sub = probs = None
     drawn_by_mode = {}
-    for k in rotation_modes(mode, len(cores)):
-        p_k, drawn = _draw(dists[k], cores[k].shape[1], batch_size, rng,
-                           f"distribution for core {k}")
+    for k, u_k in zip(rotation, u):
+        sampler = samplers[k]
+        drawn = sampler.cdf.searchsorted(u_k, side="right")
         drawn_by_mode[k] = drawn
-        slices = cores[k].take(drawn, axis=1)
+        slices = sampler.slices.take(drawn, axis=0).transpose(1, 0, 2)
         if sub is None:
-            sub, probs = slices, p_k[drawn]
+            sub, probs = slices, sampler.p[drawn]
         else:
-            sub, probs = slices_hadamard(sub, slices), probs * p_k[drawn]
-    xm = np.moveaxis(np.asarray(x), mode, 0)
+            sub, probs = slices_hadamard(sub, slices), probs * sampler.p[drawn]
     rest = [k for k in range(x.ndim) if k != mode]
-    fibers = xm[(slice(None),) + tuple(drawn_by_mode[k] for k in rest)]
+    fibers = x.transpose([mode] + rest)[
+        (slice(None),) + tuple(drawn_by_mode[k][:fiber_rows] for k in rest)]
     s = np.ascontiguousarray(sub.transpose(1, 0, 2)).reshape(batch_size, -1)
     return s, fibers, probs
 
@@ -185,17 +218,22 @@ def sample_rows_batch(
     batch_size: int,
     q: np.ndarray,
     rng: np.random.Generator,
+    fiber_rows: int | None = None,
 ):
     """Draw `batch_size` rows i.i.d. from a full distribution q over the rows
     of a materialized subchain unfolding (J, R_mode*R_{mode+1}) and return
-    the batch `(s, fibers, probs)`, the fibers being the matching columns of
-    the mode unfolding (I_mode, J).
+    the batch `(s, fibers, probs)`, the fibers being the columns of the mode
+    unfolding (I_mode, J) that match the first `fiber_rows` rows (all rows
+    when None).
 
     The caller has built the whole subchain, so this is a diagnostic path
     only (it is how the oracle distribution is sampled).
     """
-    q, rows = _draw(q, subchain_mat.shape[0], batch_size, rng, "row distribution")
-    return subchain_mat.take(rows, axis=0), unfolding[:, rows], q[rows]
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+    q, cdf = _checked_cdf(q, subchain_mat.shape[0], "row distribution")
+    rows = cdf.searchsorted(rng.random(batch_size), side="right")
+    return subchain_mat.take(rows, axis=0), unfolding[:, rows[:fiber_rows]], q[rows]
 
 
 def optimal_distribution_oracle(residual: np.ndarray, subchain_mat: np.ndarray) -> np.ndarray:
@@ -225,6 +263,6 @@ def optimal_distribution_oracle(residual: np.ndarray, subchain_mat: np.ndarray) 
 
 __all__ = [
     "SamplingSpec", "check_prob_vector", "core_distribution", "core_distributions",
-    "sample_subchain_fibers", "sample_rows_batch",
+    "CoreSampler", "core_sampler", "sample_subchain_fibers", "sample_rows_batch",
     "optimal_distribution_oracle",
 ]

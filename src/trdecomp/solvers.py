@@ -40,9 +40,11 @@ from .core import (
     validate_cores,
 )
 from .sampling import (
+    CoreSampler,
     SamplingSpec,
     core_distribution,
     core_distributions,  # noqa: F401  (perfbench/tracing.py spans calls made through here)
+    core_sampler,
     optimal_distribution_oracle,
     sample_rows_batch,
     sample_subchain_fibers,
@@ -575,9 +577,9 @@ def _stochastic_solver(x, config, init, clock, scaled):
                          "raise batch_hess or set a positive damping")
     adagrad_acc: dict[int, np.ndarray] = {}
     name = "tr-scaled-brsgd" if scaled else "tr-brsgd"
-    # dists[k] is the sampling distribution of cores[k], None until it is
-    # computed and again once the core is replaced
-    dists: list[np.ndarray | None] = [None] * n_modes
+    # dists[k] is the sampler of cores[k], None until it is first needed and
+    # again once the core is replaced
+    dists: list[CoreSampler | None] = [None] * n_modes
     rng = _run_rng(config.seed, 1)
     b = config.batch_grad
     rows = b + (config.batch_hess if scaled else 0)
@@ -591,15 +593,18 @@ def _stochastic_solver(x, config, init, clock, scaled):
             if not np.isfinite(residual).all():
                 return False
             q = optimal_distribution_oracle(residual, sub_mat)
-            s, fibers, probs = sample_rows_batch(sub_mat, xn, rows, q, rng)
+            s, fibers, probs = sample_rows_batch(sub_mat, xn, rows, q, rng, fiber_rows=b)
         else:
             for k in rotation_modes(n, n_modes):
                 if dists[k] is None:
-                    dists[k] = core_distribution(cores[k], config.sampling.kind)
-            s, fibers, probs = sample_subchain_fibers(cores, x, n, rows, dists, rng)
-        # i.i.d. rows: the first b form the gradient batch, the rest the Hessian batch
+                    dists[k] = core_sampler(cores[k],
+                                            core_distribution(cores[k], config.sampling.kind))
+            s, fibers, probs = sample_subchain_fibers(cores, x, n, rows, dists, rng,
+                                                      fiber_rows=b)
+        # i.i.d. rows: the first b form the gradient batch, the rest the
+        # Hessian batch, which reads no fibers
         j_total = x.size // x.shape[n]
-        g = stochastic_gradient(cores[n], s[:b], fibers[:, :b], probs[:b], j_total)
+        g = stochastic_gradient(cores[n], s[:b], fibers, probs[:b], j_total)
         if scaled:
             h = stochastic_hessian(s[b:], probs[b:], j_total)
             direction = search_direction(g, h, config.damping)

@@ -9,7 +9,7 @@ import numpy as np
 from trdecomp import solvers
 from trdecomp.core import (mode_n_unfolding, residual_norm, rotation_modes, subchain_tensor,
                            subchain_unfolding)
-from trdecomp.sampling import check_prob_vector
+from trdecomp.sampling import check_prob_vector, core_sampler
 
 
 def random_cores(rng, dims, ranks):
@@ -140,6 +140,12 @@ def complete_sample_batch(cores, x, mode):
     s = subchain_unfolding(subchain_tensor(cores, mode))
     j_total = s.shape[0]
     return s, mode_n_unfolding(x, mode), np.full(j_total, 1.0 / j_total)
+
+
+def samplers(cores, dists):
+    """The `CoreSampler`s that `sample_subchain_fibers` draws from, one per
+    per-core distribution in `dists` (None stays None)."""
+    return [None if p is None else core_sampler(core, p) for core, p in zip(cores, dists)]
 
 
 def choice_draws(cores, mode, dists, batch_size, rng):

@@ -54,6 +54,7 @@ from helpers import (
     linear_pos,
     product_row_distribution,
     random_cores,
+    samplers,
     variance_functional,
 )
 
@@ -254,7 +255,8 @@ def test_criterion_6_row_sampling_correctness():
     mode = 1
     dists = core_distributions(cores, mode, "euclidean")
     ref = copy.deepcopy(rng)
-    s, fibers, probs = sample_subchain_fibers(cores, x, mode, 1000, dists, rng)
+    s, fibers, probs = sample_subchain_fibers(cores, x, mode, 1000, samplers(cores, dists),
+                                              rng)
     idxs, _ = choice_draws(cores, mode, dists, 1000, ref)
     assert rng.random() == ref.random()
     sub_mat = subchain_unfolding(subchain_tensor(cores, mode))

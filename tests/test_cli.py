@@ -257,6 +257,34 @@ def test_benchmark_rejects_misspelt_synth_key(tmp_path, capsys):
     assert not list((tmp_path / "o").glob("*.csv"))
 
 
+def test_decompose_rejects_a_directory_as_tensor(tmp_path, capsys):
+    rc = main(["decompose", "--tensor", str(tmp_path), "--algorithm", "tr-als",
+               "--out-dir", str(tmp_path / "o"), "--ranks", "2", "2", "--max-iters", "1"])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_benchmark_rejects_a_directory_as_config(tmp_path, capsys):
+    rc = main(["benchmark", "--config", str(tmp_path), "--out-dir", str(tmp_path / "o")])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_benchmark_with_a_bad_solver_block_leaves_no_out_dir(tmp_path, capsys):
+    cfg_path = _config_file(tmp_path, {
+        "tensor": {"synth": {"order": 3, "dim": 4, "rank": 2, "seed": 3}},
+        "algorithms": ["tr-als"], "solver": {"ranks": [2, 2, 2], "max_iters": 2},
+    })
+    out_dir = tmp_path / "o"
+    rc = main(["benchmark", "--config", str(cfg_path), "--out-dir", str(out_dir),
+               "--set", "solver.step.kind=newton"])
+    assert rc == 2
+    assert "unknown step kind 'newton'" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_benchmark_bad_config(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text("{broken")
@@ -444,10 +472,17 @@ def test_decompose_rejects_bad_solver_values(tmp_path, capsys, flags):
     tensor_path = tmp_path / "x.trt"
     main(["synth", "--order", "3", "--dim", "6", "--rank", "2", "--seed", "1",
           "--out", str(tensor_path)])
+
+    def decompose(out_dir, *extra):
+        # a Hessian batch of 4 R_n*R_(n+1) rows factors at damping 0
+        return main(["decompose", "--tensor", str(tensor_path), "--algorithm",
+                     "tr-scaled-brsgd", "--out-dir", str(out_dir), "--ranks", "2", "2", "2",
+                     "--batch-hess", "16", "--max-iters", "5", *extra])
+
+    assert decompose(tmp_path / "ok") == 0
+    capsys.readouterr()
     out_dir = tmp_path / "o"
-    rc = main(["decompose", "--tensor", str(tensor_path), "--algorithm", "tr-scaled-brsgd",
-               "--out-dir", str(out_dir), "--ranks", "2", "2", "2", "--max-iters", "5",
-               *flags])
+    rc = decompose(out_dir, *flags)
     assert rc == 2
     assert "error:" in capsys.readouterr().err
     assert not out_dir.exists()

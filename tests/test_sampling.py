@@ -3,6 +3,7 @@ import copy
 import numpy as np
 import pytest
 
+from trdecomp import sampling
 from trdecomp.core import (
     core_unfolding,
     mode_n_unfolding,
@@ -17,6 +18,7 @@ from trdecomp.sampling import (
     check_prob_vector,
     core_distribution,
     core_distributions,
+    core_sampler,
     optimal_distribution_oracle,
     sample_rows_batch,
     sample_subchain_fibers,
@@ -30,6 +32,7 @@ from helpers import (
     product_dist_by_enumeration,
     product_row_distribution,
     random_cores,
+    samplers,
     uniform_dist,
     variance_functional,
 )
@@ -53,8 +56,7 @@ class TestCheckProbVector:
         rng = np.random.default_rng(5)
         cores = random_cores(rng, (3, 2), (2, 2))
         with pytest.raises(ValueError, match="non-finite"):
-            sample_subchain_fibers(cores, np.zeros((3, 2)), 0, 4,
-                                   [None, np.array([np.nan, 1.0])], rng)
+            core_sampler(cores[1], np.array([np.nan, 1.0]))
 
 
 class TestLeverageScores:
@@ -198,7 +200,8 @@ class TestProductRowDistribution:
         for mode in range(3):
             dists = core_distributions(cores, mode, "euclidean")
             q = product_row_distribution(cores, mode, dists)
-            _, fibers, probs = sample_subchain_fibers(cores, x, mode, draws, dists, rng)
+            _, fibers, probs = sample_subchain_fibers(cores, x, mode, draws,
+                                                      samplers(cores, dists), rng)
             _, rows = choice_draws(cores, mode, dists, draws, ref)
             # on a Gaussian x a fiber identifies its row
             np.testing.assert_array_equal(fibers, mode_n_unfolding(x, mode)[:, rows])
@@ -218,7 +221,7 @@ class TestSampleSubchainFibers:
         dists = [None] + [
             np.eye(dims[k])[0] for k in (1, 2)
         ]
-        s, fibers, probs = sample_subchain_fibers(cores, x, mode, 5, dists, rng)
+        s, fibers, probs = sample_subchain_fibers(cores, x, mode, 5, samplers(cores, dists), rng)
         np.testing.assert_array_equal(probs, np.ones(5))
         # slice 0 of both other cores is row 0 of the subchain unfolding
         row = subchain_unfolding(subchain_tensor(cores, mode))[0]
@@ -234,7 +237,8 @@ class TestSampleSubchainFibers:
         ref = copy.deepcopy(rng)
         for mode in range(n):
             dists = core_distributions(cores, mode, "euclidean")
-            s, fibers, probs = sample_subchain_fibers(cores, x, mode, 50, dists, rng)
+            s, fibers, probs = sample_subchain_fibers(cores, x, mode, 50,
+                                                      samplers(cores, dists), rng)
             idxs, rows = choice_draws(cores, mode, dists, 50, ref)
             sub_mat = subchain_unfolding(subchain_tensor(cores, mode))
             xn = mode_n_unfolding(x, mode)
@@ -279,7 +283,7 @@ class TestSampleSubchainFibers:
         dists = [None, uniform_dist(3), uniform_dist(2)]
         draws = 100_000
         ref = copy.deepcopy(rng)
-        _, fibers, probs = sample_subchain_fibers(cores, x, 0, draws, dists, rng)
+        _, fibers, probs = sample_subchain_fibers(cores, x, 0, draws, samplers(cores, dists), rng)
         np.testing.assert_allclose(probs, 1.0 / 6.0, rtol=1e-15)
         idxs, _ = choice_draws(cores, 0, dists, draws, ref)
         rot = rotation_modes(0, 3)
@@ -307,7 +311,8 @@ class TestSampleSubchainFibers:
             else:
                 dists = core_distributions(cores, mode, kind)
             ours, ref = np.random.default_rng(13 + mode), np.random.default_rng(13 + mode)
-            s, fibers, probs = sample_subchain_fibers(cores, x, mode, 1000, dists, ours)
+            s, fibers, probs = sample_subchain_fibers(cores, x, mode, 1000,
+                                                      samplers(cores, dists), ours)
             idxs, rows = choice_draws(cores, mode, dists, 1000, ref)
             # on a Gaussian x a fiber identifies its row
             np.testing.assert_array_equal(fibers, mode_n_unfolding(x, mode)[:, rows])
@@ -319,19 +324,62 @@ class TestSampleSubchainFibers:
             assert ours.random() == ref.random()
             assert np.all(probs > 0)
 
+    def test_fiber_rows_gathers_only_the_leading_rows(self):
+        rng = np.random.default_rng(14)
+        dims = (3, 6, 5)
+        cores = random_cores(rng, dims, (2, 3, 2))
+        x = rng.standard_normal(dims)
+        for mode in range(3):
+            samps = samplers(cores, core_distributions(cores, mode, "euclidean"))
+            full_rng, part_rng = np.random.default_rng(20 + mode), np.random.default_rng(20 + mode)
+            s, fibers, probs = sample_subchain_fibers(cores, x, mode, 40, samps, full_rng)
+            s_k, fibers_k, probs_k = sample_subchain_fibers(cores, x, mode, 40, samps, part_rng,
+                                                            fiber_rows=7)
+            assert fibers_k.shape == (dims[mode], 7)
+            np.testing.assert_array_equal(fibers_k, fibers[:, :7])
+            np.testing.assert_array_equal(s_k, s)
+            np.testing.assert_array_equal(probs_k, probs)
+            assert full_rng.random() == part_rng.random()
+
     def test_rejects_a_wrong_length_distribution(self):
         rng = np.random.default_rng(11)
         cores = random_cores(rng, (3, 4), (2, 2))
-        with pytest.raises(ValueError, match="core 1"):
-            sample_subchain_fibers(cores, tr_reconstruct(cores), 0, 2,
-                                   [None, uniform_dist(3)], rng)
+        with pytest.raises(ValueError, match="length 3, not 4"):
+            core_sampler(cores[1], uniform_dist(3))
 
     def test_bad_batch_size(self):
         rng = np.random.default_rng(11)
         cores = random_cores(rng, (3, 4), (2, 2))
         x = tr_reconstruct(cores)
         with pytest.raises(ValueError):
-            sample_subchain_fibers(cores, x, 0, 0, [None, uniform_dist(4)], rng)
+            sample_subchain_fibers(cores, x, 0, 0, samplers(cores, [None, uniform_dist(4)]), rng)
+
+
+class TestCoreSampler:
+    def test_holds_the_checked_distribution_its_cdf_and_a_slice_stack(self):
+        rng = np.random.default_rng(16)
+        core = rng.standard_normal((2, 5, 3))
+        p = core_distribution(core, "euclidean")
+        sampler = core_sampler(core, p)
+        np.testing.assert_array_equal(sampler.p, p)
+        assert sampler.cdf[-1] == 1.0
+        np.testing.assert_array_equal(np.diff(sampler.cdf) >= 0, True)
+        assert sampler.slices.shape == (5, 2, 3)
+        assert sampler.slices.flags.c_contiguous
+        for i in range(5):
+            np.testing.assert_array_equal(sampler.slices[i], core[:, i, :])
+
+    def test_checks_through_the_module_namespace(self, monkeypatch):
+        # the benchmark's tracer spans `sampling.check_prob_vector`
+        calls = []
+
+        def spy(p):
+            calls.append(p)
+            return check_prob_vector(p)
+
+        monkeypatch.setattr(sampling, "check_prob_vector", spy)
+        core_sampler(np.ones((1, 4, 1)), uniform_dist(4))
+        assert len(calls) == 1
 
 
 class TestCompleteSampleBatch:
@@ -368,6 +416,18 @@ class TestSampleRowsBatch:
         np.testing.assert_array_equal(fibers, xn[:, rows])
         np.testing.assert_array_equal(probs, q[rows])
         assert rng.random() == ref.random()
+
+    def test_fiber_rows_gathers_only_the_leading_rows(self):
+        rng = np.random.default_rng(13)
+        sub_mat, xn = rng.standard_normal((8, 4)), rng.standard_normal((3, 8))
+        q = rng.dirichlet(np.ones(8))
+        ref = copy.deepcopy(rng)
+        s, fibers, probs = sample_rows_batch(sub_mat, xn, 40, q, rng)
+        s_k, fibers_k, probs_k = sample_rows_batch(sub_mat, xn, 40, q, ref, fiber_rows=9)
+        assert fibers_k.shape == (3, 9)
+        np.testing.assert_array_equal(fibers_k, fibers[:, :9])
+        np.testing.assert_array_equal(s_k, s)
+        np.testing.assert_array_equal(probs_k, probs)
 
     @pytest.mark.parametrize("q", [np.full(7, 1 / 7), np.full(8, 0.2),
                                    np.r_[np.nan, np.full(7, 1 / 7)]],

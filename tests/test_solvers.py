@@ -51,6 +51,7 @@ from helpers import (
     lstsq_core_update,
     random_cores,
     reconstruct_by_trace,
+    samplers,
     uniform_dist,
 )
 
@@ -197,7 +198,8 @@ class TestStochasticGradient:
         mode = 0
         j = self.x.size // self.dims[0]
         dists = [None, np.eye(4)[2], np.eye(5)[1]]
-        batch = sample_subchain_fibers(self.cores, self.x, mode, 1, dists, self.rng)
+        batch = sample_subchain_fibers(self.cores, self.x, mode, 1,
+                                       samplers(self.cores, dists), self.rng)
         g = stochastic_gradient(self.cores[mode], *batch, j)
         row = (self.cores[1][:, 2, :] @ self.cores[2][:, 1, :])
         s = row.T.ravel(order="F")[None, :]  # row of the subchain unfolding
@@ -212,7 +214,8 @@ class TestStochasticGradient:
         mode = 1
         j = self.x.size // self.dims[mode]
         dists = [uniform_dist(3), None, uniform_dist(5)]
-        s, fibers, probs = sample_subchain_fibers(self.cores, self.x, mode, 6, dists, self.rng)
+        s, fibers, probs = sample_subchain_fibers(self.cores, self.x, mode, 6,
+                                                  samplers(self.cores, dists), self.rng)
         g = stochastic_gradient(self.cores[mode], s, fibers, probs, j)
         g2 = core_unfolding(self.cores[mode])
         simplified = (g2 @ (s.T @ s) - fibers @ s) / 6
@@ -224,7 +227,8 @@ class TestStochasticGradient:
         mode = 0
         j = self.x.size // self.dims[0]
         dists = [None, uniform_dist(4), uniform_dist(5)]
-        batch = sample_subchain_fibers(self.cores, self.x, mode, 200_000, dists,
+        batch = sample_subchain_fibers(self.cores, self.x, mode, 200_000,
+                                       samplers(self.cores, dists),
                                        np.random.default_rng(8))
         unbiased = j * stochastic_gradient(self.cores[mode], *batch, j)
         full = _grad_and_gram(self.cores, self.x, mode)[0]
@@ -258,7 +262,8 @@ class TestStochasticHessian:
     def test_symmetric_psd(self):
         rng = np.random.default_rng(10)
         dists = [None, uniform_dist(4), uniform_dist(2)]
-        s, _, probs = sample_subchain_fibers(self.cores, self.x, 0, 6, dists, rng)
+        s, _, probs = sample_subchain_fibers(self.cores, self.x, 0, 6,
+                                             samplers(self.cores, dists), rng)
         h = stochastic_hessian(s, probs, 8)
         assert np.abs(h - h.T).max() < 1e-12
         assert np.linalg.eigvalsh(h).min() > -1e-12
@@ -269,7 +274,8 @@ class TestStochasticHessian:
         j = self.x.size // self.dims[mode]
         rng = np.random.default_rng(11)
         dists = [None, uniform_dist(4), uniform_dist(2)]
-        s, _, probs = sample_subchain_fibers(self.cores, self.x, mode, 200_000, dists, rng)
+        s, _, probs = sample_subchain_fibers(self.cores, self.x, mode, 200_000,
+                                             samplers(self.cores, dists), rng)
         h = stochastic_hessian(s, probs, j)
         sub = subchain_unfolding(subchain_tensor(self.cores, mode))
         gram = sub.T @ sub
@@ -283,7 +289,8 @@ class TestStochasticHessian:
         rng = np.random.default_rng(12)
         dists = [None, uniform_dist(4), uniform_dist(2)]
         n_draws = 200_000
-        s, _, probs = sample_subchain_fibers(self.cores, self.x, mode, n_draws, dists, rng)
+        s, _, probs = sample_subchain_fibers(self.cores, self.x, mode, n_draws,
+                                             samplers(self.cores, dists), rng)
         w = 1.0 / probs
         contrib = np.einsum("f,fr,fs->frs", w, s, s)
         sub = subchain_unfolding(subchain_tensor(self.cores, mode))
@@ -725,13 +732,64 @@ class TestTrScaledBrsgd:
             n = int(rng.integers(3))
             dists = [None if k == n else sampling.core_distribution(c, "euclidean")
                      for k, c in enumerate(cores)]
-            s, fibers, probs = sample_subchain_fibers(cores, x, n, 30, dists, rng)
+            s, fibers, probs = sample_subchain_fibers(cores, x, n, 30, samplers(cores, dists), rng)
             j = x.size // x.shape[n]
             g = stochastic_gradient(cores[n], s[:10], fibers[:, :10], probs[:10], j)
             h = stochastic_hessian(s[10:], probs[10:], j)
             _apply_step(cores, n, search_direction(g, h, 1e-8), cfg, t, {})
         for a, b in zip(solved, cores):
             assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("solver", [tr_brsgd, tr_scaled_brsgd], ids=["brsgd", "scaled"])
+    def test_one_sampler_build_per_core_array(self, solver, monkeypatch):
+        # a core's sampler is built when the core is first needed and again
+        # only after the core is replaced: never twice for one core array
+        x, _ = synth_tensor(SynthSpec(order=4, dim=5, rank=2, seed=16))
+        cfg = SolverConfig(ranks=(2, 2, 2, 2), schedule=ConstantStep(0.05),
+                           batch_grad=10, batch_hess=20, damping=1e-8,
+                           max_iters=40, eval_every=40, seed=22,
+                           sampling=SamplingSpec("leverage"))
+        built = []
+        original = solvers.core_sampler
+
+        def spy(core, p):
+            built.append(core)
+            return original(core, p)
+
+        monkeypatch.setattr(solvers, "core_sampler", spy)
+        solver(x, cfg)
+        # the run replaces one core per iteration
+        assert len(built) <= x.ndim + cfg.max_iters
+        for i, core in enumerate(built):
+            assert not any(core is other for other in built[:i])
+
+    @pytest.mark.parametrize("sampler, kind", [("sample_subchain_fibers", "uniform"),
+                                               ("sample_rows_batch", "optimal")])
+    def test_gathers_fibers_for_the_gradient_batch_only(self, sampler, kind, monkeypatch):
+        # the Hessian batch reads no fibers, so none are gathered for it
+        x, _ = synth_tensor(SynthSpec(order=3, dim=8, rank=2, seed=16))
+        cfg = SolverConfig(ranks=(2, 2, 2), schedule=ConstantStep(0.05),
+                           batch_grad=10, batch_hess=20, damping=1e-8,
+                           max_iters=3, eval_every=3, seed=22, sampling=SamplingSpec(kind))
+        gathered, handed = [], []
+        original = getattr(solvers, sampler)
+
+        def sampler_spy(*args, **kwargs):
+            batch = original(*args, **kwargs)
+            gathered.append(batch[1])
+            return batch
+
+        def gradient_spy(core, s, fibers, probs, j_total):
+            handed.append(fibers)
+            return stochastic_gradient(core, s, fibers, probs, j_total)
+
+        monkeypatch.setattr(solvers, sampler, sampler_spy)
+        monkeypatch.setattr(solvers, "stochastic_gradient", gradient_spy)
+        tr_scaled_brsgd(x, cfg)
+        assert len(gathered) == len(handed) == 3
+        for fibers, given in zip(gathered, handed):
+            assert fibers.shape == (8, cfg.batch_grad)
+            assert given is fibers
 
     @pytest.mark.parametrize("solver", [tr_brsgd, tr_scaled_brsgd], ids=["brsgd", "scaled"])
     def test_row_major_input_runs_bitwise_as_column_major(self, solver):
@@ -754,8 +812,8 @@ class TestTrScaledBrsgd:
         x = rng.standard_normal(dims)
         mode, j = 0, 8
         dists = [None, uniform_dist(4), uniform_dist(2)]
-        batch = sample_subchain_fibers(cores, x, mode, 6, dists, rng)
-        s_h, _, probs_h = sample_subchain_fibers(cores, x, mode, 6, dists, rng)
+        batch = sample_subchain_fibers(cores, x, mode, 6, samplers(cores, dists), rng)
+        s_h, _, probs_h = sample_subchain_fibers(cores, x, mode, 6, samplers(cores, dists), rng)
         g = stochastic_gradient(cores[mode], *batch, j)
         norms = []
         for eta in (1e-2, 1e0, 1e2, 1e4):
@@ -791,8 +849,9 @@ class TestTrScaledBrsgd:
         trials = 3000
         mc_rng = np.random.default_rng(20)
         for _ in range(trials):
-            b_g = sample_subchain_fibers(cores, x, mode, 16, dists, mc_rng)
-            s_h, _, probs_h = sample_subchain_fibers(cores, x, mode, 32, dists, mc_rng)
+            b_g = sample_subchain_fibers(cores, x, mode, 16, samplers(cores, dists), mc_rng)
+            s_h, _, probs_h = sample_subchain_fibers(cores, x, mode, 32,
+                                                     samplers(cores, dists), mc_rng)
             g = stochastic_gradient(cores[mode], *b_g, j)
             h = stochastic_hessian(s_h, probs_h, j)
             acc += search_direction(g, h, damping=1e-4)

@@ -5,9 +5,10 @@ ones with each of the four sampling kinds (`optimal` included), on an
 ill-conditioned order-3 tensor and a Gaussian order-4 tensor.  Then come runs
 that stop as diverged: TR-GD at a step that overflows, and TR-ScaledGD at
 damping 0 on ranks the data cannot support, whose Gram factors have no
-Cholesky factor.  A run that raises prints the exception's name instead of a
-digest.  Two source trees behave identically on these runs when their
-outputs are equal:
+Cholesky factor.  Last come the stochastic solvers on an order-2 tensor,
+whose sampled rows are single core slices with no slice product.  A run that
+raises prints the exception's name instead of a digest.  Two source trees
+behave identically on these runs when their outputs are equal:
 
     PYTHONPATH=OLD/src python tools/run_digest.py > old.txt
     PYTHONPATH=NEW/src python tools/run_digest.py > new.txt
@@ -49,6 +50,8 @@ DIVERGING = [
     ("order2-singular", SynthSpec(order=2, dim=3, rank=1, seed=10), (3, 3),
      "tr-scaled-gd", tr_scaled_gd, 0.3, 0.0),
 ]
+# the stochastic solvers on it are printed last, likewise
+ORDER2 = SynthSpec(order=2, dim=10, rank=2, seed=4)
 
 
 def counting_clock():
@@ -90,6 +93,13 @@ def main() -> int:
         for seed in SEEDS:
             print(run_line(f"{tensor_name} {name} alpha={alpha} damping={damping} "
                            f"seed={seed}", solve, x, ranks, alpha, damping, "uniform", seed))
+    x, _ = synth_tensor(ORDER2)
+    for name in ("tr-brsgd", "tr-scaled-brsgd"):
+        solve, alpha, kinds = SOLVERS[name]
+        for kind in kinds:
+            for seed in SEEDS:
+                print(run_line(f"order2 {name} {kind} seed={seed}", solve, x,
+                               (ORDER2.rank,) * ORDER2.order, alpha, 1e-8, kind, seed))
     return 0
 
 
