@@ -155,13 +155,26 @@ class CoreSampler:
     cdf: np.ndarray
     slices: np.ndarray
 
+    def restack(self, core: np.ndarray) -> CoreSampler:
+        """This distribution over the slices of `core`, which replaces the
+        sampled core: only the slice stack is rebuilt.  For a distribution
+        that depends on the slice count alone (uniform)."""
+        core = np.asarray(core, dtype=np.float64)
+        if core.shape[1] != len(self.p):
+            raise ValueError(f"core has {core.shape[1]} slices, not {len(self.p)}")
+        return CoreSampler(self.p, self.cdf, _slice_stack(core))
+
+
+def _slice_stack(core: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(core.transpose(1, 0, 2))
+
 
 def core_sampler(core: np.ndarray, p) -> CoreSampler:
     """Sampler of `core` drawing its slices from distribution `p`; raises
     ValueError unless `p` is a probability vector over the core's slices."""
     core = np.asarray(core, dtype=np.float64)
     p, cdf = _checked_cdf(p, core.shape[1], "core distribution")
-    return CoreSampler(p, cdf, np.ascontiguousarray(core.transpose(1, 0, 2)))
+    return CoreSampler(p, cdf, _slice_stack(core))
 
 
 def sample_subchain_fibers(

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .core import (
     core_unfolding,
@@ -152,40 +151,40 @@ def stochastic_hessian(s: np.ndarray, probs: np.ndarray, j_total: int) -> np.nda
 
 
 def search_direction(g: np.ndarray, h: np.ndarray, damping: float) -> np.ndarray:
-    """Descent direction -g (h + damping I)^{-1} through a symmetric
-    positive-definite solve with the damped Hessian factor.
+    """Descent direction -g (h + damping I)^{-1} through the Cholesky factor
+    of the damped Hessian factor.
 
-    The solve calls LAPACK dpotrf/dpotrs (upper factor) directly: the
-    routines and arguments of scipy.linalg.cho_factor/cho_solve, without
-    their checking wrappers, so the result is bitwise theirs.  If damping > 0
-    and the damped factor is not numerically positive definite, it is
-    factored once more with the ridge raised by max(damping, 1e-12 * trace /
-    R^2), and the run in progress counts that jitter fallback in
-    `RunTrace.chol_jitter`.  With no Cholesky factor (at zero damping, or
-    after the retry) or a non-finite g or h (an overflowed estimate) there is
-    no solve: the direction is all NaN, so its step writes a non-finite core
-    and the run stops as diverged.  Only a LAPACK argument error raises.
+    The factor is numpy's `cholesky(upper=True)`, which is LAPACK dpotrf's
+    upper factor bit for bit, and the solve goes through its inverse W = U^-1:
+    the direction is -(g W) W^T.  If damping > 0 and the damped factor is not
+    numerically positive definite, it is factored once more with the ridge
+    raised by max(damping, 1e-12 * trace / R^2), and the run in progress
+    counts that jitter fallback in `RunTrace.chol_jitter`.  With no Cholesky
+    factor (at zero damping, or after the retry) or a non-finite g or h (an
+    overflowed estimate) there is no solve: the direction is all NaN, so its
+    step writes a non-finite core and the run stops as diverged.
     """
     size = h.shape[0]
     if damping:
-        h = h + damping * np.eye(size)
+        h = h.astype(np.float64)
+        h.flat[::size + 1] += damping
     if not (np.isfinite(g).all() and np.isfinite(h).all()):
         return np.full_like(g, np.nan)
-    factor, info = dpotrf(h, lower=0, clean=0)
-    if info > 0 and damping > 0:
+    try:
+        factor = np.linalg.cholesky(h, upper=True)
+    except np.linalg.LinAlgError:
+        if not damping > 0:
+            return np.full_like(g, np.nan)
         counter = _chol_jitter.get()
         if counter is not None:
             counter[0] += 1
-        jitter = max(damping, 1e-12 * np.trace(h) / size)
-        factor, info = dpotrf(h + jitter * np.eye(size), lower=0, clean=0)
-    if info > 0:
-        return np.full_like(g, np.nan)
-    if info < 0:
-        raise np.linalg.LinAlgError(f"dpotrf: illegal argument {-info}")
-    direction, info = dpotrs(factor, g.T, lower=0)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dpotrs: illegal argument {-info}")
-    return -direction.T
+        h.flat[::size + 1] += max(damping, 1e-12 * np.trace(h) / size)
+        try:
+            factor = np.linalg.cholesky(h, upper=True)
+        except np.linalg.LinAlgError:
+            return np.full_like(g, np.nan)
+    w = np.linalg.inv(factor)
+    return -(g @ w) @ w.T
 
 
 # ---------------------------------------------------------------------------
@@ -577,16 +576,21 @@ def _stochastic_solver(x, config, init, clock, scaled):
                          "raise batch_hess or set a positive damping")
     adagrad_acc: dict[int, np.ndarray] = {}
     name = "tr-scaled-brsgd" if scaled else "tr-brsgd"
-    # dists[k] is the sampler of cores[k], None until it is first needed and
-    # again once the core is replaced
+    kind = config.sampling.kind
+    rotations = [rotation_modes(n, n_modes) for n in range(n_modes)]
+    # dists[k] is the sampler of cores[k] while current[k]; it is built when
+    # first needed and rebuilt when needed after the core is replaced.  A
+    # uniform distribution depends only on I_k, so its rebuild restacks the
+    # slices and keeps the checked distribution and CDF.
     dists: list[CoreSampler | None] = [None] * n_modes
+    current = [False] * n_modes
     rng = _run_rng(config.seed, 1)
     b = config.batch_grad
     rows = b + (config.batch_hess if scaled else 0)
 
     def iteration(t, cores):
         n = int(rng.integers(n_modes))
-        if config.sampling.kind == "optimal":
+        if kind == "optimal":
             sub_mat = subchain_unfolding(subchain_tensor(cores, n))
             xn = mode_n_unfolding(x, n)
             residual = core_unfolding(cores[n]) @ sub_mat.T - xn
@@ -595,10 +599,14 @@ def _stochastic_solver(x, config, init, clock, scaled):
             q = optimal_distribution_oracle(residual, sub_mat)
             s, fibers, probs = sample_rows_batch(sub_mat, xn, rows, q, rng, fiber_rows=b)
         else:
-            for k in rotation_modes(n, n_modes):
-                if dists[k] is None:
-                    dists[k] = core_sampler(cores[k],
-                                            core_distribution(cores[k], config.sampling.kind))
+            for k in rotations[n]:
+                if current[k]:
+                    continue
+                if kind == "uniform" and dists[k] is not None:
+                    dists[k] = dists[k].restack(cores[k])
+                else:
+                    dists[k] = core_sampler(cores[k], core_distribution(cores[k], kind))
+                current[k] = True
             s, fibers, probs = sample_subchain_fibers(cores, x, n, rows, dists, rng,
                                                       fiber_rows=b)
         # i.i.d. rows: the first b form the gradient batch, the rest the
@@ -611,10 +619,10 @@ def _stochastic_solver(x, config, init, clock, scaled):
         else:
             direction = -g
         finite = _apply_step(cores, n, direction, config, t, adagrad_acc)
-        dists[n] = None
+        current[n] = False
         return finite
 
-    return _run_loop(x, norm_x, cores, config, name, config.sampling.kind, iteration,
+    return _run_loop(x, norm_x, cores, config, name, kind, iteration,
                      partial(_stochastic_step_cost, config=config, scaled=scaled),
                      clock=clock)
 

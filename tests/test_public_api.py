@@ -6,7 +6,10 @@ module of the package, by the benchmark (`perfbench/*.py`) or by the README;
 a public function only the tests call fails here.
 """
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -63,3 +66,15 @@ def test_every_exported_name_has_a_caller(module):
     text = _callers_text(name)
     unused = [n for n in module.__all__ if not re.search(rf"\b{re.escape(n)}\b", text)]
     assert unused == []
+
+
+def test_import_loads_no_scipy():
+    # numpy is the package's only dependency: a fresh interpreter that
+    # imports the package and its CLI has loaded no scipy module
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = ("import sys, trdecomp, trdecomp.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

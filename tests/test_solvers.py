@@ -5,7 +5,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from trdecomp import core, sampling, solvers
 from trdecomp.core import (
@@ -373,30 +372,46 @@ class TestSearchDirection:
         for args in ((np.where(g, bad, 0.0), h), (g, np.where(h, bad, 0.0))):
             assert np.isnan(search_direction(*args, damping=1e-8)).all()
 
+    @staticmethod
+    def _assert_backward_stable(d, g, a):
+        # d a = -g up to a backward error of a small multiple of n eps |a| |d|
+        n = a.shape[0]
+        bound = 4 * n * np.finfo(np.float64).eps * np.linalg.norm(a) * np.linalg.norm(d)
+        assert np.linalg.norm(d @ a + g) <= bound
+
     @pytest.mark.parametrize("r", [2, 3, 4])
     @pytest.mark.parametrize("damping", [0.0, 1e-8, 0.5])
     def test_bitwise_equal_to_scipy_cholesky(self, r, damping):
-        # the same LAPACK routines with the same arguments as scipy's wrappers
+        # the factor is LAPACK dpotrf's upper factor, the one
+        # scipy.linalg.cho_factor computes, taken by numpy's
+        # cholesky(upper=True); the solve goes through its inverse, so the
+        # direction is checked by its backward error, and its bits against
+        # the same arithmetic written out here
         rng = np.random.default_rng(r)
         a = rng.standard_normal((r * r, 2 * r * r))
         h = a @ a.T
         g = rng.standard_normal((7, r * r))
-        expected = -scipy.linalg.cho_solve(
-            scipy.linalg.cho_factor(h + damping * np.eye(r * r)), g.T).T
-        np.testing.assert_array_equal(search_direction(g, h, damping), expected)
+        damped = h + damping * np.eye(r * r)
+        d = search_direction(g, h, damping)
+        self._assert_backward_stable(d, g, damped)
+        w = np.linalg.inv(np.linalg.cholesky(damped, upper=True))
+        np.testing.assert_array_equal(d, -(g @ w) @ w.T)
 
     def test_jitter_fallback_on_a_numerically_singular_factor(self):
         # h + 1e-8 I rounds to the rank-one h, whose Cholesky factorization
-        # fails; the retry raises the ridge by 1e-12 * trace / R^2 = 1e8
+        # fails; the counted retry raises the ridge by 1e-12 * trace / R^2 =
+        # 1e8, and a ridge off by more than about 2% misses the bound
         h = 1e20 * np.ones((4, 4))
         g = np.random.default_rng(15).standard_normal((3, 4))
         damping = 1e-8
         jitter = max(damping, 1e-12 * np.trace(h) / 4)
-        d = search_direction(g, h, damping)
-        assert np.isfinite(d).all()
-        expected = -scipy.linalg.cho_solve(
-            scipy.linalg.cho_factor(h + jitter * np.eye(4)), g.T).T
-        np.testing.assert_array_equal(d, expected)
+        token = solvers._chol_jitter.set(counter := [0])
+        try:
+            d = search_direction(g, h, damping)
+        finally:
+            solvers._chol_jitter.reset(token)
+        assert np.isfinite(d).all() and counter == [1]
+        self._assert_backward_stable(d, g, h + jitter * np.eye(4))
 
     def test_failed_jitter_retry_gives_nan(self):
         # an indefinite factor stays indefinite after the jitter: the retry
