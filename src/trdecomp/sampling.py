@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import core_unfolding, rotation_modes, slices_hadamard
+from .core import _slice_stack, core_unfolding, rotation_modes, slices_hadamard
 
 # in the canonical order of the summary rows and the trial seeds
 SAMPLING_KINDS = ("uniform", "euclidean", "leverage", "optimal")
@@ -163,10 +163,6 @@ class CoreSampler:
         if core.shape[1] != len(self.p):
             raise ValueError(f"core has {core.shape[1]} slices, not {len(self.p)}")
         return CoreSampler(self.p, self.cdf, _slice_stack(core))
-
-
-def _slice_stack(core: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(core.transpose(1, 0, 2))
 
 
 def core_sampler(core: np.ndarray, p) -> CoreSampler:

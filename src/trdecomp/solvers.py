@@ -502,9 +502,10 @@ def tr_als(x, config: SolverConfig, init=None, clock=None):
 
     One iteration of the trace is one full sweep.  Every update is the
     minimum-norm least-squares solution, so a rank-deficient subchain
-    unfolding needs no second path; the run logs one warning giving how many
-    of its core updates were rank deficient.  Every update reads X_[n] Q off
-    the column-major x in place.
+    unfolding needs no second path; the trace's rank_deficient counts those
+    updates, and the run logs one warning giving how many of its core
+    updates were rank deficient.  Every update reads X_[n] Q off the
+    column-major x in place.
     """
     x, norm_x = _fit_input(x)
     cores = _init_cores(x, config, init)
@@ -522,6 +523,7 @@ def tr_als(x, config: SolverConfig, init=None, clock=None):
 
     result = _run_loop(x, norm_x, cores, config, "tr-als", "none", sweep,
                        partial(_dense_iteration_cost, qr=True), clock=clock)
+    result[1].rank_deficient = counts["deficient"]
     if counts["deficient"]:
         logger.warning(
             "tr_als: %d of %d core updates were rank deficient; each took "

@@ -3,15 +3,17 @@
 Elapsed time counts iteration work only; the run's total RSE-evaluation time
 is `eval_s`, `eval_every` is the evaluation cadence the run used, and
 `chol_jitter` counts the Cholesky jitter fallbacks of its preconditioned
-solves (each None when unknown, as for a trace file that does not record it).
+solves, and `rank_deficient` TR-ALS's core updates whose subchain unfolding
+was rank deficient (each None when unknown, as for a trace file that does
+not record it, and `rank_deficient` None for every other solver).
 
 Trace files render floats with 17 significant digits so parsing them back
 reproduces the exact float64 values.  The first line is a `#` comment carrying
 run identity (algorithm, sampling, trial, terminal reason, and `diverged`,
 which repeats whether the reason is "diverged" and is ignored when parsing)
-and then `chol_jitter`, `eval_every` and `eval_s`; the rest is plain CSV with
-header `iteration,elapsed_s,rse`.  Parsing rejects a terminal reason outside
-TERMINAL_REASONS.
+and then `chol_jitter`, `rank_deficient`, `eval_every` and `eval_s`; the
+rest is plain CSV with header `iteration,elapsed_s,rse`.  Parsing rejects a
+terminal reason outside TERMINAL_REASONS.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ class RunTrace:
     eval_every: int | None = None
     eval_s: float | None = None
     chol_jitter: int | None = None
+    rank_deficient: int | None = None
 
     @property
     def diverged(self) -> bool:
@@ -59,6 +62,7 @@ def render_trace_csv(trace: RunTrace) -> str:
         f"# algorithm={trace.algorithm};sampling={trace.sampling};"
         f"trial={trace.trial};terminal_reason={trace.terminal_reason};"
         f"diverged={int(trace.diverged)};chol_jitter={trace.chol_jitter};"
+        f"rank_deficient={trace.rank_deficient};"
         f"eval_every={trace.eval_every};"
         f"eval_s={None if trace.eval_s is None else fmt_float(trace.eval_s)}"
     )
@@ -98,6 +102,7 @@ def parse_trace_csv(text: str) -> RunTrace:
         eval_every=_optional(meta, "eval_every", int),
         eval_s=_optional(meta, "eval_s", float),
         chol_jitter=_optional(meta, "chol_jitter", int),
+        rank_deficient=_optional(meta, "rank_deficient", int),
     )
 
 

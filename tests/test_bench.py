@@ -101,6 +101,17 @@ class TestTraceCsv:
                                "iteration,elapsed_s,rse\n0,0,1\n")
         assert back.chol_jitter is None
 
+    def test_rank_deficient_roundtrip(self):
+        trace = RunTrace("tr-als", "none", [(0, 0.0, 1.0)], "max_iters", rank_deficient=4)
+        text = render_trace_csv(trace)
+        assert ";rank_deficient=4;" in text.splitlines()[0]
+        assert parse_trace_csv(text).rank_deficient == 4
+        # a `#` line without the field (an older trace file) reads None
+        back = parse_trace_csv("# algorithm=tr-als;sampling=none;trial=0;"
+                               "terminal_reason=tol;diverged=0;chol_jitter=0\n"
+                               "iteration,elapsed_s,rse\n0,0,1\n")
+        assert back.rank_deficient is None
+
     @pytest.mark.parametrize("reason", ["max_iter", "tolerance", "Diverged", ""])
     def test_unknown_terminal_reason_rejected(self, reason):
         text = (f"# algorithm=tr-gd;sampling=none;trial=0;terminal_reason={reason}\n"

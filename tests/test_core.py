@@ -158,8 +158,17 @@ class TestSubchainProduct:
                     out[:, j1 + 3 * j2, :], a[:, j1, :] @ b[:, j2, :], atol=1e-14)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="inner ranks differ: 3 vs 2"):
             _subchain_product(np.zeros((2, 2, 3)), np.zeros((2, 2, 2)))
+        with pytest.raises(ValueError, match="two 3-way tensors"):
+            _subchain_product(np.zeros((2, 3)), np.zeros((3, 2, 2)))
+        with pytest.raises(ValueError, match="two 3-way tensors"):
+            _subchain_product(np.zeros((2, 2, 3)), np.zeros((3, 2, 2, 1)))
+
+    def test_result_is_a_view_of_a_contiguous_slice_stack(self):
+        rng = np.random.default_rng(6)
+        out = _subchain_product(rng.standard_normal((2, 3, 4)), rng.standard_normal((4, 5, 3)))
+        assert out.transpose(1, 0, 2).flags.c_contiguous
 
 
 class TestSlicesHadamard:
@@ -221,6 +230,60 @@ class TestSubchainTensor:
         sub = subchain_tensor(cores, 0)
         for j in range(sub.shape[1]):
             np.testing.assert_array_equal(sub[:, j, :], np.eye(r))
+
+
+# (dims, ranks) of orders 2-6, with unequal ranks and extents
+STACK_CASES = [
+    ((4, 3), (2, 3)),
+    ((3, 4, 5), (2, 3, 1)),
+    ((3, 2, 4, 2), (2, 1, 3, 2)),
+    ((2, 3, 2, 3, 2), (1, 2, 3, 2, 2)),
+    ((2, 2, 3, 2, 2, 3), (2, 3, 1, 2, 2, 3)),
+]
+
+
+def einsum_subchain_unfolding(cores, mode):
+    """(J, R_mode*R_{mode+1}) subchain unfolding by one einsum over the
+    rotated cores: row j merges their slice indices, first fastest; column
+    b + R_mode*a holds the entry (a, b) of the slice product."""
+    order = [(mode + s) % len(cores) for s in range(1, len(cores))]
+    ranks, dims = "ABCDEFG", "ijklmno"
+    terms = [ranks[t] + dims[t] + ranks[t + 1] for t in range(len(order))]
+    out = ranks[0] + dims[:len(order)] + ranks[len(order)]
+    full = np.einsum(",".join(terms) + "->" + out, *(cores[k] for k in order))
+    m = len(order)
+    # slice indices reversed, so a C-order reshape puts the first fastest
+    stacked = full.transpose(list(range(m, 0, -1)) + [0, m + 1])
+    return stacked.reshape(-1, full.shape[0] * full.shape[-1])
+
+
+@pytest.mark.parametrize("dims,ranks", STACK_CASES,
+                         ids=[f"order{len(dims)}" for dims, _ in STACK_CASES])
+class TestSubchainStack:
+    def test_unfolding_matches_an_einsum_reference(self, dims, ranks):
+        rng = np.random.default_rng(len(dims))
+        cores = random_cores(rng, dims, ranks)
+        for mode in range(len(dims)):
+            got = subchain_unfolding(subchain_tensor(cores, mode))
+            expected = einsum_subchain_unfolding(cores, mode)
+            assert got.shape == expected.shape
+            assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
+
+    def test_unfolding_is_the_stack_itself(self, dims, ranks):
+        rng = np.random.default_rng(len(dims))
+        cores = random_cores(rng, dims, ranks)
+        for mode in range(len(dims)):
+            sub = subchain_tensor(cores, mode)
+            mat = subchain_unfolding(sub)
+            assert mat.flags.c_contiguous
+            assert np.shares_memory(mat, sub)
+            # a fresh stack: nothing of the cores
+            assert not any(np.shares_memory(sub, c) for c in cores)
+
+    def test_reconstruction_has_zero_residual(self, dims, ranks):
+        rng = np.random.default_rng(len(dims))
+        cores = random_cores(rng, dims, ranks)
+        assert residual_norm(cores, tr_reconstruct(cores)) == 0.0
 
 
 def strided_cores(rng, dims, ranks):

@@ -458,6 +458,19 @@ class TestTrAls:
         assert len(records) == 1
         assert "4 of 4 core updates" in records[0].message
 
+    def test_rank_deficient_updates_are_counted_in_the_trace(self):
+        # ranks the data cannot support: every update of both sweeps
+        x, _ = synth_tensor(SynthSpec(order=2, dim=2, rank=1, seed=3))
+        _, trace = tr_als(x, SolverConfig(ranks=(2, 2), max_iters=2, seed=0))
+        assert trace.rank_deficient == 4
+        assert parse_trace_csv(render_trace_csv(trace)).rank_deficient == 4
+        # a well-posed run counts none; the other solvers do not count
+        x, _ = synth_tensor(SynthSpec(order=3, dim=6, rank=2, seed=1))
+        cfg = SolverConfig(ranks=(2, 2, 2), schedule=ConstantStep(1e-3), max_iters=2, seed=0)
+        assert tr_als(x, cfg)[1].rank_deficient == 0
+        for solver in (tr_gd, tr_scaled_gd, tr_brsgd, tr_scaled_brsgd):
+            assert solver(x, dataclasses.replace(cfg, damping=1e-8))[1].rank_deficient is None
+
     @pytest.mark.parametrize("spec, ranks, deficient", [
         (SynthSpec(order=3, dim=10, rank=2, seed=1), (2, 2, 2), False),
         (SynthSpec(order=3, dim=25, rank=3, kind="ill_conditioned", kappa=1e4,
@@ -612,10 +625,14 @@ class TestDenseSolversReadXInPlace:
                 unfolded.append(t.shape == x.shape)
                 return _original(t, mode)
             monkeypatch.setattr(module, "mode_n_unfolding", spy)
+        # positive control: the spy sees an unfolding of x made through solvers
+        solvers.mode_n_unfolding(x, 0)
+        assert unfolded == [True]
+        unfolded.clear()
         cfg = SolverConfig(ranks=(2, 2, 2), schedule=ConstantStep(1e-3), max_iters=2,
                            eval_every=1, seed=0)
         solver(x, cfg)
-        assert unfolded and not any(unfolded)  # subchains are unfolded, x is not
+        assert not any(unfolded)
 
     @pytest.mark.parametrize("solver", [tr_als, tr_scaled_gd], ids=lambda f: f.__name__)
     def test_an_iteration_allocates_no_copy_of_x(self, solver):

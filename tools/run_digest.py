@@ -7,17 +7,22 @@ that stop as diverged: TR-GD at a step that overflows, and TR-ScaledGD at
 damping 0 on ranks the data cannot support, whose Gram factors have no
 Cholesky factor.  Last come the stochastic solvers on an order-2 tensor,
 whose sampled rows are single core slices with no slice product.  A run that
-raises prints the exception's name instead of a digest.  Two source trees
-behave identically on these runs when their outputs are equal:
+raises prints the exception's name instead of a digest.  The last lines give
+one digest per input tensor.  Two source trees behave identically on these
+runs when their outputs are equal:
 
     PYTHONPATH=OLD/src python tools/run_digest.py > old.txt
     PYTHONPATH=NEW/src python tools/run_digest.py > new.txt
     diff old.txt new.txt
 
-Pin OPENBLAS_NUM_THREADS for both runs: results are bitwise only per BLAS
-build and thread count.
+With --rse each run prints, in place of its digest, its terminal reason, its
+stop iteration, a digest of its final cores and the repr of every RSE in its
+trace, so a change that moves roundoff can be sized run by run.  Pin
+OPENBLAS_NUM_THREADS for both runs: results are bitwise only per BLAS build
+and thread count.
 """
 
+import argparse
 import hashlib
 import sys
 
@@ -64,7 +69,7 @@ def counting_clock():
     return clock
 
 
-def run_line(label, solve, x, ranks, alpha, damping, kind, seed) -> str:
+def run_line(label, solve, x, ranks, alpha, damping, kind, seed, rse=False) -> str:
     cfg = SolverConfig(ranks=ranks, schedule=ConstantStep(alpha), batch_grad=20,
                        batch_hess=40, damping=damping, sampling=SamplingSpec(kind),
                        max_iters=ITERS, eval_every=20, seed=seed, init_scale=0.5)
@@ -73,33 +78,48 @@ def run_line(label, solve, x, ranks, alpha, damping, kind, seed) -> str:
             cores, trace = solve(x, cfg, clock=counting_clock())
     except Exception as exc:  # an older tree may raise where this one stops the run
         return f"{label} raised {type(exc).__name__}"
-    digest = hashlib.sha256(render_trace_csv(trace).encode())
-    for core in cores:
-        digest.update(core.tobytes())
+    cores_bytes = b"".join(core.tobytes() for core in cores)
+    if rse:
+        rses = " ".join(repr(r[2]) for r in trace.records)
+        return (f"{label} {trace.terminal_reason} {trace.final()[0]} "
+                f"{hashlib.sha256(cores_bytes).hexdigest()} {rses}")
+    digest = hashlib.sha256(render_trace_csv(trace).encode() + cores_bytes)
     return f"{label} {trace.terminal_reason} {digest.hexdigest()}"
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--rse", action="store_true",
+                        help="print each run's stop, cores digest and trace RSEs")
+    rse = parser.parse_args().rse
+    inputs = {}
     for tensor_name, spec in TENSORS.items():
         x, _ = synth_tensor(spec)
+        inputs[tensor_name] = x
         ranks = (spec.rank,) * spec.order
         for name, (solve, alpha, kinds) in SOLVERS.items():
             for kind in kinds:
                 for seed in SEEDS:
                     print(run_line(f"{tensor_name} {name} {kind} seed={seed}", solve, x,
-                                   ranks, alpha, 1e-8, kind, seed))
+                                   ranks, alpha, 1e-8, kind, seed, rse))
     for tensor_name, spec, ranks, name, solve, alpha, damping in DIVERGING:
         x, _ = synth_tensor(spec)
+        inputs[tensor_name] = x
         for seed in SEEDS:
             print(run_line(f"{tensor_name} {name} alpha={alpha} damping={damping} "
-                           f"seed={seed}", solve, x, ranks, alpha, damping, "uniform", seed))
+                           f"seed={seed}", solve, x, ranks, alpha, damping, "uniform", seed,
+                           rse))
     x, _ = synth_tensor(ORDER2)
+    inputs["order2"] = x
     for name in ("tr-brsgd", "tr-scaled-brsgd"):
         solve, alpha, kinds = SOLVERS[name]
         for kind in kinds:
             for seed in SEEDS:
                 print(run_line(f"order2 {name} {kind} seed={seed}", solve, x,
-                               (ORDER2.rank,) * ORDER2.order, alpha, 1e-8, kind, seed))
+                               (ORDER2.rank,) * ORDER2.order, alpha, 1e-8, kind, seed, rse))
+    # C-order bytes: the digest reads the entries, not the memory layout
+    for tensor_name, x in inputs.items():
+        print(f"input {tensor_name} {hashlib.sha256(np.asarray(x).tobytes()).hexdigest()}")
     return 0
 
 
