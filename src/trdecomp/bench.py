@@ -96,16 +96,6 @@ def _object(d, where: str) -> dict:
     return d
 
 
-def _int(value, where: str) -> int:
-    """An integer config value; a bool, or a number int() would truncate, is
-    refused rather than silently changing the run."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{where} must be an integer, not {value!r}")
-    return int(value)
-
-
 def _float(value, where: str) -> float:
     """A real config value; a bool or a string is refused, as for an integer."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -115,8 +105,8 @@ def _float(value, where: str) -> float:
 
 def _value(value, hint, where: str):
     """A config value read as a field of type `hint`: None only where the
-    field takes it, a tuple as a list, integers by `_int`, reals by `_float`;
-    other values (a name, a step object) unchanged."""
+    field takes it, a tuple as a list, integers by `solvers.as_int`, reals by
+    `_float`; other values (a name, a step object) unchanged."""
     types = typing.get_args(hint) or (hint,)
     if value is None and type(None) in types:
         return None
@@ -125,7 +115,7 @@ def _value(value, hint, where: str):
             raise ConfigError(f"{where} must be a list, not {value!r}")
         return tuple(_value(v, types[0], where) for v in value)
     if int in types:
-        return _int(value, where)
+        return solvers.as_int(value, where, ConfigError)
     if float in types:
         return _float(value, where)
     return value
@@ -197,8 +187,8 @@ def load_config(source) -> dict:
     _check_names(cfg, "sampling", SAMPLING_KINDS, "sampling kind")
     if "optimal" in cfg["sampling"]:
         raise ConfigError("optimal sampling is a diagnostic mode, not for benchmarks")
-    cfg["trials"] = _int(cfg["trials"], "trials")
-    cfg["seed"] = _int(cfg["seed"], "seed")
+    cfg["trials"] = solvers.as_int(cfg["trials"], "trials", ConfigError)
+    cfg["seed"] = solvers.as_int(cfg["seed"], "seed", ConfigError)
     if cfg["trials"] < 1:
         raise ConfigError("trials must be >= 1")
     if cfg["seed"] < 0:

@@ -15,7 +15,7 @@ C-contiguous slice stack (J, R_left, R_right) whose j-th entry is the slice
 product at merged index j.  The 3-way (R_left, J, R_right) tensor that
 :func:`subchain_tensor` returns is a transposed view of that stack, and the
 (J, R_left*R_right) subchain unfolding is a reshape of it, so neither is a
-copy.  `sampling` draws its rows from the same stacks, one per core.
+copy.  `sampling` gathers each draw's slices from the stack of each core.
 """
 
 from __future__ import annotations

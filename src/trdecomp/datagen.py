@@ -39,7 +39,8 @@ class SynthSpec:
         if self.kind not in GENERATOR_KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.kind == "ill_conditioned":
-            if self.kappa < 1:
+            # written so that NaN fails it
+            if not self.kappa >= 1:
                 raise ValueError("condition number must be >= 1")
             if self.dim < self.rank**2:
                 raise ValueError(

@@ -4,10 +4,10 @@
 leverage-based or Euclidean-based).  The distributions of the cores other than
 the sampled mode induce a product distribution over the rows of the subchain
 unfolding, and `sample_subchain_fibers` realizes a row draw by drawing one
-slice index per core, without ever materializing that matrix.  It draws from
-`CoreSampler`s (`core_sampler`): a core's checked distribution, its CDF and
-its slices in a contiguous stack, which a solver builds once per core array,
-i.e. once per core replacement, not once per draw.  The `optimal`
+slice index per core, without ever materializing that matrix.  It draws the
+indices from `CoreSampler`s (`core_sampler`): a checked distribution and its
+CDF, built once per distribution, not once per draw.  The drawn slices come
+from the cores the draw is given, never from a replaced core.  The `optimal`
 diagnostic instead draws whole rows (`sample_rows_batch`) of a subchain and
 mode unfolding its caller has materialized, from the variance-minimizing
 distribution of `optimal_distribution_oracle`, which needs the full residual.
@@ -145,32 +145,20 @@ def _checked_cdf(p, size: int, what: str):
 
 @dataclass(frozen=True)
 class CoreSampler:
-    """What a per-core slice draw needs, built once per core array by
-    `core_sampler`: the checked distribution `p` over the core's I slices,
-    its normalised CDF, and the core's lateral slices as a contiguous
-    (I, R_left, R_right) stack, so that a draw's slices are one `take` along
-    axis 0."""
+    """What a per-core slice draw needs of the distribution, built by
+    `core_sampler`: the checked distribution `p` over a core's I slices and
+    its normalised CDF.  The slices themselves come from the core the draw
+    is given."""
 
     p: np.ndarray
     cdf: np.ndarray
-    slices: np.ndarray
-
-    def restack(self, core: np.ndarray) -> CoreSampler:
-        """This distribution over the slices of `core`, which replaces the
-        sampled core: only the slice stack is rebuilt.  For a distribution
-        that depends on the slice count alone (uniform)."""
-        core = np.asarray(core, dtype=np.float64)
-        if core.shape[1] != len(self.p):
-            raise ValueError(f"core has {core.shape[1]} slices, not {len(self.p)}")
-        return CoreSampler(self.p, self.cdf, _slice_stack(core))
 
 
 def core_sampler(core: np.ndarray, p) -> CoreSampler:
-    """Sampler of `core` drawing its slices from distribution `p`; raises
+    """Sampler drawing the slices of `core` from distribution `p`; raises
     ValueError unless `p` is a probability vector over the core's slices."""
-    core = np.asarray(core, dtype=np.float64)
-    p, cdf = _checked_cdf(p, core.shape[1], "core distribution")
-    return CoreSampler(p, cdf, _slice_stack(core))
+    p, cdf = _checked_cdf(p, np.shape(core)[1], "core distribution")
+    return CoreSampler(p, cdf)
 
 
 def sample_subchain_fibers(
@@ -186,13 +174,14 @@ def sample_subchain_fibers(
     and return the batch `(s, fibers, probs)`.
 
     For each core k != mode, in the order mode+1, ..., mode-1, indices are
-    drawn i.i.d. with replacement from samplers[k] (a `CoreSampler` of
-    cores[k]) by inverting its CDF at one row of rng.random((N-1,
+    drawn i.i.d. with replacement from samplers[k] (a `CoreSampler` over the
+    slices of cores[k]) by inverting its CDF at one row of rng.random((N-1,
     batch_size)), which is also what N-1 successive Generator.choice calls
-    draw.  Each sampled subchain slice is the product of the drawn core
-    slices in that order, started from the first core's slices, and the
-    realized row probability is the product of the per-core probabilities,
-    likewise started from the first core's.  The slice products come out
+    draw, and the drawn slices are gathered from cores[k]'s slice stack.
+    Each sampled subchain slice is the product of the drawn core slices in
+    that order, started from the first core's slices, and the realized row
+    probability is the product of the per-core probabilities, likewise
+    started from the first core's.  The slice products come out
     contiguous as (batch, R_{mode+1}, R_mode), so the rows `s` of the
     subchain unfolding are a reshape of them; an order-2 batch, which has no
     product, is the first core's gather itself.  The matching mode-`mode`
@@ -209,7 +198,7 @@ def sample_subchain_fibers(
         sampler = samplers[k]
         drawn = sampler.cdf.searchsorted(u_k, side="right")
         drawn_by_mode[k] = drawn
-        slices = sampler.slices.take(drawn, axis=0).transpose(1, 0, 2)
+        slices = _slice_stack(cores[k]).take(drawn, axis=0).transpose(1, 0, 2)
         if sub is None:
             sub, probs = slices, sampler.p[drawn]
         else:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import time
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -191,6 +192,16 @@ def search_direction(g: np.ndarray, h: np.ndarray, damping: float) -> np.ndarray
 # configuration and shared run loop
 
 
+def as_int(value, where: str, error=ValueError) -> int:
+    """`value` as an int; a bool, or a number int() would truncate, raises
+    `error` rather than silently changing the run."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{where} must be an integer, not {value!r}")
+    return int(value)
+
+
 @dataclass
 class SolverConfig:
     """Knobs shared by all solvers.
@@ -206,7 +217,8 @@ class SolverConfig:
     eval_every=None takes the cadence from the cost model of `_run_loop`: the
     smallest interval, at most 100, at which the modelled evaluation cost is
     at most 10% of the run.  Invalid values raise ValueError here, before a
-    run starts.
+    run starts; the counts (ranks, batch sizes, max_iters, eval_every, seed)
+    follow `as_int`.
     """
 
     ranks: tuple[int, ...]
@@ -225,7 +237,10 @@ class SolverConfig:
     init_scale: float = 1.0
 
     def __post_init__(self):
-        self.ranks = tuple(int(r) for r in self.ranks)
+        self.ranks = tuple(as_int(r, "ranks") for r in self.ranks)
+        for name in ("batch_grad", "batch_hess", "max_iters", "eval_every", "seed"):
+            if getattr(self, name) is not None:
+                setattr(self, name, as_int(getattr(self, name), name))
         if any(r < 1 for r in self.ranks):
             raise ValueError("ranks must be positive")
         if self.batch_grad < 1 or self.batch_hess < 1:
@@ -234,14 +249,14 @@ class SolverConfig:
             raise ValueError(f"seed must be >= 0, not {self.seed}")
         if self.max_iters is None and self.max_seconds is None and self.rse_tol is None:
             raise ValueError("at least one stopping criterion must be set")
-        # written so that NaN fails every check
-        if self.max_iters is not None and not self.max_iters >= 0:
+        if self.max_iters is not None and self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
+        # written so that NaN fails these checks
         if self.max_seconds is not None and not self.max_seconds >= 0:
             raise ValueError("max_seconds must be >= 0")
         if self.rse_tol is not None and not self.rse_tol >= 0:
             raise ValueError("rse_tol must be >= 0")
-        if self.eval_every is not None and not self.eval_every >= 1:
+        if self.eval_every is not None and self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
         if not 0 <= self.damping < math.inf:
             raise ValueError("damping must be finite and >= 0")
@@ -276,9 +291,17 @@ def _init_cores(x: np.ndarray, config: SolverConfig, init) -> list[np.ndarray]:
 # matmul reaches on 1e6-entry tensors: one unit is ~0.1 ns.  The constants
 # were fit once against single-threaded OpenBLAS timings on a 2-vCPU Xeon of
 # residual_norm and of iterations of every solver (orders 3-5, dims 5-100,
-# ranks 2-5, batches 100/300).  The model's rms error there is ~30%; its
-# largest misses put ALS/GD iterations at order >= 4 up to ~2.4x too cheap,
-# where it still gives k = 1.
+# ranks 2-5, batches 100/300); the solvers have changed since, with no refit.
+# Measured on that machine (min of 7 runs, one thread, rank 3; modelled):
+# at 100^3 residual_norm 1.2-1.5 ms (1.8), a TR-ALS sweep 12.3-12.5 ms (6.8:
+# the QR term leaves out numpy's copies around LAPACK), a TR-ScaledGD
+# iteration 4.7-5.0 ms (6.3); at 30^4, batches 100/300, residual_norm 1.0-1.2
+# ms (1.5), a TR-ScaledBRSGD iteration 0.37-0.46 ms (0.55), a uniform
+# TR-BRSGD one 0.10-0.19 ms (0.36).  The stochastic per-call constants are
+# too dear (DRAW_FLOPS alone prices 0.3 ms per draw at order 4, where a whole
+# 100-row draw takes 0.08 ms) and the per-row term too cheap (~0.03 us
+# against ~0.4 us).  As evaluation is priced too dear as well, the cadences
+# err less: ScaledBRSGD's k = 25 at 30^4 keeps evaluation near 10% of a run.
 EVAL_CALL_FLOPS = 3e5  # one residual_norm call (~0.03 ms)
 CORE_UPDATE_FLOPS = 1e6  # the calls of one dense core update (~0.1 ms)
 STEP_FLOPS = 5e5  # one stochastic iteration: mode draw, step (~0.05 ms)
@@ -580,12 +603,10 @@ def _stochastic_solver(x, config, init, clock, scaled):
     name = "tr-scaled-brsgd" if scaled else "tr-brsgd"
     kind = config.sampling.kind
     rotations = [rotation_modes(n, n_modes) for n in range(n_modes)]
-    # dists[k] is the sampler of cores[k] while current[k]; it is built when
-    # first needed and rebuilt when needed after the core is replaced.  A
-    # uniform distribution depends only on I_k, so its rebuild restacks the
-    # slices and keeps the checked distribution and CDF.
+    # dists[k] samples the slices of cores[k]; it is built when first needed
+    # and dropped when cores[k] is replaced, except that a uniform
+    # distribution depends only on I_k, so it is built once per run.
     dists: list[CoreSampler | None] = [None] * n_modes
-    current = [False] * n_modes
     rng = _run_rng(config.seed, 1)
     b = config.batch_grad
     rows = b + (config.batch_hess if scaled else 0)
@@ -602,13 +623,8 @@ def _stochastic_solver(x, config, init, clock, scaled):
             s, fibers, probs = sample_rows_batch(sub_mat, xn, rows, q, rng, fiber_rows=b)
         else:
             for k in rotations[n]:
-                if current[k]:
-                    continue
-                if kind == "uniform" and dists[k] is not None:
-                    dists[k] = dists[k].restack(cores[k])
-                else:
+                if dists[k] is None:
                     dists[k] = core_sampler(cores[k], core_distribution(cores[k], kind))
-                current[k] = True
             s, fibers, probs = sample_subchain_fibers(cores, x, n, rows, dists, rng,
                                                       fiber_rows=b)
         # i.i.d. rows: the first b form the gradient batch, the rest the
@@ -621,7 +637,8 @@ def _stochastic_solver(x, config, init, clock, scaled):
         else:
             direction = -g
         finite = _apply_step(cores, n, direction, config, t, adagrad_acc)
-        current[n] = False
+        if kind != "uniform":
+            dists[n] = None
         return finite
 
     return _run_loop(x, norm_x, cores, config, name, kind, iteration,
@@ -645,7 +662,7 @@ def tr_scaled_brsgd(x, config: SolverConfig, init=None, clock=None):
 
 
 __all__ = [
-    "ConstantStep", "RobbinsMonroStep", "AdaGradStep", "SolverConfig",
+    "ConstantStep", "RobbinsMonroStep", "AdaGradStep", "as_int", "SolverConfig",
     "stochastic_gradient", "stochastic_hessian", "search_direction",
     "tr_als", "tr_gd", "tr_scaled_gd", "tr_brsgd", "tr_scaled_brsgd",
 ]

@@ -32,6 +32,15 @@ def test_synth_ill_conditioned_validation(tmp_path, capsys):
     assert "dim >= rank^2" in capsys.readouterr().err
 
 
+def test_synth_refuses_a_nan_kappa(tmp_path, capsys):
+    out = tmp_path / "x.trt"
+    rc = main(["synth", "--order", "3", "--dim", "4", "--rank", "2", "--kind",
+               "ill_conditioned", "--kappa", "nan", "--out", str(out)])
+    assert rc == 2
+    assert "condition number must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 SYNTH_FIELDS = dataclasses.fields(SynthSpec)
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,8 @@ class TestSpecValidation:
             SynthSpec(order=3, dim=4, rank=2, kind="ill_conditioned", kappa=0.5)
         with pytest.raises(ValueError):
             SynthSpec(order=3, dim=4, rank=1, kind="ill_conditioned", kappa=10.0)
+        with pytest.raises(ValueError, match="condition number must be >= 1"):
+            SynthSpec(order=3, dim=4, rank=2, kind="ill_conditioned", kappa=math.nan)
 
 
 class TestGaussianCores:

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -356,18 +357,32 @@ class TestSampleSubchainFibers:
 
 
 class TestCoreSampler:
-    def test_holds_the_checked_distribution_its_cdf_and_a_slice_stack(self):
+    def test_holds_the_checked_distribution_and_its_cdf(self):
         rng = np.random.default_rng(16)
         core = rng.standard_normal((2, 5, 3))
         p = core_distribution(core, "euclidean")
         sampler = core_sampler(core, p)
+        assert [f.name for f in dataclasses.fields(sampler)] == ["p", "cdf"]
         np.testing.assert_array_equal(sampler.p, p)
         assert sampler.cdf[-1] == 1.0
         np.testing.assert_array_equal(np.diff(sampler.cdf) >= 0, True)
-        assert sampler.slices.shape == (5, 2, 3)
-        assert sampler.slices.flags.c_contiguous
-        for i in range(5):
-            np.testing.assert_array_equal(sampler.slices[i], core[:, i, :])
+
+    def test_draws_the_slices_of_the_current_cores(self):
+        # samplers built before their cores are replaced draw the slices of
+        # the replacing cores, as a solver's uniform samplers do all run long
+        rng = np.random.default_rng(17)
+        dims, ranks = (3, 4, 5), (2, 3, 2)
+        old = random_cores(rng, dims, ranks)
+        new = random_cores(rng, dims, ranks)
+        x = rng.standard_normal(dims)
+        for mode in range(3):
+            dists = core_distributions(old, mode, "euclidean")
+            ref = np.random.default_rng(30 + mode)
+            s, _, _ = sample_subchain_fibers(new, x, mode, 30, samplers(old, dists),
+                                             np.random.default_rng(30 + mode))
+            _, rows = choice_draws(new, mode, dists, 30, ref)
+            np.testing.assert_allclose(
+                s, subchain_unfolding(subchain_tensor(new, mode))[rows], atol=1e-13)
 
     def test_checks_through_the_module_namespace(self, monkeypatch):
         # the benchmark's tracer spans `sampling.check_prob_vector`

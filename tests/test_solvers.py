@@ -650,6 +650,26 @@ class TestDenseSolversReadXInPlace:
         assert peak < 0.5 * x.nbytes
 
 
+@pytest.mark.parametrize("solver", [tr_brsgd, tr_scaled_brsgd], ids=["brsgd", "scaled"])
+@pytest.mark.parametrize("kind", ["uniform", "leverage"])
+def test_a_stochastic_iteration_allocates_a_sliver_of_x(solver, kind, monkeypatch):
+    # a stochastic iteration reads a batch of fibers, so what it allocates
+    # does not grow with x: under 10% of it at 80^3 (about 6% measured),
+    # and a smaller share on larger tensors; RSE evaluation is stubbed out
+    monkeypatch.setattr(solvers, "residual_norm", lambda cores, x: 1.0)
+    x = np.asfortranarray(np.random.default_rng(3).standard_normal((80, 80, 80)))
+    cfg = SolverConfig(ranks=(3, 3, 3), schedule=ConstantStep(1e-3), batch_grad=100,
+                       batch_hess=300, sampling=SamplingSpec(kind), max_iters=20,
+                       eval_every=20, seed=0)
+    tracemalloc.start()
+    try:
+        solver(x, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * x.nbytes
+
+
 class TestTrBrsgd:
     def test_complete_sample_step_is_scaled_block_step(self):
         rng = np.random.default_rng(17)
@@ -794,6 +814,19 @@ class TestTrScaledBrsgd:
         assert len(built) <= x.ndim + cfg.max_iters
         for i, core in enumerate(built):
             assert not any(core is other for other in built[:i])
+
+    def test_a_uniform_sampler_is_built_once_per_run(self, monkeypatch):
+        # a uniform distribution depends only on the slice count
+        x, _ = synth_tensor(SynthSpec(order=4, dim=5, rank=2, seed=16))
+        cfg = SolverConfig(ranks=(2, 2, 2, 2), schedule=ConstantStep(0.05),
+                           batch_grad=10, batch_hess=20, damping=1e-8,
+                           max_iters=40, eval_every=40, seed=22)
+        built = []
+        original = solvers.core_sampler
+        monkeypatch.setattr(solvers, "core_sampler",
+                            lambda core, p: built.append(core) or original(core, p))
+        tr_scaled_brsgd(x, cfg)
+        assert len(built) == x.ndim
 
     @pytest.mark.parametrize("sampler, kind", [("sample_subchain_fibers", "uniform"),
                                                ("sample_rows_batch", "optimal")])
@@ -1096,6 +1129,25 @@ class TestSolverConfigValidation:
     def test_eval_every(self, eval_every):
         with pytest.raises(ValueError, match="eval_every"):
             SolverConfig(ranks=(2, 2), eval_every=eval_every)
+
+    @pytest.mark.parametrize("key, value", [
+        ("ranks", (2.7, 2.2)), ("ranks", (2, True)), ("batch_grad", 2.5),
+        ("batch_hess", True), ("max_iters", 2.5), ("max_iters", math.nan),
+        ("eval_every", 2.5), ("eval_every", math.inf), ("seed", 1.5), ("seed", False),
+    ])
+    def test_counts_are_integers(self, key, value):
+        # a bool or a fraction is refused, not truncated or met mid-run
+        kwargs = {"ranks": (2, 2), key: value}
+        with pytest.raises(ValueError, match=f"{key} must be an integer, not"):
+            SolverConfig(**kwargs)
+
+    def test_integral_floats_are_taken_as_ints(self):
+        cfg = SolverConfig(ranks=(2.0, 3.0), batch_grad=4.0, batch_hess=5.0,
+                           max_iters=6.0, eval_every=7.0, seed=8.0)
+        counts = (cfg.ranks, cfg.batch_grad, cfg.batch_hess, cfg.max_iters, cfg.eval_every,
+                  cfg.seed)
+        assert counts == ((2, 3), 4, 5, 6, 7, 8)
+        assert all(type(v) is int for v in (*cfg.ranks, *counts[1:]))
 
 
 def _model_eval_every(solver, shape, ranks, cfg):

@@ -5,11 +5,13 @@ ones with each of the four sampling kinds (`optimal` included), on an
 ill-conditioned order-3 tensor and a Gaussian order-4 tensor.  Then come runs
 that stop as diverged: TR-GD at a step that overflows, and TR-ScaledGD at
 damping 0 on ranks the data cannot support, whose Gram factors have no
-Cholesky factor.  Last come the stochastic solvers on an order-2 tensor,
-whose sampled rows are single core slices with no slice product.  A run that
-raises prints the exception's name instead of a digest.  The last lines give
-one digest per input tensor.  Two source trees behave identically on these
-runs when their outputs are equal:
+Cholesky factor.  Then come the stochastic solvers on an order-2 tensor,
+whose sampled rows are single core slices with no slice product, and one
+digest per input tensor.  The last lines run TR-ALS, TR-ScaledGD and
+TR-ScaledBRSGD (uniform and leverage) on the order-4 tensor at the evaluation
+cadence of the solvers' cost model; the trace's header carries that cadence.
+A run that raises prints the exception's name instead of a digest.  Two
+source trees behave identically on these runs when their outputs are equal:
 
     PYTHONPATH=OLD/src python tools/run_digest.py > old.txt
     PYTHONPATH=NEW/src python tools/run_digest.py > new.txt
@@ -55,8 +57,12 @@ DIVERGING = [
     ("order2-singular", SynthSpec(order=2, dim=3, rank=1, seed=10), (3, 3),
      "tr-scaled-gd", tr_scaled_gd, 0.3, 0.0),
 ]
-# the stochastic solvers on it are printed last, likewise
+# the stochastic solvers on it are printed next, likewise
 ORDER2 = SynthSpec(order=2, dim=10, rank=2, seed=4)
+# (solver name, sampling kind) run on the order-4 tensor at the cost model's
+# evaluation cadence (eval_every=None), printed after the input digests
+DEFAULT_CADENCE = [("tr-als", "uniform"), ("tr-scaled-gd", "uniform"),
+                   ("tr-scaled-brsgd", "uniform"), ("tr-scaled-brsgd", "leverage")]
 
 
 def counting_clock():
@@ -69,10 +75,11 @@ def counting_clock():
     return clock
 
 
-def run_line(label, solve, x, ranks, alpha, damping, kind, seed, rse=False) -> str:
+def run_line(label, solve, x, ranks, alpha, damping, kind, seed, rse=False,
+             eval_every=20) -> str:
     cfg = SolverConfig(ranks=ranks, schedule=ConstantStep(alpha), batch_grad=20,
                        batch_hess=40, damping=damping, sampling=SamplingSpec(kind),
-                       max_iters=ITERS, eval_every=20, seed=seed, init_scale=0.5)
+                       max_iters=ITERS, eval_every=eval_every, seed=seed, init_scale=0.5)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             cores, trace = solve(x, cfg, clock=counting_clock())
@@ -120,6 +127,13 @@ def main() -> int:
     # C-order bytes: the digest reads the entries, not the memory layout
     for tensor_name, x in inputs.items():
         print(f"input {tensor_name} {hashlib.sha256(np.asarray(x).tobytes()).hexdigest()}")
+    spec = TENSORS["order4"]
+    for name, kind in DEFAULT_CADENCE:
+        solve, alpha, _kinds = SOLVERS[name]
+        for seed in SEEDS:
+            print(run_line(f"order4 {name} {kind} eval_every=None seed={seed}", solve,
+                           inputs["order4"], (spec.rank,) * spec.order, alpha, 1e-8, kind,
+                           seed, rse, eval_every=None))
     return 0
 
 
