@@ -23,7 +23,6 @@ import numbers
 import time
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -39,6 +38,7 @@ from .core import (
     unfolding_matmul,
     validate_cores,
 )
+from .metrics import reference_norm
 from .sampling import (
     CoreSampler,
     SamplingSpec,
@@ -214,9 +214,10 @@ class SolverConfig:
     set; they are checked in the order rse_tol, max_iters, max_seconds at each
     evaluation point, after a non-finite RSE or core, which always stops the
     run.  max_seconds counts iteration time only, never RSE evaluation.
-    eval_every=None takes the cadence from the cost model of `_run_loop`: the
-    smallest interval, at most 100, at which the modelled evaluation cost is
-    at most 10% of the run.  Invalid values raise ValueError here, before a
+    eval_every=None takes the cadence from the time model of `_run_loop`: the
+    smallest interval, at most 100, at which the modelled evaluation time is
+    at most 10% of the run, which is every ceil(9/N) iterations for the dense
+    solvers at any size.  Invalid values raise ValueError here, before a
     run starts; the counts (ranks, batch sizes, max_iters, eval_every, seed)
     follow `as_int`.
     """
@@ -284,95 +285,48 @@ def _init_cores(x: np.ndarray, config: SolverConfig, init) -> list[np.ndarray]:
     ]
 
 
-# Default evaluation cadence.  Costs are modelled in floating-point operations
-# from shapes, ranks and batch sizes only (never a clock), so the cadence and
-# hence every run stay bitwise deterministic.  Interpreter and memory
-# overheads enter as flop equivalents at the ~10 GFlop/s the evaluation's slab
-# matmul reaches on 1e6-entry tensors: one unit is ~0.1 ns.  The constants
-# were fit once against single-threaded OpenBLAS timings on a 2-vCPU Xeon of
-# residual_norm and of iterations of every solver (orders 3-5, dims 5-100,
-# ranks 2-5, batches 100/300); the solvers have changed since, with no refit.
-# Measured on that machine (min of 7 runs, one thread, rank 3; modelled):
-# at 100^3 residual_norm 1.2-1.5 ms (1.8), a TR-ALS sweep 12.3-12.5 ms (6.8:
-# the QR term leaves out numpy's copies around LAPACK), a TR-ScaledGD
-# iteration 4.7-5.0 ms (6.3); at 30^4, batches 100/300, residual_norm 1.0-1.2
-# ms (1.5), a TR-ScaledBRSGD iteration 0.37-0.46 ms (0.55), a uniform
-# TR-BRSGD one 0.10-0.19 ms (0.36).  The stochastic per-call constants are
-# too dear (DRAW_FLOPS alone prices 0.3 ms per draw at order 4, where a whole
-# 100-row draw takes 0.08 ms) and the per-row term too cheap (~0.03 us
-# against ~0.4 us).  As evaluation is priced too dear as well, the cadences
-# err less: ScaledBRSGD's k = 25 at 30^4 keeps evaluation near 10% of a run.
-EVAL_CALL_FLOPS = 3e5  # one residual_norm call (~0.03 ms)
-CORE_UPDATE_FLOPS = 1e6  # the calls of one dense core update (~0.1 ms)
-STEP_FLOPS = 5e5  # one stochastic iteration: mode draw, step (~0.05 ms)
-DRAW_FLOPS = 1e6  # one sampled batch over one other mode (~0.1 ms)
-SOLVE_FLOPS = 1.8e6  # the scaled step's Hessian and Cholesky solve (~0.18 ms)
+# Default evaluation cadence, from a time model in nanoseconds with two
+# constants.  It reads sizes only, never a clock, so the cadence and hence
+# every run stay bitwise deterministic.  An evaluation costs CALL_NS plus
+# ~1 ns per entry of x it reads.  A dense core update reads x once, so a
+# dense iteration (and one of the `optimal` diagnostic, which forms a full
+# residual) costs N evaluations.  A sampled iteration costs CALL_NS plus
+# SLICE_NS for each of the N-1 slices of each drawn row.  Measured against
+# modelled, single-threaded OpenBLAS on a 2-vCPU Xeon, min of 15
+# (BENCH_cadence_model.json): residual_norm 19, 42, 1010 and 1331 us on 6^3,
+# 25^3, 30^4 and 100^3 (30, 46, 840, 1030); a uniform TR-BRSGD iteration at
+# batch 100 72 and 154 us on 25^3 and 30^4 (76, 99); a TR-ScaledBRSGD one at
+# batches 100/300 171-307 and 268-358 us (214, 306).  Dense iterations
+# measured 0.9-11x their price, so a dense run's evaluation share is at most
+# ~10% and mostly far less; at this model's k no measured share exceeded 13%.
+CALL_NS = 30_000
+SLICE_NS = 230
 MAX_EVAL_EVERY = 100
 
 
-def _eval_cost(shape, ranks) -> float:
-    """One residual_norm call: the slab matmul, 2 |X| R_0 R_h flops with R_h
-    the rank where the ring is cut in half, plus the call."""
-    return 2 * math.prod(shape) * ranks[0] * ranks[len(shape) // 2] + EVAL_CALL_FLOPS
+def _eval_ns(size: int) -> int:
+    """Modelled time of one evaluation of a tensor of `size` entries."""
+    return CALL_NS + size
 
 
-def _dense_iteration_cost(shape, ranks, qr: bool) -> float:
-    """One ALS sweep (qr) or GD/ScaledGD iteration: per core n, build the
-    J x R^2 subchain unfolding S (its last product dominates), form X_(n) Q
-    or X_(n) S from x in place, and factor S by a thin QR (4 J R^4) or form
-    its Gram matrix (2 J R^4), plus the calls."""
-    size = math.prod(shape)
-    cost = 0.0
-    for n in range(len(shape)):
-        j = size // shape[n]
-        r2 = ranks[n] * ranks[(n + 1) % len(shape)]
-        cost += (2 * j * r2 * max(ranks) + (4 if qr else 2) * j * r2 * r2
-                 + 2 * r2 * size + CORE_UPDATE_FLOPS)
-    return cost
-
-
-def _stochastic_step_cost(shape, ranks, config, scaled: bool) -> float:
-    """One block-randomized iteration: per sampled row, the product of its
-    N-1 subchain slices and its share of the R^2 x R^2 Gram factor; the
-    fiber product of the gradient; the Cholesky solve of the scaled step;
-    plus the iteration and its one batch, drawn over each other mode.  The
-    `optimal` diagnostic also forms the full residual of the drawn mode."""
-    n_modes, r, dim = len(shape), max(ranks), max(shape)
-    r2 = r * r
-    rows = config.batch_grad + (config.batch_hess if scaled else 0)
-    cost = (rows * (2 * (n_modes - 1) * r**3 + 2 * r2 * r2)
-            + 2 * config.batch_grad * dim * r2
-            + STEP_FLOPS + (n_modes - 1) * DRAW_FLOPS)
-    if scaled:
-        cost += r2**3 / 3 + 2 * dim * r2 * r2 + SOLVE_FLOPS
-    if config.sampling.kind == "optimal":
-        cost += _dense_iteration_cost(shape, ranks, qr=False) / n_modes
-    return cost
-
-
-def _default_eval_every(eval_cost: float, iteration_cost: float) -> int:
+def _default_eval_every(size: int, iteration_ns: int) -> int:
     """Smallest k <= MAX_EVAL_EVERY whose modelled evaluation share
-    eval_cost / (eval_cost + k * iteration_cost) is at most 10%, i.e.
-    k * iteration_cost >= 9 * eval_cost."""
-    return min(MAX_EVAL_EVERY, max(1, math.ceil(9 * eval_cost / iteration_cost)))
+    eval / (eval + k * iteration_ns) is at most 10%, i.e.
+    k * iteration_ns >= 9 * eval."""
+    return min(MAX_EVAL_EVERY, max(1, math.ceil(9 * _eval_ns(size) / iteration_ns)))
 
 
 def _fit_input(x) -> tuple[np.ndarray, float]:
     """x column-major (no copy for `read_tensor` and `synth_tensor` output),
     read in place by every solver, and its norm.  Each solver calls this
     first: a tensor with no entries, only zeros or a non-finite norm has no
-    RSE and is rejected (ValueError) before any other check."""
+    RSE and `reference_norm` rejects it (ValueError) before any other check."""
     x = np.asfortranarray(x, dtype=np.float64)
-    with np.errstate(over="ignore"):  # an overflowing norm is rejected below
-        norm_x = np.linalg.norm(x)
-    if not 0 < norm_x < math.inf:
-        raise ValueError(f"cannot fit a tensor of norm {norm_x}: it is empty, all zero "
-                         "or not finite (RSE undefined)")
-    return x, norm_x
+    return x, reference_norm(x)
 
 
 def _run_loop(x, norm_x, cores, config, algorithm, sampling_name, do_iteration,
-              iteration_cost, clock=None):
+              iteration_ns, clock=None):
     """Drive `do_iteration(t, cores)` until a stopping criterion fires.
 
     x and its norm come from `_fit_input`, so `residual_norm` reads x in
@@ -380,12 +334,12 @@ def _run_loop(x, norm_x, cores, config, algorithm, sampling_name, do_iteration,
     the records' elapsed time, which max_seconds is checked against;
     evaluation time is kept apart, in the trace's eval_s.  The RSE is
     evaluated every config.eval_every iterations; when that is None, the
-    cadence is `_default_eval_every` of the modelled cost of one evaluation
-    (`_eval_cost`) and of one iteration (`iteration_cost(shape, ranks)`, which
-    each solver models for itself).  Stopping criteria are checked only at
-    evaluation points, in the order non-finite -> rse_tol -> max_iters ->
-    max_seconds; an evaluation is forced whenever the iteration count or
-    elapsed budget is hit, or when `do_iteration` returns False.  The
+    cadence is `_default_eval_every` of x's size and `iteration_ns`, the
+    modelled time of one iteration, which each solver gives.  Stopping
+    criteria are checked only at evaluation points, in the order
+    non-finite -> rse_tol -> max_iters -> max_seconds; an evaluation is
+    forced whenever the iteration count or elapsed budget is hit, or when
+    `do_iteration` returns False.  The
     step-based solvers return whether their step wrote finite cores (a
     preconditioner with no Cholesky factor gives an all-NaN direction, so its
     step does not), and the `optimal` sampler returns False for a non-finite
@@ -397,9 +351,7 @@ def _run_loop(x, norm_x, cores, config, algorithm, sampling_name, do_iteration,
     clock = clock if clock is not None else time.perf_counter
     eval_every = config.eval_every
     if eval_every is None:
-        ranks = tuple(c.shape[0] for c in cores)
-        eval_every = _default_eval_every(_eval_cost(x.shape, ranks),
-                                         iteration_cost(x.shape, ranks))
+        eval_every = _default_eval_every(x.size, iteration_ns)
     max_iters = math.inf if config.max_iters is None else config.max_iters
     max_seconds = math.inf if config.max_seconds is None else config.max_seconds
     tol = config.rse_tol
@@ -545,7 +497,7 @@ def tr_als(x, config: SolverConfig, init=None, clock=None):
         return True
 
     result = _run_loop(x, norm_x, cores, config, "tr-als", "none", sweep,
-                       partial(_dense_iteration_cost, qr=True), clock=clock)
+                       x.ndim * _eval_ns(x.size), clock=clock)
     result[1].rank_deficient = counts["deficient"]
     if counts["deficient"]:
         logger.warning(
@@ -570,7 +522,7 @@ def _gradient_descent(x, config, init, clock, scaled):
         return finite
 
     return _run_loop(x, norm_x, cores, config, name, "none", iteration,
-                     partial(_dense_iteration_cost, qr=False), clock=clock)
+                     x.ndim * _eval_ns(x.size), clock=clock)
 
 
 def tr_gd(x, config: SolverConfig, init=None, clock=None):
@@ -641,8 +593,9 @@ def _stochastic_solver(x, config, init, clock, scaled):
             dists[n] = None
         return finite
 
-    return _run_loop(x, norm_x, cores, config, name, kind, iteration,
-                     partial(_stochastic_step_cost, config=config, scaled=scaled),
+    iteration_ns = (n_modes * _eval_ns(x.size) if kind == "optimal"
+                    else CALL_NS + SLICE_NS * (n_modes - 1) * rows)
+    return _run_loop(x, norm_x, cores, config, name, kind, iteration, iteration_ns,
                      clock=clock)
 
 

@@ -33,3 +33,13 @@ class TestRse:
         with pytest.raises(ValueError):
             rse(cores, np.zeros((3, 4)))
 
+    @pytest.mark.parametrize("entry, scale", [(np.nan, 1.0), (np.inf, 1.0), (0.0, 1e300)],
+                             ids=["nan", "inf", "norm-overflows"])
+    def test_reference_without_rse_raises(self, entry, scale):
+        # the solvers refuse to fit these tensors for the same reason
+        rng = np.random.default_rng(4)
+        cores = random_cores(rng, (3, 4), (2, 2))
+        truth = tr_reconstruct(cores) * scale
+        truth[1, 2] += entry
+        with pytest.raises(ValueError, match="RSE undefined"):
+            rse(cores, truth)

@@ -24,13 +24,9 @@ from trdecomp.solvers import (
     SolverConfig,
     _adagrad_steps,
     _apply_step,
-    _default_eval_every,
-    _dense_iteration_cost,
-    _eval_cost,
     _grad_and_gram,
     _init_cores,
     _min_norm_update,
-    _stochastic_step_cost,
     search_direction,
     stochastic_gradient,
     stochastic_hessian,
@@ -1150,13 +1146,14 @@ class TestSolverConfigValidation:
         assert all(type(v) is int for v in (*cfg.ranks, *counts[1:]))
 
 
-def _model_eval_every(solver, shape, ranks, cfg):
-    """The default cadence the cost model gives `solver`."""
-    if solver in (tr_als, tr_gd, tr_scaled_gd):
-        cost = _dense_iteration_cost(shape, ranks, qr=solver is tr_als)
-    else:
-        cost = _stochastic_step_cost(shape, ranks, cfg, scaled=solver is tr_scaled_brsgd)
-    return _default_eval_every(_eval_cost(shape, ranks), cost)
+def _default_cadence(solver, shape, batches=(100, 300), kind="uniform"):
+    """The evaluation cadence a run of `solver` on a tensor of `shape` takes
+    with eval_every left at None, read from a run that stops at its first
+    evaluation."""
+    cfg = SolverConfig(ranks=(3,) * len(shape), batch_grad=batches[0],
+                       batch_hess=batches[1], damping=1e-8, sampling=SamplingSpec(kind),
+                       max_iters=0, seed=0)
+    return solver(np.ones(shape, order="F"), cfg)[1].eval_every
 
 
 ALL_SOLVERS = [tr_als, tr_gd, tr_scaled_gd, tr_brsgd, tr_scaled_brsgd]
@@ -1185,7 +1182,7 @@ class TestEvalCadence:
         x, _ = synth_tensor(SynthSpec(order=3, dim=dim, rank=3, seed=5))
         kw = dict(ranks=(3, 3, 3), schedule=ConstantStep(1e-3 if solver is tr_gd else 0.3),
                   batch_grad=100, batch_hess=300, damping=1e-8, seed=3, init_scale=0.3)
-        k = _model_eval_every(solver, x.shape, (3, 3, 3), SolverConfig(**kw))
+        k = solver(x, SolverConfig(max_iters=0, **kw))[1].eval_every
         assert k > 1
         cores_k, trace_k = solver(x, SolverConfig(max_iters=3 * k, **kw),
                                   clock=counting_clock())
@@ -1200,24 +1197,25 @@ class TestEvalCadence:
 
     @pytest.mark.parametrize("solver", ALL_SOLVERS, ids=lambda f: f.__name__)
     def test_model(self, solver):
-        cfg = SolverConfig(ranks=(3,), batch_grad=100, batch_hess=300)
-        for order, top in ((3, 400), (4, 80)):
-            for rank in (2, 3, 5):
-                ks = [_model_eval_every(solver, (dim,) * order, (rank,) * order, cfg)
-                      for dim in range(2, top)]
-                assert all(1 <= k <= MAX_EVAL_EVERY for k in ks)
-                assert all(b >= a for a, b in zip(ks, ks[1:]))  # non-decreasing in |X|
-        if solver in (tr_brsgd, tr_scaled_brsgd):
-            # an iteration costs the same at any size, so large tensors hit the cap
-            assert ks[-1] == MAX_EVAL_EVERY
-        # the recorded cadence is the model's
-        for dim in (6, 30):
-            x, _ = synth_tensor(SynthSpec(order=3, dim=dim, rank=2, seed=1))
-            run = SolverConfig(ranks=(2, 2, 2), schedule=ConstantStep(1e-3),
-                               batch_grad=100, batch_hess=300, damping=1e-8,
-                               max_iters=2, seed=0)
-            _, trace = solver(x, run)
-            assert trace.eval_every == _model_eval_every(solver, x.shape, (2, 2, 2), run)
+        if solver in (tr_als, tr_gd, tr_scaled_gd):
+            # each core update reads x once, as an evaluation does, so a
+            # dense run evaluates every ceil(9/N) iterations at any size
+            for order, large in ((2, 1000), (3, 100), (4, 32), (5, 16)):
+                for dim in (3, large):
+                    assert _default_cadence(solver, (dim,) * order) == math.ceil(9 / order)
+            return
+        # a sampled iteration costs the same at any size, so the cadence
+        # grows with |X| until it reaches the cap
+        ks = [_default_cadence(solver, (dim,) * 3, batches=(10, 30))
+              for dim in (2, 5, 10, 20, 40, 70, 100)]
+        assert all(b >= a for a, b in zip(ks, ks[1:]))
+        assert 1 < ks[0] < ks[-1] == MAX_EVAL_EVERY
+        # the `optimal` diagnostic forms a full residual: priced as dense
+        assert _default_cadence(solver, (40,) * 3, kind="optimal") == 3
+
+    def test_order4_defaults_cadence(self):
+        # perfbench's order4-defaults workload: 30^4, batches 100/300
+        assert _default_cadence(tr_scaled_brsgd, (30,) * 4) == 25
 
     def test_explicit_cadence_honoured(self):
         x, _ = synth_tensor(SynthSpec(order=3, dim=30, rank=2, seed=1))

@@ -7,11 +7,14 @@ that stop as diverged: TR-GD at a step that overflows, and TR-ScaledGD at
 damping 0 on ranks the data cannot support, whose Gram factors have no
 Cholesky factor.  Then come the stochastic solvers on an order-2 tensor,
 whose sampled rows are single core slices with no slice product, and one
-digest per input tensor.  The last lines run TR-ALS, TR-ScaledGD and
-TR-ScaledBRSGD (uniform and leverage) on the order-4 tensor at the evaluation
-cadence of the solvers' cost model; the trace's header carries that cadence.
-A run that raises prints the exception's name instead of a digest.  Two
-source trees behave identically on these runs when their outputs are equal:
+digest per input tensor.  Then come TR-ALS, TR-ScaledGD and TR-ScaledBRSGD
+(uniform and leverage) on the order-4 tensor at the evaluation cadence of the
+solvers' time model; the trace's header carries that cadence.  The last lines
+run TR-ScaledBRSGD (uniform and leverage) on a 30^4 tensor with the solver
+block of perfbench's order4-defaults workload, also at the model's cadence,
+which is k = 25 there.  A run that raises prints the exception's name
+instead of a digest.  Two source trees behave identically on these runs when
+their outputs are equal:
 
     PYTHONPATH=OLD/src python tools/run_digest.py > old.txt
     PYTHONPATH=NEW/src python tools/run_digest.py > new.txt
@@ -59,10 +62,12 @@ DIVERGING = [
 ]
 # the stochastic solvers on it are printed next, likewise
 ORDER2 = SynthSpec(order=2, dim=10, rank=2, seed=4)
-# (solver name, sampling kind) run on the order-4 tensor at the cost model's
+# (solver name, sampling kind) run on the order-4 tensor at the time model's
 # evaluation cadence (eval_every=None), printed after the input digests
 DEFAULT_CADENCE = [("tr-als", "uniform"), ("tr-scaled-gd", "uniform"),
                    ("tr-scaled-brsgd", "uniform"), ("tr-scaled-brsgd", "leverage")]
+# order4-defaults' tensor (synth seed 2), run last with its solver block
+ORDER4_DEFAULTS = SynthSpec(order=4, dim=30, rank=3, seed=2)
 
 
 def counting_clock():
@@ -76,10 +81,11 @@ def counting_clock():
 
 
 def run_line(label, solve, x, ranks, alpha, damping, kind, seed, rse=False,
-             eval_every=20) -> str:
-    cfg = SolverConfig(ranks=ranks, schedule=ConstantStep(alpha), batch_grad=20,
-                       batch_hess=40, damping=damping, sampling=SamplingSpec(kind),
-                       max_iters=ITERS, eval_every=eval_every, seed=seed, init_scale=0.5)
+             eval_every=20, batches=(20, 40), init_scale=0.5, max_iters=ITERS) -> str:
+    cfg = SolverConfig(ranks=ranks, schedule=ConstantStep(alpha), batch_grad=batches[0],
+                       batch_hess=batches[1], damping=damping, sampling=SamplingSpec(kind),
+                       max_iters=max_iters, eval_every=eval_every, seed=seed,
+                       init_scale=init_scale)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             cores, trace = solve(x, cfg, clock=counting_clock())
@@ -134,6 +140,14 @@ def main() -> int:
             print(run_line(f"order4 {name} {kind} eval_every=None seed={seed}", solve,
                            inputs["order4"], (spec.rank,) * spec.order, alpha, 1e-8, kind,
                            seed, rse, eval_every=None))
+    x, _ = synth_tensor(ORDER4_DEFAULTS)
+    for kind in ("uniform", "leverage"):
+        for seed in SEEDS:
+            print(run_line(f"order4-30 tr-scaled-brsgd {kind} eval_every=None seed={seed}",
+                           tr_scaled_brsgd, x, (ORDER4_DEFAULTS.rank,) * ORDER4_DEFAULTS.order,
+                           0.3, 1e-8, kind, seed, rse,
+                           eval_every=None, batches=(100, 300), init_scale=0.3,
+                           max_iters=75))
     return 0
 
 
