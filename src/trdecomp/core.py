@@ -31,7 +31,7 @@ SLAB_BYTES = 256 * 1024
 __all__ = [
     "mode_n_unfolding", "unfolding_matmul", "core_unfolding", "fold_core", "subchain_unfolding",
     "slices_hadamard", "subchain_tensor", "rotation_modes", "validate_cores",
-    "tr_reconstruct", "residual_norm",
+    "numerical_rank", "tr_reconstruct", "residual_norm",
 ]
 
 
@@ -181,6 +181,13 @@ def validate_cores(cores) -> None:
                 f"rank chain broken between cores {n} and {(n + 1) % len(cores)}: "
                 f"{c.shape[2]} vs {nxt.shape[0]}"
             )
+
+
+def numerical_rank(s: np.ndarray, shape: tuple[int, ...]) -> int:
+    """Numerical rank of a matrix of `shape` with singular values `s` (in
+    descending order): the count above max(shape) * eps * s[0], the cut-off
+    of np.linalg.lstsq(rcond=None)."""
+    return int(np.count_nonzero(s > max(shape) * np.finfo(np.float64).eps * s[0]))
 
 
 def _chain(cores) -> np.ndarray:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import fold_core, tr_reconstruct
+from .solvers import as_int
 
 GENERATOR_KINDS = ("gaussian", "ill_conditioned")
 # synth_tensor refuses larger tensors (8 bytes an entry: 800 MB)
@@ -20,7 +21,8 @@ MAX_SYNTH_ENTRIES = 100_000_000
 
 @dataclass(frozen=True)
 class SynthSpec:
-    """Cubical synthetic instance: `order` cores of shape (rank, dim, rank)."""
+    """Cubical synthetic instance: `order` cores of shape (rank, dim, rank).
+    The counts (order, dim, rank, seed) follow `solvers.as_int`."""
 
     order: int
     dim: int
@@ -30,6 +32,8 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("order", "dim", "rank", "seed"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         if self.order < 2:
             raise ValueError("tensor order must be >= 2")
         if self.dim < 1 or self.rank < 1:

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _slice_stack, core_unfolding, rotation_modes, slices_hadamard
+from .core import (_slice_stack, core_unfolding, numerical_rank, rotation_modes,
+                   slices_hadamard)
 
 # in the canonical order of the summary rows and the trial seeds
 SAMPLING_KINDS = ("uniform", "euclidean", "leverage", "optimal")
@@ -83,7 +84,7 @@ def _leverage_scores_rank(m):
     scores.
     """
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    rank = int(np.sum(s > max(m.shape) * np.finfo(np.float64).eps * s[0]))
+    rank = numerical_rank(s, m.shape)
     basis = u[:, :rank]
     return np.einsum("ij,ij->i", basis, basis), rank
 

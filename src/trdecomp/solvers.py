@@ -21,7 +21,6 @@ import logging
 import math
 import numbers
 import time
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +29,7 @@ from .core import (
     core_unfolding,
     fold_core,
     mode_n_unfolding,
+    numerical_rank,
     residual_norm,
     rotation_modes,
     subchain_tensor,
@@ -52,10 +52,6 @@ from .sampling import (
 from .trace import RunTrace
 
 logger = logging.getLogger(__name__)
-
-# Cholesky jitter fallbacks of the run in progress: `_run_loop` sets a fresh
-# one-element counter for each run and `search_direction` adds to it.
-_chol_jitter: ContextVar[list[int] | None] = ContextVar("chol_jitter", default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -151,16 +147,17 @@ def stochastic_hessian(s: np.ndarray, probs: np.ndarray, j_total: int) -> np.nda
     return s.T @ (s * w[:, None]) / (len(w) * j_total)
 
 
-def search_direction(g: np.ndarray, h: np.ndarray, damping: float) -> np.ndarray:
+def search_direction(g: np.ndarray, h: np.ndarray,
+                     damping: float) -> tuple[np.ndarray, bool]:
     """Descent direction -g (h + damping I)^{-1} through the Cholesky factor
-    of the damped Hessian factor.
+    of the damped Hessian factor, and whether it took the jitter fallback.
 
     The factor is numpy's `cholesky(upper=True)`, which is LAPACK dpotrf's
     upper factor bit for bit, and the solve goes through its inverse W = U^-1:
     the direction is -(g W) W^T.  If damping > 0 and the damped factor is not
     numerically positive definite, it is factored once more with the ridge
-    raised by max(damping, 1e-12 * trace / R^2), and the run in progress
-    counts that jitter fallback in `RunTrace.chol_jitter`.  With no Cholesky
+    raised by max(damping, 1e-12 * trace / R^2), and the flag is True; the
+    scaled solvers count it in `RunTrace.chol_jitter`.  With no Cholesky
     factor (at zero damping, or after the retry) or a non-finite g or h (an
     overflowed estimate) there is no solve: the direction is all NaN, so its
     step writes a non-finite core and the run stops as diverged.
@@ -170,22 +167,21 @@ def search_direction(g: np.ndarray, h: np.ndarray, damping: float) -> np.ndarray
         h = h.astype(np.float64)
         h.flat[::size + 1] += damping
     if not (np.isfinite(g).all() and np.isfinite(h).all()):
-        return np.full_like(g, np.nan)
+        return np.full_like(g, np.nan), False
+    jittered = False
     try:
         factor = np.linalg.cholesky(h, upper=True)
     except np.linalg.LinAlgError:
         if not damping > 0:
-            return np.full_like(g, np.nan)
-        counter = _chol_jitter.get()
-        if counter is not None:
-            counter[0] += 1
+            return np.full_like(g, np.nan), False
+        jittered = True
         h.flat[::size + 1] += max(damping, 1e-12 * np.trace(h) / size)
         try:
             factor = np.linalg.cholesky(h, upper=True)
         except np.linalg.LinAlgError:
-            return np.full_like(g, np.nan)
+            return np.full_like(g, np.nan), True
     w = np.linalg.inv(factor)
-    return -(g @ w) @ w.T
+    return -(g @ w) @ w.T, jittered
 
 
 # ---------------------------------------------------------------------------
@@ -273,16 +269,18 @@ def _run_rng(seed: int, stream: int) -> np.random.Generator:
 def _init_cores(x: np.ndarray, config: SolverConfig, init) -> list[np.ndarray]:
     if len(config.ranks) != x.ndim:
         raise ValueError(f"{len(config.ranks)} ranks for an order-{x.ndim} tensor")
+    ranks = config.ranks
+    shapes = [(ranks[n], x.shape[n], ranks[(n + 1) % x.ndim]) for n in range(x.ndim)]
     if init is not None:
         cores = [np.array(c, dtype=np.float64, copy=True) for c in init]
         validate_cores(cores)
+        fitted = [c.shape for c in cores]
+        if fitted != shapes:
+            raise ValueError(f"init cores of shapes {fitted} do not fit the config's "
+                             f"ranks and the tensor: expected {shapes}")
         return cores
     rng = _run_rng(config.seed, 0)
-    ranks = config.ranks
-    return [
-        config.init_scale * rng.standard_normal((ranks[n], x.shape[n], ranks[(n + 1) % x.ndim]))
-        for n in range(x.ndim)
-    ]
+    return [config.init_scale * rng.standard_normal(shape) for shape in shapes]
 
 
 # Default evaluation cadence, from a time model in nanoseconds with two
@@ -325,28 +323,28 @@ def _fit_input(x) -> tuple[np.ndarray, float]:
     return x, reference_norm(x)
 
 
-def _run_loop(x, norm_x, cores, config, algorithm, sampling_name, do_iteration,
-              iteration_ns, clock=None):
-    """Drive `do_iteration(t, cores)` until a stopping criterion fires.
+def _run_loop(x, norm_x, cores, config, trace, do_iteration, iteration_ns, clock=None):
+    """Drive `do_iteration(t, cores)` until a stopping criterion fires, and
+    fill in the solver's `trace`: its records, eval_every, eval_s and
+    terminal_reason.  Counters the iterations keep (chol_jitter,
+    rank_deficient) are the solver's own: it made the trace and counts into it.
 
     x and its norm come from `_fit_input`, so `residual_norm` reads x in
     place.  Iteration work is timed with `clock` (default perf_counter) into
     the records' elapsed time, which max_seconds is checked against;
     evaluation time is kept apart, in the trace's eval_s.  The RSE is
-    evaluated every config.eval_every iterations; when that is None, the
-    cadence is `_default_eval_every` of x's size and `iteration_ns`, the
-    modelled time of one iteration, which each solver gives.  Stopping
-    criteria are checked only at evaluation points, in the order
-    non-finite -> rse_tol -> max_iters -> max_seconds; an evaluation is
-    forced whenever the iteration count or elapsed budget is hit, or when
-    `do_iteration` returns False.  The
-    step-based solvers return whether their step wrote finite cores (a
-    preconditioner with no Cholesky factor gives an all-NaN direction, so its
-    step does not), and the `optimal` sampler returns False for a non-finite
-    residual, which leaves no distribution to draw from.  A False return, or
-    a non-finite RSE or core, stops the run at that iteration with reason
-    "diverged".  The Cholesky jitter fallbacks that `search_direction` takes
-    during the run are counted into the trace's chol_jitter.
+    evaluated at iteration 0 and every config.eval_every iterations; when
+    that is None, the cadence is `_default_eval_every` of x's size and
+    `iteration_ns`, the modelled time of one iteration, which each solver
+    gives.  Stopping criteria are checked only at evaluation points, in the
+    order non-finite -> rse_tol -> max_iters -> max_seconds; an evaluation
+    is forced whenever the iteration count or elapsed budget is hit, or when
+    `do_iteration` returns False.  The step-based solvers return whether
+    their step wrote finite cores (a preconditioner with no Cholesky factor
+    gives an all-NaN direction, so its step does not), and the `optimal`
+    sampler returns False for a non-finite residual, which leaves no
+    distribution to draw from.  A False return, or a non-finite RSE or core,
+    stops the run at that iteration with reason "diverged".
     """
     clock = clock if clock is not None else time.perf_counter
     eval_every = config.eval_every
@@ -355,60 +353,29 @@ def _run_loop(x, norm_x, cores, config, algorithm, sampling_name, do_iteration,
     max_iters = math.inf if config.max_iters is None else config.max_iters
     max_seconds = math.inf if config.max_seconds is None else config.max_seconds
     tol = config.rse_tol
-
-    records: list[tuple[int, float, float]] = []
-    state = {"elapsed": 0.0, "eval_s": 0.0, "non_finite": False}
-
-    def evaluate(t: int, finite: bool = True) -> float:
-        t0 = clock()
-        rse_val = float(residual_norm(cores, x) / norm_x)
-        if not (finite and math.isfinite(rse_val)
-                and all(np.isfinite(c).all() for c in cores)):
-            state["non_finite"] = True
-            logger.warning("%s: non-finite iterate, RSE or core at iteration %d, stopping",
-                           algorithm, t)
-        state["eval_s"] += clock() - t0
-        records.append((t, state["elapsed"], rse_val))
-        return rse_val
-
-    def stop_reason(t: int, rse_val: float) -> str | None:
-        if state["non_finite"]:
-            return "diverged"
-        if tol is not None and rse_val <= tol:
-            return "tol"
-        if t >= max_iters:
-            return "max_iters"
-        if state["elapsed"] >= max_seconds:
-            return "max_time"
-        return None
-
-    chol_jitter = [0]
-    token = _chol_jitter.set(chol_jitter)
-    try:
-        rse_val = evaluate(0)
-        reason = stop_reason(0, rse_val)
-        t = 0
-        while reason is None:
+    trace.eval_every, trace.eval_s = eval_every, 0.0
+    t, elapsed, finite = 0, 0.0, True
+    while True:
+        if not finite or t % eval_every == 0 or t >= max_iters or elapsed >= max_seconds:
             t0 = clock()
-            finite = do_iteration(t, cores)
-            state["elapsed"] += clock() - t0
-            t += 1
-            if (not finite or t % eval_every == 0 or t >= max_iters
-                    or state["elapsed"] >= max_seconds):
-                rse_val = evaluate(t, finite)
-                reason = stop_reason(t, rse_val)
-    finally:
-        _chol_jitter.reset(token)
-    trace = RunTrace(
-        algorithm=algorithm,
-        sampling=sampling_name,
-        records=records,
-        terminal_reason=reason,
-        eval_every=eval_every,
-        eval_s=state["eval_s"],
-        chol_jitter=chol_jitter[0],
-    )
-    return cores, trace
+            rse_val = float(residual_norm(cores, x) / norm_x)
+            finite = (finite and math.isfinite(rse_val)
+                      and all(np.isfinite(c).all() for c in cores))
+            if not finite:
+                logger.warning("%s: non-finite iterate, RSE or core at iteration %d, "
+                               "stopping", trace.algorithm, t)
+            trace.eval_s += clock() - t0
+            trace.records.append((t, elapsed, rse_val))
+            trace.terminal_reason = ("diverged" if not finite
+                                     else "tol" if tol is not None and rse_val <= tol
+                                     else "max_iters" if t >= max_iters
+                                     else "max_time" if elapsed >= max_seconds else None)
+            if trace.terminal_reason is not None:
+                return cores, trace
+        t0 = clock()
+        finite = do_iteration(t, cores)
+        elapsed += clock() - t0
+        t += 1
 
 
 def _adagrad_steps(acc: np.ndarray, direction: np.ndarray, sched: AdaGradStep) -> np.ndarray:
@@ -459,15 +426,15 @@ def _min_norm_update(sub: np.ndarray, x: np.ndarray, mode: int) -> tuple[np.ndar
     numerical rank of S.
 
     One thin QR S = QR and the SVD R = U diag(s) V^T of the small factor give
-    G = ((X_[n] Q) U_r / s_r) V_r^T, where r counts the singular values above
-    max(J, R^2) * eps * s_max, the cut-off of np.linalg.lstsq(rcond=None).
+    G = ((X_[n] Q) U_r / s_r) V_r^T, where r is S's `numerical_rank`: the
+    count of singular values above max(J, R^2) * eps * s_max.
     The solve works at the conditioning of S; the normal equations would
     square it.  X_[n] Q is read off a column-major x in place
     (`unfolding_matmul`).
     """
     q, r = np.linalg.qr(sub)
     u, s, vt = np.linalg.svd(r, full_matrices=False)
-    rank = int(np.count_nonzero(s > max(sub.shape) * np.finfo(float).eps * s[0]))
+    rank = numerical_rank(s, sub.shape)
     return (unfolding_matmul(x, mode, q) @ u[:, :rank] / s[:rank]) @ vt[:rank], rank
 
 
@@ -477,52 +444,53 @@ def tr_als(x, config: SolverConfig, init=None, clock=None):
 
     One iteration of the trace is one full sweep.  Every update is the
     minimum-norm least-squares solution, so a rank-deficient subchain
-    unfolding needs no second path; the trace's rank_deficient counts those
-    updates, and the run logs one warning giving how many of its core
-    updates were rank deficient.  Every update reads X_[n] Q off the
-    column-major x in place.
+    unfolding needs no second path; each sweep adds its rank-deficient
+    updates to the trace's rank_deficient, and the run logs one warning
+    giving how many of its N x sweeps core updates were rank deficient.
+    Every update reads X_[n] Q off the column-major x in place.
     """
     x, norm_x = _fit_input(x)
     cores = _init_cores(x, config, init)
-    counts = {"updates": 0, "deficient": 0}
+    trace = RunTrace("tr-als", "none", chol_jitter=0, rank_deficient=0)
 
     def sweep(_t, cores):
         for n in range(x.ndim):
             sub = subchain_unfolding(subchain_tensor(cores, n))
             sol, rank = _min_norm_update(sub, x, n)
-            counts["updates"] += 1
-            counts["deficient"] += rank < sub.shape[1]
+            trace.rank_deficient += rank < sub.shape[1]
             r_left, _, r_right = cores[n].shape
             cores[n] = fold_core(sol, r_left, r_right)
         return True
 
-    result = _run_loop(x, norm_x, cores, config, "tr-als", "none", sweep,
-                       x.ndim * _eval_ns(x.size), clock=clock)
-    result[1].rank_deficient = counts["deficient"]
-    if counts["deficient"]:
+    _run_loop(x, norm_x, cores, config, trace, sweep, x.ndim * _eval_ns(x.size), clock)
+    if trace.rank_deficient:
         logger.warning(
             "tr_als: %d of %d core updates were rank deficient; each took "
             "the minimum-norm solution",
-            counts["deficient"], counts["updates"])
-    return result
+            trace.rank_deficient, x.ndim * trace.final()[0])
+    return cores, trace
 
 
 def _gradient_descent(x, config, init, clock, scaled):
     x, norm_x = _fit_input(x)  # read in place by _grad_and_gram
     cores = _init_cores(x, config, init)
     adagrad_acc: dict[int, np.ndarray] = {}
-    name = "tr-scaled-gd" if scaled else "tr-gd"
+    trace = RunTrace("tr-scaled-gd" if scaled else "tr-gd", "none", chol_jitter=0)
 
     def iteration(t, cores):
         blocks = [_grad_and_gram(cores, x, n) for n in range(x.ndim)]
         finite = True
         for n, (g, gram) in enumerate(blocks):
-            direction = search_direction(g, gram, config.damping) if scaled else -g
+            if scaled:
+                direction, jittered = search_direction(g, gram, config.damping)
+                trace.chol_jitter += jittered
+            else:
+                direction = -g
             finite = _apply_step(cores, n, direction, config, t, adagrad_acc) and finite
         return finite
 
-    return _run_loop(x, norm_x, cores, config, name, "none", iteration,
-                     x.ndim * _eval_ns(x.size), clock=clock)
+    return _run_loop(x, norm_x, cores, config, trace, iteration,
+                     x.ndim * _eval_ns(x.size), clock)
 
 
 def tr_gd(x, config: SolverConfig, init=None, clock=None):
@@ -552,8 +520,8 @@ def _stochastic_solver(x, config, init, clock, scaled):
                          f"R_n*R_(n+1)={r2}, so at damping=0 the factor is singular; "
                          "raise batch_hess or set a positive damping")
     adagrad_acc: dict[int, np.ndarray] = {}
-    name = "tr-scaled-brsgd" if scaled else "tr-brsgd"
     kind = config.sampling.kind
+    trace = RunTrace("tr-scaled-brsgd" if scaled else "tr-brsgd", kind, chol_jitter=0)
     rotations = [rotation_modes(n, n_modes) for n in range(n_modes)]
     # dists[k] samples the slices of cores[k]; it is built when first needed
     # and dropped when cores[k] is replaced, except that a uniform
@@ -585,7 +553,8 @@ def _stochastic_solver(x, config, init, clock, scaled):
         g = stochastic_gradient(cores[n], s[:b], fibers, probs[:b], j_total)
         if scaled:
             h = stochastic_hessian(s[b:], probs[b:], j_total)
-            direction = search_direction(g, h, config.damping)
+            direction, jittered = search_direction(g, h, config.damping)
+            trace.chol_jitter += jittered
         else:
             direction = -g
         finite = _apply_step(cores, n, direction, config, t, adagrad_acc)
@@ -595,8 +564,7 @@ def _stochastic_solver(x, config, init, clock, scaled):
 
     iteration_ns = (n_modes * _eval_ns(x.size) if kind == "optimal"
                     else CALL_NS + SLICE_NS * (n_modes - 1) * rows)
-    return _run_loop(x, norm_x, cores, config, name, kind, iteration, iteration_ns,
-                     clock=clock)
+    return _run_loop(x, norm_x, cores, config, trace, iteration, iteration_ns, clock)
 
 
 def tr_brsgd(x, config: SolverConfig, init=None, clock=None):

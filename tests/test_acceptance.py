@@ -291,7 +291,8 @@ def test_criterion_7_hessian_identities():
         g = np.random.default_rng(70 + mode).standard_normal((dims[mode], gram.shape[0]))
         for eta in (0.0, 0.05):
             damped = gram / j + eta * np.eye(gram.shape[0])
-            np.testing.assert_allclose(search_direction(g, h, eta) @ damped, -g, atol=1e-10)
+            d, _ = search_direction(g, h, eta)
+            np.testing.assert_allclose(d @ damped, -g, atol=1e-10)
     # one scaled full-gradient step equals the vectorized block form
     alpha = 0.3
     cfg = SolverConfig(ranks=ranks, schedule=ConstantStep(alpha), max_iters=1, seed=0)

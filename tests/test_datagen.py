@@ -32,6 +32,21 @@ class TestSpecValidation:
             SynthSpec(order=3, dim=4, rank=2, kind="ill_conditioned", kappa=math.nan)
 
 
+    def test_counts_are_integers_as_in_the_solver_config(self):
+        # an integral float is taken as an int, a bool or a fraction refused,
+        # as SolverConfig does: not met inside numpy, nor read as order 1
+        spec = SynthSpec(order=3.0, dim=4.0, rank=2.0, seed=5.0)
+        counts = (spec.order, spec.dim, spec.rank, spec.seed)
+        assert counts == (3, 4, 2, 5) and all(type(v) is int for v in counts)
+        x, _ = synth_tensor(spec)
+        np.testing.assert_array_equal(x, synth_tensor(SynthSpec(order=3, dim=4, rank=2,
+                                                                seed=5))[0])
+        for key, value in [("order", True), ("dim", 4.5), ("rank", False), ("seed", 1.5)]:
+            kwargs = {"order": 3, "dim": 4, "rank": 2, key: value}
+            with pytest.raises(ValueError, match=f"{key} must be an integer, not"):
+                SynthSpec(**kwargs)
+
+
 class TestGaussianCores:
     def test_deterministic(self):
         spec = SynthSpec(order=3, dim=6, rank=2, seed=42)

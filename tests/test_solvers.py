@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -329,19 +330,21 @@ class TestStochasticHessian:
 class TestSearchDirection:
     def test_identity_hessian(self):
         g = np.arange(6.0).reshape(2, 3)
-        np.testing.assert_array_equal(search_direction(g, np.eye(3), 0.0), -g)
+        d, jittered = search_direction(g, np.eye(3), 0.0)
+        np.testing.assert_array_equal(d, -g)
+        assert jittered is False
 
     def test_zero_gradient(self):
         h = np.eye(3) * 2.0
-        np.testing.assert_array_equal(search_direction(np.zeros((2, 3)), h, 0.0),
-                                      np.zeros((2, 3)))
+        d, _ = search_direction(np.zeros((2, 3)), h, 0.0)
+        np.testing.assert_array_equal(d, np.zeros((2, 3)))
 
     def test_solve_residual(self):
         rng = np.random.default_rng(13)
         a = rng.standard_normal((4, 4))
         h = a @ a.T + 0.5 * np.eye(4)
         g = rng.standard_normal((3, 4))
-        d = search_direction(g, h, 0.0)
+        d, _ = search_direction(g, h, 0.0)
         assert np.linalg.norm(d @ h + g) < 1e-10
 
     def test_damping_is_added_once(self):
@@ -351,7 +354,7 @@ class TestSearchDirection:
         h = a @ a.T
         g = rng.standard_normal((3, 4))
         for eta in (0.3, 2.0):
-            d = search_direction(g, h, eta)
+            d, _ = search_direction(g, h, eta)
             assert np.linalg.norm(d @ (h + eta * np.eye(4)) + g) < 1e-10
 
     def test_singular_without_damping(self):
@@ -359,14 +362,15 @@ class TestSearchDirection:
         # all NaN, so the step it makes stops the run as diverged
         g = np.ones((2, 2))
         h = np.zeros((2, 2))
-        d = search_direction(g, h, damping=0.0)
-        assert d.shape == g.shape and np.isnan(d).all()
+        d, jittered = search_direction(g, h, damping=0.0)
+        assert d.shape == g.shape and np.isnan(d).all() and jittered is False
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_input(self, bad):
         g, h = np.ones((2, 2)), np.eye(2)
         for args in ((np.where(g, bad, 0.0), h), (g, np.where(h, bad, 0.0))):
-            assert np.isnan(search_direction(*args, damping=1e-8)).all()
+            d, jittered = search_direction(*args, damping=1e-8)
+            assert np.isnan(d).all() and jittered is False
 
     @staticmethod
     def _assert_backward_stable(d, g, a):
@@ -388,7 +392,7 @@ class TestSearchDirection:
         h = a @ a.T
         g = rng.standard_normal((7, r * r))
         damped = h + damping * np.eye(r * r)
-        d = search_direction(g, h, damping)
+        d, _ = search_direction(g, h, damping)
         self._assert_backward_stable(d, g, damped)
         w = np.linalg.inv(np.linalg.cholesky(damped, upper=True))
         np.testing.assert_array_equal(d, -(g @ w) @ w.T)
@@ -401,24 +405,16 @@ class TestSearchDirection:
         g = np.random.default_rng(15).standard_normal((3, 4))
         damping = 1e-8
         jitter = max(damping, 1e-12 * np.trace(h) / 4)
-        token = solvers._chol_jitter.set(counter := [0])
-        try:
-            d = search_direction(g, h, damping)
-        finally:
-            solvers._chol_jitter.reset(token)
-        assert np.isfinite(d).all() and counter == [1]
+        d, jittered = search_direction(g, h, damping)
+        assert np.isfinite(d).all() and jittered is True
         self._assert_backward_stable(d, g, h + jitter * np.eye(4))
 
     def test_failed_jitter_retry_gives_nan(self):
         # an indefinite factor stays indefinite after the jitter: the retry
-        # is counted, and the direction is all NaN
+        # is flagged, and the direction is all NaN
         h = np.diag([1.0, -1.0])
-        token = solvers._chol_jitter.set(counter := [0])
-        try:
-            d = search_direction(np.ones((2, 2)), h, damping=1e-8)
-        finally:
-            solvers._chol_jitter.reset(token)
-        assert np.isnan(d).all() and counter == [1]
+        d, jittered = search_direction(np.ones((2, 2)), h, damping=1e-8)
+        assert np.isnan(d).all() and jittered is True
 
 
 class TestTrAls:
@@ -743,6 +739,17 @@ class TestTrBrsgd:
 
 
 class TestTrScaledBrsgd:
+    def test_jitter_fallbacks_are_counted_in_the_trace(self):
+        # ranks the data cannot support and a ridge too small to change the
+        # sampled Hessian factors: every iteration's solve takes the fallback
+        x, _ = synth_tensor(SynthSpec(order=2, dim=3, rank=1, seed=10))
+        cfg = SolverConfig(ranks=(3, 3), schedule=ConstantStep(0.1), batch_grad=5,
+                           batch_hess=9, damping=1e-30, max_iters=20, seed=0)
+        _cores, trace = tr_scaled_brsgd(x, cfg)
+        assert trace.final()[0] == 20
+        assert trace.chol_jitter == 20
+        assert parse_trace_csv(render_trace_csv(trace)).chol_jitter == 20
+
     def test_fixed_seed_bitwise_reproducible(self):
         x, _ = synth_tensor(SynthSpec(order=3, dim=8, rank=2, seed=16))
         cfg = SolverConfig(ranks=(2, 2, 2), schedule=ConstantStep(0.05),
@@ -784,7 +791,7 @@ class TestTrScaledBrsgd:
             j = x.size // x.shape[n]
             g = stochastic_gradient(cores[n], s[:10], fibers[:, :10], probs[:10], j)
             h = stochastic_hessian(s[10:], probs[10:], j)
-            _apply_step(cores, n, search_direction(g, h, 1e-8), cfg, t, {})
+            _apply_step(cores, n, search_direction(g, h, 1e-8)[0], cfg, t, {})
         for a, b in zip(solved, cores):
             assert a.tobytes() == b.tobytes()
 
@@ -879,11 +886,11 @@ class TestTrScaledBrsgd:
         norms = []
         for eta in (1e-2, 1e0, 1e2, 1e4):
             h = stochastic_hessian(s_h, probs_h, j)
-            d = search_direction(g, h, damping=eta)
+            d, _ = search_direction(g, h, damping=eta)
             norms.append(np.linalg.norm(d))
         assert all(b < a for a, b in zip(norms, norms[1:]))  # monotone shrink
         h = stochastic_hessian(s_h, probs_h, j)
-        d = search_direction(g, h, damping=1e8)
+        d, _ = search_direction(g, h, damping=1e8)
         cos = np.sum(d * (-g)) / (np.linalg.norm(d) * np.linalg.norm(g))
         assert cos > 1 - 1e-6
 
@@ -915,7 +922,7 @@ class TestTrScaledBrsgd:
                                                      samplers(cores, dists), mc_rng)
             g = stochastic_gradient(cores[mode], *b_g, j)
             h = stochastic_hessian(s_h, probs_h, j)
-            acc += search_direction(g, h, damping=1e-4)
+            acc += search_direction(g, h, damping=1e-4)[0]
         mean_dir = acc / trials
         err = np.linalg.norm(mean_dir - target) / np.linalg.norm(target)
         assert err < 0.10
@@ -990,6 +997,21 @@ class TestUnfittableTensor:
         cfg = SolverConfig(ranks=(2, 2, 2), max_iters=3, seed=0)
         with pytest.raises(ValueError, match="cannot fit"):
             solve(x, cfg)
+
+
+class TestInitCores:
+    @pytest.mark.parametrize("solve", [tr_als, tr_gd, tr_scaled_gd, tr_brsgd, tr_scaled_brsgd])
+    @pytest.mark.parametrize("ranks, dims", [((3, 3, 3), (4, 5, 6)), ((2, 2, 2), (4, 5, 7))],
+                             ids=["ranks", "dims"])
+    def test_init_that_does_not_fit_is_refused(self, solve, ranks, dims):
+        # a rank-3 start for a rank-2 config, or the cores of another tensor,
+        # would run at their own shapes: both shapes are named instead
+        init = random_cores(np.random.default_rng(0), dims, ranks)
+        cfg = SolverConfig(ranks=(2, 2, 2), damping=1e-8, max_iters=2, seed=0)
+        with pytest.raises(ValueError, match=re.escape(
+                f"init cores of shapes {[c.shape for c in init]} do not fit the config's "
+                "ranks and the tensor: expected [(2, 4, 2), (2, 5, 2), (2, 6, 2)]")):
+            solve(np.ones((4, 5, 6)), cfg, init=init)
 
 
 class TestStoppingCriteria:

@@ -12,7 +12,9 @@ digest per input tensor.  Then come TR-ALS, TR-ScaledGD and TR-ScaledBRSGD
 solvers' time model; the trace's header carries that cadence.  The last lines
 run TR-ScaledBRSGD (uniform and leverage) on a 30^4 tensor with the solver
 block of perfbench's order4-defaults workload, also at the model's cadence,
-which is k = 25 there.  A run that raises prints the exception's name
+which is k = 25 there.  After them TR-ALS runs 20 sweeps at ranks (3, 3)
+on the order-2 tensor that cannot support them, so each of its core updates
+is rank deficient and its trace's count is pinned.  A run that raises prints the exception's name
 instead of a digest.  Two source trees behave identically on these runs when
 their outputs are equal:
 
@@ -68,6 +70,9 @@ DEFAULT_CADENCE = [("tr-als", "uniform"), ("tr-scaled-gd", "uniform"),
                    ("tr-scaled-brsgd", "uniform"), ("tr-scaled-brsgd", "leverage")]
 # order4-defaults' tensor (synth seed 2), run last with its solver block
 ORDER4_DEFAULTS = SynthSpec(order=4, dim=30, rank=3, seed=2)
+# TR-ALS on DIVERGING's order2-singular tensor, run after order4-defaults:
+# (ranks, sweeps)
+ALS_RANK_DEFICIENT = ((3, 3), 20)
 
 
 def counting_clock():
@@ -148,6 +153,11 @@ def main() -> int:
                            0.3, 1e-8, kind, seed, rse,
                            eval_every=None, batches=(100, 300), init_scale=0.3,
                            max_iters=75))
+    ranks, sweeps = ALS_RANK_DEFICIENT
+    for seed in SEEDS:
+        print(run_line(f"order2-singular tr-als ranks={ranks} seed={seed}", tr_als,
+                       inputs["order2-singular"], ranks, 1.0, 1e-8, "uniform", seed, rse,
+                       max_iters=sweeps))
     return 0
 
 
