@@ -15,7 +15,8 @@ C-contiguous slice stack (J, R_left, R_right) whose j-th entry is the slice
 product at merged index j.  The 3-way (R_left, J, R_right) tensor that
 :func:`subchain_tensor` returns is a transposed view of that stack, and the
 (J, R_left*R_right) subchain unfolding is a reshape of it, so neither is a
-copy.  `sampling` gathers each draw's slices from the stack of each core.
+copy.  `sampling` gathers only each draw's slices, from each core's
+(I, R_left, R_right) transposed view.
 """
 
 from __future__ import annotations

@@ -42,10 +42,11 @@ class SynthSpec:
             raise ValueError(f"seed must be >= 0, not {self.seed}")
         if self.kind not in GENERATOR_KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
+        # checked for every kind, so a mistyped kappa never goes unnoticed;
+        # written so that NaN fails it
+        if not self.kappa >= 1:
+            raise ValueError("condition number must be >= 1")
         if self.kind == "ill_conditioned":
-            # written so that NaN fails it
-            if not self.kappa >= 1:
-                raise ValueError("condition number must be >= 1")
             if self.dim < self.rank**2:
                 raise ValueError(
                     f"ill-conditioned cores need dim >= rank^2 "

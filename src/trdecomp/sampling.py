@@ -7,12 +7,15 @@ unfolding, and `sample_subchain_fibers` realizes a row draw by drawing one
 slice index per core, without ever materializing that matrix.  It draws the
 indices from `CoreSampler`s (`core_sampler`): a checked distribution and its
 CDF, built once per distribution, not once per draw.  The drawn slices come
-from the cores the draw is given, never from a replaced core.  The `optimal`
-diagnostic instead draws whole rows (`sample_rows_batch`) of a subchain and
-mode unfolding its caller has materialized, from the variance-minimizing
-distribution of `optimal_distribution_oracle`, which needs the full residual.
-Every draw, per core or per row, inverts the CDF of a checked probability
-vector at uniform variates, exactly as Generator.choice(p=...) does.
+from the cores the draw is given, never from a replaced core.  Every draw
+inverts the CDF of a checked probability vector at uniform variates, exactly
+as Generator.choice(p=...) does.
+
+All four kinds draw this way.  The `optimal` diagnostic's
+variance-minimizing distribution (`optimal_distribution_oracle`, which needs
+the full residual) is over the rows of the subchain unfolding, that is over
+the slices of the subchain tensor G^{!=n}; its caller draws them as the
+order-2 ring [G_n, G^{!=n}], whose data tensor is the mode unfolding X_(n).
 
 A sampled batch is three arrays `(s, fibers, probs)`: the drawn rows of the
 subchain unfolding as a C-contiguous (batch, R_mode*R_{mode+1}) matrix, the
@@ -31,8 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (_slice_stack, core_unfolding, numerical_rank, rotation_modes,
-                   slices_hadamard)
+from .core import core_unfolding, numerical_rank, rotation_modes, slices_hadamard
 
 # in the canonical order of the summary rows and the trial seeds
 SAMPLING_KINDS = ("uniform", "euclidean", "leverage", "optimal")
@@ -130,20 +132,6 @@ def core_distributions(cores, mode: int, kind: str) -> list:
     return dists
 
 
-def _checked_cdf(p, size: int, what: str):
-    """Check `p` as a probability vector over `size` outcomes and return it
-    with its CDF normalised to end at exactly 1.  Inverting that CDF at
-    uniform variates (`searchsorted(u, side="right")`) is what
-    Generator.choice(p=...) does after its own checks, so draws and generator
-    state match it bit for bit."""
-    p = check_prob_vector(p)
-    if len(p) != size:
-        raise ValueError(f"{what} has length {len(p)}, not {size}")
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    return p, cdf
-
-
 @dataclass(frozen=True)
 class CoreSampler:
     """What a per-core slice draw needs of the distribution, built by
@@ -157,8 +145,17 @@ class CoreSampler:
 
 def core_sampler(core: np.ndarray, p) -> CoreSampler:
     """Sampler drawing the slices of `core` from distribution `p`; raises
-    ValueError unless `p` is a probability vector over the core's slices."""
-    p, cdf = _checked_cdf(p, np.shape(core)[1], "core distribution")
+    ValueError unless `p` is a probability vector over the core's slices.
+
+    Its CDF is normalised to end at exactly 1.  Inverting that CDF at uniform
+    variates (`searchsorted(u, side="right")`) is what
+    Generator.choice(p=...) does after its own checks, so draws and generator
+    state match it bit for bit."""
+    p, size = check_prob_vector(p), np.shape(core)[1]
+    if len(p) != size:
+        raise ValueError(f"core distribution has length {len(p)}, not {size}")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
     return CoreSampler(p, cdf)
 
 
@@ -174,11 +171,16 @@ def sample_subchain_fibers(
     """Draw `batch_size` subchain rows by independent per-core slice draws
     and return the batch `(s, fibers, probs)`.
 
-    For each core k != mode, in the order mode+1, ..., mode-1, indices are
-    drawn i.i.d. with replacement from samplers[k] (a `CoreSampler` over the
-    slices of cores[k]) by inverting its CDF at one row of rng.random((N-1,
-    batch_size)), which is also what N-1 successive Generator.choice calls
-    draw, and the drawn slices are gathered from cores[k]'s slice stack.
+    `cores` is any TR ring over the data tensor `x`: the model's cores over
+    x, or the order-2 ring [G_n, G^{!=n}] of a core and its subchain tensor
+    over the mode unfolding X_(n), whose slices are the rows of the subchain
+    unfolding (that is how the `optimal` distribution over those rows is
+    drawn).  For each core k != mode, in the order mode+1, ..., mode-1,
+    indices are drawn i.i.d. with replacement from samplers[k] (a
+    `CoreSampler` over the slices of cores[k]) by inverting its CDF at one
+    row of rng.random((N-1, batch_size)), which is also what N-1 successive
+    Generator.choice calls draw, and only the drawn slices are gathered from
+    cores[k], as a contiguous (batch, R_k, R_{k+1}) block.
     Each sampled subchain slice is the product of the drawn core slices in
     that order, started from the first core's slices, and the realized row
     probability is the product of the per-core probabilities, likewise
@@ -199,7 +201,7 @@ def sample_subchain_fibers(
         sampler = samplers[k]
         drawn = sampler.cdf.searchsorted(u_k, side="right")
         drawn_by_mode[k] = drawn
-        slices = _slice_stack(cores[k]).take(drawn, axis=0).transpose(1, 0, 2)
+        slices = cores[k].transpose(1, 0, 2).take(drawn, axis=0).transpose(1, 0, 2)
         if sub is None:
             sub, probs = slices, sampler.p[drawn]
         else:
@@ -209,30 +211,6 @@ def sample_subchain_fibers(
         (slice(None),) + tuple(drawn_by_mode[k][:fiber_rows] for k in rest)]
     s = np.ascontiguousarray(sub.transpose(1, 0, 2)).reshape(batch_size, -1)
     return s, fibers, probs
-
-
-def sample_rows_batch(
-    subchain_mat: np.ndarray,
-    unfolding: np.ndarray,
-    batch_size: int,
-    q: np.ndarray,
-    rng: np.random.Generator,
-    fiber_rows: int | None = None,
-):
-    """Draw `batch_size` rows i.i.d. from a full distribution q over the rows
-    of a materialized subchain unfolding (J, R_mode*R_{mode+1}) and return
-    the batch `(s, fibers, probs)`, the fibers being the columns of the mode
-    unfolding (I_mode, J) that match the first `fiber_rows` rows (all rows
-    when None).
-
-    The caller has built the whole subchain, so this is a diagnostic path
-    only (it is how the oracle distribution is sampled).
-    """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    q, cdf = _checked_cdf(q, subchain_mat.shape[0], "row distribution")
-    rows = cdf.searchsorted(rng.random(batch_size), side="right")
-    return subchain_mat.take(rows, axis=0), unfolding[:, rows[:fiber_rows]], q[rows]
 
 
 def optimal_distribution_oracle(residual: np.ndarray, subchain_mat: np.ndarray) -> np.ndarray:
@@ -262,6 +240,5 @@ def optimal_distribution_oracle(residual: np.ndarray, subchain_mat: np.ndarray) 
 
 __all__ = [
     "SamplingSpec", "check_prob_vector", "core_distribution", "core_distributions",
-    "CoreSampler", "core_sampler", "sample_subchain_fibers", "sample_rows_batch",
-    "optimal_distribution_oracle",
+    "CoreSampler", "core_sampler", "sample_subchain_fibers", "optimal_distribution_oracle",
 ]

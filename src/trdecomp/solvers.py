@@ -46,7 +46,6 @@ from .sampling import (
     core_distributions,  # noqa: F401  (perfbench/tracing.py spans calls made through here)
     core_sampler,
     optimal_distribution_oracle,
-    sample_rows_batch,
     sample_subchain_fibers,
 )
 from .trace import RunTrace
@@ -534,19 +533,23 @@ def _stochastic_solver(x, config, init, clock, scaled):
     def iteration(t, cores):
         n = int(rng.integers(n_modes))
         if kind == "optimal":
-            sub_mat = subchain_unfolding(subchain_tensor(cores, n))
+            # the subchain unfolding's rows are the slices of G^{!=n}: they
+            # are drawn from the order-2 ring [G_n, G^{!=n}] over X_(n)
+            sub = subchain_tensor(cores, n)
+            sub_mat = subchain_unfolding(sub)
             xn = mode_n_unfolding(x, n)
             residual = core_unfolding(cores[n]) @ sub_mat.T - xn
             if not np.isfinite(residual).all():
                 return False
-            q = optimal_distribution_oracle(residual, sub_mat)
-            s, fibers, probs = sample_rows_batch(sub_mat, xn, rows, q, rng, fiber_rows=b)
+            oracle = core_sampler(sub, optimal_distribution_oracle(residual, sub_mat))
+            ring, data, mode, samplers = [cores[n], sub], xn, 0, [None, oracle]
         else:
             for k in rotations[n]:
                 if dists[k] is None:
                     dists[k] = core_sampler(cores[k], core_distribution(cores[k], kind))
-            s, fibers, probs = sample_subchain_fibers(cores, x, n, rows, dists, rng,
-                                                      fiber_rows=b)
+            ring, data, mode, samplers = cores, x, n, dists
+        s, fibers, probs = sample_subchain_fibers(ring, data, mode, rows, samplers, rng,
+                                                  fiber_rows=b)
         # i.i.d. rows: the first b form the gradient batch, the rest the
         # Hessian batch, which reads no fibers
         j_total = x.size // x.shape[n]

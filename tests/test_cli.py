@@ -41,6 +41,15 @@ def test_synth_refuses_a_nan_kappa(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_synth_refuses_a_bad_kappa_for_a_gaussian_tensor(tmp_path, capsys):
+    out = tmp_path / "k.trt"
+    rc = main(["synth", "--order", "3", "--dim", "4", "--rank", "2", "--kind",
+               "gaussian", "--kappa", "-5", "--out", str(out)])
+    assert rc == 2
+    assert "condition number must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 SYNTH_FIELDS = dataclasses.fields(SynthSpec)
 
 

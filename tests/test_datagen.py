@@ -31,6 +31,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="condition number must be >= 1"):
             SynthSpec(order=3, dim=4, rank=2, kind="ill_conditioned", kappa=math.nan)
 
+    @pytest.mark.parametrize("kappa", [-5.0, 0.5, math.nan])
+    def test_kappa_is_checked_for_every_kind(self, kappa):
+        # a Gaussian spec ignores kappa, so a mistyped one would go unnoticed
+        with pytest.raises(ValueError, match="condition number must be >= 1"):
+            SynthSpec(order=3, dim=4, rank=2, kappa=kappa)
+
 
     def test_counts_are_integers_as_in_the_solver_config(self):
         # an integral float is taken as an int, a bool or a fraction refused,

@@ -21,7 +21,6 @@ from trdecomp.sampling import (
     core_distributions,
     core_sampler,
     optimal_distribution_oracle,
-    sample_rows_batch,
     sample_subchain_fibers,
 )
 
@@ -413,17 +412,23 @@ class TestCompleteSampleBatch:
             np.testing.assert_array_equal(fibers, mode_n_unfolding(x, mode))
 
 
-class TestSampleRowsBatch:
+class TestOptimalRingDraw:
+    """The `optimal` distribution is over the rows of the subchain unfolding,
+    i.e. the slices of the subchain tensor G^{!=n}; it is drawn as the
+    order-2 ring [G_n, G^{!=n}] over the mode unfolding X_(n)."""
+
     def test_rows_and_probs(self):
         rng = np.random.default_rng(13)
         dims = (3, 4, 2)
         cores = random_cores(rng, dims, (2, 2, 2))
         x = rng.standard_normal(dims)
         q = rng.dirichlet(np.ones(8))
-        sub_mat = subchain_unfolding(subchain_tensor(cores, 0))
+        sub = subchain_tensor(cores, 0)
+        sub_mat = subchain_unfolding(sub)
         xn = mode_n_unfolding(x, 0)
         ref = copy.deepcopy(rng)
-        s, fibers, probs = sample_rows_batch(sub_mat, xn, 40, q, rng)
+        s, fibers, probs = sample_subchain_fibers([cores[0], sub], xn, 0, 40,
+                                                  [None, core_sampler(sub, q)], rng)
         rows = ref.choice(len(q), size=40, replace=True, p=q)
         np.testing.assert_array_equal(s, sub_mat[rows])
         assert s.flags.c_contiguous
@@ -434,11 +439,13 @@ class TestSampleRowsBatch:
 
     def test_fiber_rows_gathers_only_the_leading_rows(self):
         rng = np.random.default_rng(13)
-        sub_mat, xn = rng.standard_normal((8, 4)), rng.standard_normal((3, 8))
-        q = rng.dirichlet(np.ones(8))
+        core, sub = rng.standard_normal((2, 3, 2)), rng.standard_normal((2, 8, 2))
+        xn = rng.standard_normal((3, 8))
+        ring, oracle = [core, sub], [None, core_sampler(sub, rng.dirichlet(np.ones(8)))]
         ref = copy.deepcopy(rng)
-        s, fibers, probs = sample_rows_batch(sub_mat, xn, 40, q, rng)
-        s_k, fibers_k, probs_k = sample_rows_batch(sub_mat, xn, 40, q, ref, fiber_rows=9)
+        s, fibers, probs = sample_subchain_fibers(ring, xn, 0, 40, oracle, rng)
+        s_k, fibers_k, probs_k = sample_subchain_fibers(ring, xn, 0, 40, oracle, ref,
+                                                        fiber_rows=9)
         assert fibers_k.shape == (3, 9)
         np.testing.assert_array_equal(fibers_k, fibers[:, :9])
         np.testing.assert_array_equal(s_k, s)
@@ -448,9 +455,9 @@ class TestSampleRowsBatch:
                                    np.r_[np.nan, np.full(7, 1 / 7)]],
                              ids=["wrong-length", "sum", "nan"])
     def test_rejects_a_bad_distribution(self, q):
+        # the subchain tensor of a rank-1 ring over 8 rows
         with pytest.raises(ValueError):
-            sample_rows_batch(np.zeros((8, 1)), np.zeros((2, 8)), 3, q,
-                              np.random.default_rng(0))
+            core_sampler(np.zeros((1, 8, 1)), q)
 
 
 class TestOptimalDistribution:

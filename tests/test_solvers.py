@@ -831,16 +831,15 @@ class TestTrScaledBrsgd:
         tr_scaled_brsgd(x, cfg)
         assert len(built) == x.ndim
 
-    @pytest.mark.parametrize("sampler, kind", [("sample_subchain_fibers", "uniform"),
-                                               ("sample_rows_batch", "optimal")])
-    def test_gathers_fibers_for_the_gradient_batch_only(self, sampler, kind, monkeypatch):
+    @pytest.mark.parametrize("kind", ["uniform", "optimal"])
+    def test_gathers_fibers_for_the_gradient_batch_only(self, kind, monkeypatch):
         # the Hessian batch reads no fibers, so none are gathered for it
         x, _ = synth_tensor(SynthSpec(order=3, dim=8, rank=2, seed=16))
         cfg = SolverConfig(ranks=(2, 2, 2), schedule=ConstantStep(0.05),
                            batch_grad=10, batch_hess=20, damping=1e-8,
                            max_iters=3, eval_every=3, seed=22, sampling=SamplingSpec(kind))
         gathered, handed = [], []
-        original = getattr(solvers, sampler)
+        original = solvers.sample_subchain_fibers
 
         def sampler_spy(*args, **kwargs):
             batch = original(*args, **kwargs)
@@ -851,7 +850,7 @@ class TestTrScaledBrsgd:
             handed.append(fibers)
             return stochastic_gradient(core, s, fibers, probs, j_total)
 
-        monkeypatch.setattr(solvers, sampler, sampler_spy)
+        monkeypatch.setattr(solvers, "sample_subchain_fibers", sampler_spy)
         monkeypatch.setattr(solvers, "stochastic_gradient", gradient_spy)
         tr_scaled_brsgd(x, cfg)
         assert len(gathered) == len(handed) == 3
