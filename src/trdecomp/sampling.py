@@ -5,11 +5,14 @@ leverage-based or Euclidean-based).  The distributions of the cores other than
 the sampled mode induce a product distribution over the rows of the subchain
 unfolding, and `sample_subchain_fibers` realizes a row draw by drawing one
 slice index per core, without ever materializing that matrix.  It draws the
-indices from `CoreSampler`s (`core_sampler`): a checked distribution and its
-CDF, built once per distribution, not once per draw.  The drawn slices come
-from the cores the draw is given, never from a replaced core.  Every draw
-inverts the CDF of a checked probability vector at uniform variates, exactly
-as Generator.choice(p=...) does.
+indices from `CoreSampler`s (`core_sampler`): a checked distribution, its
+CDF and a guide table over that CDF, built once per distribution, not once
+per draw.  The drawn slices come from the cores the draw is given, never
+from a replaced core.  Every draw inverts the CDF of a checked probability
+vector at uniform variates through the guide table (an exact indexed search,
+`CoreSampler.draw`), which returns the indices that
+`cdf.searchsorted(u, side="right")` returns; so draws are exactly those of
+Generator.choice(p=...).
 
 All four kinds draw this way.  The `optimal` diagnostic's
 variance-minimizing distribution (`optimal_distribution_oracle`, which needs
@@ -135,12 +138,35 @@ def core_distributions(cores, mode: int, kind: str) -> list:
 @dataclass(frozen=True)
 class CoreSampler:
     """What a per-core slice draw needs of the distribution, built by
-    `core_sampler`: the checked distribution `p` over a core's I slices and
-    its normalised CDF.  The slices themselves come from the core the draw
-    is given."""
+    `core_sampler`: the checked distribution `p` over a core's I slices, its
+    normalised CDF, and a guide table over that CDF.  The slices themselves
+    come from the core the draw is given.
+
+    The guide table has M entries, M the smallest power of two >= 2I:
+    `guide[m]` counts the CDF entries below m/M, and `steps` is the most CDF
+    entries any one bucket [m/M, (m+1)/M) holds.  At M >= 2I a bucket is
+    at most half as wide as a uniform slice's probability, so a near-uniform
+    distribution takes one step; runs of small probabilities take more.  At
+    M < 4I the table costs at most four entries per slice."""
 
     p: np.ndarray
     cdf: np.ndarray
+    guide: np.ndarray
+    steps: int
+
+    def draw(self, u: np.ndarray) -> np.ndarray:
+        """Slice indices drawn by inverting the CDF at the uniform variates
+        `u` in [0, 1): `cdf.searchsorted(u, side="right")`, bit for bit.
+
+        u*M and its floor are exact for a power-of-two M, so the guide entry
+        of u's bucket counts only CDF entries <= u, and at most `steps` more
+        CDF entries lie in that bucket at or below u; stepping past them
+        (cdf[-1] == 1 > u stops the walk inside the CDF) lands on the count
+        of CDF entries <= u, ties and zero-probability slices included."""
+        drawn = self.guide[(u * len(self.guide)).astype(np.intp)]
+        for _ in range(self.steps):
+            drawn += self.cdf[drawn] <= u
+        return drawn
 
 
 def core_sampler(core: np.ndarray, p) -> CoreSampler:
@@ -149,14 +175,19 @@ def core_sampler(core: np.ndarray, p) -> CoreSampler:
 
     Its CDF is normalised to end at exactly 1.  Inverting that CDF at uniform
     variates (`searchsorted(u, side="right")`) is what
-    Generator.choice(p=...) does after its own checks, so draws and generator
-    state match it bit for bit."""
+    Generator.choice(p=...) does after its own checks; the sampler's guide
+    table returns the same indices (`CoreSampler.draw`), so draws and
+    generator state match Generator.choice bit for bit.  The table is built
+    in O(I + M) from the bucket of each CDF entry."""
     p, size = check_prob_vector(p), np.shape(core)[1]
     if len(p) != size:
         raise ValueError(f"core distribution has length {len(p)}, not {size}")
     cdf = p.cumsum()
     cdf /= cdf[-1]
-    return CoreSampler(p, cdf)
+    buckets = 1 << (2 * size - 1).bit_length()
+    # the CDF entries in each bucket; entries equal to 1 fall past the last
+    counts = np.bincount((cdf * buckets).astype(np.intp), minlength=buckets + 1)[:buckets]
+    return CoreSampler(p, cdf, np.add.accumulate(counts) - counts, int(counts.max()))
 
 
 def sample_subchain_fibers(
@@ -178,7 +209,8 @@ def sample_subchain_fibers(
     drawn).  For each core k != mode, in the order mode+1, ..., mode-1,
     indices are drawn i.i.d. with replacement from samplers[k] (a
     `CoreSampler` over the slices of cores[k]) by inverting its CDF at one
-    row of rng.random((N-1, batch_size)), which is also what N-1 successive
+    row of rng.random((N-1, batch_size)) (`CoreSampler.draw`, the guide
+    table's exact search), which is also what N-1 successive
     Generator.choice calls draw, and only the drawn slices are gathered from
     cores[k], as a contiguous (batch, R_k, R_{k+1}) block.
     Each sampled subchain slice is the product of the drawn core slices in
@@ -199,7 +231,7 @@ def sample_subchain_fibers(
     drawn_by_mode = {}
     for k, u_k in zip(rotation, u):
         sampler = samplers[k]
-        drawn = sampler.cdf.searchsorted(u_k, side="right")
+        drawn = sampler.draw(u_k)
         drawn_by_mode[k] = drawn
         slices = cores[k].transpose(1, 0, 2).take(drawn, axis=0).transpose(1, 0, 2)
         if sub is None:

@@ -126,7 +126,7 @@ def stochastic_gradient(core: np.ndarray, s: np.ndarray, fibers: np.ndarray,
     the full gradient.  Solvers step with this value (the constant is absorbed by
     the step size).
     """
-    if np.any(probs <= 0):
+    if (probs <= 0).any():
         raise ValueError("nonpositive realized probability in batch")
     w = 1.0 / probs
     g2 = core_unfolding(core)
@@ -140,7 +140,7 @@ def stochastic_hessian(s: np.ndarray, probs: np.ndarray, j_total: int) -> np.nda
     The full Hessian block is this factor Kronecker the identity on the mode
     extent; the identity factor is exploited by the solvers, never formed.
     """
-    if np.any(probs <= 0):
+    if (probs <= 0).any():
         raise ValueError("nonpositive realized probability in batch")
     w = 1.0 / probs
     return s.T @ (s * w[:, None]) / (len(w) * j_total)
@@ -296,6 +296,10 @@ def _init_cores(x: np.ndarray, config: SolverConfig, init) -> list[np.ndarray]:
 # batches 100/300 171-307 and 268-358 us (214, 306).  Dense iterations
 # measured 0.9-11x their price, so a dense run's evaluation share is at most
 # ~10% and mostly far less; at this model's k no measured share exceeded 13%.
+# Those sampled iterations were measured before draws went through the
+# samplers' guide tables, which made a TR-ScaledBRSGD iteration 10-21%
+# cheaper, so the model now overprices one by more; a refit from measured
+# stage costs is left to the cadence work on the ROADMAP (item 3).
 CALL_NS = 30_000
 SLICE_NS = 230
 MAX_EVAL_EVERY = 100

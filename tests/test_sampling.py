@@ -361,10 +361,20 @@ class TestCoreSampler:
         core = rng.standard_normal((2, 5, 3))
         p = core_distribution(core, "euclidean")
         sampler = core_sampler(core, p)
-        assert [f.name for f in dataclasses.fields(sampler)] == ["p", "cdf"]
+        assert [f.name for f in dataclasses.fields(sampler)] == ["p", "cdf", "guide", "steps"]
         np.testing.assert_array_equal(sampler.p, p)
         assert sampler.cdf[-1] == 1.0
         np.testing.assert_array_equal(np.diff(sampler.cdf) >= 0, True)
+        # the guide table: M a power of two in [2I, 4I), nondecreasing, each
+        # entry at most the CDF entries <= m/M, and `steps` covering the
+        # fullest bucket [m/M, (m+1)/M)
+        m = len(sampler.guide)
+        assert m & (m - 1) == 0 and 2 * len(p) <= m < 4 * len(p)
+        np.testing.assert_array_equal(np.diff(sampler.guide) >= 0, True)
+        edges = np.arange(m) / m
+        assert (sampler.guide <= sampler.cdf.searchsorted(edges, side="right")).all()
+        in_bucket = np.bincount((sampler.cdf * m).astype(np.intp), minlength=m + 1)[:m]
+        assert sampler.steps >= in_bucket.max()
 
     def test_draws_the_slices_of_the_current_cores(self):
         # samplers built before their cores are replaced draw the slices of
@@ -394,6 +404,89 @@ class TestCoreSampler:
         monkeypatch.setattr(sampling, "check_prob_vector", spy)
         core_sampler(np.ones((1, 4, 1)), uniform_dist(4))
         assert len(calls) == 1
+
+
+def _adversarial_keys(cdf, m, rng):
+    """Uniform variates in [0, 1) that probe a guide table of m buckets:
+    random ones, 0 and the largest double below 1, every bucket edge k/m
+    and the double below it, every CDF entry and the double below it."""
+    edges = np.arange(m) / m
+    keys = np.concatenate([rng.random(2000), [0.0, np.nextafter(1.0, 0.0)], edges,
+                           np.nextafter(edges, -1.0), cdf, np.nextafter(cdf, -1.0)])
+    return keys[(keys >= 0) & (keys < 1)]
+
+
+class TestGuideDraw:
+    """`CoreSampler.draw` inverts the CDF through its guide table and must
+    return `cdf.searchsorted(u, side="right")` index for index."""
+
+    @staticmethod
+    def assert_exact(sampler, rng):
+        u = _adversarial_keys(sampler.cdf, len(sampler.guide), rng)
+        np.testing.assert_array_equal(sampler.draw(u), sampler.cdf.searchsorted(u, side="right"))
+
+    @pytest.mark.parametrize("p", [
+        [0.0, 0.0, 0.5, 0.0, 0.5, 0.0, 0.0],   # leading, inner and trailing zeros
+        [0.25, 0.25, 0.25, 0.25],              # every CDF entry on a bucket edge
+        [0.125] * 8,                           # likewise, one entry per edge
+        [1e-9] * 5 + [1 - 5e-9],               # five entries in the first bucket
+        [1 - 5e-9] + [1e-9] * 5,               # five entries in the last bucket
+        [1.0],                                 # I = 1
+        [0.0, 1.0, 0.0],
+    ])
+    def test_equals_searchsorted_on_adversarial_cdfs(self, p):
+        p = np.asarray(p)
+        sampler = core_sampler(np.ones((1, len(p), 1)), p / p.sum())
+        self.assert_exact(sampler, np.random.default_rng(40))
+
+    def test_a_crowded_bucket_takes_more_steps(self):
+        p = np.array([1e-9] * 5 + [1 - 5e-9])
+        assert core_sampler(np.ones((1, 6, 1)), p).steps == 5
+
+    @pytest.mark.parametrize("kind", ["uniform", "euclidean", "leverage"])
+    def test_equals_searchsorted_on_core_distributions(self, kind):
+        rng = np.random.default_rng(41)
+        for size in (1, 2, 3, 7, 25, 30, 64, 65):
+            core = rng.standard_normal((3, size, 2))
+            self.assert_exact(core_sampler(core, core_distribution(core, kind)), rng)
+
+    def test_equals_searchsorted_on_the_optimal_ring(self):
+        # the optimal oracle's sampler covers the J slices of the subchain
+        # tensor G^{!=n}, drawn as the order-2 ring [G_n, G^{!=n}]
+        rng = np.random.default_rng(42)
+        dims = (6, 7, 5)
+        cores = random_cores(rng, dims, (3, 2, 3))
+        x = tr_reconstruct(random_cores(rng, dims, (3, 2, 3)))
+        for mode in range(3):
+            sub = subchain_tensor(cores, mode)
+            sub_mat = subchain_unfolding(sub)
+            residual = core_unfolding(cores[mode]) @ sub_mat.T - mode_n_unfolding(x, mode)
+            q = optimal_distribution_oracle(residual, sub_mat)
+            self.assert_exact(core_sampler(sub, q), rng)
+
+
+class TestGuideMemory:
+    def test_optimal_table_is_at_most_four_entries_per_slice(self):
+        rng = np.random.default_rng(43)
+        for dims in [(6, 7, 5), (9, 9, 9), (4, 5, 6, 7)]:
+            cores = random_cores(rng, dims, (2,) * len(dims))
+            sub = subchain_tensor(cores, 0)
+            j_total = sub.shape[1]
+            sampler = core_sampler(sub, rng.dirichlet(np.ones(j_total)))
+            assert len(sampler.guide) <= 4 * j_total
+
+    def test_building_samplers_keeps_no_module_state(self):
+        # each table belongs to its sampler: nothing sized by the
+        # distributions seen is cached at module level
+        def snapshot():
+            return {name: (id(value), len(value) if isinstance(value, (dict, list, set)) else None)
+                    for name, value in vars(sampling).items()}
+
+        before = snapshot()
+        rng = np.random.default_rng(44)
+        for size in list(range(1, 70)) + [255, 256, 257, 1000, 4097]:
+            core_sampler(np.ones((1, size, 1)), rng.dirichlet(np.ones(size)))
+        assert snapshot() == before
 
 
 class TestCompleteSampleBatch:
