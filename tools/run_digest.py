@@ -27,10 +27,21 @@ stop iteration, a digest of its final cores and the repr of every RSE in its
 trace, so a change that moves roundoff can be sized run by run.  Pin
 OPENBLAS_NUM_THREADS for both runs: results are bitwise only per BLAS build
 and thread count.
+
+The output at one thread is committed as `tools/digests/<build_key()>.txt`,
+keyed by the numpy version, the BLAS build and the kernel it chose for this
+CPU, and tests/test_run_digest.py compares a fresh run with it.  A change
+that moves roundoff regenerates it:
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/run_digest.py > "$(
+        PYTHONPATH=src:tools python -c 'import run_digest; print(run_digest.golden_path())')"
 """
 
 import argparse
+import ctypes
+import glob
 import hashlib
+import os
 import sys
 
 import numpy as np
@@ -73,6 +84,34 @@ ORDER4_DEFAULTS = SynthSpec(order=4, dim=30, rank=3, seed=2)
 # TR-ALS on DIVERGING's order2-singular tensor, run after order4-defaults:
 # (ranks, sweeps)
 ALS_RANK_DEFICIENT = ((3, 3), 20)
+
+
+def _openblas_core() -> str:
+    """The kernel numpy's OpenBLAS picked for this CPU, or "unknown"."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                     "openblas_get_corename64_", "openblas_get_corename"):
+            corename = getattr(lib, name, None)
+            if corename is not None:
+                corename.restype = ctypes.c_char_p
+                return corename().decode()
+    return "unknown"
+
+
+def build_key(threads: int = 1) -> str:
+    """What the digests are bitwise for: numpy, its BLAS build and kernel,
+    and the BLAS thread count."""
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    return (f"numpy-{np.__version__}_{blas['name']}-{blas['version']}-{_openblas_core()}"
+            f"_threads-{threads}")
+
+
+def golden_path() -> str:
+    """The committed one-thread output for this build."""
+    return os.path.join(os.path.dirname(os.path.abspath(__file__)), "digests",
+                        build_key() + ".txt")
 
 
 def counting_clock():
