@@ -70,12 +70,23 @@ def unfolding_matmul(x: np.ndarray, mode: int, m: np.ndarray) -> np.ndarray:
     b + B*a of X_[mode] is the fiber x3[a, :, b].  Mode 0 (A = 1) is one
     matrix product, formed as (m^T X_[0]^T)^T: for a C-ordered 1e4 x 9 m and
     a 100^3 x, single-threaded OpenBLAS ran it 1.4x faster than X_[0] @ m on
-    a 2-vCPU Xeon.  Any other mode is one batched product over b of the
+    a 2-vCPU Xeon.  Any other mode is a batched product over b of the
     contiguous (I_mode, A) slabs of x3 with the (A, K) blocks of m, summed
     over b: a Python loop over a would be far slower on the last mode, and
     the batched form on mode 0 would make I_mode x 1 batches.  A C-ordered m
     (a subchain unfolding) is read in place; any other layout of m, or of x,
     is copied by every call.
+
+    The batch is taken in chunks whose (b, I_mode, K) products share one
+    buffer with the running sum, which leads each chunk; so the sum over b
+    is added in the order of one unchunked sum, and the result is the same
+    bit for bit (where I_mode * K > 1; a sum of scalars is pairwise).  The
+    buffer holds at most SLAB_BYTES, or the sum and one (I_mode, K) product
+    where a product alone passes SLAB_BYTES / 2.  The whole batch's products
+    would be a J-sized temporary (720 KB for K = 9 on 100^3), above glibc's
+    mmap threshold, so whether a call mapped and faulted in fresh pages or
+    reused the heap would depend on the dynamic mmap and trim thresholds
+    that earlier frees happened to set.  The result has the dtype of x @ m.
     """
     x = np.asarray(x)
     m = np.asarray(m)
@@ -88,8 +99,24 @@ def unfolding_matmul(x: np.ndarray, mode: int, m: np.ndarray) -> np.ndarray:
     x3 = x.reshape(a, x.shape[mode], b, order="F")
     if a == 1:
         return (m.T @ x3[0].T).T
-    m3 = m.reshape(a, b, m.shape[1]).transpose(1, 0, 2)
-    return (x3.transpose(2, 1, 0) @ m3).sum(axis=0)
+    n, k = x.shape[mode], m.shape[1]
+    m3 = m.reshape(a, b, k).transpose(1, 0, 2)
+    xt = x3.transpose(2, 1, 0)
+    dtype = np.result_type(x, m)
+    rows = max(1, SLAB_BYTES // max(dtype.itemsize * n * k, 1) - 1)
+    # buf[0] is the running sum, buf[1:] one chunk's products; zeros is the
+    # sum of an empty batch
+    buf = np.empty((min(rows, b) + 1, n, k), dtype)
+    out = np.zeros((n, k), dtype)
+    for lo in range(0, b, rows):
+        hi = min(lo + rows, b)
+        np.matmul(xt[lo:hi], m3[lo:hi], out=buf[1:hi - lo + 1])
+        if lo == 0:
+            np.add.reduce(buf[1:hi + 1], axis=0, out=out)
+        else:
+            buf[0] = out
+            np.add.reduce(buf[:hi - lo + 1], axis=0, out=out)
+    return out
 
 
 def core_unfolding(core: np.ndarray) -> np.ndarray:

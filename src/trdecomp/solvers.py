@@ -294,8 +294,11 @@ def _init_cores(x: np.ndarray, config: SolverConfig, init) -> list[np.ndarray]:
 # 25^3, 30^4 and 100^3 (30, 46, 840, 1030); a uniform TR-BRSGD iteration at
 # batch 100 72 and 154 us on 25^3 and 30^4 (76, 99); a TR-ScaledBRSGD one at
 # batches 100/300 171-307 and 268-358 us (214, 306).  Dense iterations
-# measured 0.9-11x their price, so a dense run's evaluation share is at most
-# ~10% and mostly far less; at this model's k no measured share exceeded 13%.
+# (ALS, GD, ScaledGD on 6^3, 25^3, 30^4 and 100^3, min of 3 processes)
+# measured 1.0-3.2x their price, the most a 30^4 ALS sweep
+# (BENCH_dense_path.json; 0.8-9.7x before ALS took CholeskyQR2), so a dense
+# run's evaluation share is at most ~10% and mostly far less; at this
+# model's k no measured share exceeded 13%.
 # Those sampled iterations were measured before draws went through the
 # samplers' guide tables, which made a TR-ScaledBRSGD iteration 10-21%
 # cheaper, so the model now overprices one by more; a refit from measured
@@ -424,6 +427,36 @@ def _apply_step(cores, mode, direction, config, t, adagrad_acc) -> bool:
 # deterministic solvers
 
 
+# CholeskyQR2 is exact to working precision while kappa(S) stays below
+# u^(-1/2) ~ 6.7e7; past this bound on kappa(R) the update takes Householder QR.
+CHOLQR_MAX_COND = 1e7
+
+
+def _cholesky_qr2(sub: np.ndarray):
+    """Thin QR S = Q_1 R_2^-1 R by CholeskyQR2, as (Q_1, R_2, SVD of R), or
+    None where it is not exact.
+
+    Two rounds of Gram, Cholesky and triangular solve: R_1 = chol(S^T S),
+    Q_1 = S R_1^-1, R_2 = chol(Q_1^T Q_1), and R = R_2 R_1 (Fukaya et al.,
+    ScalA 2014; Yamamoto, Nakatsukasa, Yanagisawa and Fukaya, ETNA 44,
+    2015).  Q = Q_1 R_2^-1 is left to the caller: Q_1 is well conditioned,
+    so X Q may be taken as (X Q_1) R_2^-1, with one J x R^2 temporary.
+    None when either Cholesky fails or kappa(R) exceeds CHOLQR_MAX_COND,
+    which covers a rank-deficient S.
+    """
+    try:
+        r1 = np.linalg.cholesky(sub.T @ sub, upper=True)
+        q1 = sub @ np.linalg.inv(r1)
+        r2 = np.linalg.cholesky(q1.T @ q1, upper=True)
+        svd = np.linalg.svd(r2 @ r1, full_matrices=False)
+    except np.linalg.LinAlgError:
+        return None
+    s = svd[1]
+    if not s[0] <= CHOLQR_MAX_COND * s[-1]:
+        return None
+    return q1, r2, svd
+
+
 def _min_norm_update(sub: np.ndarray, x: np.ndarray, mode: int) -> tuple[np.ndarray, int]:
     """Minimum-norm solution G of min ||G S^T - X_[n]||_F, n = mode, and the
     numerical rank of S.
@@ -432,13 +465,23 @@ def _min_norm_update(sub: np.ndarray, x: np.ndarray, mode: int) -> tuple[np.ndar
     G = ((X_[n] Q) U_r / s_r) V_r^T, where r is S's `numerical_rank`: the
     count of singular values above max(J, R^2) * eps * s_max.
     The solve works at the conditioning of S; the normal equations would
-    square it.  X_[n] Q is read off a column-major x in place
-    (`unfolding_matmul`).
+    square it.  The QR is `_cholesky_qr2`'s, whose passes over S are
+    level-3 products, or numpy's Householder QR where that one is not exact
+    (an ill-conditioned or rank-deficient S).  Householder QR, a level-2
+    pass over S per column, alone takes 80% of a 30^4 rank-3 sweep, and it
+    allocates several J x R^2 temporaries per call.
+    X_[n] Q is read off a column-major x in place (`unfolding_matmul`).
     """
-    q, r = np.linalg.qr(sub)
-    u, s, vt = np.linalg.svd(r, full_matrices=False)
+    factored = _cholesky_qr2(sub)
+    if factored is None:
+        q, r = np.linalg.qr(sub)
+        xq = unfolding_matmul(x, mode, q)
+        u, s, vt = np.linalg.svd(r, full_matrices=False)
+    else:
+        q1, r2, (u, s, vt) = factored
+        xq = unfolding_matmul(x, mode, q1) @ np.linalg.inv(r2)
     rank = numerical_rank(s, sub.shape)
-    return (unfolding_matmul(x, mode, q) @ u[:, :rank] / s[:rank]) @ vt[:rank], rank
+    return (xq @ u[:, :rank] / s[:rank]) @ vt[:rank], rank
 
 
 def tr_als(x, config: SolverConfig, init=None, clock=None):

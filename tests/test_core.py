@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,50 @@ class TestUnfoldingMatmul:
             got = unfolding_matmul(x, mode, m)
             assert got.shape == (shape[mode], k)
             np.testing.assert_allclose(got, mode_n_unfolding(x, mode) @ m, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("x_order", ["C", "F"])
+    def test_a_middle_mode_batch_of_several_chunks(self, x_order):
+        # (I, K) = (100, 9) takes 35 batches per chunk: 130 is 4 chunks, the
+        # last of 25
+        shape, k = (3, 100, 130), 9
+        rows = core.SLAB_BYTES // (8 * shape[1] * k) - 1
+        assert shape[2] >= 2 * rows + 1 and shape[2] % rows
+        # positive entries: with no cancellation, 390-term sums agree to
+        # 390 u < 1e-13 relative entry by entry
+        rng = np.random.default_rng(5)
+        x = np.asarray(rng.random(shape), order=x_order)
+        m = rng.random((shape[0] * shape[2], k))
+        got = unfolding_matmul(x, 1, m)
+        np.testing.assert_allclose(got, mode_n_unfolding(x, 1) @ m, rtol=1e-13, atol=0)
+        # the running sum leads each chunk, so the chunks add up in the
+        # order of one unchunked sum over the batch
+        x3 = np.asfortranarray(x).reshape(shape, order="F")
+        unchunked = x3.transpose(2, 1, 0) @ m.reshape(shape[0], shape[2], k).transpose(1, 0, 2)
+        np.testing.assert_array_equal(got, unchunked.sum(axis=0))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.complex128])
+    def test_a_chunked_product_keeps_the_dtype_of_x_at_m(self, dtype):
+        shape, k = (3, 100, 130), 9
+        rng = np.random.default_rng(7)
+        x = np.asfortranarray(rng.random(shape)).astype(dtype)
+        m = rng.random((shape[0] * shape[2], k)).astype(dtype)
+        got = unfolding_matmul(x, 1, m)
+        assert got.dtype == dtype
+        np.testing.assert_allclose(got, mode_n_unfolding(x, 1) @ m, rtol=1e-5, atol=0)
+
+    def test_a_middle_mode_product_allocates_at_most_a_slab(self):
+        # the whole batch's (B, I, K) products of 100^3 mode 1 at K = 9
+        # would be 720 KB
+        rng = np.random.default_rng(6)
+        x = np.asfortranarray(rng.standard_normal((100, 100, 100)))
+        m = rng.standard_normal((10000, 9))
+        tracemalloc.start()
+        try:
+            out = unfolding_matmul(x, 1, m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < core.SLAB_BYTES + out.nbytes + 8 * 1024
 
     def test_rejects_a_bad_mode_or_row_count(self):
         x = np.zeros((2, 3, 4))

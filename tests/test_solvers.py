@@ -486,6 +486,62 @@ class TestTrAls:
                 err = np.linalg.norm(sol - expected) / np.linalg.norm(expected)
                 assert err < 1e-10
 
+    @staticmethod
+    def _conditioned_update_problem(kappa, mode=1, shape=(6, 40, 25), k=9, seed=0):
+        """A column-major x and a C-ordered J x k S with singular values
+        logspaced from 1 to 1/kappa, J the mode's unfolding width."""
+        rng = np.random.default_rng(seed)
+        x = np.asfortranarray(rng.standard_normal(shape))
+        j = x.size // shape[mode]
+        u, _ = np.linalg.qr(rng.standard_normal((j, k)))
+        v, _ = np.linalg.qr(rng.standard_normal((k, k)))
+        sub = np.ascontiguousarray((u * np.logspace(0, -np.log10(kappa), k)) @ v.T)
+        return x, sub
+
+    @staticmethod
+    def _qr_spy(monkeypatch):
+        calls = []
+
+        def spy(a, *args, _original=np.linalg.qr, **kwargs):
+            calls.append(a.shape)
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", spy)
+        return calls
+
+    def test_a_rank_deficient_update_falls_back_to_householder_qr(self, monkeypatch):
+        x, sub = self._conditioned_update_problem(1e2)
+        sub = np.ascontiguousarray(np.hstack([sub[:, :8], sub[:, :1]]))  # two equal columns
+        calls = self._qr_spy(monkeypatch)
+        sol, rank = _min_norm_update(sub, x, 1)
+        assert calls == [sub.shape]
+        assert rank == 8
+        expected, _ = lstsq_core_update(sub, mode_n_unfolding(x, 1))
+        assert np.linalg.norm(sol - expected) / np.linalg.norm(expected) < 1e-10
+
+    def test_an_update_past_the_cholesky_qr2_bound_falls_back(self, monkeypatch):
+        # kappa(S) = 1e9 is beyond u^(-1/2): CholeskyQR2 is not exact there
+        x, sub = self._conditioned_update_problem(1e9)
+        calls = self._qr_spy(monkeypatch)
+        sol, rank = _min_norm_update(sub, x, 1)
+        assert calls == [sub.shape]
+        assert rank == sub.shape[1]
+        expected, _ = lstsq_core_update(sub, mode_n_unfolding(x, 1))
+        assert np.linalg.norm(sol - expected) / np.linalg.norm(expected) < 1e-10
+
+    @pytest.mark.parametrize("kappa", [1e2, 1e4, 1e6])
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    def test_a_cholesky_qr2_update_matches_lstsq(self, kappa, mode, monkeypatch):
+        # a well-conditioned S takes no Householder QR; the fallback tests
+        # above show that the spy sees one
+        x, sub = self._conditioned_update_problem(kappa, mode=mode)
+        calls = self._qr_spy(monkeypatch)
+        sol, rank = _min_norm_update(sub, x, mode)
+        assert calls == []
+        assert rank == sub.shape[1]
+        expected, _ = lstsq_core_update(sub, mode_n_unfolding(x, mode))
+        assert np.linalg.norm(sol - expected) / np.linalg.norm(expected) < 1e-10
+
     def test_monotone_rse_trace(self):
         x, _ = synth_tensor(SynthSpec(order=3, dim=20, rank=3, seed=1))
         cfg = SolverConfig(ranks=(3, 3, 3), max_iters=20, seed=0)

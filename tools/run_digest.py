@@ -100,12 +100,12 @@ def _openblas_core() -> str:
     return "unknown"
 
 
-def build_key(threads: int = 1) -> str:
-    """What the digests are bitwise for: numpy, its BLAS build and kernel,
-    and the BLAS thread count."""
+def build_key() -> str:
+    """What the committed digests are bitwise for: numpy, its BLAS build and
+    kernel, and one BLAS thread."""
     blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
     return (f"numpy-{np.__version__}_{blas['name']}-{blas['version']}-{_openblas_core()}"
-            f"_threads-{threads}")
+            "_threads-1")
 
 
 def golden_path() -> str:
