@@ -14,7 +14,10 @@ run TR-ScaledBRSGD (uniform and leverage) on a 30^4 tensor with the solver
 block of perfbench's order4-defaults workload, also at the model's cadence,
 which is k = 25 there.  After them TR-ALS runs 20 sweeps at ranks (3, 3)
 on the order-2 tensor that cannot support them, so each of its core updates
-is rank deficient and its trace's count is pinned.  A run that raises prints the exception's name
+is rank deficient and its trace's count is pinned.  Last, TR-GD and
+TR-ScaledBRSGD (uniform) run on the order-3 tensor under the step schedules
+the runs above leave out: AdaGrad without and with b and eps, and
+Robbins-Monro.  A run that raises prints the exception's name
 instead of a digest.  Two source trees behave identically on these runs when
 their outputs are equal:
 
@@ -46,8 +49,9 @@ import sys
 
 import numpy as np
 
-from trdecomp import (ConstantStep, SamplingSpec, SolverConfig, SynthSpec, synth_tensor,
-                      tr_als, tr_brsgd, tr_gd, tr_scaled_brsgd, tr_scaled_gd)
+from trdecomp import (AdaGradStep, ConstantStep, RobbinsMonroStep, SamplingSpec, SolverConfig,
+                      SynthSpec, synth_tensor, tr_als, tr_brsgd, tr_gd, tr_scaled_brsgd,
+                      tr_scaled_gd)
 from trdecomp.sampling import SAMPLING_KINDS
 from trdecomp.trace import render_trace_csv
 
@@ -84,6 +88,14 @@ ORDER4_DEFAULTS = SynthSpec(order=4, dim=30, rank=3, seed=2)
 # TR-ALS on DIVERGING's order2-singular tensor, run after order4-defaults:
 # (ranks, sweeps)
 ALS_RANK_DEFICIENT = ((3, 3), 20)
+# (solver name, schedules) run on the order3-k1e4 tensor with uniform
+# sampling after everything else; every run above takes a constant step
+SCHEDULES = [
+    ("tr-gd", (AdaGradStep(0.05), AdaGradStep(0.05, b=0.01, eps=0.05),
+               RobbinsMonroStep(1e-3, gamma=0.75))),
+    ("tr-scaled-brsgd", (AdaGradStep(0.05), AdaGradStep(0.05, b=0.01, eps=0.05),
+                         RobbinsMonroStep(1.0, gamma=0.75))),
+]
 
 
 def _openblas_core() -> str:
@@ -124,9 +136,9 @@ def counting_clock():
     return clock
 
 
-def run_line(label, solve, x, ranks, alpha, damping, kind, seed, rse=False,
+def run_line(label, solve, x, ranks, schedule, damping, kind, seed, rse=False,
              eval_every=20, batches=(20, 40), init_scale=0.5, max_iters=ITERS) -> str:
-    cfg = SolverConfig(ranks=ranks, schedule=ConstantStep(alpha), batch_grad=batches[0],
+    cfg = SolverConfig(ranks=ranks, schedule=schedule, batch_grad=batches[0],
                        batch_hess=batches[1], damping=damping, sampling=SamplingSpec(kind),
                        max_iters=max_iters, eval_every=eval_every, seed=seed,
                        init_scale=init_scale)
@@ -158,14 +170,14 @@ def main() -> int:
             for kind in kinds:
                 for seed in SEEDS:
                     print(run_line(f"{tensor_name} {name} {kind} seed={seed}", solve, x,
-                                   ranks, alpha, 1e-8, kind, seed, rse))
+                                   ranks, ConstantStep(alpha), 1e-8, kind, seed, rse))
     for tensor_name, spec, ranks, name, solve, alpha, damping in DIVERGING:
         x, _ = synth_tensor(spec)
         inputs[tensor_name] = x
         for seed in SEEDS:
             print(run_line(f"{tensor_name} {name} alpha={alpha} damping={damping} "
-                           f"seed={seed}", solve, x, ranks, alpha, damping, "uniform", seed,
-                           rse))
+                           f"seed={seed}", solve, x, ranks, ConstantStep(alpha), damping,
+                           "uniform", seed, rse))
     x, _ = synth_tensor(ORDER2)
     inputs["order2"] = x
     for name in ("tr-brsgd", "tr-scaled-brsgd"):
@@ -173,7 +185,8 @@ def main() -> int:
         for kind in kinds:
             for seed in SEEDS:
                 print(run_line(f"order2 {name} {kind} seed={seed}", solve, x,
-                               (ORDER2.rank,) * ORDER2.order, alpha, 1e-8, kind, seed, rse))
+                               (ORDER2.rank,) * ORDER2.order, ConstantStep(alpha), 1e-8, kind,
+                               seed, rse))
     # C-order bytes: the digest reads the entries, not the memory layout
     for tensor_name, x in inputs.items():
         print(f"input {tensor_name} {hashlib.sha256(np.asarray(x).tobytes()).hexdigest()}")
@@ -182,21 +195,29 @@ def main() -> int:
         solve, alpha, _kinds = SOLVERS[name]
         for seed in SEEDS:
             print(run_line(f"order4 {name} {kind} eval_every=None seed={seed}", solve,
-                           inputs["order4"], (spec.rank,) * spec.order, alpha, 1e-8, kind,
-                           seed, rse, eval_every=None))
+                           inputs["order4"], (spec.rank,) * spec.order, ConstantStep(alpha),
+                           1e-8, kind, seed, rse, eval_every=None))
     x, _ = synth_tensor(ORDER4_DEFAULTS)
     for kind in ("uniform", "leverage"):
         for seed in SEEDS:
             print(run_line(f"order4-30 tr-scaled-brsgd {kind} eval_every=None seed={seed}",
                            tr_scaled_brsgd, x, (ORDER4_DEFAULTS.rank,) * ORDER4_DEFAULTS.order,
-                           0.3, 1e-8, kind, seed, rse,
+                           ConstantStep(0.3), 1e-8, kind, seed, rse,
                            eval_every=None, batches=(100, 300), init_scale=0.3,
                            max_iters=75))
     ranks, sweeps = ALS_RANK_DEFICIENT
     for seed in SEEDS:
         print(run_line(f"order2-singular tr-als ranks={ranks} seed={seed}", tr_als,
-                       inputs["order2-singular"], ranks, 1.0, 1e-8, "uniform", seed, rse,
-                       max_iters=sweeps))
+                       inputs["order2-singular"], ranks, ConstantStep(1.0), 1e-8, "uniform",
+                       seed, rse, max_iters=sweeps))
+    spec = TENSORS["order3-k1e4"]
+    for name, schedules in SCHEDULES:
+        solve = SOLVERS[name][0]
+        for schedule in schedules:
+            for seed in SEEDS:
+                print(run_line(f"order3-k1e4 {name} uniform {schedule!r} seed={seed}", solve,
+                               inputs["order3-k1e4"], (spec.rank,) * spec.order, schedule,
+                               1e-8, "uniform", seed, rse))
     return 0
 
 
