@@ -20,8 +20,9 @@ which the grid sets per run), of the step class `kind` names (default
 `constant`) and of `datagen.SynthSpec`; a key left out takes the dataclass's
 default.  Unknown keys, blocks that are not objects, a `tensor` with both
 `file` and `synth`, `algorithms` or `sampling` that are not a non-empty list
-of distinct known names, and a bool or fraction for an integer field (a bool
-for a real one) are errors.  Each (algorithm, sampling) cell runs `trials`
+of distinct known names, and a bad `trials` or `seed` are refused here.  The
+dataclass refuses a bad value of its own key, by type (`solvers.check_fields`)
+then by range, as a ConfigError.  Each (algorithm, sampling) cell runs `trials`
 times with derived seeds; every run writes a trace CSV, and the summary
 reports per cell how many trials diverged and the arithmetic mean of the
 terminal RSE, iteration count, elapsed (iteration) seconds and RSE-evaluation
@@ -30,12 +31,9 @@ seconds over the other trials.
 
 from __future__ import annotations
 
-import dataclasses
 import datetime
 import json
-import numbers
 import os
-import typing
 
 import numpy as np
 
@@ -68,8 +66,7 @@ def config_keys(cls) -> dict:
     """Config key -> field type of a settings dataclass (`SolverConfig`, a
     step class, `SynthSpec`): its fields, except that a SolverConfig spells
     `schedule` as `step` and leaves `sampling` and `seed` to each run."""
-    hints = typing.get_type_hints(cls)
-    keys = {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+    keys = dict(solvers.field_types(cls))
     if cls is solvers.SolverConfig:
         keys["step"] = keys.pop("schedule")
         del keys["sampling"], keys["seed"]
@@ -96,37 +93,11 @@ def _object(d, where: str) -> dict:
     return d
 
 
-def _float(value, where: str) -> float:
-    """A real config value; a bool or a string is refused, as for an integer."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{where} must be a number, not {value!r}")
-    return float(value)
-
-
-def _value(value, hint, where: str):
-    """A config value read as a field of type `hint`: None only where the
-    field takes it, a tuple as a list, integers by `solvers.as_int`, reals by
-    `_float`; other values (a name, a step object) unchanged."""
-    types = typing.get_args(hint) or (hint,)
-    if value is None and type(None) in types:
-        return None
-    if typing.get_origin(hint) is tuple:
-        if not isinstance(value, list):
-            raise ConfigError(f"{where} must be a list, not {value!r}")
-        return tuple(_value(v, types[0], where) for v in value)
-    if int in types:
-        return solvers.as_int(value, where, ConfigError)
-    if float in types:
-        return _float(value, where)
-    return value
-
-
 def _from_dict(cls, d, where: str, **per_run):
-    """Build settings dataclass `cls` from config object `d`.  Only the keys
-    `d` has are passed on, so every default is the dataclass's own."""
-    keys = config_keys(cls)
-    _reject_unknown_keys(_object(d, where), keys, where)
-    kw = {key: _value(value, keys[key], key) for key, value in d.items()}
+    """Build settings dataclass `cls`, which checks the values, from config
+    object `d`.  Only the keys `d` has are passed on: every default is its own."""
+    _reject_unknown_keys(_object(d, where), config_keys(cls), where)
+    kw = dict(d)
     if "step" in kw:
         kw["schedule"] = _step_from_dict(kw.pop("step"))
     try:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import fold_core, tr_reconstruct
-from .solvers import as_int
+from .solvers import check_fields
 
 GENERATOR_KINDS = ("gaussian", "ill_conditioned")
 # synth_tensor refuses larger tensors (8 bytes an entry: 800 MB)
@@ -22,7 +22,7 @@ MAX_SYNTH_ENTRIES = 100_000_000
 @dataclass(frozen=True)
 class SynthSpec:
     """Cubical synthetic instance: `order` cores of shape (rank, dim, rank).
-    The counts (order, dim, rank, seed) follow `solvers.as_int`."""
+    Bad values raise ValueError: types first (`solvers.check_fields`), then ranges."""
 
     order: int
     dim: int
@@ -32,8 +32,7 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("order", "dim", "rank", "seed"):
-            object.__setattr__(self, name, as_int(getattr(self, name), name))
+        check_fields(self)
         if self.order < 2:
             raise ValueError("tensor order must be >= 2")
         if self.dim < 1 or self.rank < 1:

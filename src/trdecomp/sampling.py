@@ -228,19 +228,17 @@ def sample_subchain_fibers(
     rotation = rotation_modes(mode, len(cores))
     u = rng.random((len(rotation), batch_size))
     sub = probs = None
-    drawn_by_mode = {}
+    fiber_index = [slice(None)]
     for k, u_k in zip(rotation, u):
         sampler = samplers[k]
         drawn = sampler.draw(u_k)
-        drawn_by_mode[k] = drawn
+        fiber_index.append(drawn[:fiber_rows])
         slices = cores[k].transpose(1, 0, 2).take(drawn, axis=0).transpose(1, 0, 2)
         if sub is None:
             sub, probs = slices, sampler.p[drawn]
         else:
             sub, probs = slices_hadamard(sub, slices), probs * sampler.p[drawn]
-    rest = [k for k in range(x.ndim) if k != mode]
-    fibers = x.transpose([mode] + rest)[
-        (slice(None),) + tuple(drawn_by_mode[k][:fiber_rows] for k in rest)]
+    fibers = x.transpose([mode] + rotation)[tuple(fiber_index)]
     s = np.ascontiguousarray(sub.transpose(1, 0, 2)).reshape(batch_size, -1)
     return s, fibers, probs
 

@@ -17,11 +17,13 @@ depend on evaluation cadence.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -62,6 +64,7 @@ class ConstantStep:
     alpha: float
 
     def __post_init__(self):
+        check_fields(self)
         # zero is allowed as a degenerate diagnostic (iterates stay put)
         if not 0 <= self.alpha < math.inf:
             raise ValueError("constant step size must be finite and nonnegative")
@@ -76,6 +79,7 @@ class RobbinsMonroStep:
     gamma: float = 1.0
 
     def __post_init__(self):
+        check_fields(self)
         if not 0 < self.alpha0 < math.inf:
             raise ValueError("alpha0 must be finite and positive")
         if not 0.5 < self.gamma <= 1.0:
@@ -91,6 +95,7 @@ class AdaGradStep:
     eps: float = 0.0
 
     def __post_init__(self):
+        check_fields(self)
         if not 0 < self.eta < math.inf:
             raise ValueError("eta must be finite and positive")
         if not (0 <= self.b < math.inf and 0 <= self.eps < math.inf):
@@ -197,6 +202,39 @@ def as_int(value, where: str, error=ValueError) -> int:
     return int(value)
 
 
+@functools.cache
+def field_types(cls) -> dict:
+    """Field name -> type of settings dataclass `cls`: one shared dict per class."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+def check_fields(settings) -> None:
+    """Check each field of a settings dataclass against its type, storing
+    counts as ints and reals as floats; a bad value raises ValueError naming
+    its field.  None only where the type is Optional, a tuple of counts from a
+    list or a tuple, counts by `as_int`, no bool or string for a real."""
+    for name, hint in field_types(type(settings)).items():
+        value = getattr(settings, name)
+        types = typing.get_args(hint) or (hint,)
+        if value is None and type(None) in types:
+            continue
+        if typing.get_origin(hint) is tuple:
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"{name} must be a list or a tuple, not {value!r}")
+            value = tuple(as_int(v, name) for v in value)
+        elif int in types:
+            value = as_int(value, name)
+        elif float in types:
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, not {value!r}")
+            value = float(value)
+        elif not isinstance(value, types):
+            raise ValueError(f"{name} must be a "
+                             f"{' or '.join(t.__name__ for t in types)}, not {value!r}")
+        object.__setattr__(settings, name, value)
+
+
 @dataclass
 class SolverConfig:
     """Knobs shared by all solvers.
@@ -213,8 +251,7 @@ class SolverConfig:
     smallest interval, at most 100, at which the modelled evaluation time is
     at most 10% of the run, which is every ceil(9/N) iterations for the dense
     solvers at any size.  Invalid values raise ValueError here, before a
-    run starts; the counts (ranks, batch sizes, max_iters, eval_every, seed)
-    follow `as_int`.
+    run starts: each field's type first (`check_fields`), then its range.
     """
 
     ranks: tuple[int, ...]
@@ -233,10 +270,7 @@ class SolverConfig:
     init_scale: float = 1.0
 
     def __post_init__(self):
-        self.ranks = tuple(as_int(r, "ranks") for r in self.ranks)
-        for name in ("batch_grad", "batch_hess", "max_iters", "eval_every", "seed"):
-            if getattr(self, name) is not None:
-                setattr(self, name, as_int(getattr(self, name), name))
+        check_fields(self)
         if any(r < 1 for r in self.ranks):
             raise ValueError("ranks must be positive")
         if self.batch_grad < 1 or self.batch_hess < 1:
@@ -394,10 +428,7 @@ def _adagrad_steps(acc: np.ndarray, direction: np.ndarray, sched: AdaGradStep) -
     eta, b, eps = sched.eta, sched.b, sched.eps
     acc += direction * direction
     base = b + acc
-    steps = np.full_like(base, eta)
-    mask = base > 0
-    steps[mask] = eta / base[mask] ** (0.5 + eps)
-    return steps
+    return np.divide(eta, base ** (0.5 + eps), out=np.full_like(base, eta), where=base > 0)
 
 
 def _apply_step(cores, mode, direction, config, t, adagrad_acc) -> bool:
@@ -633,7 +664,8 @@ def tr_scaled_brsgd(x, config: SolverConfig, init=None, clock=None):
 
 
 __all__ = [
-    "ConstantStep", "RobbinsMonroStep", "AdaGradStep", "as_int", "SolverConfig",
+    "ConstantStep", "RobbinsMonroStep", "AdaGradStep", "as_int", "field_types",
+    "check_fields", "SolverConfig",
     "stochastic_gradient", "stochastic_hessian", "search_direction",
     "tr_als", "tr_gd", "tr_scaled_gd", "tr_brsgd", "tr_scaled_brsgd",
 ]

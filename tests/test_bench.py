@@ -305,6 +305,17 @@ class TestConfig:
             with pytest.raises(ConfigError, match=f"{key} must be"):
                 solver_config(dict(BASE_CONFIG["solver"], **{key: None}), "uniform", 0)
 
+    @pytest.mark.parametrize("key, value", [
+        ("damping", True), ("init_scale", "1"), ("batch_grad", 1.5), ("ranks", 2),
+        ("max_seconds", "5"), ("damping", None), ("max_iters", True),
+    ])
+    def test_the_api_and_the_config_give_one_message(self, key, value):
+        with pytest.raises(ValueError) as api:
+            SolverConfig(**{"ranks": (2, 2, 2), key: value})
+        with pytest.raises(ConfigError) as config:
+            solver_config({"ranks": [2, 2, 2], key: value}, "uniform", 0)
+        assert str(config.value) == f"bad solver config: {api.value}"
+
     def test_optimal_rejected(self):
         cfg = dict(BASE_CONFIG, sampling=["optimal"])
         with pytest.raises(ConfigError):

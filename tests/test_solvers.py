@@ -3,6 +3,7 @@ import logging
 import math
 import re
 import tracemalloc
+import typing
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from trdecomp.solvers import (
     _grad_and_gram,
     _init_cores,
     _min_norm_update,
+    field_types,
     search_direction,
     stochastic_gradient,
     stochastic_hessian,
@@ -1221,6 +1223,56 @@ class TestSolverConfigValidation:
                   cfg.seed)
         assert counts == ((2, 3), 4, 5, 6, 7, 8)
         assert all(type(v) is int for v in (*cfg.ranks, *counts[1:]))
+
+
+# every settings class, with the fewest valid arguments it can be built from
+SETTINGS = {
+    SolverConfig: {"ranks": (2, 2)},
+    ConstantStep: {"alpha": 0.1},
+    RobbinsMonroStep: {"alpha0": 0.1},
+    AdaGradStep: {"eta": 0.1},
+    SynthSpec: {"order": 3, "dim": 4, "rank": 2},
+}
+# values of the right kind but the wrong class, per field name
+WRONG_CLASS = {"schedule": ["x"], "sampling": ["leverage"]}
+
+
+def _bad_fields():
+    """(class, field, value) for a value of the wrong type for each field of
+    each settings class, read off the field's type: a bool and a string for
+    a real, a fraction for a count, a bare count for a tuple of them, None
+    where the type is not Optional."""
+    for cls in SETTINGS:
+        for name, hint in field_types(cls).items():
+            types = typing.get_args(hint) or (hint,)
+            bad = list(WRONG_CLASS.get(name, []))
+            if float in types:
+                bad += [True, "1"]
+            if int in types:
+                bad.append(1.5)
+            if typing.get_origin(hint) is tuple:
+                bad += [(2, 1.5), 2]
+            if type(None) not in types:
+                bad.append(None)
+            for value in bad:
+                yield pytest.param(cls, name, value, id=f"{cls.__name__}-{name}-{value!r}")
+
+
+class TestCheckFields:
+    """Each settings class checks its fields' types when built, by the one
+    rule set of `solvers.check_fields`."""
+
+    @pytest.mark.parametrize("cls, name, value", _bad_fields())
+    def test_a_value_of_the_wrong_type_is_refused_when_built(self, cls, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an? "):
+            cls(**{**SETTINGS[cls], name: value})
+
+    def test_reals_are_stored_as_floats(self):
+        cfg = SolverConfig(ranks=[2, 2], damping=1, max_seconds=5, init_scale=2)
+        assert cfg.ranks == (2, 2)
+        assert all(type(v) is float for v in (cfg.damping, cfg.max_seconds, cfg.init_scale))
+        assert type(ConstantStep(1).alpha) is float
+        assert type(SynthSpec(order=3, dim=4, rank=2, kappa=10).kappa) is float
 
 
 def _default_cadence(solver, shape, batches=(100, 300), kind="uniform"):
