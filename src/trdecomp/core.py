@@ -17,6 +17,9 @@ product at merged index j.  The 3-way (R_left, J, R_right) tensor that
 (J, R_left*R_right) subchain unfolding is a reshape of it, so neither is a
 copy.  `sampling` gathers only each draw's slices, from each core's
 (I, R_left, R_right) transposed view.
+
+The ring is cut once, at h = N//2, by :func:`half_chains`: the RSE evaluation
+and TR-GD's two products of x, read as a (J_L, J_R) matrix, use its halves.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ SLAB_BYTES = 256 * 1024
 
 __all__ = [
     "mode_n_unfolding", "unfolding_matmul", "core_unfolding", "fold_core", "subchain_unfolding",
-    "slices_hadamard", "subchain_tensor", "rotation_modes", "validate_cores",
+    "slices_hadamard", "subchain_tensor", "half_chains", "rotation_modes", "validate_cores",
     "numerical_rank", "tr_reconstruct", "residual_norm",
 ]
 
@@ -241,22 +244,24 @@ def subchain_tensor(cores, mode: int) -> np.ndarray:
     return _chain([cores[k] for k in rotation_modes(mode, len(cores))])
 
 
+def half_chains(cores) -> tuple[np.ndarray, np.ndarray]:
+    """The ring's left (R_0, J_L, R_h) and right (R_h, J_R, R_0) half-chains."""
+    h = len(cores) // 2
+    return _chain(cores[:h]), _chain(cores[h:])
+
+
 def _model_slabs(cores):
     """Yield (lo, hi, slab): entries lo..hi-1 of the TR model in column-major
     flat order, computed into one reused buffer.
 
-    The ring is cut into a left half-chain L over modes 0..h-1 and a right
-    half-chain R over modes h..N-1, h = N//2.  With j_L and j_R the merged
-    indices of those modes (first mode fastest), model entry (j_L, j_R) is
-    trace(L(j_L) R(j_R)), so the (J_R, J_L) matrix of the model is one
+    Model entry (j_L, j_R) is trace(L(j_L) R(j_R)) for the ring's
+    `half_chains` L and R, so the (J_R, J_L) matrix of the model is one
     product Rt @ Lt with inner size R_0*R_h.  Its rows are contiguous runs of
     the column-major flat model; a slab is a block of rows of about
     SLAB_BYTES.  A slab is only valid until the next one is requested.
     The cores must already have passed validate_cores.
     """
-    h = len(cores) // 2
-    left = _chain(cores[:h])    # (R_0, J_L, R_h)
-    right = _chain(cores[h:])   # (R_h, J_R, R_0)
+    left, right = half_chains(cores)
     r0, j_left, rh = left.shape
     j_right = right.shape[1]
     # inner index k = a + R_0*b pairs L[a, j_L, b] with R[b, j_R, a]; rt is

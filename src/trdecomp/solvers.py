@@ -30,6 +30,7 @@ import numpy as np
 from .core import (
     core_unfolding,
     fold_core,
+    half_chains,
     mode_n_unfolding,
     numerical_rank,
     residual_norm,
@@ -106,15 +107,44 @@ class AdaGradStep:
 # gradients, Hessians, directions
 
 
-def _grad_and_gram(cores, x, mode):
-    """Exact block gradient of the half squared error w.r.t. the unfolded
-    core, G_(2) (S^T S) - X_[n] S with S the subchain unfolding, and the Gram
-    matrix S^T S.  X_[n] S is read off a column-major x in place
-    (`unfolding_matmul`); x is never unfolded."""
-    sub = subchain_unfolding(subchain_tensor(cores, mode))
-    gram = sub.T @ sub
-    g = core_unfolding(cores[mode]) @ gram - unfolding_matmul(x, mode, sub)
-    return g, gram
+def _transfer_grams(cores) -> list[np.ndarray]:
+    """Every mode's Gram S_n^T S_n, from no subchain: sum_j S(j) (x) S(j) is
+    the product, in rotation order, of the transfer matrices
+    W_k = sum_i G_k(i) (x) G_k(i), read into `core_unfolding`'s column order."""
+    transfer = []
+    for c in cores:
+        r1, i, r2 = c.shape
+        a = c.transpose(0, 2, 1).reshape(r1 * r2, i)
+        transfer.append((a @ a.T).reshape(r1, r2, r1, r2).swapaxes(1, 2).reshape(r1 * r1, -1))
+    grams = []
+    for n, (r1, _, r2) in enumerate(c.shape for c in cores):
+        m = functools.reduce(np.matmul, [transfer[k] for k in rotation_modes(n, len(cores))])
+        grams.append(m.reshape(r2, r2, r1, r1).swapaxes(1, 2).reshape(r2 * r1, -1))
+    return grams
+
+
+def _tree_products(cores, x, units) -> list[np.ndarray]:
+    """X_[n] S_n for every mode n, from two contractions of x.
+
+    With X the (J_L, J_R) view of x and L, R the `half_chains`, Z = X R_unf
+    and Y = X^T L_unf have K = R_0 R_h columns.  A left mode's product is
+    that of Z, as an (I_0, ..., I_{h-1}, K) tensor, with the subchain of the
+    ring [G_0, ..., G_{h-1}, units[0]], whose slice k = b R_0 + a is
+    e_b e_a^T; a right mode's takes Y and units[1] alike.  Y overwrites R's
+    stack, which Z has read: a per-run (K, J_R) buffer kept the heap a block
+    higher, and glibc trimmed it and faulted it in again on every run."""
+    h = x.ndim // 2
+    left, right = half_chains(cores)
+    xmat = x.reshape(left.shape[1], right.shape[1], order="F")
+    r_unf = subchain_unfolding(right)
+    z = (r_unf.T @ xmat.T).T
+    y = np.matmul(subchain_unfolding(left).T, xmat, out=r_unf.reshape(r_unf.shape[::-1])).T
+    products = []
+    for data, ring in ((z, [*cores[:h], units[0]]), (y, [*cores[h:], units[1]])):
+        data = data.reshape([c.shape[1] for c in ring], order="F")
+        products += [unfolding_matmul(data, m, subchain_unfolding(subchain_tensor(ring, m)))
+                     for m in range(len(ring) - 1)]
+    return products
 
 
 def stochastic_gradient(core: np.ndarray, s: np.ndarray, fibers: np.ndarray,
@@ -228,7 +258,10 @@ def check_fields(settings) -> None:
         elif float in types:
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a number, not {value!r}")
-            value = float(value)
+            try:
+                value = float(value)
+            except OverflowError:
+                raise ValueError(f"{name} is too large for a float") from None
         elif not isinstance(value, types):
             raise ValueError(f"{name} must be a "
                              f"{' or '.join(t.__name__ for t in types)}, not {value!r}")
@@ -319,24 +352,21 @@ def _init_cores(x: np.ndarray, config: SolverConfig, init) -> list[np.ndarray]:
 # Default evaluation cadence, from a time model in nanoseconds with two
 # constants.  It reads sizes only, never a clock, so the cadence and hence
 # every run stay bitwise deterministic.  An evaluation costs CALL_NS plus
-# ~1 ns per entry of x it reads.  A dense core update reads x once, so a
-# dense iteration (and one of the `optimal` diagnostic, which forms a full
-# residual) costs N evaluations.  A sampled iteration costs CALL_NS plus
-# SLICE_NS for each of the N-1 slices of each drawn row.  Measured against
-# modelled, single-threaded OpenBLAS on a 2-vCPU Xeon, min of 15
-# (BENCH_cadence_model.json): residual_norm 19, 42, 1010 and 1331 us on 6^3,
-# 25^3, 30^4 and 100^3 (30, 46, 840, 1030); a uniform TR-BRSGD iteration at
-# batch 100 72 and 154 us on 25^3 and 30^4 (76, 99); a TR-ScaledBRSGD one at
-# batches 100/300 171-307 and 268-358 us (214, 306).  Dense iterations
-# (ALS, GD, ScaledGD on 6^3, 25^3, 30^4 and 100^3, min of 3 processes)
-# measured 1.0-3.2x their price, the most a 30^4 ALS sweep
-# (BENCH_dense_path.json; 0.8-9.7x before ALS took CholeskyQR2), so a dense
-# run's evaluation share is at most ~10% and mostly far less; at this
-# model's k no measured share exceeded 13%.
-# Those sampled iterations were measured before draws went through the
-# samplers' guide tables, which made a TR-ScaledBRSGD iteration 10-21%
-# cheaper, so the model now overprices one by more; a refit from measured
-# stage costs is left to the cadence work on the ROADMAP (item 3).
+# ~1 ns per entry of x it reads.  A dense iteration is priced at N
+# evaluations: a TR-ALS core update reads x once, as does each iteration of
+# the `optimal` diagnostic's full residual.  A sampled iteration costs
+# CALL_NS plus SLICE_NS for each of the N-1 slices of each drawn row.
+# Measured against modelled, single-threaded OpenBLAS on a 2-vCPU Xeon, min
+# of 15 (BENCH_cadence_model.json): residual_norm 19, 42, 1010 and 1331 us
+# on 6^3, 25^3, 30^4 and 100^3 (30, 46, 840, 1030); a uniform TR-BRSGD
+# iteration at batch 100 72 and 154 us on 25^3 and 30^4 (76, 99); a
+# TR-ScaledBRSGD one at batches 100/300 171-307 and 268-358 us (214, 306).
+# TR-ALS sweeps measured 1.0-3.2x their price (BENCH_dense_path.json).  A
+# TR-GD or TR-ScaledGD iteration reads x twice at any N and measured 2.3
+# and 2.1 evaluations on 100^3 and 30^4, an evaluation share of 15% at
+# k = 3 (BENCH_dense_tree.json).  The sampled iterations predate the guide
+# tables, which made a TR-ScaledBRSGD one 10-21% cheaper; repricing from
+# measured stage costs is left to the cadence work (ROADMAP item 3).
 CALL_NS = 30_000
 SLICE_NS = 230
 MAX_EVAL_EVERY = 100
@@ -549,15 +579,20 @@ def tr_als(x, config: SolverConfig, init=None, clock=None):
 
 
 def _gradient_descent(x, config, init, clock, scaled):
-    x, norm_x = _fit_input(x)  # read in place by _grad_and_gram
+    x, norm_x = _fit_input(x)  # read in place by _tree_products
     cores = _init_cores(x, config, init)
     adagrad_acc: dict[int, np.ndarray] = {}
     trace = RunTrace("tr-scaled-gd" if scaled else "tr-gd", "none", chol_jitter=0)
+    r0, rh = config.ranks[0], config.ranks[x.ndim // 2]
+    units = [np.eye(p * q).reshape(p * q, p, q).transpose(1, 0, 2)  # unit cores, as stacks
+             for p, q in ((rh, r0), (r0, rh))]
 
     def iteration(t, cores):
-        blocks = [_grad_and_gram(cores, x, n) for n in range(x.ndim)]
+        grams = _transfer_grams(cores)
+        products = _tree_products(cores, x, units)
         finite = True
-        for n, (g, gram) in enumerate(blocks):
+        for n, (gram, xs) in enumerate(zip(grams, products)):
+            g = core_unfolding(cores[n]) @ gram - xs
             if scaled:
                 direction, jittered = search_direction(g, gram, config.damping)
                 trace.chol_jitter += jittered

@@ -7,8 +7,8 @@ sharing code paths with the package internals they check.
 import numpy as np
 
 from trdecomp import solvers
-from trdecomp.core import (mode_n_unfolding, residual_norm, rotation_modes, subchain_tensor,
-                           subchain_unfolding)
+from trdecomp.core import (core_unfolding, mode_n_unfolding, residual_norm, rotation_modes,
+                           subchain_tensor, subchain_unfolding, unfolding_matmul)
 from trdecomp.sampling import check_prob_vector, core_sampler
 
 
@@ -140,6 +140,16 @@ def complete_sample_batch(cores, x, mode):
     s = subchain_unfolding(subchain_tensor(cores, mode))
     j_total = s.shape[0]
     return s, mode_n_unfolding(x, mode), np.full(j_total, 1.0 / j_total)
+
+
+def grad_and_gram(cores, x, mode):
+    """Reference block gradient of the half squared error w.r.t. the unfolded
+    core, G_(2) (S^T S) - X_[n] S with S the subchain unfolding, and the Gram
+    matrix S^T S, one mode at a time (the solvers take all modes at once)."""
+    sub = subchain_unfolding(subchain_tensor(cores, mode))
+    gram = sub.T @ sub
+    g = core_unfolding(cores[mode]) @ gram - unfolding_matmul(x, mode, sub)
+    return g, gram
 
 
 def samplers(cores, dists):

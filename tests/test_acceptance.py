@@ -35,7 +35,6 @@ from trdecomp.solvers import (
     ConstantStep,
     SolverConfig,
     _adagrad_steps,
-    _grad_and_gram,
     search_direction,
     stochastic_hessian,
     tr_als,
@@ -50,6 +49,7 @@ from helpers import (
     complete_sample_batch,
     counting_clock,
     finite_diff_core_gradient,
+    grad_and_gram,
     leverage_by_svd,
     linear_pos,
     product_row_distribution,
@@ -122,7 +122,7 @@ def test_criterion_2_gradient_finite_differences():
     x = rng.standard_normal(dims)
     worst = 0.0
     for mode in range(3):
-        g = _grad_and_gram(cores, x, mode)[0]
+        g = grad_and_gram(cores, x, mode)[0]
         fd = finite_diff_core_gradient(cores, x, mode)
         worst = max(worst, np.linalg.norm(g - fd) / np.linalg.norm(fd))
     elapsed = time.perf_counter() - t0
@@ -150,7 +150,7 @@ def test_criterion_3_gradient_unbiasedness(mc_instance):
     j = x.size // dims[mode]
     assert j <= 24
     g2 = core_unfolding(cores[mode])
-    full = _grad_and_gram(cores, x, mode)[0]
+    full = grad_and_gram(cores, x, mode)[0]
     n_batches = 100_000
     for kind in ("uniform", "leverage", "euclidean"):
         dists = core_distributions(cores, mode, kind)
@@ -172,7 +172,7 @@ def test_criterion_4_variance_formula(mc_instance):
     mode = 0
     j = x.size // dims[mode]
     g2 = core_unfolding(cores[mode])
-    full = _grad_and_gram(cores, x, mode)[0]
+    full = grad_and_gram(cores, x, mode)[0]
     sub_mat = subchain_unfolding(subchain_tensor(cores, mode))
     xn = mode_n_unfolding(x, mode)
     residual = g2 @ sub_mat.T - xn
@@ -300,7 +300,7 @@ def test_criterion_7_hessian_identities():
     for n in range(3):
         sub = subchain_unfolding(subchain_tensor(cores, n))
         gram = sub.T @ sub
-        g = _grad_and_gram(cores, x, n)[0]
+        g = grad_and_gram(cores, x, n)[0]
         h_block = np.kron(gram, np.eye(dims[n]))
         vec_new = core_unfolding(cores[n]).ravel(order="F") - alpha * np.linalg.solve(
             h_block, g.ravel(order="F"))

@@ -303,6 +303,19 @@ def test_benchmark_with_a_bad_solver_block_leaves_no_out_dir(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_benchmark_rejects_a_real_too_large_for_a_float(tmp_path, capsys):
+    cfg_path = _config_file(tmp_path, {
+        "tensor": {"synth": {"order": 3, "dim": 4, "rank": 2, "seed": 3}},
+        "algorithms": ["tr-scaled-gd"],
+        "solver": {"ranks": [2, 2, 2], "max_iters": 2, "damping": 10**400},
+    })
+    assert "1" + "0" * 400 in cfg_path.read_text()
+    rc = main(["benchmark", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")])
+    assert rc == 2
+    assert "damping is too large for a float" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_benchmark_bad_config(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text("{broken")

@@ -26,7 +26,6 @@ from trdecomp.solvers import (
     SolverConfig,
     _adagrad_steps,
     _apply_step,
-    _grad_and_gram,
     _init_cores,
     _min_norm_update,
     field_types,
@@ -46,6 +45,7 @@ from helpers import (
     complete_sample_batch,
     counting_clock,
     finite_diff_core_gradient,
+    grad_and_gram,
     lstsq_core_update,
     random_cores,
     reconstruct_by_trace,
@@ -152,7 +152,7 @@ class TestFullGradient:
     def test_zero_at_exact_fit(self):
         x, truth = synth_tensor(SynthSpec(order=3, dim=4, rank=2, seed=5))
         for mode in range(3):
-            g = _grad_and_gram(truth, x, mode)[0]
+            g = grad_and_gram(truth, x, mode)[0]
             assert np.linalg.norm(g) < 1e-10
 
     def test_matches_finite_differences(self):
@@ -161,7 +161,7 @@ class TestFullGradient:
         cores = random_cores(rng, dims, ranks)
         x = rng.standard_normal(dims)
         for mode in range(3):
-            g = _grad_and_gram(cores, x, mode)[0]
+            g = grad_and_gram(cores, x, mode)[0]
             fd = finite_diff_core_gradient(cores, x, mode)
             err = np.linalg.norm(g - fd) / np.linalg.norm(fd)
             assert err < 1e-6
@@ -170,7 +170,7 @@ class TestFullGradient:
         g1, g2, g3, xval = 1.3, -0.7, 0.4, 2.0
         cores = [np.full((1, 1, 1), v) for v in (g1, g2, g3)]
         x = np.full((1, 1, 1), xval)
-        g = _grad_and_gram(cores, x, 0)[0]
+        g = grad_and_gram(cores, x, 0)[0]
         expected = (g1 * g2 * g3 - xval) * (g2 * g3)
         assert g[0, 0] == pytest.approx(expected, rel=1e-14)
 
@@ -188,7 +188,7 @@ class TestStochasticGradient:
             j = self.x.size // self.dims[mode]
             batch = complete_sample_batch(self.cores, self.x, mode)
             unbiased = j * stochastic_gradient(self.cores[mode], *batch, j)
-            full = _grad_and_gram(self.cores, self.x, mode)[0]
+            full = grad_and_gram(self.cores, self.x, mode)[0]
             scale = np.linalg.norm(full)
             np.testing.assert_allclose(unbiased, full, atol=1e-13 * scale)
 
@@ -229,7 +229,7 @@ class TestStochasticGradient:
                                        samplers(self.cores, dists),
                                        np.random.default_rng(8))
         unbiased = j * stochastic_gradient(self.cores[mode], *batch, j)
-        full = _grad_and_gram(self.cores, self.x, mode)[0]
+        full = grad_and_gram(self.cores, self.x, mode)[0]
         err = np.linalg.norm(unbiased - full) / np.linalg.norm(full)
         assert err < 0.02
 
@@ -318,11 +318,11 @@ class TestStochasticHessian:
             g2[i, c] += h
             bumped[mode] = np.transpose(
                 g2.reshape(i_n, ranks[0], ranks[1], order="F"), (1, 0, 2))
-            gp = _grad_and_gram(bumped, x, mode)[0]
+            gp = grad_and_gram(bumped, x, mode)[0]
             g2[i, c] -= 2 * h
             bumped[mode] = np.transpose(
                 g2.reshape(i_n, ranks[0], ranks[1], order="F"), (1, 0, 2))
-            gm = _grad_and_gram(bumped, x, mode)[0]
+            gm = grad_and_gram(bumped, x, mode)[0]
             jac[:, col] = ((gp - gm) / (2 * h)).ravel(order="F")
         expected = np.kron(gram, np.eye(i_n))
         err = np.linalg.norm(jac - expected) / np.linalg.norm(expected)
@@ -605,7 +605,7 @@ class TestTrScaledGd:
         for n in range(3):
             sub = subchain_unfolding(subchain_tensor(cores, n))
             gram = sub.T @ sub
-            g = _grad_and_gram(cores, x, n)[0]
+            g = grad_and_gram(cores, x, n)[0]
             h_block = np.kron(gram, np.eye(dims[n]))
             vec_new = core_unfolding(cores[n]).ravel(order="F") - alpha * np.linalg.solve(
                 h_block, g.ravel(order="F"))
@@ -662,6 +662,92 @@ class TestTrScaledGd:
 
 DENSE_SOLVERS = [tr_als, tr_gd, tr_scaled_gd]
 
+# unequal dims and a rank chain (2, 3, 4, 2, 3) cut to orders 2 to 5
+TREE_CASES = [((5, 4), (2, 3)), ((4, 6, 3), (2, 3, 4)), ((3, 5, 2, 4), (2, 3, 4, 2)),
+              ((3, 2, 4, 3, 2), (2, 3, 4, 2, 3))]
+
+
+def _is_unit_core(c):
+    """Whether core c, (p, p*q, q), has the slices e_i e_j^T at k = i*q + j."""
+    p, pq, q = c.shape
+    return pq == p * q and all(
+        (c[:, k, :] == np.eye(p)[:, [k // q]] @ np.eye(q)[[k % q]]).all() for k in range(pq))
+
+
+def _spy_rings(monkeypatch):
+    """Record the ring of every `subchain_tensor` call made through `solvers`."""
+    rings = []
+    original = solvers.subchain_tensor
+
+    def spy(ring, mode):
+        rings.append(list(ring))
+        return original(ring, mode)
+
+    monkeypatch.setattr(solvers, "subchain_tensor", spy)
+    return rings
+
+
+class TestTreeGradients:
+    """TR-GD and TR-ScaledGD take every block gradient of an iteration from
+    two contractions of x (`_tree_products`) and every Gram from the cores'
+    transfer matrices (`_transfer_grams`); both agree with the per-mode
+    formula of `helpers.grad_and_gram` up to roundoff."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("dims, ranks", TREE_CASES, ids=lambda v: "x".join(map(str, v)))
+    def test_an_iteration_steps_along_the_reference_blocks(self, dims, ranks, order,
+                                                           monkeypatch):
+        rng = np.random.default_rng(len(dims))
+        cores = random_cores(rng, dims, ranks)
+        x = np.asarray(rng.standard_normal(dims), order=order)
+        directions = {}
+
+        def spy(cores, mode, direction, *args):
+            directions[mode] = direction.copy()
+            return original(cores, mode, direction, *args)
+
+        original = solvers._apply_step
+        monkeypatch.setattr(solvers, "_apply_step", spy)
+        tr_gd(x, SolverConfig(ranks=ranks, schedule=ConstantStep(1e-3), max_iters=1, seed=0),
+              init=cores)
+        assert sorted(directions) == list(range(len(dims)))
+        for n, direction in directions.items():
+            ref = grad_and_gram(cores, x, n)[0]
+            assert np.abs(-direction - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("dims, ranks", TREE_CASES, ids=lambda v: "x".join(map(str, v)))
+    def test_transfer_grams_are_the_subchain_grams(self, dims, ranks):
+        cores = random_cores(np.random.default_rng(7), dims, ranks)
+        grams = solvers._transfer_grams(cores)
+        for n, gram in enumerate(grams):
+            sub = subchain_unfolding(subchain_tensor(cores, n))
+            ref = sub.T @ sub
+            assert gram.shape == ref.shape
+            assert np.abs(gram - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_the_unit_cores_have_the_documented_slices(self, monkeypatch):
+        rings = _spy_rings(monkeypatch)
+        cores = random_cores(np.random.default_rng(3), (3, 5, 2, 4), (2, 3, 4, 2))
+        tr_gd(np.ones((3, 5, 2, 4)), SolverConfig(ranks=(2, 3, 4, 2), max_iters=1), init=cores)
+        assert len(rings) == 4
+        assert [ring[-1].shape for ring in rings] == [(4, 8, 2)] * 2 + [(2, 8, 4)] * 2
+        assert all(_is_unit_core(ring[-1]) for ring in rings)
+
+    @pytest.mark.parametrize("solver", [tr_gd, tr_scaled_gd], ids=lambda f: f.__name__)
+    def test_an_iteration_builds_no_subchain_of_the_model(self, solver, monkeypatch):
+        x, _ = synth_tensor(SynthSpec(order=3, dim=6, rank=2, seed=1))
+        cfg = SolverConfig(ranks=(2, 2, 2), schedule=ConstantStep(1e-3), max_iters=2,
+                           eval_every=1, seed=0)
+        rings = _spy_rings(monkeypatch)
+        # positive control: TR-ALS builds its subchains from the model's cores
+        tr_als(x, cfg)
+        assert rings and not any(_is_unit_core(ring[-1]) for ring in rings)
+        rings.clear()
+        solver(x, cfg)
+        # two iterations, each with one ring of 2 cores and one of 3
+        assert sorted(len(ring) for ring in rings) == [2, 2, 3, 3, 3, 3]
+        assert all(_is_unit_core(ring[-1]) for ring in rings)
+
 
 class TestDenseSolversReadXInPlace:
     @pytest.mark.parametrize("solver", DENSE_SOLVERS, ids=lambda f: f.__name__)
@@ -686,8 +772,10 @@ class TestDenseSolversReadXInPlace:
 
     @pytest.mark.parametrize("solver", [tr_als, tr_scaled_gd], ids=lambda f: f.__name__)
     def test_an_iteration_allocates_no_copy_of_x(self, solver):
-        # what an iteration still allocates are the J x R^2 subchain
-        # unfoldings, about a third of x at rank 2 on a cube
+        # the largest blocks an iteration allocates are TR-ALS's J x R^2
+        # subchain unfoldings, about a third of x at rank 2 on a cube; a
+        # TR-ScaledGD iteration builds none, only the right half-chain
+        # (J_R x R^2, a thirtieth of x here), whose stack then takes Y
         x, _ = synth_tensor(SynthSpec(order=3, dim=60, rank=2, seed=1))
         cfg = SolverConfig(ranks=(2, 2, 2), schedule=ConstantStep(0.5), max_iters=1,
                            eval_every=1, seed=0)
@@ -730,7 +818,7 @@ class TestTrBrsgd:
         batch = complete_sample_batch(cores, x, mode)
         g = stochastic_gradient(cores[mode], *batch, j)
         np.testing.assert_allclose(
-            g, _grad_and_gram(cores, x, mode)[0] / j, atol=1e-13)
+            g, grad_and_gram(cores, x, mode)[0] / j, atol=1e-13)
 
     def test_fixed_seed_bitwise_reproducible(self):
         x, _ = synth_tensor(SynthSpec(order=3, dim=8, rank=2, seed=11))
@@ -967,7 +1055,7 @@ class TestTrScaledBrsgd:
         x = scale**3 * x
         sub = subchain_unfolding(subchain_tensor(cores, mode))
         gram = sub.T @ sub
-        g_full = _grad_and_gram(cores, x, mode)[0]
+        g_full = grad_and_gram(cores, x, mode)[0]
         target = -np.linalg.solve(gram.T, g_full.T).T
         dists = [None, uniform_dist(4), uniform_dist(2)]
         acc = np.zeros_like(g_full)
@@ -1266,6 +1354,12 @@ class TestCheckFields:
     def test_a_value_of_the_wrong_type_is_refused_when_built(self, cls, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be an? "):
             cls(**{**SETTINGS[cls], name: value})
+
+    @pytest.mark.parametrize("cls, name", [(SolverConfig, "damping"), (ConstantStep, "alpha"),
+                                           (SynthSpec, "kappa")])
+    def test_an_integer_too_large_for_a_float_is_refused_by_name(self, cls, name):
+        with pytest.raises(ValueError, match=f"^{name} is too large for a float"):
+            cls(**{**SETTINGS[cls], name: 10**400})
 
     def test_reals_are_stored_as_floats(self):
         cfg = SolverConfig(ranks=[2, 2], damping=1, max_seconds=5, init_scale=2)
