@@ -17,7 +17,9 @@ on the order-2 tensor that cannot support them, so each of its core updates
 is rank deficient and its trace's count is pinned.  Last, TR-GD and
 TR-ScaledBRSGD (uniform) run on the order-3 tensor under the step schedules
 the runs above leave out: AdaGrad without and with b and eps, and
-Robbins-Monro.  A run that raises prints the exception's name
+Robbins-Monro.  The last line runs TR-ALS on an order-5 tensor at ranks
+below its own, so that a sweep updates two cores and then three and ends
+above the float64 floor.  A run that raises prints the exception's name
 instead of a digest.  Two source trees behave identically on these runs when
 their outputs are equal:
 
@@ -96,6 +98,8 @@ SCHEDULES = [
     ("tr-scaled-brsgd", (AdaGradStep(0.05), AdaGradStep(0.05, b=0.01, eps=0.05),
                          RobbinsMonroStep(1.0, gamma=0.75))),
 ]
+# TR-ALS on an order-5 tensor, run last: (tensor, ranks, sweeps, seed)
+ALS_ORDER5 = (SynthSpec(order=5, dim=4, rank=3, seed=6), (2, 2, 2, 2, 2), 30, 2)
 
 
 def _openblas_core() -> str:
@@ -218,6 +222,11 @@ def main() -> int:
                 print(run_line(f"order3-k1e4 {name} uniform {schedule!r} seed={seed}", solve,
                                inputs["order3-k1e4"], (spec.rank,) * spec.order, schedule,
                                1e-8, "uniform", seed, rse))
+    spec, ranks, sweeps, seed = ALS_ORDER5
+    x, _ = synth_tensor(spec)
+    print(run_line(f"order5 tr-als ranks={ranks} seed={seed}", tr_als, x, ranks,
+                   ConstantStep(1.0), 1e-8, "uniform", seed, rse, eval_every=5,
+                   max_iters=sweeps))
     return 0
 
 
