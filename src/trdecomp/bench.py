@@ -195,8 +195,8 @@ def run_experiment(config, out_dir, clock=None) -> list[RunTrace]:
 
     Wall-clock metadata lands in meta.json; all other outputs depend only on
     (config, seed) and the injected clock.  Every run's SolverConfig is built,
-    and the tensor loaded, before out_dir is made, so a config or input error
-    leaves nothing behind.
+    the tensor loaded and each run's fit to it checked (`solvers.check_fit`)
+    before out_dir is made, so a config or input error leaves nothing behind.
     """
     cfg = load_config(config)
     runs = []
@@ -213,6 +213,8 @@ def run_experiment(config, out_dir, clock=None) -> list[RunTrace]:
                 runs.append((algo, samp, trial, solve, run_cfg))
     started = datetime.datetime.now().isoformat()
     x = load_tensor(cfg["tensor"])
+    for _algo, _samp, _trial, solve, run_cfg in runs:
+        solvers.check_fit(x, run_cfg, sampled_hessian=solve is solvers.tr_scaled_brsgd)
     os.makedirs(out_dir, exist_ok=True)
     traces: list[RunTrace] = []
     for algo, samp, trial, solve, run_cfg in runs:

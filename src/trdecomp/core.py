@@ -18,8 +18,9 @@ product at merged index j.  The 3-way (R_left, J, R_right) tensor that
 copy.  `sampling` gathers only each draw's slices, from each core's
 (I, R_left, R_right) transposed view.
 
-The ring is cut once, at h = N//2, by :func:`half_chains`: the RSE evaluation
-and TR-GD's two products of x, read as a (J_L, J_R) matrix, use its halves.
+The ring is cut once, at h = N//2, by :func:`half_chains`: the RSE
+evaluation, the two products of x of a TR-GD iteration and the two phases of
+a TR-ALS sweep, each reading x as a (J_L, J_R) matrix, use its halves.
 """
 
 from __future__ import annotations
@@ -143,8 +144,10 @@ def subchain_unfolding(sub: np.ndarray) -> np.ndarray:
     Column ordering matches :func:`core_unfolding`, so for any TR model
     X_[n] = core_unfolding(G_n) @ subchain_unfolding(G^{!=n}).T holds exactly.
     The unfolding is the C-ordered reshape of the (J, R_{n+1}, R_n) slice
-    stack: for the view :func:`subchain_tensor` returns it is that stack's
-    memory, not a copy, and callers must not write into it.
+    stack: for the view :func:`subchain_tensor` or :func:`half_chains`
+    returns it is that stack's memory, not a copy.  Only the caller that
+    built the subchain owns that memory and may write into it, as
+    `solvers._tree_products` writes Y into its right half-chain.
     """
     sub = np.asarray(sub)
     return sub.transpose(1, 0, 2).reshape(sub.shape[1], -1)

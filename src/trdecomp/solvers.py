@@ -123,6 +123,14 @@ def _transfer_grams(cores) -> list[np.ndarray]:
     return grams
 
 
+def _closing_core(t: np.ndarray, p: int, q: int) -> np.ndarray:
+    """The (p, K, q) core whose slice k is row k of t as a (p, q) matrix.  With
+    Q t a factorization of a half-chain's (J, p*q) unfolding, the half-chain
+    is this core with Q applied along its middle index; t = I gives the unit
+    core of `_tree_products`, whose slice k = i*q + j is e_i e_j^T."""
+    return t.reshape(len(t), p, q).transpose(1, 0, 2)
+
+
 def _tree_products(cores, x, units) -> list[np.ndarray]:
     """X_[n] S_n for every mode n, from two contractions of x.
 
@@ -304,6 +312,8 @@ class SolverConfig:
 
     def __post_init__(self):
         check_fields(self)
+        if len(self.ranks) < 2:
+            raise ValueError(f"ranks must have at least 2 entries, not {self.ranks}")
         if any(r < 1 for r in self.ranks):
             raise ValueError("ranks must be positive")
         if self.batch_grad < 1 or self.batch_hess < 1:
@@ -333,8 +343,6 @@ def _run_rng(seed: int, stream: int) -> np.random.Generator:
 
 
 def _init_cores(x: np.ndarray, config: SolverConfig, init) -> list[np.ndarray]:
-    if len(config.ranks) != x.ndim:
-        raise ValueError(f"{len(config.ranks)} ranks for an order-{x.ndim} tensor")
     ranks = config.ranks
     shapes = [(ranks[n], x.shape[n], ranks[(n + 1) % x.ndim]) for n in range(x.ndim)]
     if init is not None:
@@ -353,20 +361,22 @@ def _init_cores(x: np.ndarray, config: SolverConfig, init) -> list[np.ndarray]:
 # constants.  It reads sizes only, never a clock, so the cadence and hence
 # every run stay bitwise deterministic.  An evaluation costs CALL_NS plus
 # ~1 ns per entry of x it reads.  A dense iteration is priced at N
-# evaluations: a TR-ALS core update reads x once, as does each iteration of
-# the `optimal` diagnostic's full residual.  A sampled iteration costs
-# CALL_NS plus SLICE_NS for each of the N-1 slices of each drawn row.
+# evaluations, as is each iteration of the `optimal` diagnostic's full
+# residual, although a TR-ALS sweep and a TR-GD or TR-ScaledGD iteration now
+# read x twice at any N.  A sampled iteration costs CALL_NS plus SLICE_NS for
+# each of the N-1 slices of each drawn row.
 # Measured against modelled, single-threaded OpenBLAS on a 2-vCPU Xeon, min
 # of 15 (BENCH_cadence_model.json): residual_norm 19, 42, 1010 and 1331 us
 # on 6^3, 25^3, 30^4 and 100^3 (30, 46, 840, 1030); a uniform TR-BRSGD
 # iteration at batch 100 72 and 154 us on 25^3 and 30^4 (76, 99); a
 # TR-ScaledBRSGD one at batches 100/300 171-307 and 268-358 us (214, 306).
-# TR-ALS sweeps measured 1.0-3.2x their price (BENCH_dense_path.json).  A
-# TR-GD or TR-ScaledGD iteration reads x twice at any N and measured 2.3
-# and 2.1 evaluations on 100^3 and 30^4, an evaluation share of 15% at
-# k = 3 (BENCH_dense_tree.json).  The sampled iterations predate the guide
-# tables, which made a TR-ScaledBRSGD one 10-21% cheaper; repricing from
-# measured stage costs is left to the cadence work (ROADMAP item 3).
+# TR-ALS sweeps measured 0.64-4.6x their price, 0.64-0.69x on 30^4, an
+# evaluation share of 13% at k = 3 (BENCH_als_tree.json).  A TR-GD or
+# TR-ScaledGD iteration measured 2.3 and 2.1 evaluations on 100^3 and 30^4,
+# an evaluation share of 15% at k = 3 (BENCH_dense_tree.json).  The sampled
+# iterations predate the guide tables, which made a TR-ScaledBRSGD one
+# 10-21% cheaper; repricing from measured stage costs is left to the
+# cadence work (ROADMAP item 3).
 CALL_NS = 30_000
 SLICE_NS = 230
 MAX_EVAL_EVERY = 100
@@ -384,13 +394,30 @@ def _default_eval_every(size: int, iteration_ns: int) -> int:
     return min(MAX_EVAL_EVERY, max(1, math.ceil(9 * _eval_ns(size) / iteration_ns)))
 
 
-def _fit_input(x) -> tuple[np.ndarray, float]:
+def check_fit(x, config: SolverConfig, sampled_hessian: bool = False) -> float:
+    """x's norm, after the checks of a run that need the tensor, which every
+    solver makes first and `bench.run_experiment` makes before it writes
+    anything.  Each raises ValueError: a tensor with no RSE (`reference_norm`),
+    ranks not one per mode, or, for a sampled Hessian (TR-ScaledBRSGD), a
+    batch_hess below R_n R_(n+1) at damping 0, where the factor is singular."""
+    norm = reference_norm(x)
+    ranks, order = config.ranks, np.ndim(x)
+    if len(ranks) != order:
+        raise ValueError(f"{len(ranks)} ranks for an order-{order} tensor")
+    r2 = max(ranks[n] * ranks[(n + 1) % order] for n in range(order))
+    if sampled_hessian and config.damping == 0 and config.batch_hess < r2:
+        raise ValueError(f"batch_hess={config.batch_hess} is below the Hessian factor size "
+                         f"R_n*R_(n+1)={r2}, so at damping=0 the factor is singular; "
+                         "raise batch_hess or set a positive damping")
+    return norm
+
+
+def _fit_input(x, config, sampled_hessian=False) -> tuple[np.ndarray, float]:
     """x column-major (no copy for `read_tensor` and `synth_tensor` output),
-    read in place by every solver, and its norm.  Each solver calls this
-    first: a tensor with no entries, only zeros or a non-finite norm has no
-    RSE and `reference_norm` rejects it (ValueError) before any other check."""
+    read in place by every solver, and its norm from `check_fit`, which each
+    solver calls through this first."""
     x = np.asfortranarray(x, dtype=np.float64)
-    return x, reference_norm(x)
+    return x, check_fit(x, config, sampled_hessian)
 
 
 def _run_loop(x, norm_x, cores, config, trace, do_iteration, iteration_ns, clock=None):
@@ -488,85 +515,58 @@ def _apply_step(cores, mode, direction, config, t, adagrad_acc) -> bool:
 # deterministic solvers
 
 
-# CholeskyQR2 is exact to working precision while kappa(S) stays below
-# u^(-1/2) ~ 6.7e7; past this bound on kappa(R) the update takes Householder QR.
-CHOLQR_MAX_COND = 1e7
-
-
-def _cholesky_qr2(sub: np.ndarray):
-    """Thin QR S = Q_1 R_2^-1 R by CholeskyQR2, as (Q_1, R_2, SVD of R), or
-    None where it is not exact.
-
-    Two rounds of Gram, Cholesky and triangular solve: R_1 = chol(S^T S),
-    Q_1 = S R_1^-1, R_2 = chol(Q_1^T Q_1), and R = R_2 R_1 (Fukaya et al.,
-    ScalA 2014; Yamamoto, Nakatsukasa, Yanagisawa and Fukaya, ETNA 44,
-    2015).  Q = Q_1 R_2^-1 is left to the caller: Q_1 is well conditioned,
-    so X Q may be taken as (X Q_1) R_2^-1, with one J x R^2 temporary.
-    None when either Cholesky fails or kappa(R) exceeds CHOLQR_MAX_COND,
-    which covers a rank-deficient S.
-    """
-    try:
-        r1 = np.linalg.cholesky(sub.T @ sub, upper=True)
-        q1 = sub @ np.linalg.inv(r1)
-        r2 = np.linalg.cholesky(q1.T @ q1, upper=True)
-        svd = np.linalg.svd(r2 @ r1, full_matrices=False)
-    except np.linalg.LinAlgError:
-        return None
-    s = svd[1]
-    if not s[0] <= CHOLQR_MAX_COND * s[-1]:
-        return None
-    return q1, r2, svd
-
-
-def _min_norm_update(sub: np.ndarray, x: np.ndarray, mode: int) -> tuple[np.ndarray, int]:
+def _min_norm_update(sub: np.ndarray, x: np.ndarray, mode: int,
+                     shape: tuple[int, int]) -> tuple[np.ndarray, int]:
     """Minimum-norm solution G of min ||G S^T - X_[n]||_F, n = mode, and the
-    numerical rank of S.
+    numerical rank of S, counted as for a matrix of `shape`.
 
-    One thin QR S = QR and the SVD R = U diag(s) V^T of the small factor give
-    G = ((X_[n] Q) U_r / s_r) V_r^T, where r is S's `numerical_rank`: the
-    count of singular values above max(J, R^2) * eps * s_max.
-    The solve works at the conditioning of S; the normal equations would
-    square it.  The QR is `_cholesky_qr2`'s, whose passes over S are
-    level-3 products, or numpy's Householder QR where that one is not exact
-    (an ill-conditioned or rank-deficient S).  Householder QR, a level-2
-    pass over S per column, alone takes 80% of a 30^4 rank-3 sweep, and it
-    allocates several J x R^2 temporaries per call.
-    X_[n] Q is read off a column-major x in place (`unfolding_matmul`).
+    One thin Householder QR S = QR and the SVD R = U diag(s) V^T of the small
+    factor give G = ((X_[n] Q) U_r / s_r) V_r^T, where r is the count of
+    singular values above max(shape) * eps * s_max (`numerical_rank`).  The
+    solve works at the conditioning of S; the normal equations would square
+    it.  X_[n] Q is read off a column-major x in place (`unfolding_matmul`).
     """
-    factored = _cholesky_qr2(sub)
-    if factored is None:
-        q, r = np.linalg.qr(sub)
-        xq = unfolding_matmul(x, mode, q)
-        u, s, vt = np.linalg.svd(r, full_matrices=False)
-    else:
-        q1, r2, (u, s, vt) = factored
-        xq = unfolding_matmul(x, mode, q1) @ np.linalg.inv(r2)
-    rank = numerical_rank(s, sub.shape)
-    return (xq @ u[:, :rank] / s[:rank]) @ vt[:rank], rank
+    q, r = np.linalg.qr(sub)
+    u, s, vt = np.linalg.svd(r, full_matrices=False)
+    rank = numerical_rank(s, shape)
+    return (unfolding_matmul(x, mode, q) @ u[:, :rank] / s[:rank]) @ vt[:rank], rank
 
 
 def tr_als(x, config: SolverConfig, init=None, clock=None):
     """Alternating least squares: cyclic sweeps where each core update solves
     its linear least-squares subproblem exactly.
 
-    One iteration of the trace is one full sweep.  Every update is the
-    minimum-norm least-squares solution, so a rank-deficient subchain
-    unfolding needs no second path; each sweep adds its rank-deficient
-    updates to the trace's rank_deficient, and the run logs one warning
-    giving how many of its N x sweeps core updates were rank deficient.
-    Every update reads X_[n] Q off the column-major x in place.
+    One iteration of the trace is one full sweep, in two phases at the
+    `half_chains` cut h = N//2, with X the (J_L, J_R) view of x.  Phase A
+    updates modes 0..h-1 against the right half-chain; phase B then updates
+    modes h..N-1 against the left half-chain of the updated cores.  Each
+    phase takes the thin QR Q T of the fixed half's unfolding and reads x
+    once, for X Q (phase A) or X^T Q (phase B).  With C the `_closing_core`
+    of T, mode n's subchain unfolding is S = P M, where M is that of the
+    reduced ring [G_lo, ..., G_hi-1, C] and P (Q on the fixed half's index)
+    has orthonormal columns.  So S and M share their singular values, and
+    the exact least-squares update of mode n is the minimum-norm solution of
+    the reduced problem, M against the product of x.  Its rank is counted
+    as for the full S; each sweep adds its rank-deficient updates to the
+    trace's rank_deficient, and the run logs one warning giving how many of
+    its N x sweeps core updates were rank deficient.
     """
-    x, norm_x = _fit_input(x)
+    x, norm_x = _fit_input(x, config)
     cores = _init_cores(x, config, init)
     trace = RunTrace("tr-als", "none", chol_jitter=0, rank_deficient=0)
+    h = x.ndim // 2
+    xmat = x.reshape(math.prod(x.shape[:h]), -1, order="F")
 
     def sweep(_t, cores):
-        for n in range(x.ndim):
-            sub = subchain_unfolding(subchain_tensor(cores, n))
-            sol, rank = _min_norm_update(sub, x, n)
-            trace.rank_deficient += rank < sub.shape[1]
-            r_left, _, r_right = cores[n].shape
-            cores[n] = fold_core(sol, r_left, r_right)
+        for lo, hi, fixed, xt in ((0, h, 1, xmat.T), (h, x.ndim, 0, xmat)):
+            q, t = np.linalg.qr(subchain_unfolding(half_chains(cores)[fixed]))
+            ring = [*cores[lo:hi], _closing_core(t, cores[hi - 1].shape[2], cores[lo].shape[0])]
+            data = np.matmul(q.T, xt).T.reshape([c.shape[1] for c in ring], order="F")
+            for m, n in enumerate(range(lo, hi)):
+                sub = subchain_unfolding(subchain_tensor(ring, m))
+                sol, rank = _min_norm_update(sub, data, m, (x.size // x.shape[n], sub.shape[1]))
+                trace.rank_deficient += rank < sub.shape[1]
+                ring[m] = cores[n] = fold_core(sol, cores[n].shape[0], cores[n].shape[2])
         return True
 
     _run_loop(x, norm_x, cores, config, trace, sweep, x.ndim * _eval_ns(x.size), clock)
@@ -579,13 +579,12 @@ def tr_als(x, config: SolverConfig, init=None, clock=None):
 
 
 def _gradient_descent(x, config, init, clock, scaled):
-    x, norm_x = _fit_input(x)  # read in place by _tree_products
+    x, norm_x = _fit_input(x, config)  # read in place by _tree_products
     cores = _init_cores(x, config, init)
     adagrad_acc: dict[int, np.ndarray] = {}
     trace = RunTrace("tr-scaled-gd" if scaled else "tr-gd", "none", chol_jitter=0)
     r0, rh = config.ranks[0], config.ranks[x.ndim // 2]
-    units = [np.eye(p * q).reshape(p * q, p, q).transpose(1, 0, 2)  # unit cores, as stacks
-             for p, q in ((rh, r0), (r0, rh))]
+    units = [_closing_core(np.eye(p * q), p, q) for p, q in ((rh, r0), (r0, rh))]
 
     def iteration(t, cores):
         grams = _transfer_grams(cores)
@@ -622,15 +621,9 @@ def tr_scaled_gd(x, config: SolverConfig, init=None, clock=None):
 
 
 def _stochastic_solver(x, config, init, clock, scaled):
-    x, norm_x = _fit_input(x)
+    x, norm_x = _fit_input(x, config, sampled_hessian=scaled)
     cores = _init_cores(x, config, init)
     n_modes = x.ndim
-    # an undamped Hessian factor of batch_hess rows has rank <= batch_hess
-    r2 = max(c.shape[0] * c.shape[2] for c in cores)
-    if scaled and config.damping == 0 and config.batch_hess < r2:
-        raise ValueError(f"batch_hess={config.batch_hess} is below the Hessian factor size "
-                         f"R_n*R_(n+1)={r2}, so at damping=0 the factor is singular; "
-                         "raise batch_hess or set a positive damping")
     adagrad_acc: dict[int, np.ndarray] = {}
     kind = config.sampling.kind
     trace = RunTrace("tr-scaled-brsgd" if scaled else "tr-brsgd", kind, chol_jitter=0)
@@ -700,7 +693,7 @@ def tr_scaled_brsgd(x, config: SolverConfig, init=None, clock=None):
 
 __all__ = [
     "ConstantStep", "RobbinsMonroStep", "AdaGradStep", "as_int", "field_types",
-    "check_fields", "SolverConfig",
+    "check_fields", "SolverConfig", "check_fit",
     "stochastic_gradient", "stochastic_hessian", "search_direction",
     "tr_als", "tr_gd", "tr_scaled_gd", "tr_brsgd", "tr_scaled_brsgd",
 ]

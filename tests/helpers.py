@@ -201,17 +201,22 @@ def variance_functional(residual, subchain_mat, q, batch_size):
 
 def als_objectives(x, config, monkeypatch):
     """Half squared error 0.5 ||TR(G) - x||^2 after every core update of one
-    tr_als run.  tr_als calls `solvers.subchain_tensor` just before each core
-    update, so a spy on it sees each iterate; the returned cores give the
-    value after the last update."""
+    tr_als run from its random start.  tr_als folds each update with
+    `solvers.fold_core`, modes 0 to N-1 in every sweep, so a spy on it
+    replays the updates onto a copy of the initial cores; the replay must end
+    at the run's final cores."""
+    cores = solvers._init_cores(x, config, None)
     objs = []
-    original = solvers.subchain_tensor
+    original = solvers.fold_core
 
-    def spy(cores, mode):
+    def spy(mat, left_rank, right_rank):
+        folded = original(mat, left_rank, right_rank)
+        cores[len(objs) % len(cores)] = folded
         objs.append(0.5 * residual_norm(cores, x) ** 2)
-        return original(cores, mode)
+        return folded
 
     with monkeypatch.context() as patch:
-        patch.setattr(solvers, "subchain_tensor", spy)
-        cores, _ = solvers.tr_als(x, config)
-    return objs[1:] + [0.5 * residual_norm(cores, x) ** 2]
+        patch.setattr(solvers, "fold_core", spy)
+        final, _ = solvers.tr_als(x, config)
+    assert all(np.array_equal(a, b) for a, b in zip(final, cores))
+    return objs

@@ -389,6 +389,40 @@ def _config_file(tmp_path, cfg):
     return path
 
 
+@pytest.mark.parametrize("overrides, match", [
+    (["solver.damping=0", "solver.batch_hess=3"], "batch_hess=3 is below"),
+    (["solver.ranks=[2,2]"], "2 ranks for an order-3 tensor"),
+], ids=["singular-hessian-batch", "rank-count"])
+def test_benchmark_checks_every_run_against_the_tensor_before_writing(tmp_path, capsys,
+                                                                      overrides, match):
+    # TR-ALS runs first and fits the batch sizes; TR-ScaledBRSGD at damping 0
+    # does not, and a rank count that misses the order fits no run
+    cfg_path = _config_file(tmp_path, {
+        "tensor": {"synth": {"order": 3, "dim": 4, "rank": 2, "seed": 3}},
+        "algorithms": ["tr-als", "tr-scaled-brsgd"],
+        "solver": {"ranks": [2, 2, 2], "max_iters": 2, "damping": 1e-8, "batch_hess": 4},
+    })
+    argv = ["benchmark", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")]
+    rc = main(argv + [arg for item in overrides for arg in ("--set", item)])
+    assert rc == 2
+    assert match in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    assert main(argv) == 0 and (tmp_path / "o" / "summary.csv").exists()
+
+
+def test_benchmark_refuses_a_tensor_with_no_rse_before_writing(tmp_path, capsys):
+    path = tmp_path / "zeros.trt"
+    write_tensor(path, np.zeros((3, 3, 3)))
+    cfg_path = _config_file(tmp_path, {
+        "tensor": {"file": str(path)}, "algorithms": ["tr-als"],
+        "solver": {"ranks": [2, 2, 2], "max_iters": 2},
+    })
+    rc = main(["benchmark", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")])
+    assert rc == 2
+    assert "RSE undefined" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_a_failed_solve_is_a_diverged_trial(tmp_path, capsys):
     # ranks above what the N=2 data supports make every Gram factor singular:
     # at damping 0 TR-ScaledGD has no Cholesky factor, and each trial stops as

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import logging
 import math
 import re
@@ -57,8 +58,9 @@ from helpers import (
 def _step_size(schedule, t):
     """The step _apply_step takes at iteration t: from a zero core along an
     all-ones direction the new core is the step itself."""
-    cores = [np.zeros((1, 1, 1))]
-    _apply_step(cores, 0, np.ones((1, 1)), SolverConfig(ranks=(1,), schedule=schedule), t, {})
+    cores = [np.zeros((1, 1, 1)), np.zeros((1, 1, 1))]
+    config = SolverConfig(ranks=(1, 1), schedule=schedule)
+    _apply_step(cores, 0, np.ones((1, 1)), config, t, {})
     return cores[0][0, 0, 0]
 
 
@@ -419,6 +421,51 @@ class TestSearchDirection:
         assert np.isnan(d).all() and jittered is True
 
 
+def _spec_problems(spec, ranks):
+    """(S, x, n) for every mode of a synthetic tensor, at a random start and,
+    where the ranks fit, at the truth."""
+    x, truth = synth_tensor(spec)
+    starts = [_init_cores(x, SolverConfig(ranks=ranks, seed=0), None)]
+    if truth[0].shape[0] == ranks[0]:
+        starts.append(truth)
+    return [(subchain_unfolding(subchain_tensor(cores, n)), x, n)
+            for cores in starts for n in range(x.ndim)]
+
+
+def _conditioned_problem(kappa, mode=1, shape=(6, 40, 25), k=9, seed=0, duplicate=False):
+    """[(S, x, mode)]: a column-major x and a C-ordered J x k S with singular
+    values logspaced from 1 to 1/kappa, J the mode's unfolding width; with
+    `duplicate`, S's last column repeats its first."""
+    rng = np.random.default_rng(seed)
+    x = np.asfortranarray(rng.standard_normal(shape))
+    j = x.size // shape[mode]
+    u, _ = np.linalg.qr(rng.standard_normal((j, k)))
+    v, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    sub = (u * np.logspace(0, -np.log10(kappa), k)) @ v.T
+    if duplicate:
+        sub = np.hstack([sub[:, :k - 1], sub[:, :1]])
+    return [(np.ascontiguousarray(sub), x, mode)]
+
+
+# (builder of (S, x, n) problems, whether their S are rank deficient)
+UPDATE_PROBLEMS = [
+    pytest.param(functools.partial(_spec_problems, SynthSpec(order=3, dim=10, rank=2, seed=1),
+                                   (2, 2, 2)), False, id="full-rank"),
+    pytest.param(functools.partial(_spec_problems,
+                                   SynthSpec(order=3, dim=25, rank=3, kind="ill_conditioned",
+                                             kappa=1e4, seed=2), (3, 3, 3)),
+                 False, id="paper-k1e4"),
+    # N=2 with J < R*R: the minimum-norm solution is the only one pinned
+    pytest.param(functools.partial(_spec_problems, SynthSpec(order=2, dim=2, rank=1, seed=3),
+                                   (2, 2)), True, id="n2-j-below-r2"),
+    *[pytest.param(functools.partial(_conditioned_problem, kappa, mode), False,
+                   id=f"kappa{kappa:.0e}-mode{mode}")
+      for kappa in (1e2, 1e4, 1e6, 1e9) for mode in ((0, 1, 2) if kappa < 1e9 else (1,))],
+    pytest.param(functools.partial(_conditioned_problem, 1e2, duplicate=True), True,
+                 id="two-equal-columns"),
+]
+
+
 class TestTrAls:
     def test_exact_recovery_small(self):
         x, _ = synth_tensor(SynthSpec(order=3, dim=10, rank=2, seed=1))
@@ -465,84 +512,15 @@ class TestTrAls:
         for solver in (tr_gd, tr_scaled_gd, tr_brsgd, tr_scaled_brsgd):
             assert solver(x, dataclasses.replace(cfg, damping=1e-8))[1].rank_deficient is None
 
-    @pytest.mark.parametrize("spec, ranks, deficient", [
-        (SynthSpec(order=3, dim=10, rank=2, seed=1), (2, 2, 2), False),
-        (SynthSpec(order=3, dim=25, rank=3, kind="ill_conditioned", kappa=1e4,
-                   seed=2), (3, 3, 3), False),
-        # N=2 with J < R*R: the minimum-norm solution is the only one pinned
-        (SynthSpec(order=2, dim=2, rank=1, seed=3), (2, 2), True),
-    ], ids=["full-rank", "paper-k1e4", "n2-j-below-r2"])
-    def test_update_matches_lstsq(self, spec, ranks, deficient):
-        x, truth = synth_tensor(spec)
-        starts = [_init_cores(x, SolverConfig(ranks=ranks, seed=0), None)]
-        if truth[0].shape[0] == ranks[0]:
-            starts.append(truth)
-        for cores in starts:
-            for n in range(x.ndim):
-                sub = subchain_unfolding(subchain_tensor(cores, n))
-                xn = mode_n_unfolding(x, n)
-                sol, rank = _min_norm_update(sub, x, n)
-                expected, expected_rank = lstsq_core_update(sub, xn)
-                assert rank == expected_rank
-                assert (rank < sub.shape[1]) == deficient
-                err = np.linalg.norm(sol - expected) / np.linalg.norm(expected)
-                assert err < 1e-10
-
-    @staticmethod
-    def _conditioned_update_problem(kappa, mode=1, shape=(6, 40, 25), k=9, seed=0):
-        """A column-major x and a C-ordered J x k S with singular values
-        logspaced from 1 to 1/kappa, J the mode's unfolding width."""
-        rng = np.random.default_rng(seed)
-        x = np.asfortranarray(rng.standard_normal(shape))
-        j = x.size // shape[mode]
-        u, _ = np.linalg.qr(rng.standard_normal((j, k)))
-        v, _ = np.linalg.qr(rng.standard_normal((k, k)))
-        sub = np.ascontiguousarray((u * np.logspace(0, -np.log10(kappa), k)) @ v.T)
-        return x, sub
-
-    @staticmethod
-    def _qr_spy(monkeypatch):
-        calls = []
-
-        def spy(a, *args, _original=np.linalg.qr, **kwargs):
-            calls.append(a.shape)
-            return _original(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "qr", spy)
-        return calls
-
-    def test_a_rank_deficient_update_falls_back_to_householder_qr(self, monkeypatch):
-        x, sub = self._conditioned_update_problem(1e2)
-        sub = np.ascontiguousarray(np.hstack([sub[:, :8], sub[:, :1]]))  # two equal columns
-        calls = self._qr_spy(monkeypatch)
-        sol, rank = _min_norm_update(sub, x, 1)
-        assert calls == [sub.shape]
-        assert rank == 8
-        expected, _ = lstsq_core_update(sub, mode_n_unfolding(x, 1))
-        assert np.linalg.norm(sol - expected) / np.linalg.norm(expected) < 1e-10
-
-    def test_an_update_past_the_cholesky_qr2_bound_falls_back(self, monkeypatch):
-        # kappa(S) = 1e9 is beyond u^(-1/2): CholeskyQR2 is not exact there
-        x, sub = self._conditioned_update_problem(1e9)
-        calls = self._qr_spy(monkeypatch)
-        sol, rank = _min_norm_update(sub, x, 1)
-        assert calls == [sub.shape]
-        assert rank == sub.shape[1]
-        expected, _ = lstsq_core_update(sub, mode_n_unfolding(x, 1))
-        assert np.linalg.norm(sol - expected) / np.linalg.norm(expected) < 1e-10
-
-    @pytest.mark.parametrize("kappa", [1e2, 1e4, 1e6])
-    @pytest.mark.parametrize("mode", [0, 1, 2])
-    def test_a_cholesky_qr2_update_matches_lstsq(self, kappa, mode, monkeypatch):
-        # a well-conditioned S takes no Householder QR; the fallback tests
-        # above show that the spy sees one
-        x, sub = self._conditioned_update_problem(kappa, mode=mode)
-        calls = self._qr_spy(monkeypatch)
-        sol, rank = _min_norm_update(sub, x, mode)
-        assert calls == []
-        assert rank == sub.shape[1]
-        expected, _ = lstsq_core_update(sub, mode_n_unfolding(x, mode))
-        assert np.linalg.norm(sol - expected) / np.linalg.norm(expected) < 1e-10
+    @pytest.mark.parametrize("problems, deficient", UPDATE_PROBLEMS)
+    def test_update_matches_lstsq(self, problems, deficient):
+        for sub, x, n in problems():
+            sol, rank = _min_norm_update(sub, x, n, sub.shape)
+            expected, expected_rank = lstsq_core_update(sub, mode_n_unfolding(x, n))
+            assert rank == expected_rank
+            assert (rank < sub.shape[1]) == deficient
+            err = np.linalg.norm(sol - expected) / np.linalg.norm(expected)
+            assert err < 1e-10
 
     def test_monotone_rse_trace(self):
         x, _ = synth_tensor(SynthSpec(order=3, dim=20, rank=3, seed=1))
@@ -739,14 +717,89 @@ class TestTreeGradients:
         cfg = SolverConfig(ranks=(2, 2, 2), schedule=ConstantStep(1e-3), max_iters=2,
                            eval_every=1, seed=0)
         rings = _spy_rings(monkeypatch)
-        # positive control: TR-ALS builds its subchains from the model's cores
-        tr_als(x, cfg)
+        # positive control: the `optimal` sampler builds its subchains from
+        # the model's cores
+        tr_brsgd(x, dataclasses.replace(cfg, sampling=SamplingSpec("optimal")))
         assert rings and not any(_is_unit_core(ring[-1]) for ring in rings)
         rings.clear()
         solver(x, cfg)
         # two iterations, each with one ring of 2 cores and one of 3
         assert sorted(len(ring) for ring in rings) == [2, 2, 3, 3, 3, 3]
         assert all(_is_unit_core(ring[-1]) for ring in rings)
+
+
+def _is_closing_core(c):
+    """Whether core c, (p, K, q), has as slices the rows of an upper-triangular
+    (K, p*q) matrix, as the closing core of a thin QR's triangular factor does."""
+    p, k, q = c.shape
+    t = c.transpose(1, 0, 2).reshape(k, p * q)
+    return k <= p * q and (np.triu(t) == t).all()
+
+
+class TestAlsHalfChainSweep:
+    """A TR-ALS sweep updates modes 0..h-1 against the right half-chain and
+    then modes h..N-1 against the left one, each phase on a reduced ring
+    closed by the triangular factor of the fixed half's QR; every update is
+    still the minimum-norm least-squares update on the full subchain."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("dims, ranks", [
+        *TREE_CASES,
+        # mode 2's subchain unfolding is 8 x 9: its updates are rank deficient
+        ((2, 4, 5), (3, 3, 3)),
+    ], ids=lambda v: "x".join(map(str, v)))
+    def test_every_update_is_the_full_subchain_lstsq(self, dims, ranks, order, monkeypatch):
+        rng = np.random.default_rng(len(dims))
+        cores = random_cores(rng, dims, ranks)
+        x = np.asarray(rng.standard_normal(dims), order=order)
+        updates = []
+
+        def spy(mat, left_rank, right_rank):
+            updates.append(mat.copy())
+            return original(mat, left_rank, right_rank)
+
+        original = solvers.fold_core
+        monkeypatch.setattr(solvers, "fold_core", spy)
+        _, trace = tr_als(x, SolverConfig(ranks=ranks, max_iters=2, seed=0), init=cores)
+        assert len(updates) == 2 * len(dims)
+        deficient = 0
+        for k, sol in enumerate(updates):
+            n = k % len(dims)
+            sub = subchain_unfolding(subchain_tensor(cores, n))
+            expected, rank = lstsq_core_update(sub, mode_n_unfolding(x, n))
+            deficient += rank < sub.shape[1]
+            assert np.linalg.norm(sol - expected) <= 1e-10 * np.linalg.norm(expected)
+            cores[n] = original(sol, ranks[n], ranks[(n + 1) % len(dims)])
+        assert trace.rank_deficient == deficient
+        # the order-2 case (J < R^2 for both modes) and the last case are deficient
+        assert (deficient > 0) == (len(dims) == 2 or dims == (2, 4, 5))
+
+    @pytest.mark.parametrize("dims, ranks", TREE_CASES, ids=lambda v: "x".join(map(str, v)))
+    def test_a_sweep_reads_x_twice_and_builds_no_subchain_of_the_model(self, dims, ranks,
+                                                                       monkeypatch):
+        x = np.asfortranarray(np.random.default_rng(5).standard_normal(dims))
+        reads = []
+
+        def matmul(*args, _original=np.matmul, **kwargs):
+            reads.append(any(np.may_share_memory(a, x) for a in args))
+            return _original(*args, **kwargs)
+
+        def unfolding_matmul(t, mode, m, _original=solvers.unfolding_matmul):
+            reads.append(np.may_share_memory(t, x))
+            return _original(t, mode, m)
+
+        monkeypatch.setattr(np, "matmul", matmul)
+        monkeypatch.setattr(solvers, "unfolding_matmul", unfolding_matmul)
+        rings = _spy_rings(monkeypatch)
+        sweeps, n, h = 2, len(dims), len(dims) // 2
+        cfg = SolverConfig(ranks=ranks, max_iters=sweeps, eval_every=1, seed=0)
+        tr_als(x, cfg)
+        # positive control: the spy sees a product read from x
+        np.matmul(x.reshape(dims[0], -1, order="F"), np.ones((x.size // dims[0], 1)))
+        assert reads.count(True) == 2 * sweeps + 1
+        assert [len(ring) for ring in rings] == sweeps * ([h + 1] * h + [n - h + 1] * (n - h))
+        assert all(_is_closing_core(ring[-1]) for ring in rings)
+        assert not any(_is_closing_core(c) for c in solvers._init_cores(x, cfg, None))
 
 
 class TestDenseSolversReadXInPlace:
@@ -1262,6 +1315,11 @@ class TestSolverConfigValidation:
     def test_boundary_values_stay_valid(self):
         SolverConfig(ranks=(2, 2), max_iters=0, max_seconds=0.0, rse_tol=0.0,
                      damping=0.0)
+
+    @pytest.mark.parametrize("ranks", [(), (3,), [3]])
+    def test_a_ring_needs_two_ranks(self, ranks):
+        with pytest.raises(ValueError, match="ranks must have at least 2 entries"):
+            SolverConfig(ranks=ranks)
 
     @pytest.mark.parametrize("rse_tol", [math.nan, -1e-8, -math.inf])
     def test_rse_tol(self, rse_tol):
