@@ -19,7 +19,10 @@ TR-ScaledBRSGD (uniform) run on the order-3 tensor under the step schedules
 the runs above leave out: AdaGrad without and with b and eps, and
 Robbins-Monro.  The last line runs TR-ALS on an order-5 tensor at ranks
 below its own, so that a sweep updates two cores and then three and ends
-above the float64 floor.  A run that raises prints the exception's name
+above the float64 floor.  After it TR-ScaledGD and TR-ALS run on an order-3
+dim-50 Gaussian, evaluated every iteration: its (50, 2500) view at the
+half-chain cut spans four column slabs of `core.SLAB_BYTES`, where every
+tensor above fits in one.  A run that raises prints the exception's name
 instead of a digest.  Two source trees behave identically on these runs when
 their outputs are equal:
 
@@ -100,6 +103,10 @@ SCHEDULES = [
 ]
 # TR-ALS on an order-5 tensor, run last: (tensor, ranks, sweeps, seed)
 ALS_ORDER5 = (SynthSpec(order=5, dim=4, rank=3, seed=6), (2, 2, 2, 2, 2), 30, 2)
+# run after it on a tensor of several slabs, evaluated every iteration:
+# (tensor, [(solver name, step, iterations)]); each run ends above RSE 1e-9
+MULTI_SLAB = (SynthSpec(order=3, dim=50, rank=3, seed=7),
+              [("tr-scaled-gd", 0.5, 30), ("tr-als", 1.0, 12)])
 
 
 def _openblas_core() -> str:
@@ -227,6 +234,13 @@ def main() -> int:
     print(run_line(f"order5 tr-als ranks={ranks} seed={seed}", tr_als, x, ranks,
                    ConstantStep(1.0), 1e-8, "uniform", seed, rse, eval_every=5,
                    max_iters=sweeps))
+    spec, runs = MULTI_SLAB
+    x, _ = synth_tensor(spec)
+    for name, alpha, iters in runs:
+        for seed in SEEDS:
+            print(run_line(f"order3-50 {name} seed={seed}", SOLVERS[name][0], x,
+                           (spec.rank,) * spec.order, ConstantStep(alpha), 1e-8, "uniform",
+                           seed, rse, eval_every=1, max_iters=iters))
     return 0
 
 
