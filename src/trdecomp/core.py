@@ -20,7 +20,10 @@ copy.  `sampling` gathers only each draw's slices, from each core's
 
 The ring is cut once, at h = N//2, by :func:`half_chains`: the RSE
 evaluation, the two products of x of a TR-GD iteration and the two phases of
-a TR-ALS sweep, each reading x as a (J_L, J_R) matrix, use its halves.
+a TR-ALS sweep, each reading x as a (J_L, J_R) matrix, use its halves.  Both
+read that matrix in the same column slabs: :func:`residual_norm` differences
+each with the model's, and :func:`slab_products` takes both products of x
+from each.
 """
 
 from __future__ import annotations
@@ -29,14 +32,15 @@ import math
 
 import numpy as np
 
-# Bytes per model slab in tr_reconstruct / residual_norm: small enough that a
-# slab and the matching entries of x stay in L2.
+# Bytes per slab of the (J_L, J_R) view of x or of the model, in
+# tr_reconstruct, residual_norm and slab_products: small enough that a slab
+# and what is read or written with it stay in L2.
 SLAB_BYTES = 256 * 1024
 
 __all__ = [
     "mode_n_unfolding", "unfolding_matmul", "core_unfolding", "fold_core", "subchain_unfolding",
     "slices_hadamard", "subchain_tensor", "half_chains", "rotation_modes", "validate_cores",
-    "numerical_rank", "tr_reconstruct", "residual_norm",
+    "numerical_rank", "slab_products", "tr_reconstruct", "residual_norm",
 ]
 
 
@@ -253,6 +257,11 @@ def half_chains(cores) -> tuple[np.ndarray, np.ndarray]:
     return _chain(cores[:h]), _chain(cores[h:])
 
 
+def _slab_columns(j_left: int, j_right: int) -> int:
+    """Columns of the (J_L, J_R) view per slab of about SLAB_BYTES."""
+    return max(1, min(j_right, SLAB_BYTES // (8 * max(j_left, 1))))
+
+
 def _model_slabs(cores):
     """Yield (lo, hi, slab): entries lo..hi-1 of the TR model in column-major
     flat order, computed into one reused buffer.
@@ -271,13 +280,47 @@ def _model_slabs(cores):
     # the right half-chain's slice stack, read in place
     lt = left.transpose(2, 0, 1).reshape(rh * r0, j_left)
     rt = subchain_unfolding(right)
-    rows = max(1, min(j_right, SLAB_BYTES // (8 * max(j_left, 1))))
+    rows = _slab_columns(j_left, j_right)
     buf = np.empty(rows * j_left)
     for start in range(0, j_right, rows):
         stop = min(start + rows, j_right)
         slab = buf[: (stop - start) * j_left]
         np.matmul(rt[start:stop], lt, out=slab.reshape(stop - start, j_left))
         yield start * j_left, stop * j_left, slab
+
+
+def slab_products(xmat: np.ndarray, right: np.ndarray | None = None,
+                  left: np.ndarray | None = None, y: np.ndarray | None = None):
+    """(Z, Y) = (xmat @ right, xmat.T @ left) in one pass over xmat; either
+    factor may be None, and so is then its product.
+
+    xmat is the column-major (J_L, J_R) view of x at the `half_chains` cut,
+    read in the column slabs of about SLAB_BYTES that `_model_slabs` makes,
+    so a slab stays in L2 while both products read it.  Z (J_L, K) is
+    summed slab by slab into a fresh C-ordered array; the slab's rows of Y,
+    xs.T @ left, are written into the same rows of `y`, a C-ordered
+    (J_R, K) array, fresh if None.  Z has read a slab's rows of `right`
+    before they are written, so `y` may be `right` itself: the caller that
+    built the right half-chain hands its unfolding as both.
+    """
+    j_left, j_right = xmat.shape
+    cols = _slab_columns(j_left, j_right)
+    z = part = None
+    if right is not None:
+        z = np.empty((j_left, right.shape[1]))
+        part = np.empty_like(z) if cols < j_right else None
+    if left is not None and y is None:
+        y = np.empty((j_right, left.shape[1]))
+    for start in range(0, j_right, cols):
+        stop = min(start + cols, j_right)
+        xs = xmat[:, start:stop]
+        if right is not None:
+            np.matmul(xs, right[start:stop], out=z if start == 0 else part)
+            if start:
+                z += part
+        if left is not None:
+            np.matmul(xs.T, left, out=y[start:stop])
+    return z, None if left is None else y
 
 
 def tr_reconstruct(cores) -> np.ndarray:
@@ -299,9 +342,14 @@ def residual_norm(cores, x) -> float:
     """Frobenius norm of TR(cores) - x, without building the dense model.
 
     The model is streamed in slabs of about SLAB_BYTES and each slab is
-    differenced with the matching entries of x directly (no expansion of the
-    square, which would lose precision at small residuals).  A column-major
-    x is read in place; any other layout is copied once.
+    differenced with the matching entries of x directly.  The expanded
+    square ||x||^2 - 2<x, M> + ||M||^2 cancels: its relative error grows as
+    about eps / RSE^2.  The dense solvers take it all the same, from the
+    products of x an iteration forms anyway, for the records of a run that
+    lie above `solvers.ESTIMATE_FLOOR`, where it stays within
+    `solvers.ESTIMATE_BOUND` of this; every stop, every terminal record and
+    every record below the floor comes from here.  A column-major x is read
+    in place; any other layout is copied once.
     """
     validate_cores(cores)
     x = np.asarray(x, dtype=np.float64)

@@ -35,6 +35,7 @@ from .core import (
     numerical_rank,
     residual_norm,
     rotation_modes,
+    slab_products,
     subchain_tensor,
     subchain_unfolding,
     tr_reconstruct,  # noqa: F401  (perfbench/tracing.py spans calls made through here)
@@ -131,27 +132,33 @@ def _closing_core(t: np.ndarray, p: int, q: int) -> np.ndarray:
     return t.reshape(len(t), p, q).transpose(1, 0, 2)
 
 
+def _reduced_data(product: np.ndarray, ring) -> np.ndarray:
+    """The data tensor of a reduced ring [C, G_lo, ..., G_hi-1], C its closing
+    core, from the C-ordered (J, K) product of x with C's K columns: the
+    column-major (K, I_lo, ..., I_hi-1) view of its transpose, no copy."""
+    return product.T.reshape([c.shape[1] for c in ring], order="F")
+
+
 def _tree_products(cores, x, units) -> list[np.ndarray]:
-    """X_[n] S_n for every mode n, from two contractions of x.
+    """X_[n] S_n for every mode n, from one `slab_products` pass over x.
 
     With X the (J_L, J_R) view of x and L, R the `half_chains`, Z = X R_unf
     and Y = X^T L_unf have K = R_0 R_h columns.  A left mode's product is
-    that of Z, as an (I_0, ..., I_{h-1}, K) tensor, with the subchain of the
-    ring [G_0, ..., G_{h-1}, units[0]], whose slice k = b R_0 + a is
-    e_b e_a^T; a right mode's takes Y and units[1] alike.  Y overwrites R's
-    stack, which Z has read: a per-run (K, J_R) buffer kept the heap a block
-    higher, and glibc trimmed it and faulted it in again on every run."""
+    that of Z with the subchain of the reduced ring [units[0], G_0, ...,
+    G_{h-1}], whose slice k = b R_0 + a is e_b e_a^T; a right mode's takes Y
+    and units[1] alike.  Y overwrites R's stack slab by slab, once Z has
+    read it: a fresh (J_R, K) Y, or a per-run buffer, was mapped or trimmed
+    and faulted in again by glibc on every call."""
     h = x.ndim // 2
     left, right = half_chains(cores)
-    xmat = x.reshape(left.shape[1], right.shape[1], order="F")
     r_unf = subchain_unfolding(right)
-    z = (r_unf.T @ xmat.T).T
-    y = np.matmul(subchain_unfolding(left).T, xmat, out=r_unf.reshape(r_unf.shape[::-1])).T
+    xmat = x.reshape(left.shape[1], right.shape[1], order="F")
+    z, y = slab_products(xmat, r_unf, subchain_unfolding(left), y=r_unf)
     products = []
-    for data, ring in ((z, [*cores[:h], units[0]]), (y, [*cores[h:], units[1]])):
-        data = data.reshape([c.shape[1] for c in ring], order="F")
+    for product, ring in ((z, [units[0], *cores[:h]]), (y, [units[1], *cores[h:]])):
+        data = _reduced_data(product, ring)
         products += [unfolding_matmul(data, m, subchain_unfolding(subchain_tensor(ring, m)))
-                     for m in range(len(ring) - 1)]
+                     for m in range(1, len(ring))]
     return products
 
 
@@ -362,24 +369,35 @@ def _init_cores(x: np.ndarray, config: SolverConfig, init) -> list[np.ndarray]:
 # every run stay bitwise deterministic.  An evaluation costs CALL_NS plus
 # ~1 ns per entry of x it reads.  A dense iteration is priced at N
 # evaluations, as is each iteration of the `optimal` diagnostic's full
-# residual, although a TR-ALS sweep and a TR-GD or TR-ScaledGD iteration now
-# read x twice at any N.  A sampled iteration costs CALL_NS plus SLICE_NS for
+# residual, although a TR-GD or TR-ScaledGD iteration now makes one
+# `slab_products` pass over x and a TR-ALS sweep two, at any N; and above
+# ESTIMATE_FLOOR a dense evaluation reads no x at all (`_run_loop`), so
+# there the dense price is far above the cost.  The dense cadence is kept at
+# k = ceil(9/N) all the same: below the floor every evaluation is a
+# `residual_norm` pass.  A sampled iteration costs CALL_NS plus SLICE_NS for
 # each of the N-1 slices of each drawn row.
 # Measured against modelled, single-threaded OpenBLAS on a 2-vCPU Xeon, min
 # of 15 (BENCH_cadence_model.json): residual_norm 19, 42, 1010 and 1331 us
 # on 6^3, 25^3, 30^4 and 100^3 (30, 46, 840, 1030); a uniform TR-BRSGD
 # iteration at batch 100 72 and 154 us on 25^3 and 30^4 (76, 99); a
 # TR-ScaledBRSGD one at batches 100/300 171-307 and 268-358 us (214, 306).
-# TR-ALS sweeps measured 0.64-4.6x their price, 0.64-0.69x on 30^4, an
-# evaluation share of 13% at k = 3 (BENCH_als_tree.json).  A TR-GD or
-# TR-ScaledGD iteration measured 2.3 and 2.1 evaluations on 100^3 and 30^4,
-# an evaluation share of 15% at k = 3 (BENCH_dense_tree.json).  The sampled
-# iterations predate the guide tables, which made a TR-ScaledBRSGD one
-# 10-21% cheaper; repricing from measured stage costs is left to the
-# cadence work (ROADMAP item 3).
+# Default-cadence (k = 3) TR-ALS and TR-ScaledGD runs that stay above the
+# floor spend 0.7-1.5% of 200 iterations on evaluation, about 50 us per
+# estimate; runs that converge below it spend 10-16%, as before the
+# estimate (BENCH_dense_one_pass.json).  The sampled iterations predate the
+# guide tables, which made a TR-ScaledBRSGD one 10-21% cheaper; repricing
+# from measured stage costs is left to the cadence work (ROADMAP item 3).
 CALL_NS = 30_000
 SLICE_NS = 230
 MAX_EVAL_EVERY = 100
+
+# A dense solver's RSE from its own products of x (`_estimated_rse`)
+# cancels: its relative error measured about c * eps / RSE^2, c = 1 to 10,
+# on 25^3, 100^3 and 30^4 (BENCH_dense_one_pass.json).  So at c = 10 it is
+# within ESTIMATE_BOUND of `residual_norm` above ESTIMATE_FLOOR
+# (10 eps / 5e-3^2 = 8.9e-11).
+ESTIMATE_FLOOR = 5e-3
+ESTIMATE_BOUND = 1e-10
 
 
 def _eval_ns(size: int) -> int:
@@ -420,11 +438,29 @@ def _fit_input(x, config, sampled_hessian=False) -> tuple[np.ndarray, float]:
     return x, check_fit(x, config, sampled_hessian)
 
 
-def _run_loop(x, norm_x, cores, config, trace, do_iteration, iteration_ns, clock=None):
+def _estimated_rse(own, norm_x, tol) -> float | None:
+    """The RSE from `own` = (X_(n) S_n, G_n, G_n S_n^T S_n), products a dense
+    solver took of the current iterate for some mode n, as
+    ||X - M||^2 = ||X||^2 - 2 <X_(n) S_n, G_n> + <G_n S_n^T S_n, G_n>; None
+    unless that is finite, above ESTIMATE_FLOOR and, within ESTIMATE_BOUND,
+    above tol, so the estimate never decides a stop."""
+    xs, g, gh = own
+    sq = norm_x * norm_x - 2 * float(np.vdot(xs, g)) + float(np.vdot(gh, g))
+    rse_val = float(math.sqrt(sq) / norm_x) if sq > 0 else 0.0
+    if not (ESTIMATE_FLOOR < rse_val < math.inf):
+        return None
+    if tol is not None and rse_val * (1 - ESTIMATE_BOUND) <= tol:
+        return None
+    return rse_val
+
+
+def _run_loop(x, norm_x, cores, config, trace, do_iteration, iteration_ns, clock=None,
+              own_products=None):
     """Drive `do_iteration(t, cores)` until a stopping criterion fires, and
-    fill in the solver's `trace`: its records, eval_every, eval_s and
-    terminal_reason.  Counters the iterations keep (chol_jitter,
-    rank_deficient) are the solver's own: it made the trace and counts into it.
+    fill in the solver's `trace`: its records, eval_every, eval_s,
+    terminal_reason and, for a solver with `own_products`, estimated.
+    Counters the iterations keep (chol_jitter, rank_deficient) are the
+    solver's own: it made the trace and counts into it.
 
     x and its norm come from `_fit_input`, so `residual_norm` reads x in
     place.  Iteration work is timed with `clock` (default perf_counter) into
@@ -442,6 +478,14 @@ def _run_loop(x, norm_x, cores, config, trace, do_iteration, iteration_ns, clock
     sampler returns False for a non-finite residual, which leaves no
     distribution to draw from.  A False return, or a non-finite RSE or core,
     stops the run at that iteration with reason "diverged".
+
+    A dense solver passes `own_products(cores)`, which gives the products
+    of `_estimated_rse` that its iterations took of the current iterate, or
+    None.  At an evaluation that is not terminal (no iteration or time
+    budget hit, every core finite) that estimate is the record, counted in
+    the trace's `estimated`, wherever `_estimated_rse` takes it: then the
+    evaluation reads no x.  Everywhere else the record is `residual_norm`'s,
+    so every stop is decided, and every terminal record taken, exactly.
     """
     clock = clock if clock is not None else time.perf_counter
     eval_every = config.eval_every
@@ -451,13 +495,21 @@ def _run_loop(x, norm_x, cores, config, trace, do_iteration, iteration_ns, clock
     max_seconds = math.inf if config.max_seconds is None else config.max_seconds
     tol = config.rse_tol
     trace.eval_every, trace.eval_s = eval_every, 0.0
+    if own_products is not None:
+        trace.estimated = 0
     t, elapsed, finite = 0, 0.0, True
     while True:
-        if not finite or t % eval_every == 0 or t >= max_iters or elapsed >= max_seconds:
+        budget_hit = t >= max_iters or elapsed >= max_seconds
+        if not finite or budget_hit or t % eval_every == 0:
             t0 = clock()
-            rse_val = float(residual_norm(cores, x) / norm_x)
-            finite = (finite and math.isfinite(rse_val)
-                      and all(np.isfinite(c).all() for c in cores))
+            finite = finite and all(np.isfinite(c).all() for c in cores)
+            own = None if budget_hit or not finite or own_products is None else own_products(cores)
+            rse_val = None if own is None else _estimated_rse(own, norm_x, tol)
+            if rse_val is None:
+                rse_val = float(residual_norm(cores, x) / norm_x)
+            else:
+                trace.estimated += 1
+            finite = finite and math.isfinite(rse_val)
             if not finite:
                 logger.warning("%s: non-finite iterate, RSE or core at iteration %d, "
                                "stopping", trace.algorithm, t)
@@ -516,20 +568,25 @@ def _apply_step(cores, mode, direction, config, t, adagrad_acc) -> bool:
 
 
 def _min_norm_update(sub: np.ndarray, x: np.ndarray, mode: int,
-                     shape: tuple[int, int]) -> tuple[np.ndarray, int]:
-    """Minimum-norm solution G of min ||G S^T - X_[n]||_F, n = mode, and the
-    numerical rank of S, counted as for a matrix of `shape`.
+                     shape: tuple[int, int]) -> tuple[np.ndarray, int, tuple]:
+    """Minimum-norm solution G of min ||G S^T - X_[n]||_F, n = mode, the
+    numerical rank of S, counted as for a matrix of `shape`, and the
+    products of `_estimated_rse` for the iterate G leaves.
 
     One thin Householder QR S = QR and the SVD R = U diag(s) V^T of the small
     factor give G = ((X_[n] Q) U_r / s_r) V_r^T, where r is the count of
     singular values above max(shape) * eps * s_max (`numerical_rank`).  The
     solve works at the conditioning of S; the normal equations would square
     it.  X_[n] Q is read off a column-major x in place (`unfolding_matmul`).
+    With W = G R^T, <X_[n] S, G> = <X_[n] Q, W> and <G S^T S, G> = <W, W>.
     """
     q, r = np.linalg.qr(sub)
     u, s, vt = np.linalg.svd(r, full_matrices=False)
     rank = numerical_rank(s, shape)
-    return (unfolding_matmul(x, mode, q) @ u[:, :rank] / s[:rank]) @ vt[:rank], rank
+    xq = unfolding_matmul(x, mode, q)
+    sol = (xq @ u[:, :rank] / s[:rank]) @ vt[:rank]
+    w = sol @ r.T
+    return sol, rank, (xq, w, w)
 
 
 def tr_als(x, config: SolverConfig, init=None, clock=None):
@@ -540,36 +597,44 @@ def tr_als(x, config: SolverConfig, init=None, clock=None):
     `half_chains` cut h = N//2, with X the (J_L, J_R) view of x.  Phase A
     updates modes 0..h-1 against the right half-chain; phase B then updates
     modes h..N-1 against the left half-chain of the updated cores.  Each
-    phase takes the thin QR Q T of the fixed half's unfolding and reads x
-    once, for X Q (phase A) or X^T Q (phase B).  With C the `_closing_core`
-    of T, mode n's subchain unfolding is S = P M, where M is that of the
-    reduced ring [G_lo, ..., G_hi-1, C] and P (Q on the fixed half's index)
-    has orthonormal columns.  So S and M share their singular values, and
-    the exact least-squares update of mode n is the minimum-norm solution of
-    the reduced problem, M against the product of x.  Its rank is counted
-    as for the full S; each sweep adds its rank-deficient updates to the
-    trace's rank_deficient, and the run logs one warning giving how many of
-    its N x sweeps core updates were rank deficient.
+    phase takes the thin QR Q T of the fixed half's unfolding and makes one
+    `slab_products` pass over x, for X Q (phase A) or X^T Q (phase B).  With
+    C the `_closing_core` of T, mode n's subchain unfolding is S = P M,
+    where M is that of the reduced ring [C, G_lo, ..., G_hi-1] and P (Q on
+    the fixed half's index) has orthonormal columns.  So S and M share their
+    singular values, and the exact least-squares update of mode n is the
+    minimum-norm solution of the reduced problem, M against the product of
+    x; and ||G S^T|| = ||G M^T||, so the sweep's last update gives the
+    products `_run_loop` estimates the RSE of the iterate it leaves from.
+    Each update's rank is counted as for the full S; each sweep adds its
+    rank-deficient updates to the trace's rank_deficient, and the run logs
+    one warning giving how many of its N x sweeps core updates were rank
+    deficient.
     """
     x, norm_x = _fit_input(x, config)
     cores = _init_cores(x, config, init)
     trace = RunTrace("tr-als", "none", chol_jitter=0, rank_deficient=0)
     h = x.ndim // 2
     xmat = x.reshape(math.prod(x.shape[:h]), -1, order="F")
+    # the last update's products, for the iterate the last sweep left
+    own = [None]
 
     def sweep(_t, cores):
-        for lo, hi, fixed, xt in ((0, h, 1, xmat.T), (h, x.ndim, 0, xmat)):
+        for lo, hi, fixed in ((0, h, 1), (h, x.ndim, 0)):
             q, t = np.linalg.qr(subchain_unfolding(half_chains(cores)[fixed]))
-            ring = [*cores[lo:hi], _closing_core(t, cores[hi - 1].shape[2], cores[lo].shape[0])]
-            data = np.matmul(q.T, xt).T.reshape([c.shape[1] for c in ring], order="F")
-            for m, n in enumerate(range(lo, hi)):
+            product = slab_products(xmat, right=q)[0] if fixed else slab_products(xmat, left=q)[1]
+            ring = [_closing_core(t, cores[hi - 1].shape[2], cores[lo].shape[0]), *cores[lo:hi]]
+            data = _reduced_data(product, ring)
+            for m, n in enumerate(range(lo, hi), 1):
                 sub = subchain_unfolding(subchain_tensor(ring, m))
-                sol, rank = _min_norm_update(sub, data, m, (x.size // x.shape[n], sub.shape[1]))
+                sol, rank, own[0] = _min_norm_update(sub, data, m,
+                                                     (x.size // x.shape[n], sub.shape[1]))
                 trace.rank_deficient += rank < sub.shape[1]
                 ring[m] = cores[n] = fold_core(sol, cores[n].shape[0], cores[n].shape[2])
         return True
 
-    _run_loop(x, norm_x, cores, config, trace, sweep, x.ndim * _eval_ns(x.size), clock)
+    _run_loop(x, norm_x, cores, config, trace, sweep, x.ndim * _eval_ns(x.size), clock,
+              own_products=lambda _cores: own[0])
     if trace.rank_deficient:
         logger.warning(
             "tr_als: %d of %d core updates were rank deficient; each took "
@@ -585,10 +650,17 @@ def _gradient_descent(x, config, init, clock, scaled):
     trace = RunTrace("tr-scaled-gd" if scaled else "tr-gd", "none", chol_jitter=0)
     r0, rh = config.ranks[0], config.ranks[x.ndim // 2]
     units = [_closing_core(np.eye(p * q), p, q) for p, q in ((rh, r0), (r0, rh))]
+    max_iters = math.inf if config.max_iters is None else config.max_iters
+    # (grams, products) of the current iterate: each iteration takes them,
+    # after its step, for the iterate it leaves, which the next one starts
+    # from and `_run_loop` estimates the RSE of; the last iteration need not
+    ahead = []
+
+    def tree(cores):
+        return _transfer_grams(cores), _tree_products(cores, x, units)
 
     def iteration(t, cores):
-        grams = _transfer_grams(cores)
-        products = _tree_products(cores, x, units)
+        grams, products = ahead.pop() if ahead else tree(cores)
         finite = True
         for n, (gram, xs) in enumerate(zip(grams, products)):
             g = core_unfolding(cores[n]) @ gram - xs
@@ -598,10 +670,19 @@ def _gradient_descent(x, config, init, clock, scaled):
             else:
                 direction = -g
             finite = _apply_step(cores, n, direction, config, t, adagrad_acc) and finite
+        if finite and t + 1 < max_iters:
+            ahead.append(tree(cores))
         return finite
 
+    def own_products(cores):
+        if not ahead:
+            return None
+        grams, products = ahead[0]
+        g = core_unfolding(cores[0])
+        return products[0], g, g @ grams[0]
+
     return _run_loop(x, norm_x, cores, config, trace, iteration,
-                     x.ndim * _eval_ns(x.size), clock)
+                     x.ndim * _eval_ns(x.size), clock, own_products=own_products)
 
 
 def tr_gd(x, config: SolverConfig, init=None, clock=None):

@@ -3,16 +3,18 @@
 Elapsed time counts iteration work only; the run's total RSE-evaluation time
 is `eval_s`, `eval_every` is the evaluation cadence the run used, and
 `chol_jitter` counts the Cholesky jitter fallbacks of its preconditioned
-solves, and `rank_deficient` TR-ALS's core updates whose subchain unfolding
-was rank deficient (each None when unknown, as for a trace file that does
-not record it, and `rank_deficient` None for every other solver).
+solves, `rank_deficient` TR-ALS's core updates whose subchain unfolding
+was rank deficient, and `estimated` the records a dense solver took from
+its own products of x rather than from `residual_norm` (each None when
+unknown, as for a trace file that does not record it; `rank_deficient` is
+None for every solver but TR-ALS, and `estimated` for the stochastic ones).
 
 Trace files render floats with 17 significant digits so parsing them back
 reproduces the exact float64 values.  The first line is a `#` comment carrying
 run identity (algorithm, sampling, trial, terminal reason, and `diverged`,
 which repeats whether the reason is "diverged" and is ignored when parsing)
-and then `chol_jitter`, `rank_deficient`, `eval_every` and `eval_s`; the
-rest is plain CSV with header `iteration,elapsed_s,rse`.  Parsing rejects a
+and then `chol_jitter`, `rank_deficient`, `eval_every`, `eval_s` and, where
+it is not None, `estimated`; the rest is plain CSV with header `iteration,elapsed_s,rse`.  Parsing rejects a
 terminal reason outside TERMINAL_REASONS.
 """
 
@@ -37,6 +39,7 @@ class RunTrace:
     eval_s: float | None = None
     chol_jitter: int | None = None
     rank_deficient: int | None = None
+    estimated: int | None = None
 
     @property
     def diverged(self) -> bool:
@@ -66,6 +69,8 @@ def render_trace_csv(trace: RunTrace) -> str:
         f"eval_every={trace.eval_every};"
         f"eval_s={None if trace.eval_s is None else fmt_float(trace.eval_s)}"
     )
+    if trace.estimated is not None:
+        meta += f";estimated={trace.estimated}"
     lines = [meta, TRACE_HEADER]
     for it, elapsed, rse in trace.records:
         lines.append(f"{it},{fmt_float(elapsed)},{fmt_float(rse)}")
@@ -103,6 +108,7 @@ def parse_trace_csv(text: str) -> RunTrace:
         eval_s=_optional(meta, "eval_s", float),
         chol_jitter=_optional(meta, "chol_jitter", int),
         rank_deficient=_optional(meta, "rank_deficient", int),
+        estimated=_optional(meta, "estimated", int),
     )
 
 

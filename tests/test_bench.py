@@ -112,6 +112,16 @@ class TestTraceCsv:
                                "iteration,elapsed_s,rse\n0,0,1\n")
         assert back.rank_deficient is None
 
+    def test_estimated_roundtrip(self):
+        trace = RunTrace("tr-als", "none", [(0, 0.0, 1.0)], "max_iters", estimated=5)
+        text = render_trace_csv(trace)
+        assert text.splitlines()[0].endswith(";estimated=5")
+        assert parse_trace_csv(text).estimated == 5
+        # a solver that never estimates writes no field, which reads None
+        text = render_trace_csv(RunTrace("tr-brsgd", "uniform", [(0, 0.0, 1.0)], "max_iters"))
+        assert "estimated" not in text
+        assert parse_trace_csv(text).estimated is None
+
     @pytest.mark.parametrize("reason", ["max_iter", "tolerance", "Diverged", ""])
     def test_unknown_terminal_reason_rejected(self, reason):
         text = (f"# algorithm=tr-gd;sampling=none;trial=0;terminal_reason={reason}\n"

@@ -10,6 +10,7 @@ from trdecomp.core import (
     fold_core,
     mode_n_unfolding,
     residual_norm,
+    slab_products,
     slices_hadamard,
     subchain_tensor,
     subchain_unfolding,
@@ -473,3 +474,35 @@ class TestResidualNorm:
         rng = np.random.default_rng(25)
         x = tr_reconstruct(random_cores(rng, (3, 4, 5), (2, 2, 2)))
         assert x.flags.f_contiguous
+
+
+class TestSlabProducts:
+    @pytest.mark.parametrize("shape", [(1, 7), (6, 20), (12, 5)])
+    @pytest.mark.parametrize("cols_per_slab", [1, 3, None])
+    def test_matches_the_two_products(self, shape, cols_per_slab, monkeypatch):
+        if cols_per_slab is not None:
+            monkeypatch.setattr(core, "SLAB_BYTES", cols_per_slab * 8 * shape[0])
+        rng = np.random.default_rng(26)
+        xmat = np.asfortranarray(rng.standard_normal(shape))
+        right = rng.standard_normal((shape[1], 4))
+        left = rng.standard_normal((shape[0], 4))
+        expected_z, expected_y = xmat @ right, xmat.T @ left
+        z, y = slab_products(xmat, right, left)
+        np.testing.assert_allclose(z, expected_z, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(y, expected_y, rtol=1e-13, atol=1e-13)
+        assert slab_products(xmat, right=right)[1] is None
+        assert slab_products(xmat, left=left)[0] is None
+        # Y may take the rows of `right` that Z has read
+        z, y = slab_products(xmat, right, left, y=right)
+        assert y is right
+        np.testing.assert_allclose(z, expected_z, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(y, expected_y, rtol=1e-13, atol=1e-13)
+
+    def test_slabs_are_those_of_the_model(self):
+        # residual_norm and the products read x in the same column slabs
+        j_left, j_right = 50, 2500
+        cols = core._slab_columns(j_left, j_right)
+        assert 1 < cols < j_right and cols * 8 * j_left <= core.SLAB_BYTES
+        cores = random_cores(np.random.default_rng(27), (50, 50, 50), (2, 2, 2))
+        spans = [(lo, hi) for lo, hi, _ in core._model_slabs(cores)]
+        assert spans[0] == (0, cols * j_left) and len(spans) == -(-j_right // cols)

@@ -13,13 +13,16 @@ from trdecomp import core, sampling, solvers
 from trdecomp.core import (
     core_unfolding,
     mode_n_unfolding,
+    residual_norm,
     subchain_tensor,
     subchain_unfolding,
     tr_reconstruct,
 )
 from trdecomp.datagen import SynthSpec, synth_tensor
-from trdecomp.sampling import SamplingSpec, sample_subchain_fibers
+from trdecomp.sampling import SAMPLING_KINDS, SamplingSpec, sample_subchain_fibers
 from trdecomp.solvers import (
+    ESTIMATE_BOUND,
+    ESTIMATE_FLOOR,
     AdaGradStep,
     ConstantStep,
     MAX_EVAL_EVERY,
@@ -27,6 +30,7 @@ from trdecomp.solvers import (
     SolverConfig,
     _adagrad_steps,
     _apply_step,
+    _estimated_rse,
     _init_cores,
     _min_norm_update,
     field_types,
@@ -515,7 +519,7 @@ class TestTrAls:
     @pytest.mark.parametrize("problems, deficient", UPDATE_PROBLEMS)
     def test_update_matches_lstsq(self, problems, deficient):
         for sub, x, n in problems():
-            sol, rank = _min_norm_update(sub, x, n, sub.shape)
+            sol, rank, _ = _min_norm_update(sub, x, n, sub.shape)
             expected, expected_rank = lstsq_core_update(sub, mode_n_unfolding(x, n))
             assert rank == expected_rank
             assert (rank < sub.shape[1]) == deficient
@@ -534,9 +538,14 @@ class TestTrGd:
     def test_zero_step_keeps_iterates(self):
         x, _ = synth_tensor(SynthSpec(order=3, dim=5, rank=2, seed=4))
         cfg = SolverConfig(ranks=(2, 2, 2), schedule=ConstantStep(0.0),
-                           max_iters=3, seed=5)
+                           max_iters=3, eval_every=1, seed=5)
         cores, trace = tr_gd(x, cfg)
-        assert len({r[2] for r in trace.records}) == 1
+        # records 1 and 2 are the iteration's own estimates of the same
+        # iterate; the terminal record is residual_norm's, as the first is
+        assert trace.estimated == 2
+        first, *estimated, last = [r[2] for r in trace.records]
+        assert last == first
+        assert all(abs(e - first) <= ESTIMATE_BOUND * first for e in estimated)
 
     def test_zero_residual_fixed(self):
         rng = np.random.default_rng(1)
@@ -703,13 +712,53 @@ class TestTreeGradients:
             assert gram.shape == ref.shape
             assert np.abs(gram - ref).max() <= 1e-13 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("dims, ranks", [
+        ((4, 6, 3), (2, 3, 4)), ((3, 5, 2, 4), (2, 3, 4, 2)),
+        # (J_L, J_R) views of two column slabs or more
+        ((40, 40, 40), (3, 2, 3)), ((12, 10, 15, 20), (2, 3, 2, 3))],
+        ids=lambda v: "x".join(map(str, v)))
+    def test_the_products_are_the_reference_blocks(self, dims, ranks):
+        rng = np.random.default_rng(11)
+        cores = random_cores(rng, dims, ranks)
+        x = np.asfortranarray(rng.standard_normal(dims))
+        h = len(dims) // 2
+        j_left = math.prod(dims[:h])
+        slabs = -(-(x.size // j_left) // core._slab_columns(j_left, x.size // j_left))
+        assert (slabs > 1) == (dims[0] > 6)
+        r0, rh = ranks[0], ranks[h]
+        units = [solvers._closing_core(np.eye(p * q), p, q) for p, q in ((rh, r0), (r0, rh))]
+        for n, xs in enumerate(solvers._tree_products(cores, x, units)):
+            g, gram = grad_and_gram(cores, x, n)
+            ref = core_unfolding(cores[n]) @ gram - g
+            assert np.abs(xs - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("solver", [tr_gd, tr_scaled_gd], ids=lambda f: f.__name__)
+    def test_one_slab_pass_per_iteration(self, solver, monkeypatch):
+        x, _ = synth_tensor(SynthSpec(order=3, dim=50, rank=2, seed=1))
+        passes = []
+
+        def spy(xmat, *args, _original=solvers.slab_products, **kwargs):
+            passes.append(np.may_share_memory(xmat, x))
+            return _original(xmat, *args, **kwargs)
+
+        monkeypatch.setattr(solvers, "slab_products", spy)
+        cfg = SolverConfig(ranks=(2, 2, 2), schedule=ConstantStep(1e-5), max_iters=4,
+                           eval_every=1, seed=0)
+        _, trace = solver(x, cfg)
+        assert trace.terminal_reason == "max_iters"
+        # iterations 0-2 take the products of the iterate they leave for the
+        # next one, and the records at 1-3 estimate from them; the last
+        # iteration takes none, as no iteration follows it
+        assert passes == [True] * 4
+        assert trace.estimated == 3
+
     def test_the_unit_cores_have_the_documented_slices(self, monkeypatch):
         rings = _spy_rings(monkeypatch)
         cores = random_cores(np.random.default_rng(3), (3, 5, 2, 4), (2, 3, 4, 2))
         tr_gd(np.ones((3, 5, 2, 4)), SolverConfig(ranks=(2, 3, 4, 2), max_iters=1), init=cores)
         assert len(rings) == 4
-        assert [ring[-1].shape for ring in rings] == [(4, 8, 2)] * 2 + [(2, 8, 4)] * 2
-        assert all(_is_unit_core(ring[-1]) for ring in rings)
+        assert [ring[0].shape for ring in rings] == [(4, 8, 2)] * 2 + [(2, 8, 4)] * 2
+        assert all(_is_unit_core(ring[0]) for ring in rings)
 
     @pytest.mark.parametrize("solver", [tr_gd, tr_scaled_gd], ids=lambda f: f.__name__)
     def test_an_iteration_builds_no_subchain_of_the_model(self, solver, monkeypatch):
@@ -720,12 +769,12 @@ class TestTreeGradients:
         # positive control: the `optimal` sampler builds its subchains from
         # the model's cores
         tr_brsgd(x, dataclasses.replace(cfg, sampling=SamplingSpec("optimal")))
-        assert rings and not any(_is_unit_core(ring[-1]) for ring in rings)
+        assert rings and not any(_is_unit_core(ring[0]) for ring in rings)
         rings.clear()
         solver(x, cfg)
         # two iterations, each with one ring of 2 cores and one of 3
         assert sorted(len(ring) for ring in rings) == [2, 2, 3, 3, 3, 3]
-        assert all(_is_unit_core(ring[-1]) for ring in rings)
+        assert all(_is_unit_core(ring[0]) for ring in rings)
 
 
 def _is_closing_core(c):
@@ -788,8 +837,14 @@ class TestAlsHalfChainSweep:
             reads.append(np.may_share_memory(t, x))
             return _original(t, mode, m)
 
+        def slab_products(xmat, *args, _original=solvers.slab_products, **kwargs):
+            passes.append(np.may_share_memory(xmat, x))
+            return _original(xmat, *args, **kwargs)
+
+        passes = []
         monkeypatch.setattr(np, "matmul", matmul)
         monkeypatch.setattr(solvers, "unfolding_matmul", unfolding_matmul)
+        monkeypatch.setattr(solvers, "slab_products", slab_products)
         rings = _spy_rings(monkeypatch)
         sweeps, n, h = 2, len(dims), len(dims) // 2
         cfg = SolverConfig(ranks=ranks, max_iters=sweeps, eval_every=1, seed=0)
@@ -797,8 +852,9 @@ class TestAlsHalfChainSweep:
         # positive control: the spy sees a product read from x
         np.matmul(x.reshape(dims[0], -1, order="F"), np.ones((x.size // dims[0], 1)))
         assert reads.count(True) == 2 * sweeps + 1
+        assert passes == [True] * 2 * sweeps
         assert [len(ring) for ring in rings] == sweeps * ([h + 1] * h + [n - h + 1] * (n - h))
-        assert all(_is_closing_core(ring[-1]) for ring in rings)
+        assert all(_is_closing_core(ring[0]) for ring in rings)
         assert not any(_is_closing_core(c) for c in solvers._init_cores(x, cfg, None))
 
 
@@ -825,10 +881,10 @@ class TestDenseSolversReadXInPlace:
 
     @pytest.mark.parametrize("solver", [tr_als, tr_scaled_gd], ids=lambda f: f.__name__)
     def test_an_iteration_allocates_no_copy_of_x(self, solver):
-        # the largest blocks an iteration allocates are TR-ALS's J x R^2
-        # subchain unfoldings, about a third of x at rank 2 on a cube; a
-        # TR-ScaledGD iteration builds none, only the right half-chain
-        # (J_R x R^2, a thirtieth of x here), whose stack then takes Y
+        # the largest blocks an iteration allocates are the fixed half-chain
+        # of a TR-ALS phase and its Q, or TR-ScaledGD's right half-chain,
+        # whose stack then takes Y: each J_R x R^2, a thirtieth of x here,
+        # beside slab buffers of at most core.SLAB_BYTES (a seventh)
         x, _ = synth_tensor(SynthSpec(order=3, dim=60, rank=2, seed=1))
         cfg = SolverConfig(ranks=(2, 2, 2), schedule=ConstantStep(0.5), max_iters=1,
                            eval_every=1, seed=0)
@@ -839,6 +895,27 @@ class TestDenseSolversReadXInPlace:
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * x.nbytes
+
+
+    def test_a_multi_slab_iteration_writes_y_into_the_right_half_chain(self, monkeypatch):
+        # (J_L, J_R) = (8, 19600) spans five column slabs, and the right
+        # half-chain's (J_R, R^2) stack is 1.4 MB: an iteration holds it and
+        # buffers of at most core.SLAB_BYTES (measured 1.31 stacks in all),
+        # where a fresh (J_R, R^2) Y would add another stack (2.31 measured);
+        # RSE evaluation is stubbed out
+        monkeypatch.setattr(solvers, "residual_norm", lambda cores, x: 1.0)
+        x = np.asfortranarray(np.random.default_rng(4).standard_normal((8, 140, 140)))
+        stack = 140 * 140 * 9 * 8
+        assert core._slab_columns(8, 140 * 140) * 4 < 140 * 140
+        cfg = SolverConfig(ranks=(3, 3, 3), schedule=ConstantStep(1e-3), max_iters=2,
+                           eval_every=1, seed=0)
+        tracemalloc.start()
+        try:
+            tr_scaled_gd(x, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * stack
 
 
 @pytest.mark.parametrize("solver", [tr_brsgd, tr_scaled_brsgd], ids=["brsgd", "scaled"])
@@ -1505,3 +1582,134 @@ class TestEvalCadence:
         _, trace = tr_brsgd(x, cfg)
         assert trace.eval_every == 7
         assert [r[0] for r in trace.records] == [0, 7, 10]
+
+
+def _replay(solver, x, cfg, monkeypatch, clock=None):
+    """Run `solver` and return its cores, its trace and, for every estimate
+    `_run_loop` recorded, (estimate, residual_norm of the same iterate / ||x||)."""
+    pairs, iterate = [], []
+    run_loop, estimated_rse = solvers._run_loop, solvers._estimated_rse
+
+    def loop(*args, own_products=None):
+        def own(cores):
+            iterate[:] = [c.copy() for c in cores]
+            return own_products(cores)
+        return run_loop(*args, own_products=None if own_products is None else own)
+
+    def estimate(own, norm_x, tol):
+        value = estimated_rse(own, norm_x, tol)
+        if value is not None:
+            pairs.append((value, residual_norm(iterate, x) / norm_x))
+        return value
+
+    monkeypatch.setattr(solvers, "_run_loop", loop)
+    monkeypatch.setattr(solvers, "_estimated_rse", estimate)
+    cores, trace = solver(x, cfg, clock=clock)
+    return cores, trace, pairs
+
+
+def _exact(cores, x):
+    return float(residual_norm(cores, x) / np.linalg.norm(x))
+
+
+class TestOwnRse:
+    """Above ESTIMATE_FLOOR a dense solver's record is the RSE from the
+    products its iterations took of that iterate, within ESTIMATE_BOUND of
+    residual_norm's; every stop and every terminal record is exact."""
+
+    def test_the_estimate_is_taken_only_where_it_is_vouched_for(self):
+        # one entry each: ||X - M||^2 = 1 - 2a + b at ||X|| = 1
+        def own(a, b):
+            return np.array([a]), np.array([1.0]), np.array([b])
+
+        assert _estimated_rse(own(0.0, 0.0), 1.0, None) == 1.0
+        assert _estimated_rse(own(0.5, 0.01), 1.0, None) == pytest.approx(0.1)
+        floor_sq = ESTIMATE_FLOOR ** 2
+        assert _estimated_rse(own(0.5, 1.001 * floor_sq), 1.0, None) is not None
+        for a, b in ((0.5, 0.999 * floor_sq), (0.5, 0.0), (0.6, 0.0),
+                     (math.nan, 0.0), (0.0, math.inf), (0.0, math.nan)):
+            assert _estimated_rse(own(a, b), 1.0, None) is None, (a, b)
+        # a tolerance the estimate cannot tell apart within its bound
+        tol = 0.1
+        assert _estimated_rse(own(0.5, 0.01), 1.0, tol) is None
+        assert _estimated_rse(own(0.5, 0.0101), 1.0, tol) is not None
+        assert _estimated_rse(own(0.5, (tol * (1 + ESTIMATE_BOUND / 2)) ** 2), 1.0, tol) is None
+
+    @pytest.mark.parametrize("order, dim", [(3, 100), (4, 30)])
+    @pytest.mark.parametrize("solver, kw", [
+        (tr_gd, dict(schedule=ConstantStep(1e-5), max_iters=6)),
+        (tr_scaled_gd, dict(schedule=ConstantStep(0.5), damping=1e-8, max_iters=30)),
+        (tr_als, dict(max_iters=10))], ids=["gd", "scaled-gd", "als"])
+    def test_every_estimate_replays_within_its_bound(self, solver, kw, order, dim,
+                                                     monkeypatch):
+        x, _ = synth_tensor(SynthSpec(order=order, dim=dim, rank=3, seed=2))
+        cfg = SolverConfig(ranks=(3,) * order, eval_every=1, seed=2, init_scale=0.5, **kw)
+        cores, trace, pairs = _replay(solver, x, cfg, monkeypatch)
+        assert len(pairs) == trace.estimated > 0
+        for estimate, exact in pairs:
+            assert exact > ESTIMATE_FLOOR / 2
+            assert abs(estimate - exact) <= ESTIMATE_BOUND * exact
+        estimates = [e for e, _ in pairs]
+        assert [r[2] for r in trace.records if r[2] in estimates] == estimates
+        # every record is taken: below the floor and at the end exactly
+        assert len(trace.records) == cfg.max_iters + 1
+        assert trace.terminal_reason == "max_iters"
+        assert trace.final()[2] == _exact(cores, x)
+        if solver is tr_als:
+            assert min(r[2] for r in trace.records) < ESTIMATE_FLOOR
+
+    @pytest.mark.parametrize("solver", [tr_als, tr_scaled_gd], ids=lambda f: f.__name__)
+    def test_a_tol_stop_near_the_floor_is_exact(self, solver, monkeypatch):
+        x, _ = synth_tensor(SynthSpec(order=3, dim=20, rank=2, seed=3))
+        tol = 2 * ESTIMATE_FLOOR
+        cfg = SolverConfig(ranks=(2, 2, 2), schedule=ConstantStep(0.5), damping=1e-8,
+                           max_iters=400, rse_tol=tol, eval_every=1, seed=1)
+        cores, trace, pairs = _replay(solver, x, cfg, monkeypatch)
+        assert trace.terminal_reason == "tol" and trace.estimated > 0
+        assert all(estimate * (1 - ESTIMATE_BOUND) > tol for estimate, _ in pairs)
+        assert trace.final()[2] == _exact(cores, x) <= tol
+
+    @pytest.mark.parametrize("solver", DENSE_SOLVERS, ids=lambda f: f.__name__)
+    def test_a_max_time_stop_is_exact(self, solver, monkeypatch):
+        # an iteration costs one tick of the counting clock
+        x, _ = synth_tensor(SynthSpec(order=3, dim=10, rank=2, seed=4))
+        cfg = SolverConfig(ranks=(2, 2, 2), schedule=ConstantStep(1e-3), max_iters=None,
+                           max_seconds=5, eval_every=1, seed=1)
+        cores, trace, pairs = _replay(solver, x, cfg, monkeypatch, clock=counting_clock())
+        assert trace.terminal_reason == "max_time"
+        assert trace.final()[0] == 5 and trace.estimated == len(pairs) == 4
+        assert trace.final()[2] == _exact(cores, x)
+
+    def test_a_non_finite_iterate_still_ends_diverged(self, monkeypatch):
+        # test_non_finite_rse_stops_as_diverged's run, evaluated every
+        # iteration: the iterates before the overflow are estimated, and the
+        # finite iterate at 3 whose residual overflows is not
+        x, _ = synth_tensor(SynthSpec(order=3, dim=25, rank=3, kind="ill_conditioned",
+                                      kappa=1e4, seed=2))
+        cfg = SolverConfig(ranks=(3, 3, 3), schedule=ConstantStep(0.1), max_iters=30,
+                           eval_every=1, seed=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cores, trace, pairs = _replay(tr_gd, x, cfg, monkeypatch)
+            final = residual_norm(cores, x)
+        assert trace.terminal_reason == "diverged" and trace.final()[0] == 3
+        assert trace.estimated == len(pairs) > 0
+        assert not math.isfinite(trace.final()[2]) and not math.isfinite(final)
+        for estimate, exact in pairs:
+            assert abs(estimate - exact) <= ESTIMATE_BOUND * exact
+
+    @pytest.mark.parametrize("solver", [tr_brsgd, tr_scaled_brsgd], ids=["brsgd", "scaled"])
+    @pytest.mark.parametrize("kind", SAMPLING_KINDS)
+    def test_the_stochastic_solvers_never_estimate(self, solver, kind, monkeypatch):
+        x, _ = synth_tensor(SynthSpec(order=3, dim=8, rank=2, seed=5))
+        cfg = SolverConfig(ranks=(2, 2, 2), schedule=ConstantStep(0.05), batch_grad=10,
+                           batch_hess=20, damping=1e-8, sampling=SamplingSpec(kind),
+                           max_iters=10, eval_every=1, seed=1)
+        _, trace, pairs = _replay(solver, x, cfg, monkeypatch)
+        assert trace.estimated is None and pairs == []
+        assert "estimated" not in render_trace_csv(trace)
+
+    def test_the_count_is_in_the_trace_file(self):
+        x, _ = synth_tensor(SynthSpec(order=3, dim=8, rank=2, seed=6))
+        _, trace = tr_als(x, SolverConfig(ranks=(2, 2, 2), max_iters=4, eval_every=1, seed=1))
+        assert trace.estimated > 0
+        assert parse_trace_csv(render_trace_csv(trace)).estimated == trace.estimated
