@@ -320,7 +320,7 @@ def slab_products(xmat: np.ndarray, right: np.ndarray | None = None,
                 z += part
         if left is not None:
             np.matmul(xs.T, left, out=y[start:stop])
-    return z, None if left is None else y
+    return z, y
 
 
 def tr_reconstruct(cores) -> np.ndarray:

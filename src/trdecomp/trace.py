@@ -14,8 +14,9 @@ reproduces the exact float64 values.  The first line is a `#` comment carrying
 run identity (algorithm, sampling, trial, terminal reason, and `diverged`,
 which repeats whether the reason is "diverged" and is ignored when parsing)
 and then `chol_jitter`, `rank_deficient`, `eval_every`, `eval_s` and, where
-it is not None, `estimated`; the rest is plain CSV with header `iteration,elapsed_s,rse`.  Parsing rejects a
-terminal reason outside TERMINAL_REASONS.
+it is not None, `estimated`; the rest is plain CSV with header
+`iteration,elapsed_s,rse`.  Parsing rejects a terminal reason outside
+TERMINAL_REASONS.
 """
 
 from __future__ import annotations
