@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import glob
+import io
 import json
 import os
 import sys
@@ -85,8 +86,10 @@ def cmd_decompose(args) -> int:
     _display, solve, _stochastic = ALGORITHMS[args.algorithm]
     cores, trace = solve(x, cfg)
     os.makedirs(args.out_dir, exist_ok=True)
-    np.savez(os.path.join(args.out_dir, "cores.npz"),
-             **{f"core{n}": c for n, c in enumerate(cores)})
+    # saved whole before it replaces an earlier run's file
+    saved = io.BytesIO()
+    np.savez(saved, **{f"core{n}": c for n, c in enumerate(cores)})
+    atomic_write_bytes(os.path.join(args.out_dir, "cores.npz"), saved.getbuffer())
     write_trace_csv(trace, os.path.join(
         args.out_dir, trace_filename(args.algorithm, trace.sampling, 0)))
     it, elapsed, rse_val = trace.final()

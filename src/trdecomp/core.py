@@ -73,17 +73,21 @@ def mode_n_unfolding(x: np.ndarray, mode: int) -> np.ndarray:
 def unfolding_matmul(x: np.ndarray, mode: int, m: np.ndarray) -> np.ndarray:
     """X_[mode] @ m without unfolding x: a column-major x is read in place.
 
+    The solvers never pass the data tensor: each call gets a reduced ring's
+    (K, I_lo, ..., I_hi-1) tensor, K = R_0 R_h (`solvers._reduced_data`), at
+    a mode >= 1, with a C-ordered m.  On a rank-3 100^3 tensor the largest
+    is the (9, 100, 100) right ring's, whose mode-1 batch of 100 takes three
+    chunks.
+
     x is viewed as x3 of shape (A, I_mode, B) in column-major order, A the
     product of the extents before `mode` and B of those after it, so column
     b + B*a of X_[mode] is the fiber x3[a, :, b].  Mode 0 (A = 1) is one
-    matrix product, formed as (m^T X_[0]^T)^T: for a C-ordered 1e4 x 9 m and
-    a 100^3 x, single-threaded OpenBLAS ran it 1.4x faster than X_[0] @ m on
-    a 2-vCPU Xeon.  Any other mode is a batched product over b of the
-    contiguous (I_mode, A) slabs of x3 with the (A, K) blocks of m, summed
-    over b: a Python loop over a would be far slower on the last mode, and
-    the batched form on mode 0 would make I_mode x 1 batches.  A C-ordered m
-    (a subchain unfolding) is read in place; any other layout of m, or of x,
-    is copied by every call.
+    matrix product, formed as (m^T X_[0]^T)^T.  Any other mode is a batched
+    product over b of the contiguous (I_mode, A) slabs of x3 with the (A, K)
+    blocks of m, summed over b: a Python loop over a would be far slower on
+    the last mode, and the batched form on mode 0 would make I_mode x 1
+    batches.  A C-ordered m is read in place; any other layout of m, or of
+    x, is copied by every call.
 
     The batch is taken in chunks whose (b, I_mode, K) products share one
     buffer with the running sum, which leads each chunk; so the sum over b
@@ -91,10 +95,11 @@ def unfolding_matmul(x: np.ndarray, mode: int, m: np.ndarray) -> np.ndarray:
     bit for bit (where I_mode * K > 1; a sum of scalars is pairwise).  The
     buffer holds at most SLAB_BYTES, or the sum and one (I_mode, K) product
     where a product alone passes SLAB_BYTES / 2.  The whole batch's products
-    would be a J-sized temporary (720 KB for K = 9 on 100^3), above glibc's
-    mmap threshold, so whether a call mapped and faulted in fresh pages or
-    reused the heap would depend on the dynamic mmap and trim thresholds
-    that earlier frees happened to set.  The result has the dtype of x @ m.
+    would be a (B, I_mode, K) temporary (720 KB for that mode-1 batch),
+    above glibc's mmap threshold, so whether a call mapped and faulted in
+    fresh pages or reused the heap would depend on the dynamic mmap and trim
+    thresholds that earlier frees happened to set.  The result has the dtype
+    of x @ m.
     """
     x = np.asarray(x)
     m = np.asarray(m)

@@ -295,11 +295,11 @@ class SolverConfig:
     set; they are checked in the order rse_tol, max_iters, max_seconds at each
     evaluation point, after a non-finite RSE or core, which always stops the
     run.  max_seconds counts iteration time only, never RSE evaluation.
-    eval_every=None takes the cadence from the time model of `_run_loop`: the
-    smallest interval, at most 100, at which the modelled evaluation time is
-    at most 10% of the run, which is every ceil(9/N) iterations for the dense
-    solvers at any size.  Invalid values raise ValueError here, before a
-    run starts: each field's type first (`check_fields`), then its range.
+    eval_every=None evaluates every ceil(9/N) iterations in a dense or
+    `optimal` run, and in a sampled one at the smallest interval, at most
+    100, at which the modelled evaluation time is at most 10% of the run.
+    Invalid values raise ValueError here, before a run starts: each field's
+    type first (`check_fields`), then its range.
     """
 
     ranks: tuple[int, ...]
@@ -364,29 +364,21 @@ def _init_cores(x: np.ndarray, config: SolverConfig, init) -> list[np.ndarray]:
     return [config.init_scale * rng.standard_normal(shape) for shape in shapes]
 
 
-# Default evaluation cadence, from a time model in nanoseconds with two
-# constants.  It reads sizes only, never a clock, so the cadence and hence
-# every run stay bitwise deterministic.  An evaluation costs CALL_NS plus
-# ~1 ns per entry of x it reads.  A dense iteration is priced at N
-# evaluations, as is each iteration of the `optimal` diagnostic's full
-# residual, although a TR-GD or TR-ScaledGD iteration now makes one
-# `slab_products` pass over x and a TR-ALS sweep two, at any N; and above
-# ESTIMATE_FLOOR a dense evaluation reads no x at all (`_run_loop`), so
-# there the dense price is far above the cost.  The dense cadence is kept at
-# k = ceil(9/N) all the same: below the floor every evaluation is a
-# `residual_norm` pass.  A sampled iteration costs CALL_NS plus SLICE_NS for
-# each of the N-1 slices of each drawn row.
+# Default evaluation cadence.  It reads sizes only, never a clock, so the
+# cadence and hence every run stay bitwise deterministic.  A dense run and
+# the `optimal` diagnostic evaluate every ceil(9/N) iterations, by rule.  A
+# sampled iteration costs the same at any size of x, so its cadence comes
+# from a time model in nanoseconds with two constants: an evaluation costs
+# CALL_NS plus ~1 ns per entry of x it reads, and a sampled iteration
+# CALL_NS plus SLICE_NS for each of the N-1 slices of each drawn row.
 # Measured against modelled, single-threaded OpenBLAS on a 2-vCPU Xeon, min
 # of 15 (BENCH_cadence_model.json): residual_norm 19, 42, 1010 and 1331 us
 # on 6^3, 25^3, 30^4 and 100^3 (30, 46, 840, 1030); a uniform TR-BRSGD
 # iteration at batch 100 72 and 154 us on 25^3 and 30^4 (76, 99); a
 # TR-ScaledBRSGD one at batches 100/300 171-307 and 268-358 us (214, 306).
-# Default-cadence (k = 3) TR-ALS and TR-ScaledGD runs that stay above the
-# floor spend 0.7-1.5% of 200 iterations on evaluation, about 50 us per
-# estimate; runs that converge below it spend 10-16%, as before the
-# estimate (BENCH_dense_one_pass.json).  The sampled iterations predate the
-# guide tables, which made a TR-ScaledBRSGD one 10-21% cheaper; repricing
-# from measured stage costs is left to the cadence work (ROADMAP item 3).
+# The sampled iterations predate the guide tables, which made a
+# TR-ScaledBRSGD one 10-21% cheaper; refitting from measured stage costs is
+# left to the cadence work (ROADMAP item 3).
 CALL_NS = 30_000
 SLICE_NS = 230
 MAX_EVAL_EVERY = 100
@@ -400,16 +392,15 @@ ESTIMATE_FLOOR = 5e-3
 ESTIMATE_BOUND = 1e-10
 
 
-def _eval_ns(size: int) -> int:
-    """Modelled time of one evaluation of a tensor of `size` entries."""
-    return CALL_NS + size
-
-
-def _default_eval_every(size: int, iteration_ns: int) -> int:
-    """Smallest k <= MAX_EVAL_EVERY whose modelled evaluation share
-    eval / (eval + k * iteration_ns) is at most 10%, i.e.
-    k * iteration_ns >= 9 * eval."""
-    return min(MAX_EVAL_EVERY, max(1, math.ceil(9 * _eval_ns(size) / iteration_ns)))
+def _default_eval_every(x, rows: int | None) -> int:
+    """ceil(9/N) for a dense or `optimal` run (rows None); for a run that
+    draws `rows` rows per iteration, the smallest k <= MAX_EVAL_EVERY whose
+    modelled evaluation share eval / (eval + k * iteration) is at most 10%,
+    i.e. k * iteration >= 9 * eval."""
+    if rows is None:
+        return math.ceil(9 / x.ndim)
+    iteration_ns = CALL_NS + SLICE_NS * (x.ndim - 1) * rows
+    return min(MAX_EVAL_EVERY, math.ceil(9 * (CALL_NS + x.size) / iteration_ns))
 
 
 def check_fit(x, config: SolverConfig, sampled_hessian: bool = False) -> float:
@@ -454,7 +445,7 @@ def _estimated_rse(own, norm_x, tol) -> float | None:
     return rse_val
 
 
-def _run_loop(x, norm_x, cores, config, trace, do_iteration, iteration_ns, clock=None,
+def _run_loop(x, norm_x, cores, config, trace, do_iteration, rows, clock=None,
               own_products=None):
     """Drive `do_iteration(t, cores)` until a stopping criterion fires, and
     fill in the solver's `trace`: its records, eval_every, eval_s,
@@ -466,12 +457,12 @@ def _run_loop(x, norm_x, cores, config, trace, do_iteration, iteration_ns, clock
     place.  Iteration work is timed with `clock` (default perf_counter) into
     the records' elapsed time, which max_seconds is checked against;
     evaluation time is kept apart, in the trace's eval_s.  The RSE is
-    evaluated at iteration 0 and every config.eval_every iterations; when
-    that is None, the cadence is `_default_eval_every` of x's size and
-    `iteration_ns`, the modelled time of one iteration, which each solver
-    gives.  Stopping criteria are checked only at evaluation points, in the
-    order non-finite -> rse_tol -> max_iters -> max_seconds; an evaluation
-    is forced whenever the iteration count or elapsed budget is hit, or when
+    evaluated at iteration 0 and every config.eval_every iterations, or if
+    that is None every `_default_eval_every(x, rows)`: `rows` is what a
+    sampled iteration draws, None for a dense solver and `optimal`.
+    Stopping criteria are checked only at evaluation points, in the order
+    non-finite -> rse_tol -> max_iters -> max_seconds; an evaluation is
+    forced whenever the iteration count or elapsed budget is hit, or when
     `do_iteration` returns False.  The step-based solvers return whether
     their step wrote finite cores (a preconditioner with no Cholesky factor
     gives an all-NaN direction, so its step does not), and the `optimal`
@@ -490,7 +481,7 @@ def _run_loop(x, norm_x, cores, config, trace, do_iteration, iteration_ns, clock
     clock = clock if clock is not None else time.perf_counter
     eval_every = config.eval_every
     if eval_every is None:
-        eval_every = _default_eval_every(x.size, iteration_ns)
+        eval_every = _default_eval_every(x, rows)
     max_iters = math.inf if config.max_iters is None else config.max_iters
     max_seconds = math.inf if config.max_seconds is None else config.max_seconds
     tol = config.rse_tol
@@ -633,7 +624,7 @@ def tr_als(x, config: SolverConfig, init=None, clock=None):
                 ring[m] = cores[n] = fold_core(sol, cores[n].shape[0], cores[n].shape[2])
         return True
 
-    _run_loop(x, norm_x, cores, config, trace, sweep, x.ndim * _eval_ns(x.size), clock,
+    _run_loop(x, norm_x, cores, config, trace, sweep, None, clock,
               own_products=lambda _cores: own[0])
     if trace.rank_deficient:
         logger.warning(
@@ -681,8 +672,8 @@ def _gradient_descent(x, config, init, clock, scaled):
         g = core_unfolding(cores[0])
         return products[0], g, g @ grams[0]
 
-    return _run_loop(x, norm_x, cores, config, trace, iteration,
-                     x.ndim * _eval_ns(x.size), clock, own_products=own_products)
+    return _run_loop(x, norm_x, cores, config, trace, iteration, None, clock,
+                     own_products=own_products)
 
 
 def tr_gd(x, config: SolverConfig, init=None, clock=None):
@@ -752,9 +743,8 @@ def _stochastic_solver(x, config, init, clock, scaled):
             dists[n] = None
         return finite
 
-    iteration_ns = (n_modes * _eval_ns(x.size) if kind == "optimal"
-                    else CALL_NS + SLICE_NS * (n_modes - 1) * rows)
-    return _run_loop(x, norm_x, cores, config, trace, iteration, iteration_ns, clock)
+    return _run_loop(x, norm_x, cores, config, trace, iteration,
+                     None if kind == "optimal" else rows, clock)
 
 
 def tr_brsgd(x, config: SolverConfig, init=None, clock=None):

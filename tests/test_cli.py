@@ -101,6 +101,33 @@ def test_decompose(tmp_path, capsys):
     assert cores["core0"].shape == (2, 8, 2)
 
 
+def test_a_failed_cores_save_leaves_the_earlier_file(tmp_path, monkeypatch):
+    tensor_path = tmp_path / "x.trt"
+    main(["synth", "--order", "3", "--dim", "6", "--rank", "2", "--seed", "1",
+          "--out", str(tensor_path)])
+    out_dir = tmp_path / "run"
+    argv = ["decompose", "--tensor", str(tensor_path), "--algorithm", "tr-als",
+            "--out-dir", str(out_dir), "--ranks", "2", "2", "2", "--max-iters", "3"]
+    assert main([*argv, "--seed", "0"]) == 0
+    first = (out_dir / "cores.npz").read_bytes()
+    write_array = np.lib.format.write_array
+    written = []
+
+    def fail_after_one(fid, array, **kw):
+        # the first core goes out whole, then the save fails part-way
+        if written:
+            raise OSError(28, "No space left on device")
+        written.append(array)
+        write_array(fid, array, **kw)
+
+    monkeypatch.setattr(np.lib.format, "write_array", fail_after_one)
+    with pytest.raises(OSError, match="No space"):
+        main([*argv, "--seed", "1"])
+    assert len(written) == 1
+    assert (out_dir / "cores.npz").read_bytes() == first
+    assert not list(out_dir.glob(".tmp-*"))
+
+
 def test_decompose_missing_tensor(tmp_path):
     rc = main(["decompose", "--tensor", str(tmp_path / "absent.trt"),
                "--algorithm", "tr-als", "--out-dir", str(tmp_path / "o"),

@@ -407,6 +407,8 @@ class TestReconstruct:
             validate_cores(bad)
         with pytest.raises(ValueError):
             validate_cores([cores[0]])
+        with pytest.raises(ValueError, match="core 1 is not 3-way"):
+            validate_cores([cores[0], cores[1][:, :, 0]])
 
 
 # (extents, ranks): orders 2 to 5, non-uniform ranks, non-cubical extents

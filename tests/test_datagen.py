@@ -116,6 +116,15 @@ class TestIllConditionedCores:
         align = np.abs(np.sum(vt1 * vt2, axis=1))
         np.testing.assert_allclose(align, np.ones(4), atol=1e-10)
 
+    def test_rank_one(self):
+        # R^2 = 1: one singular value, so the cores are unit vectors
+        x, cores = synth_tensor(SynthSpec(order=3, dim=4, rank=1, kind="ill_conditioned",
+                                          seed=3))
+        np.testing.assert_array_equal(x, tr_reconstruct(cores))
+        for core in cores:
+            assert core.shape == (1, 4, 1)
+            assert np.linalg.norm(core) == pytest.approx(1.0, rel=1e-14)
+
     def test_deterministic(self):
         spec = SynthSpec(order=3, dim=5, rank=2, kind="ill_conditioned",
                          kappa=10.0, seed=9)

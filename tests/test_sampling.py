@@ -52,6 +52,14 @@ class TestCheckProbVector:
         with pytest.raises(ValueError, match="non-finite"):
             check_prob_vector(p)
 
+    @pytest.mark.parametrize("p, match", [([1.5, -0.5], "negative"),
+                                          ([[0.5, 0.5]], "1-D")],
+                             ids=["negative", "2-D"])
+    def test_rejects_a_finite_non_distribution(self, p, match):
+        # [1.5, -0.5] sums to 1: only the sign check refuses it
+        with pytest.raises(ValueError, match=match):
+            check_prob_vector(p)
+
     def test_draw_rejects_non_finite(self):
         rng = np.random.default_rng(5)
         cores = random_cores(rng, (3, 2), (2, 2))
@@ -111,6 +119,11 @@ class TestCoreDistributions:
     def test_leverage_zero_core(self):
         with pytest.raises(ValueError):
             core_distribution(np.zeros((2, 3, 2)), "leverage")
+
+    def test_optimal_is_no_per_core_distribution(self):
+        # `optimal` is over the subchain's rows, from the full residual
+        with pytest.raises(ValueError, match="no per-core distribution"):
+            core_distribution(np.ones((2, 3, 2)), "optimal")
 
     def test_euclidean_examples(self):
         rng = np.random.default_rng(3)
@@ -569,6 +582,10 @@ class TestOptimalDistribution:
     def test_all_zero_weights(self):
         with pytest.raises(ValueError):
             optimal_distribution_oracle(np.zeros((2, 3)), np.zeros((3, 2)))
+
+    def test_rejects_residual_columns_not_matching_the_subchain_rows(self):
+        with pytest.raises(ValueError, match="must match subchain rows"):
+            optimal_distribution_oracle(np.ones((2, 3)), np.ones((4, 2)))
 
     @pytest.mark.parametrize("scale", [1e200, 1e160], ids=["norms", "products"])
     def test_overflowing_finite_inputs(self, scale):

@@ -1556,8 +1556,8 @@ class TestEvalCadence:
     @pytest.mark.parametrize("solver", ALL_SOLVERS, ids=lambda f: f.__name__)
     def test_model(self, solver):
         if solver in (tr_als, tr_gd, tr_scaled_gd):
-            # each core update reads x once, as an evaluation does, so a
-            # dense run evaluates every ceil(9/N) iterations at any size
+            # a dense run evaluates every ceil(9/N) iterations at any
+            # size, by rule
             for order, large in ((2, 1000), (3, 100), (4, 32), (5, 16)):
                 for dim in (3, large):
                     assert _default_cadence(solver, (dim,) * order) == math.ceil(9 / order)
@@ -1568,7 +1568,7 @@ class TestEvalCadence:
               for dim in (2, 5, 10, 20, 40, 70, 100)]
         assert all(b >= a for a, b in zip(ks, ks[1:]))
         assert 1 < ks[0] < ks[-1] == MAX_EVAL_EVERY
-        # the `optimal` diagnostic forms a full residual: priced as dense
+        # the `optimal` diagnostic forms a full residual: the dense rule
         assert _default_cadence(solver, (40,) * 3, kind="optimal") == 3
 
     def test_order4_defaults_cadence(self):

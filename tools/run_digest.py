@@ -8,13 +8,14 @@ damping 0 on ranks the data cannot support, whose Gram factors have no
 Cholesky factor.  Then come the stochastic solvers on an order-2 tensor,
 whose sampled rows are single core slices with no slice product, and one
 digest per input tensor.  Then come TR-ALS, TR-ScaledGD and TR-ScaledBRSGD
-(uniform and leverage) on the order-4 tensor at the evaluation cadence of the
-solvers' time model; the trace's header carries that cadence.  The last lines
-run TR-ScaledBRSGD (uniform and leverage) on a 30^4 tensor with the solver
-block of perfbench's order4-defaults workload, also at the model's cadence,
-which is k = 25 there.  After them TR-ALS runs 20 sweeps at ranks (3, 3)
-on the order-2 tensor that cannot support them, so each of its core updates
-is rank deficient and its trace's count is pinned.  Last, TR-GD and
+(uniform and leverage) on the order-4 tensor at the default evaluation
+cadence: the dense rule ceil(9/N) for TR-ALS and TR-ScaledGD, the sampled
+time model for TR-ScaledBRSGD; the trace's header carries that cadence.  The
+last lines run TR-ScaledBRSGD (uniform and leverage) on a 30^4 tensor with
+the solver block of perfbench's order4-defaults workload, also at the
+model's cadence, which is k = 25 there.  After them TR-ALS runs 20 sweeps
+at ranks (3, 3) on the order-2 tensor that cannot support them, so each of
+its core updates is rank deficient and its trace's count is pinned.  Last, TR-GD and
 TR-ScaledBRSGD (uniform) run on the order-3 tensor under the step schedules
 the runs above leave out: AdaGrad without and with b and eps, and
 Robbins-Monro.  The last line runs TR-ALS on an order-5 tensor at ranks
@@ -84,7 +85,7 @@ DIVERGING = [
 ]
 # the stochastic solvers on it are printed next, likewise
 ORDER2 = SynthSpec(order=2, dim=10, rank=2, seed=4)
-# (solver name, sampling kind) run on the order-4 tensor at the time model's
+# (solver name, sampling kind) run on the order-4 tensor at the default
 # evaluation cadence (eval_every=None), printed after the input digests
 DEFAULT_CADENCE = [("tr-als", "uniform"), ("tr-scaled-gd", "uniform"),
                    ("tr-scaled-brsgd", "uniform"), ("tr-scaled-brsgd", "leverage")]
