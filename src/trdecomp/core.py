@@ -19,11 +19,12 @@ copy.  `sampling` gathers only each draw's slices, from each core's
 (I, R_left, R_right) transposed view.
 
 The ring is cut once, at h = N//2, by :func:`half_chains`: the RSE
-evaluation, the two products of x of a TR-GD iteration and the two phases of
-a TR-ALS sweep, each reading x as a (J_L, J_R) matrix, use its halves.  Both
-read that matrix in the same column slabs: :func:`residual_norm` differences
-each with the model's, and :func:`slab_products` takes both products of x
-from each.
+evaluation and the two products of x of a TR-GD iteration use its halves,
+and each phase of a TR-ALS sweep fixes one of them (whose QR `solvers`
+takes core by core, without building it).  All read x as a (J_L, J_R)
+matrix, in the same column slabs: :func:`residual_norm` differences each
+with the model's, and :func:`slab_products` takes both products of x from
+each.
 """
 
 from __future__ import annotations

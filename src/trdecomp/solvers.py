@@ -28,6 +28,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .core import (
+    _subchain_product,
     core_unfolding,
     fold_core,
     half_chains,
@@ -130,6 +131,29 @@ def _closing_core(t: np.ndarray, p: int, q: int) -> np.ndarray:
     is this core with Q applied along its middle index; t = I gives the unit
     core of `_tree_products`, whose slice k = i*q + j is e_i e_j^T."""
     return t.reshape(len(t), p, q).transpose(1, 0, 2)
+
+
+def _half_qr(half) -> tuple[np.ndarray, np.ndarray]:
+    """Thin QR Q T of the (J, R_a*R_c) subchain unfolding S of the half-chain
+    of the cores `half`, taken core by core as in the left-orthogonalization
+    of a tensor train; the J x R_a*R_c unfolding is never formed.
+
+    The first core's (I_1, R_a*R_b) unfolding is Q_1 T_1.  Each next core G
+    is joined to the `_closing_core` C of the last T, and the (r*I, R_a*R')
+    subchain unfolding of [C, G] is Q_k T_k.  Then
+    S = (I (x) Q_1) ... (I (x) Q_m-1) Q_m T_m, and each Kronecker factor has
+    orthonormal columns, so Q is their product, expanded into one C-ordered
+    (J, K) array (first core's index fastest), and T = T_m is upper
+    triangular.  K is the last QR's column count, which may fall below
+    min(J, R_a*R_c) where an inner rank or extent is small; Q T = S holds
+    all the same.
+    """
+    q, t = np.linalg.qr(subchain_unfolding(half[0]))
+    for c in half[1:]:
+        block = _subchain_product(_closing_core(t, half[0].shape[0], c.shape[0]), c)
+        qk, t = np.linalg.qr(subchain_unfolding(block))
+        q = np.matmul(q, qk.reshape(c.shape[1], q.shape[1], -1)).reshape(-1, qk.shape[1])
+    return q, t
 
 
 def _reduced_data(product: np.ndarray, ring) -> np.ndarray:
@@ -588,7 +612,8 @@ def tr_als(x, config: SolverConfig, init=None, clock=None):
     `half_chains` cut h = N//2, with X the (J_L, J_R) view of x.  Phase A
     updates modes 0..h-1 against the right half-chain; phase B then updates
     modes h..N-1 against the left half-chain of the updated cores.  Each
-    phase takes the thin QR Q T of the fixed half's unfolding and makes one
+    phase takes the thin QR Q T of the fixed half's unfolding core by core
+    (`_half_qr`), never forming that unfolding, and makes one
     `slab_products` pass over x, for X Q (phase A) or X^T Q (phase B).  With
     C the `_closing_core` of T, mode n's subchain unfolding is S = P M,
     where M is that of the reduced ring [C, G_lo, ..., G_hi-1] and P (Q on
@@ -612,7 +637,7 @@ def tr_als(x, config: SolverConfig, init=None, clock=None):
 
     def sweep(_t, cores):
         for lo, hi, fixed in ((0, h, 1), (h, x.ndim, 0)):
-            q, t = np.linalg.qr(subchain_unfolding(half_chains(cores)[fixed]))
+            q, t = _half_qr(cores[h:] if fixed else cores[:h])
             product = slab_products(xmat, right=q)[0] if fixed else slab_products(xmat, left=q)[1]
             ring = [_closing_core(t, cores[hi - 1].shape[2], cores[lo].shape[0]), *cores[lo:hi]]
             data = _reduced_data(product, ring)

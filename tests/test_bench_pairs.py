@@ -58,3 +58,24 @@ def test_failed_runs_and_runs_without_metrics():
     solve = summary["summary"]["solve_s"]
     assert solve["change"]["n"] == solve["parent"]["n"] == 2
     assert solve["change_better_in"] == "0/2"
+
+
+def test_a_gain_is_established_by_nine_tenths_of_ten_pairs_and_the_parent_iqr():
+    parent = [1.0, 1.1, 1.2, 1.0, 1.1, 1.2, 1.0, 1.1, 1.2, 1.1]
+    change = [0.5] * 9 + [1.3]  # the change loses pair 10
+    solve, share = (bench_pairs.summarize(_runs(parent, change), METRICS)["summary"][m]
+                    for m in ("solve_s", "share"))
+    assert solve["change_better_in"] == "9/10" and solve["gain_established"] is True
+    # higher is better for share: the same gap is a loss
+    assert share["median_gap_exceeds_parent_iqr"] is True
+    assert share["gain_established"] is False
+    # 8 wins of 10, or 9 of 9 pairs, are too few
+    change[0] = 1.3
+    assert bench_pairs.summarize(_runs(parent, change), METRICS)["summary"]["solve_s"][
+        "gain_established"] is False
+    nine = bench_pairs.summarize(_runs(parent[:9], [0.5] * 9), METRICS)["summary"]["solve_s"]
+    assert nine["change_better_in"] == "9/9" and nine["gain_established"] is False
+    # a gap within the parent's spread is no gain, however many pairs it wins
+    near = bench_pairs.summarize(_runs(parent, [p - 0.01 for p in parent]), METRICS)
+    assert near["summary"]["solve_s"]["change_better_in"] == "10/10"
+    assert near["summary"]["solve_s"]["gain_established"] is False

@@ -858,6 +858,111 @@ class TestAlsHalfChainSweep:
         assert not any(_is_closing_core(c) for c in solvers._init_cores(x, cfg, None))
 
 
+
+def _half(rng, dims, ranks, rank_one=()):
+    """Standard normal cores of a half-chain with extents `dims` and ranks
+    `ranks` (R_a, ..., R_c); the cores at `rank_one` have rank-1 unfoldings."""
+    half = [rng.standard_normal((ranks[k], dims[k], ranks[k + 1])) for k in range(len(dims))]
+    for k in rank_one:
+        half[k] = np.einsum("a,i,b->aib", *(rng.standard_normal(n) for n in half[k].shape))
+    return half
+
+
+def _check_thin_qr(q, t, s):
+    assert q.flags.c_contiguous and q.shape == (s.shape[0], t.shape[0])
+    assert (np.triu(t) == t).all()
+    assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 1e-14
+    assert np.abs(q @ t - s).max() <= 1e-14 * np.abs(s).max()
+
+
+class TestHalfQr:
+    """TR-ALS takes the thin QR of its fixed half-chain's unfolding core by
+    core (`solvers._half_qr`), never from the assembled J x R^2 unfolding."""
+
+    @pytest.mark.parametrize("dims, ranks", [
+        ((100,), (3, 3)),  # one core: an order-2 ring, and phase B at order 3
+        ((100, 100), (3, 3, 3)),  # phase A's half of a rank-3 100^3 ring
+        ((6, 6), (3, 3, 3)),  # I < R^2: 6^3 at rank 3
+        ((4, 6), (2, 3, 4)),
+        ((3, 5, 2), (2, 3, 4, 2)),  # three cores: phase A at order 5
+        ((12, 12, 12), (3, 3, 3, 3)),
+    ], ids=lambda v: "x".join(map(str, v)))
+    def test_it_is_the_qr_of_the_unfolding_up_to_column_signs(self, dims, ranks):
+        half = _half(np.random.default_rng(len(dims)), dims, ranks)
+        s = subchain_unfolding(core._chain(half))
+        q, t = solvers._half_qr(half)
+        _check_thin_qr(q, t, s)
+        ref_q, ref_t = np.linalg.qr(s)
+        assert q.shape == ref_q.shape
+        signs = np.sign(np.diag(t)) * np.sign(np.diag(ref_t))
+        assert np.abs(q * signs - ref_q).max() <= 1e-13 * np.abs(ref_q).max()
+        assert np.abs(signs[:, None] * t - ref_t).max() <= 1e-13 * np.abs(ref_t).max()
+
+    @pytest.mark.parametrize("dims, ranks, rank_one, columns", [
+        # an inner rank of 1: the last block has 3 * 2 rows, below min(J, K) = 9
+        ((5, 2), (3, 1, 3), (), 6),
+        ((6, 6), (3, 3, 3), (0,), 9),
+        ((4, 3, 5), (2, 3, 2, 3), (1,), 6),
+    ], ids=["inner-rank-1", "rank-1-first-core", "rank-1-middle-core"])
+    def test_uneven_ranks_and_rank_deficient_halves(self, dims, ranks, rank_one, columns):
+        half = _half(np.random.default_rng(3), dims, ranks, rank_one)
+        s = subchain_unfolding(core._chain(half))
+        q, t = solvers._half_qr(half)
+        _check_thin_qr(q, t, s)
+        assert q.shape[1] == columns
+        assert np.abs(t.T @ t - s.T @ s).max() <= 1e-13 * np.abs(s.T @ s).max()
+
+    def test_no_qr_reads_a_fixed_half_of_j_rows(self, monkeypatch):
+        shapes = []
+
+        def qr(a, *args, _original=np.linalg.qr, **kwargs):
+            shapes.append(a.shape)
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", qr)
+        x = np.asfortranarray(np.random.default_rng(1).standard_normal((20, 20, 20)))
+        tr_als(x, SolverConfig(ranks=(3, 3, 3), max_iters=2, seed=0))
+        # per sweep: phase A's two blocks, (20, 9) and (180, 9), its one
+        # update's (9, 9), phase B's (20, 9) and two (180, 9) updates
+        assert sorted(shapes) == sorted(2 * [(20, 9), (180, 9), (9, 9), (20, 9),
+                                             (180, 9), (180, 9)])
+
+    def test_a_run_with_rank_deficient_halves_is_monotone(self, monkeypatch):
+        # on rank-1 data every update has a rank-1 unfolding, so each phase B
+        # fixes a half of rank-1 cores, whose T is numerically singular
+        rng = np.random.default_rng(9)
+        x = np.einsum("i,j,k,l->ijkl", *(rng.standard_normal(n) for n in (4, 5, 3, 4)))
+        deficient = []
+
+        def half_qr(half, _original=solvers._half_qr):
+            q, t = _original(half)
+            s = np.linalg.svd(t, compute_uv=False)
+            deficient.append(core.numerical_rank(s, (q.shape[0], t.shape[1])) < len(s))
+            return q, t
+
+        monkeypatch.setattr(solvers, "_half_qr", half_qr)
+        cfg = SolverConfig(ranks=(2, 2, 2, 2), max_iters=8, seed=1)
+        objs = als_objectives(x, cfg, monkeypatch)
+        assert len(objs) == 8 * 4 and deficient.count(True) >= 8
+        assert all(b <= a + 1e-12 * objs[0] for a, b in zip(objs, objs[1:]))
+
+    def test_a_run_allocates_under_two_fixed_halves(self):
+        # a whole rank-3 run on 100^3, evaluation included; phase A's Q and
+        # the RSE evaluation's right half-chain are its largest blocks, each
+        # one (J_R, R^2) half (measured 1.6 halves in all); a Householder QR
+        # of the assembled unfolding adds the unfolding and LAPACK's
+        # Fortran-ordered copies of it (3.0 halves)
+        x = np.asfortranarray(np.random.default_rng(2).standard_normal((100, 100, 100)))
+        half = 100 * 100 * 9 * 8
+        tracemalloc.start()
+        try:
+            tr_als(x, SolverConfig(ranks=(3, 3, 3), max_iters=3, seed=0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * half
+
+
 class TestDenseSolversReadXInPlace:
     @pytest.mark.parametrize("solver", DENSE_SOLVERS, ids=lambda f: f.__name__)
     @pytest.mark.parametrize("order", ["C", "F"])
@@ -881,9 +986,9 @@ class TestDenseSolversReadXInPlace:
 
     @pytest.mark.parametrize("solver", [tr_als, tr_scaled_gd], ids=lambda f: f.__name__)
     def test_an_iteration_allocates_no_copy_of_x(self, solver):
-        # the largest blocks an iteration allocates are the fixed half-chain
-        # of a TR-ALS phase and its Q, or TR-ScaledGD's right half-chain,
-        # whose stack then takes Y: each J_R x R^2, a thirtieth of x here,
+        # the largest blocks an iteration allocates are the Q of a TR-ALS
+        # phase's fixed half, or TR-ScaledGD's right half-chain, whose stack
+        # then takes Y: each J_R x R^2, a thirtieth of x here,
         # beside slab buffers of at most core.SLAB_BYTES (a seventh)
         x, _ = synth_tensor(SynthSpec(order=3, dim=60, rank=2, seed=1))
         cfg = SolverConfig(ranks=(2, 2, 2), schedule=ConstantStep(0.5), max_iters=1,

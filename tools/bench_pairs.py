@@ -14,10 +14,11 @@ The output JSON holds, per workload, every run's end-to-end metrics,
 `correct`, `attempted` and `failed`, and a summary per metric: both sides'
 median, quartiles, min and max, the pairs in which the change did better
 (by the metric's `better` direction in BENCHMARK.json), the relative change
-of the median, the parent's interquartile range and whether the medians
-differ by more than it.  It also holds the environment that perfbench
-reports for the workload.  A run that exits nonzero counts as not correct,
-with no metrics.  Settings left unset are perfbench's own defaults.
+of the median, the parent's interquartile range, whether the medians
+differ by more than it, and whether that establishes a gain.  It also
+holds the environment that perfbench reports for the workload.  A run that
+exits nonzero counts as not correct, with no metrics.  Settings left unset
+are perfbench's own defaults.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ import os
 import statistics
 import subprocess
 import sys
+
+# the fewest alternating pairs a gain may be claimed from
+MIN_PAIRS = 10
 
 
 def _stats(values: list[float]) -> dict:
@@ -45,8 +49,13 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     ("parent" or "change"), `correct`, `failed` and a value per metric
     name.  `metrics` are BENCHMARK.json's end-to-end entries (`name`,
     `better`).  A change wins a pair on a metric where both sides have a
-    value and the change's is better."""
+    value and the change's is better.  `gain_established` is the rule for
+    claiming a gain: at least MIN_PAIRS pairs were run, the change won at
+    least nine tenths of them (ties, and pairs where a side has no value,
+    count for neither), and its median is better than the parent's by more
+    than the parent's interquartile range."""
     out = {}
+    run_pairs = len({r["pair"] for r in runs})
     for metric in metrics:
         name, sign = metric["name"], (1 if metric["better"] == "lower" else -1)
         sides = {side: {r["pair"]: r[name] for r in runs
@@ -56,11 +65,14 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
         pairs = sorted(set(sides["parent"]) & set(sides["change"]))
         wins = sum(sign * (sides["change"][p] - sides["parent"][p]) < 0 for p in pairs)
         entry = {"parent": parent, "change": change, "change_better_in": f"{wins}/{len(pairs)}"}
+        gain = False
         if parent["n"] and change["n"]:
             gap = change["median"] - parent["median"]
             iqr = parent["q3"] - parent["q1"]
             entry.update(median_change_rel=gap / parent["median"], parent_iqr=iqr,
                          median_gap_exceeds_parent_iqr=abs(gap) > iqr)
+            gain = run_pairs >= MIN_PAIRS and wins >= 0.9 * run_pairs and sign * gap < -iqr
+        entry["gain_established"] = gain
         out[name] = entry
     return {"summary": out,
             "every_run_correct": all(r["correct"] for r in runs),
