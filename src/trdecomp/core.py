@@ -82,13 +82,11 @@ def unfolding_matmul(x: np.ndarray, mode: int, m: np.ndarray) -> np.ndarray:
 
     x is viewed as x3 of shape (A, I_mode, B) in column-major order, A the
     product of the extents before `mode` and B of those after it, so column
-    b + B*a of X_[mode] is the fiber x3[a, :, b].  Mode 0 (A = 1) is one
-    matrix product, formed as (m^T X_[0]^T)^T.  Any other mode is a batched
-    product over b of the contiguous (I_mode, A) slabs of x3 with the (A, K)
+    b + B*a of X_[mode] is the fiber x3[a, :, b].  The product is a batched
+    one over b of the contiguous (I_mode, A) slabs of x3 with the (A, K)
     blocks of m, summed over b: a Python loop over a would be far slower on
-    the last mode, and the batched form on mode 0 would make I_mode x 1
-    batches.  A C-ordered m is read in place; any other layout of m, or of
-    x, is copied by every call.
+    the last mode.  A C-ordered m is read in place; any other layout of m,
+    or of x, is copied by every call.
 
     The batch is taken in chunks whose (b, I_mode, K) products share one
     buffer with the running sum, which leads each chunk; so the sum over b
@@ -111,8 +109,6 @@ def unfolding_matmul(x: np.ndarray, mode: int, m: np.ndarray) -> np.ndarray:
         raise ValueError(f"m of shape {m.shape} does not match the {a * b} columns "
                          f"of the mode-{mode} unfolding")
     x3 = x.reshape(a, x.shape[mode], b, order="F")
-    if a == 1:
-        return (m.T @ x3[0].T).T
     n, k = x.shape[mode], m.shape[1]
     m3 = m.reshape(a, b, k).transpose(1, 0, 2)
     xt = x3.transpose(2, 1, 0)

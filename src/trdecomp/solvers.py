@@ -588,20 +588,18 @@ def _min_norm_update(sub: np.ndarray, x: np.ndarray, mode: int,
     numerical rank of S, counted as for a matrix of `shape`, and the
     products of `_estimated_rse` for the iterate G leaves.
 
-    One thin Householder QR S = QR and the SVD R = U diag(s) V^T of the small
-    factor give G = ((X_[n] Q) U_r / s_r) V_r^T, where r is the count of
-    singular values above max(shape) * eps * s_max (`numerical_rank`).  The
-    solve works at the conditioning of S; the normal equations would square
-    it.  X_[n] Q is read off a column-major x in place (`unfolding_matmul`).
-    With W = G R^T, <X_[n] S, G> = <X_[n] Q, W> and <G S^T S, G> = <W, W>.
+    One thin SVD S = U diag(s) V^T gives G = (P / s_r) V_r^T with
+    P = X_[n] U_r, where r is the count of singular values above
+    max(shape) * eps * s_max (`numerical_rank`).  The solve works at the
+    conditioning of S; the normal equations would square it.  P is read off
+    a column-major x in place (`unfolding_matmul`).  G S^T is the projection
+    P U_r^T of X_[n], so <X_[n] S, G> = <G S^T S, G> = ||P||^2.
     """
-    q, r = np.linalg.qr(sub)
-    u, s, vt = np.linalg.svd(r, full_matrices=False)
+    u, s, vt = np.linalg.svd(sub, full_matrices=False)
     rank = numerical_rank(s, shape)
-    xq = unfolding_matmul(x, mode, q)
-    sol = (xq @ u[:, :rank] / s[:rank]) @ vt[:rank]
-    w = sol @ r.T
-    return sol, rank, (xq, w, w)
+    p = unfolding_matmul(x, mode, u[:, :rank])
+    sol = (p / s[:rank]) @ vt[:rank]
+    return sol, rank, (p, p, p)
 
 
 def tr_als(x, config: SolverConfig, init=None, clock=None):
@@ -620,8 +618,9 @@ def tr_als(x, config: SolverConfig, init=None, clock=None):
     the fixed half's index) has orthonormal columns.  So S and M share their
     singular values, and the exact least-squares update of mode n is the
     minimum-norm solution of the reduced problem, M against the product of
-    x; and ||G S^T|| = ||G M^T||, so the sweep's last update gives the
-    products `_run_loop` estimates the RSE of the iterate it leaves from.
+    x, from one SVD of M (`_min_norm_update`); and ||G S^T|| = ||G M^T||, so
+    the sweep's last update gives the products `_run_loop` estimates the
+    RSE of the iterate it leaves from.
     Each update's rank is counted as for the full S; each sweep adds its
     rank-deficient updates to the trace's rank_deficient, and the run logs
     one warning giving how many of its N x sweeps core updates were rank

@@ -35,4 +35,48 @@ def test_run_digests_match_the_committed_output():
     done = subprocess.run([sys.executable, SCRIPT], env=env, capture_output=True, text=True,
                           timeout=600, check=True)
     with open(golden) as f:
-        assert done.stdout.splitlines() == f.read().splitlines()
+        expected = f.read().splitlines()
+    got = done.stdout.splitlines()
+    # each line ends in its digest; what comes before it names the run
+    names = {line.rsplit(" ", 1)[0] for line in got}
+    moved = [line.rsplit(" ", 1)[0] for line in got if line not in expected]
+    gone = [line.rsplit(" ", 1)[0] for line in expected if line.rsplit(" ", 1)[0] not in names]
+    assert not moved and not gone, f"runs that moved or are new: {moved}; runs gone: {gone}"
+    assert got == expected
+
+
+OLD_RSE = [
+    "input order4 " + "a" * 64,
+    "order4 tr-als seed=2 max_iters 3 " + "b" * 64 + " 0.5 0.25 0.125",
+    "order4 tr-als seed=3 tol 2 " + "c" * 64 + " 0.5 1e-10",
+    "order4 tr-gd seed=2 diverged 1 " + "d" * 64 + " 0.5 nan",
+    "order4 tr-gd seed=3 raised LinAlgError",
+]
+NEW_RSE = [
+    OLD_RSE[0],
+    "order4 tr-als seed=2 max_iters 3 " + "e" * 64 + " 0.5 0.25000000000000006 0.125",
+    "order4 tr-als seed=3 max_iters 3 " + "f" * 64 + " 0.5 2e-10 1.5e-10",
+    OLD_RSE[3],
+    "order4 tr-gd seed=3 max_iters 3 " + "0" * 64 + " 0.5 0.4 0.3",
+]
+
+
+def test_drift_reports_each_run_that_moved_and_by_how_much():
+    run_digest = _run_digest()
+    assert run_digest.parse_rse_line(OLD_RSE[1]) == (
+        "order4 tr-als seed=2", ("max_iters", 3, [0.5, 0.25, 0.125]))
+    assert run_digest.parse_rse_line(OLD_RSE[0]) == (OLD_RSE[0], None)
+    lines = run_digest.drift_lines(OLD_RSE, NEW_RSE)
+    # the input digest and the diverged run, nan and all, did not move
+    assert lines == [
+        "order4 tr-gd seed=3 raised LinAlgError: gone",
+        # only the cores moved at the final record; a middle one moved by
+        # one ulp of 0.25, 2.2e-16 relative
+        "order4 tr-als seed=2: stop, records, reason same; final 0.125 move +0 c 0; "
+        "largest move above 1e-09 2.22e-16",
+        # a different stop: the finals are compared as they are, and the
+        # records above 1e-9 index by index
+        "order4 tr-als seed=3: stop, records, reason differ (2, 2, tol); "
+        "final 1.5e-10 move +0.5 c 2.25e+05; largest move above 1e-09 0",
+        "order4 tr-gd seed=3: added",
+    ]

@@ -922,10 +922,24 @@ class TestHalfQr:
         monkeypatch.setattr(np.linalg, "qr", qr)
         x = np.asfortranarray(np.random.default_rng(1).standard_normal((20, 20, 20)))
         tr_als(x, SolverConfig(ranks=(3, 3, 3), max_iters=2, seed=0))
-        # per sweep: phase A's two blocks, (20, 9) and (180, 9), its one
-        # update's (9, 9), phase B's (20, 9) and two (180, 9) updates
-        assert sorted(shapes) == sorted(2 * [(20, 9), (180, 9), (9, 9), (20, 9),
-                                             (180, 9), (180, 9)])
+        # per sweep: phase A's two blocks, (20, 9) and (180, 9), and phase
+        # B's one (20, 9); the core updates take no QR
+        assert sorted(shapes) == sorted(2 * [(20, 9), (180, 9), (20, 9)])
+
+    def test_each_update_takes_one_svd_of_its_reduced_subchain(self, monkeypatch):
+        shapes = []
+
+        def svd(a, *args, _original=np.linalg.svd, **kwargs):
+            shapes.append(a.shape)
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        x = np.asfortranarray(np.random.default_rng(1).standard_normal((20, 20, 20)))
+        tr_als(x, SolverConfig(ranks=(3, 3, 3), max_iters=2, seed=0))
+        # per sweep: phase A's one update of a (9, 20, 20) ring's (9, 9)
+        # subchain, phase B's two of a (9, 20) ring's (180, 9) subchains;
+        # none reads J = 400 rows
+        assert shapes == 2 * [(9, 9), (180, 9), (180, 9)]
 
     def test_a_run_with_rank_deficient_halves_is_monotone(self, monkeypatch):
         # on rank-1 data every update has a rank-1 unfolding, so each phase B

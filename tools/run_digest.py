@@ -35,7 +35,13 @@ With --rse each run prints, in place of its digest, its terminal reason, its
 stop iteration, a digest of its final cores and the repr of every RSE in its
 trace, so a change that moves roundoff can be sized run by run.  Pin
 OPENBLAS_NUM_THREADS for both runs: results are bitwise only per BLAS build
-and thread count.
+and thread count.  `--drift OLD NEW` then reads two such outputs and prints,
+for each run whose line moved, whether its stop, record count and terminal
+reason are the same, its final RSE and that RSE's relative move, c = the
+move times the RSE over eps (the move in units of eps), and the largest
+relative move over the records above 1e-9:
+
+    PYTHONPATH=src python tools/run_digest.py --drift old_rse.txt new_rse.txt
 
 The output at one thread is committed as `tools/digests/<build_key()>.txt`,
 keyed by the numpy version, the BLAS build and the kernel it chose for this
@@ -168,11 +174,59 @@ def run_line(label, solve, x, ranks, schedule, damping, kind, seed, rse=False,
     return f"{label} {trace.terminal_reason} {digest.hexdigest()}"
 
 
+def parse_rse_line(line: str):
+    """(label, (reason, stop, rses)) for a --rse line of a run, or (line, None)
+    for any other line (an input digest, a run that raised)."""
+    words = line.split(" ")
+    for i in range(2, len(words)):
+        if len(words[i]) == 64 and words[i - 1].isdigit():
+            return " ".join(words[:i - 2]), (words[i - 2], int(words[i - 1]),
+                                              [float(r) for r in words[i + 1:]])
+    return line, None
+
+
+def drift_lines(old_lines, new_lines, floor=1e-9) -> list[str]:
+    """One line per run of `new_lines` whose --rse line differs from its line
+    in `old_lines`, matched by label; a line with no match in the other file
+    (a run that raised in one, or any line that is not a run's) is reported
+    as added or gone."""
+    eps = np.finfo(np.float64).eps
+    old = {parse_rse_line(line)[0]: line for line in old_lines}
+    new = {parse_rse_line(line)[0]: line for line in new_lines}
+    out = [f"{label}: gone" for label in old if label not in new]
+    for label, line in new.items():
+        if label not in old:
+            out.append(f"{label}: added")
+            continue
+        if line == old[label]:
+            continue
+        (reason0, stop0, rses0), (reason, stop, rses) = (parse_rse_line(old[label])[1],
+                                                         parse_rse_line(line)[1])
+        same = (reason0, stop0, len(rses0)) == (reason, stop, len(rses))
+        moves = [abs(b - a) / a for a, b in zip(rses0, rses) if a > floor and b > floor]
+        move = (rses[-1] - rses0[-1]) / rses0[-1]
+        out.append(f"{label}: stop, records, reason "
+                   f"{'same' if same else f'differ ({stop0}, {len(rses0)}, {reason0})'}; "
+                   f"final {rses[-1]!r} move {move:+.3g} c {abs(move) * rses0[-1] / eps:.3g}; "
+                   f"largest move above {floor:g} {max(moves, default=0.0):.3g}")
+    return out
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rse", action="store_true",
                         help="print each run's stop, cores digest and trace RSEs")
-    rse = parser.parse_args().rse
+    parser.add_argument("--drift", nargs=2, metavar=("OLD", "NEW"),
+                        help="compare two --rse outputs: the runs that moved, and by how much")
+    args = parser.parse_args()
+    if args.drift:
+        old_path, new_path = args.drift
+        with open(old_path) as old, open(new_path) as new:
+            lines = drift_lines(old.read().splitlines(), new.read().splitlines())
+        for line in lines:
+            print(line)
+        return 0
+    rse = args.rse
     inputs = {}
     for tensor_name, spec in TENSORS.items():
         x, _ = synth_tensor(spec)
