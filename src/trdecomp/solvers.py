@@ -453,14 +453,13 @@ def _fit_input(x, config, sampled_hessian=False) -> tuple[np.ndarray, float]:
     return x, check_fit(x, config, sampled_hessian)
 
 
-def _estimated_rse(own, norm_x, tol) -> float | None:
-    """The RSE from `own` = (X_(n) S_n, G_n, G_n S_n^T S_n), products a dense
-    solver took of the current iterate for some mode n, as
-    ||X - M||^2 = ||X||^2 - 2 <X_(n) S_n, G_n> + <G_n S_n^T S_n, G_n>; None
-    unless that is finite, above ESTIMATE_FLOOR and, within ESTIMATE_BOUND,
-    above tol, so the estimate never decides a stop."""
-    xs, g, gh = own
-    sq = norm_x * norm_x - 2 * float(np.vdot(xs, g)) + float(np.vdot(gh, g))
+def _estimated_rse(cross, model_sq, norm_x, tol) -> float | None:
+    """The RSE from a = `cross` = <X_(n) S_n, G_n> and b = `model_sq` =
+    <G_n S_n^T S_n, G_n>, two numbers a dense solver took of the current
+    iterate for some mode n, as ||X - M||^2 = ||X||^2 - 2a + b; None unless
+    that is finite, above ESTIMATE_FLOOR and, within ESTIMATE_BOUND, above
+    tol, so the estimate never decides a stop."""
+    sq = norm_x * norm_x - 2 * cross + model_sq
     rse_val = float(math.sqrt(sq) / norm_x) if sq > 0 else 0.0
     if not (ESTIMATE_FLOOR < rse_val < math.inf):
         return None
@@ -470,10 +469,10 @@ def _estimated_rse(own, norm_x, tol) -> float | None:
 
 
 def _run_loop(x, norm_x, cores, config, trace, do_iteration, rows, clock=None,
-              own_products=None):
+              own_terms=None):
     """Drive `do_iteration(t, cores)` until a stopping criterion fires, and
     fill in the solver's `trace`: its records, eval_every, eval_s,
-    terminal_reason and, for a solver with `own_products`, estimated.
+    terminal_reason and, for a solver with `own_terms`, estimated.
     Counters the iterations keep (chol_jitter, rank_deficient) are the
     solver's own: it made the trace and counts into it.
 
@@ -494,13 +493,14 @@ def _run_loop(x, norm_x, cores, config, trace, do_iteration, rows, clock=None,
     distribution to draw from.  A False return, or a non-finite RSE or core,
     stops the run at that iteration with reason "diverged".
 
-    A dense solver passes `own_products(cores)`, which gives the products
-    of `_estimated_rse` that its iterations took of the current iterate, or
-    None.  At an evaluation that is not terminal (no iteration or time
-    budget hit, every core finite) that estimate is the record, counted in
-    the trace's `estimated`, wherever `_estimated_rse` takes it: then the
-    evaluation reads no x.  Everywhere else the record is `residual_norm`'s,
-    so every stop is decided, and every terminal record taken, exactly.
+    A dense solver passes `own_terms(cores)`, which gives the two numbers
+    (a, b) of `_estimated_rse` its iterations took of the current iterate,
+    or None.  At an evaluation that is not terminal (no iteration or time
+    budget hit, every core finite) the estimate ||X||^2 - 2a + b is the
+    record, counted in the trace's `estimated`, wherever `_estimated_rse`
+    takes it: then the evaluation reads no x.  Everywhere else the record
+    is `residual_norm`'s, so every stop is decided, and every terminal
+    record taken, exactly.
     """
     clock = clock if clock is not None else time.perf_counter
     eval_every = config.eval_every
@@ -510,7 +510,7 @@ def _run_loop(x, norm_x, cores, config, trace, do_iteration, rows, clock=None,
     max_seconds = math.inf if config.max_seconds is None else config.max_seconds
     tol = config.rse_tol
     trace.eval_every, trace.eval_s = eval_every, 0.0
-    if own_products is not None:
+    if own_terms is not None:
         trace.estimated = 0
     t, elapsed, finite = 0, 0.0, True
     while True:
@@ -518,8 +518,8 @@ def _run_loop(x, norm_x, cores, config, trace, do_iteration, rows, clock=None,
         if not finite or budget_hit or t % eval_every == 0:
             t0 = clock()
             finite = finite and all(np.isfinite(c).all() for c in cores)
-            own = None if budget_hit or not finite or own_products is None else own_products(cores)
-            rse_val = None if own is None else _estimated_rse(own, norm_x, tol)
+            own = None if budget_hit or not finite or own_terms is None else own_terms(cores)
+            rse_val = None if own is None else _estimated_rse(*own, norm_x, tol)
             if rse_val is None:
                 rse_val = float(residual_norm(cores, x) / norm_x)
             else:
@@ -583,10 +583,10 @@ def _apply_step(cores, mode, direction, config, t, adagrad_acc) -> bool:
 
 
 def _min_norm_update(sub: np.ndarray, x: np.ndarray, mode: int,
-                     shape: tuple[int, int]) -> tuple[np.ndarray, int, tuple]:
+                     shape: tuple[int, int]) -> tuple[np.ndarray, int, float]:
     """Minimum-norm solution G of min ||G S^T - X_[n]||_F, n = mode, the
-    numerical rank of S, counted as for a matrix of `shape`, and the
-    products of `_estimated_rse` for the iterate G leaves.
+    numerical rank of S, counted as for a matrix of `shape`, and ||P||^2,
+    both numbers a and b of `_estimated_rse` for the iterate G leaves.
 
     One thin SVD S = U diag(s) V^T gives G = (P / s_r) V_r^T with
     P = X_[n] U_r, where r is the count of singular values above
@@ -599,7 +599,7 @@ def _min_norm_update(sub: np.ndarray, x: np.ndarray, mode: int,
     rank = numerical_rank(s, shape)
     p = unfolding_matmul(x, mode, u[:, :rank])
     sol = (p / s[:rank]) @ vt[:rank]
-    return sol, rank, (p, p, p)
+    return sol, rank, float(np.vdot(p, p))
 
 
 def tr_als(x, config: SolverConfig, init=None, clock=None):
@@ -619,8 +619,8 @@ def tr_als(x, config: SolverConfig, init=None, clock=None):
     singular values, and the exact least-squares update of mode n is the
     minimum-norm solution of the reduced problem, M against the product of
     x, from one SVD of M (`_min_norm_update`); and ||G S^T|| = ||G M^T||, so
-    the sweep's last update gives the products `_run_loop` estimates the
-    RSE of the iterate it leaves from.
+    the sweep's last update, of mode N-1, gives a = b = ||P||^2 for the RSE
+    estimate ||X||^2 - 2a + b of the iterate it leaves (`_run_loop`).
     Each update's rank is counted as for the full S; each sweep adds its
     rank-deficient updates to the trace's rank_deficient, and the run logs
     one warning giving how many of its N x sweeps core updates were rank
@@ -631,7 +631,7 @@ def tr_als(x, config: SolverConfig, init=None, clock=None):
     trace = RunTrace("tr-als", "none", chol_jitter=0, rank_deficient=0)
     h = x.ndim // 2
     xmat = x.reshape(math.prod(x.shape[:h]), -1, order="F")
-    # the last update's products, for the iterate the last sweep left
+    # the last update's ||P||^2, for the iterate the last sweep left
     own = [None]
 
     def sweep(_t, cores):
@@ -642,14 +642,15 @@ def tr_als(x, config: SolverConfig, init=None, clock=None):
             data = _reduced_data(product, ring)
             for m, n in enumerate(range(lo, hi), 1):
                 sub = subchain_unfolding(subchain_tensor(ring, m))
-                sol, rank, own[0] = _min_norm_update(sub, data, m,
-                                                     (x.size // x.shape[n], sub.shape[1]))
+                sol, rank, pp = _min_norm_update(sub, data, m,
+                                                 (x.size // x.shape[n], sub.shape[1]))
+                own[0] = pp, pp
                 trace.rank_deficient += rank < sub.shape[1]
                 ring[m] = cores[n] = fold_core(sol, cores[n].shape[0], cores[n].shape[2])
         return True
 
     _run_loop(x, norm_x, cores, config, trace, sweep, None, clock,
-              own_products=lambda _cores: own[0])
+              own_terms=lambda _cores: own[0])
     if trace.rank_deficient:
         logger.warning(
             "tr_als: %d of %d core updates were rank deficient; each took "
@@ -659,6 +660,10 @@ def tr_als(x, config: SolverConfig, init=None, clock=None):
 
 
 def _gradient_descent(x, config, init, clock, scaled):
+    """TR-GD, or TR-ScaledGD if `scaled`.  After its step each iteration
+    takes the Grams and products of the iterate it leaves and, with
+    G_0 = `core_unfolding(cores[0])`, the two numbers a = <X_(0) S_0, G_0>
+    and b = <G_0 S_0^T S_0, G_0> of its RSE estimate ||X||^2 - 2a + b."""
     x, norm_x = _fit_input(x, config)  # read in place by _tree_products
     cores = _init_cores(x, config, init)
     adagrad_acc: dict[int, np.ndarray] = {}
@@ -666,16 +671,17 @@ def _gradient_descent(x, config, init, clock, scaled):
     r0, rh = config.ranks[0], config.ranks[x.ndim // 2]
     units = [_closing_core(np.eye(p * q), p, q) for p, q in ((rh, r0), (r0, rh))]
     max_iters = math.inf if config.max_iters is None else config.max_iters
-    # (grams, products) of the current iterate: each iteration takes them,
-    # after its step, for the iterate it leaves, which the next one starts
-    # from and `_run_loop` estimates the RSE of; the last iteration need not
+    # (grams, products, (a, b)) of the current iterate, which the next
+    # iteration starts from; the last iteration need not take them
     ahead = []
 
     def tree(cores):
-        return _transfer_grams(cores), _tree_products(cores, x, units)
+        grams, products = _transfer_grams(cores), _tree_products(cores, x, units)
+        g = core_unfolding(cores[0])
+        return grams, products, (float(np.vdot(products[0], g)), float(np.vdot(g @ grams[0], g)))
 
     def iteration(t, cores):
-        grams, products = ahead.pop() if ahead else tree(cores)
+        grams, products, _ = ahead.pop() if ahead else tree(cores)
         finite = True
         for n, (gram, xs) in enumerate(zip(grams, products)):
             g = core_unfolding(cores[n]) @ gram - xs
@@ -689,15 +695,8 @@ def _gradient_descent(x, config, init, clock, scaled):
             ahead.append(tree(cores))
         return finite
 
-    def own_products(cores):
-        if not ahead:
-            return None
-        grams, products = ahead[0]
-        g = core_unfolding(cores[0])
-        return products[0], g, g @ grams[0]
-
     return _run_loop(x, norm_x, cores, config, trace, iteration, None, clock,
-                     own_products=own_products)
+                     own_terms=lambda _cores: ahead[0][2] if ahead else None)
 
 
 def tr_gd(x, config: SolverConfig, init=None, clock=None):

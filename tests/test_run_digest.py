@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -47,24 +48,39 @@ def test_run_digests_match_the_committed_output():
 
 OLD_RSE = [
     "input order4 " + "a" * 64,
-    "order4 tr-als seed=2 max_iters 3 " + "b" * 64 + " 0.5 0.25 0.125",
-    "order4 tr-als seed=3 tol 2 " + "c" * 64 + " 0.5 1e-10",
-    "order4 tr-gd seed=2 diverged 1 " + "d" * 64 + " 0.5 nan",
+    "order4 tr-als seed=2 max_iters 3 " + "b" * 64
+    + " chol_jitter=0 rank_deficient=0 estimated=2 0.5 0.25 0.125",
+    "order4 tr-als seed=3 tol 2 " + "c" * 64
+    + " chol_jitter=0 rank_deficient=0 estimated=0 0.5 1e-10",
+    "order4 tr-gd seed=2 diverged 1 " + "d" * 64
+    + " chol_jitter=0 rank_deficient=None estimated=0 0.5 nan",
     "order4 tr-gd seed=3 raised LinAlgError",
+    "order4 tr-als seed=5 max_iters 2 " + "1" * 64
+    + " chol_jitter=0 rank_deficient=3 estimated=1 0.5 0.25",
 ]
 NEW_RSE = [
     OLD_RSE[0],
-    "order4 tr-als seed=2 max_iters 3 " + "e" * 64 + " 0.5 0.25000000000000006 0.125",
-    "order4 tr-als seed=3 max_iters 3 " + "f" * 64 + " 0.5 2e-10 1.5e-10",
+    "order4 tr-als seed=2 max_iters 3 " + "e" * 64
+    + " chol_jitter=0 rank_deficient=0 estimated=2 0.5 0.25000000000000006 0.125",
+    "order4 tr-als seed=3 max_iters 3 " + "f" * 64
+    + " chol_jitter=0 rank_deficient=0 estimated=1 0.5 2e-10 1.5e-10",
     OLD_RSE[3],
-    "order4 tr-gd seed=3 max_iters 3 " + "0" * 64 + " 0.5 0.4 0.3",
+    "order4 tr-gd seed=3 max_iters 3 " + "0" * 64
+    + " chol_jitter=2 rank_deficient=None estimated=1 0.5 0.4 0.3",
+    # the same cores and records, one estimate fewer and one rank-deficient
+    # update more
+    "order4 tr-als seed=5 max_iters 2 " + "1" * 64
+    + " chol_jitter=0 rank_deficient=4 estimated=0 0.5 0.25",
 ]
 
 
 def test_drift_reports_each_run_that_moved_and_by_how_much():
     run_digest = _run_digest()
     assert run_digest.parse_rse_line(OLD_RSE[1]) == (
-        "order4 tr-als seed=2", ("max_iters", 3, [0.5, 0.25, 0.125]))
+        "order4 tr-als seed=2",
+        ("max_iters", 3, {"chol_jitter": 0, "rank_deficient": 0, "estimated": 2},
+         [0.5, 0.25, 0.125]))
+    assert run_digest.parse_rse_line(OLD_RSE[3])[1][2]["rank_deficient"] is None
     assert run_digest.parse_rse_line(OLD_RSE[0]) == (OLD_RSE[0], None)
     lines = run_digest.drift_lines(OLD_RSE, NEW_RSE)
     # the input digest and the diverged run, nan and all, did not move
@@ -72,11 +88,27 @@ def test_drift_reports_each_run_that_moved_and_by_how_much():
         "order4 tr-gd seed=3 raised LinAlgError: gone",
         # only the cores moved at the final record; a middle one moved by
         # one ulp of 0.25, 2.2e-16 relative
-        "order4 tr-als seed=2: stop, records, reason same; final 0.125 move +0 c 0; "
-        "largest move above 1e-09 2.22e-16",
+        "order4 tr-als seed=2: stop, records, reason same; counters same; "
+        "final 0.125 move +0 c 0; largest move above 1e-09 2.22e-16",
         # a different stop: the finals are compared as they are, and the
         # records above 1e-9 index by index
         "order4 tr-als seed=3: stop, records, reason differ (2, 2, tol); "
+        "counters differ (estimated 0 -> 1); "
         "final 1.5e-10 move +0.5 c 2.25e+05; largest move above 1e-09 0",
         "order4 tr-gd seed=3: added",
+        "order4 tr-als seed=5: stop, records, reason same; "
+        "counters differ (rank_deficient 3 -> 4, estimated 1 -> 0); "
+        "final 0.25 move +0 c 0; largest move above 1e-09 0",
     ]
+
+
+def test_rse_lines_carry_the_trace_counters():
+    run_digest = _run_digest()
+    x = np.arange(1.0, 9.0).reshape(2, 2, 2)
+    for solve, counters in ((run_digest.tr_als, (0, 0, 2)),
+                            (run_digest.tr_scaled_brsgd, (0, None, None))):
+        trace_counters = run_digest.parse_rse_line(run_digest.run_line(
+            "run", solve, x, (1, 1, 1), run_digest.ConstantStep(0.1), 1e-8, "uniform", 2,
+            rse=True, eval_every=1, max_iters=3))[1][2]
+        assert trace_counters == dict(zip(("chol_jitter", "rank_deficient", "estimated"),
+                                          counters))

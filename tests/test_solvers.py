@@ -1709,14 +1709,14 @@ def _replay(solver, x, cfg, monkeypatch, clock=None):
     pairs, iterate = [], []
     run_loop, estimated_rse = solvers._run_loop, solvers._estimated_rse
 
-    def loop(*args, own_products=None):
+    def loop(*args, own_terms=None):
         def own(cores):
             iterate[:] = [c.copy() for c in cores]
-            return own_products(cores)
-        return run_loop(*args, own_products=None if own_products is None else own)
+            return own_terms(cores)
+        return run_loop(*args, own_terms=None if own_terms is None else own)
 
-    def estimate(own, norm_x, tol):
-        value = estimated_rse(own, norm_x, tol)
+    def estimate(cross, model_sq, norm_x, tol):
+        value = estimated_rse(cross, model_sq, norm_x, tol)
         if value is not None:
             pairs.append((value, residual_norm(iterate, x) / norm_x))
         return value
@@ -1732,27 +1732,54 @@ def _exact(cores, x):
 
 
 class TestOwnRse:
-    """Above ESTIMATE_FLOOR a dense solver's record is the RSE from the
-    products its iterations took of that iterate, within ESTIMATE_BOUND of
+    """Above ESTIMATE_FLOOR a dense solver's record is the RSE from the two
+    numbers its iterations took of that iterate, within ESTIMATE_BOUND of
     residual_norm's; every stop and every terminal record is exact."""
 
     def test_the_estimate_is_taken_only_where_it_is_vouched_for(self):
-        # one entry each: ||X - M||^2 = 1 - 2a + b at ||X|| = 1
-        def own(a, b):
-            return np.array([a]), np.array([1.0]), np.array([b])
-
-        assert _estimated_rse(own(0.0, 0.0), 1.0, None) == 1.0
-        assert _estimated_rse(own(0.5, 0.01), 1.0, None) == pytest.approx(0.1)
+        # ||X - M||^2 = 1 - 2a + b at ||X|| = 1
+        assert _estimated_rse(0.0, 0.0, 1.0, None) == 1.0
+        assert _estimated_rse(0.5, 0.01, 1.0, None) == pytest.approx(0.1)
         floor_sq = ESTIMATE_FLOOR ** 2
-        assert _estimated_rse(own(0.5, 1.001 * floor_sq), 1.0, None) is not None
+        assert _estimated_rse(0.5, 1.001 * floor_sq, 1.0, None) is not None
         for a, b in ((0.5, 0.999 * floor_sq), (0.5, 0.0), (0.6, 0.0),
                      (math.nan, 0.0), (0.0, math.inf), (0.0, math.nan)):
-            assert _estimated_rse(own(a, b), 1.0, None) is None, (a, b)
+            assert _estimated_rse(a, b, 1.0, None) is None, (a, b)
         # a tolerance the estimate cannot tell apart within its bound
         tol = 0.1
-        assert _estimated_rse(own(0.5, 0.01), 1.0, tol) is None
-        assert _estimated_rse(own(0.5, 0.0101), 1.0, tol) is not None
-        assert _estimated_rse(own(0.5, (tol * (1 + ESTIMATE_BOUND / 2)) ** 2), 1.0, tol) is None
+        assert _estimated_rse(0.5, 0.01, 1.0, tol) is None
+        assert _estimated_rse(0.5, 0.0101, 1.0, tol) is not None
+        assert _estimated_rse(0.5, (tol * (1 + ESTIMATE_BOUND / 2)) ** 2, 1.0, tol) is None
+
+    @pytest.mark.parametrize("order, dim", [(3, 6), (4, 5)])
+    def test_als_hands_over_both_inner_products_of_its_last_mode(self, order, dim,
+                                                                 monkeypatch):
+        # at the least-squares solution of mode n = N-1, a = <X_(n) S_n, G_n>
+        # and b = <G_n S_n^T S_n, G_n> over the full subchain unfolding are
+        # both ||P||^2 of the reduced problem, which TR-ALS hands over twice
+        x, _ = synth_tensor(SynthSpec(order=order, dim=dim, rank=3, seed=2))
+        cfg = SolverConfig(ranks=(2,) * order, max_iters=4, eval_every=1, seed=2,
+                           init_scale=0.5)
+        handed, run_loop = [], solvers._run_loop
+
+        def loop(*args, own_terms):
+            def own(cores):
+                terms = own_terms(cores)
+                if terms is not None:
+                    handed.append(([c.copy() for c in cores], terms))
+                return terms
+            return run_loop(*args, own_terms=own)
+
+        monkeypatch.setattr(solvers, "_run_loop", loop)
+        tr_als(x, cfg)
+        # the records after sweeps 1-3; the last one, at the budget, is exact
+        assert len(handed) == cfg.max_iters - 1
+        n = order - 1
+        for cores, (a, b) in handed:
+            s = subchain_unfolding(subchain_tensor(cores, n))
+            g = core_unfolding(cores[n])
+            assert a == pytest.approx(np.vdot(mode_n_unfolding(x, n) @ s, g), rel=1e-12)
+            assert b == pytest.approx(np.vdot(g @ (s.T @ s), g), rel=1e-12)
 
     @pytest.mark.parametrize("order, dim", [(3, 100), (4, 30)])
     @pytest.mark.parametrize("solver, kw", [

@@ -32,14 +32,16 @@ their outputs are equal:
     diff old.txt new.txt
 
 With --rse each run prints, in place of its digest, its terminal reason, its
-stop iteration, a digest of its final cores and the repr of every RSE in its
-trace, so a change that moves roundoff can be sized run by run.  Pin
-OPENBLAS_NUM_THREADS for both runs: results are bitwise only per BLAS build
-and thread count.  `--drift OLD NEW` then reads two such outputs and prints,
-for each run whose line moved, whether its stop, record count and terminal
-reason are the same, its final RSE and that RSE's relative move, c = the
-move times the RSE over eps (the move in units of eps), and the largest
-relative move over the records above 1e-9:
+stop iteration, a digest of its final cores, its trace's counters
+(`chol_jitter=`, `rank_deficient=` and `estimated=`, None where the solver
+keeps none) and the repr of every RSE in its trace, so a change that moves
+roundoff can be sized run by run.  Pin OPENBLAS_NUM_THREADS for both runs:
+results are bitwise only per BLAS build and thread count.  `--drift OLD NEW`
+then reads two such outputs and prints, for each run whose line moved,
+whether its stop, record count and terminal reason are the same, whether
+its counters are (each one that moved, old -> new), its final RSE and that
+RSE's relative move, c = the move times the RSE over eps (the move in units
+of eps), and the largest relative move over the records above 1e-9:
 
     PYTHONPATH=src python tools/run_digest.py --drift old_rse.txt new_rse.txt
 
@@ -167,21 +169,28 @@ def run_line(label, solve, x, ranks, schedule, damping, kind, seed, rse=False,
         return f"{label} raised {type(exc).__name__}"
     cores_bytes = b"".join(core.tobytes() for core in cores)
     if rse:
+        counters = " ".join(f"{name}={getattr(trace, name)}"
+                            for name in ("chol_jitter", "rank_deficient", "estimated"))
         rses = " ".join(repr(r[2]) for r in trace.records)
         return (f"{label} {trace.terminal_reason} {trace.final()[0]} "
-                f"{hashlib.sha256(cores_bytes).hexdigest()} {rses}")
+                f"{hashlib.sha256(cores_bytes).hexdigest()} {counters} {rses}")
     digest = hashlib.sha256(render_trace_csv(trace).encode() + cores_bytes)
     return f"{label} {trace.terminal_reason} {digest.hexdigest()}"
 
 
 def parse_rse_line(line: str):
-    """(label, (reason, stop, rses)) for a --rse line of a run, or (line, None)
-    for any other line (an input digest, a run that raised)."""
+    """(label, (reason, stop, counters, rses)) for a --rse line of a run,
+    counters a dict of the `name=value` words after its cores digest (an int,
+    or None), or (line, None) for any other line (an input digest, a run that
+    raised)."""
     words = line.split(" ")
     for i in range(2, len(words)):
         if len(words[i]) == 64 and words[i - 1].isdigit():
-            return " ".join(words[:i - 2]), (words[i - 2], int(words[i - 1]),
-                                              [float(r) for r in words[i + 1:]])
+            rest = words[i + 1:]
+            counters = {name: None if value == "None" else int(value)
+                        for name, _, value in (w.partition("=") for w in rest if "=" in w)}
+            return " ".join(words[:i - 2]), (words[i - 2], int(words[i - 1]), counters,
+                                              [float(r) for r in rest[len(counters):]])
     return line, None
 
 
@@ -200,13 +209,17 @@ def drift_lines(old_lines, new_lines, floor=1e-9) -> list[str]:
             continue
         if line == old[label]:
             continue
-        (reason0, stop0, rses0), (reason, stop, rses) = (parse_rse_line(old[label])[1],
-                                                         parse_rse_line(line)[1])
+        (reason0, stop0, counters0, rses0), (reason, stop, counters, rses) = (
+            parse_rse_line(old[label])[1], parse_rse_line(line)[1])
         same = (reason0, stop0, len(rses0)) == (reason, stop, len(rses))
+        counter_moves = ", ".join(f"{name} {counters0.get(name)} -> {counters.get(name)}"
+                                  for name in {**counters0, **counters}
+                                  if counters0.get(name) != counters.get(name))
         moves = [abs(b - a) / a for a, b in zip(rses0, rses) if a > floor and b > floor]
         move = (rses[-1] - rses0[-1]) / rses0[-1]
         out.append(f"{label}: stop, records, reason "
                    f"{'same' if same else f'differ ({stop0}, {len(rses0)}, {reason0})'}; "
+                   f"counters {f'differ ({counter_moves})' if counter_moves else 'same'}; "
                    f"final {rses[-1]!r} move {move:+.3g} c {abs(move) * rses0[-1] / eps:.3g}; "
                    f"largest move above {floor:g} {max(moves, default=0.0):.3g}")
     return out
