@@ -46,6 +46,15 @@ def test_run_digests_match_the_committed_output():
     assert got == expected
 
 
+def test_every_line_is_a_run_or_an_input_under_its_own_label():
+    # drift_lines matches runs by label, so two lines sharing one would hide
+    # a move of either; reading LINES runs no solver
+    run_digest = _run_digest()
+    labels = [entry.label for entry in run_digest.LINES]
+    assert len(set(labels)) == len(labels)
+    assert all(type(entry) in (run_digest.Run, run_digest.Input) for entry in run_digest.LINES)
+
+
 OLD_RSE = [
     "input order4 " + "a" * 64,
     "order4 tr-als seed=2 max_iters 3 " + "b" * 64

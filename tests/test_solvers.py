@@ -425,6 +425,31 @@ class TestSearchDirection:
         assert np.isnan(d).all() and jittered is True
 
 
+@pytest.mark.parametrize("kind", ["uniform", "euclidean", "leverage"])
+def test_unit_scaled_step_is_the_sampled_least_squares_update(kind):
+    # with one shared batch and zero damping, G - (G S^T D S - X_S D S)
+    # (S^T D S)^-1 = X_S D S (S^T D S)^-1: the weighted least-squares core of
+    # the sampled rows (Malik & Becker, arXiv:2010.08581), here solved from
+    # the sqrt(w)-scaled rows by lstsq; at the start of the shipped
+    # ill-conditioned config
+    x, _ = synth_tensor(SynthSpec(order=3, dim=25, rank=3, kind="ill_conditioned",
+                                  kappa=1e4, seed=2))
+    cores = _init_cores(x, SolverConfig(ranks=(3, 3, 3), init_scale=0.3), None)
+    rng = np.random.default_rng(16)
+    for mode in range(3):
+        dists = [None if k == mode else sampling.core_distribution(c, kind)
+                 for k, c in enumerate(cores)]
+        s, fibers, probs = sample_subchain_fibers(cores, x, mode, 100, samplers(cores, dists),
+                                                  rng)
+        j = x.size // x.shape[mode]
+        d, _ = search_direction(stochastic_gradient(cores[mode], s, fibers, probs, j),
+                                stochastic_hessian(s, probs, j), 0.0)
+        root_w = np.sqrt(1.0 / probs)
+        expected = np.linalg.lstsq(s * root_w[:, None], (fibers * root_w).T)[0].T
+        got = core_unfolding(cores[mode]) + d
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
 def _spec_problems(spec, ranks):
     """(S, x, n) for every mode of a synthetic tensor, at a random start and,
     where the ranks fit, at the truth."""

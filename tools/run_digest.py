@@ -1,31 +1,8 @@
 """Print one SHA-256 digest per solver run: its trace CSV and final cores.
 
-Every solver runs at seeds 2, 3 and 5 under a counting clock, the stochastic
-ones with each of the four sampling kinds (`optimal` included), on an
-ill-conditioned order-3 tensor and a Gaussian order-4 tensor.  Then come runs
-that stop as diverged: TR-GD at a step that overflows, and TR-ScaledGD at
-damping 0 on ranks the data cannot support, whose Gram factors have no
-Cholesky factor.  Then come the stochastic solvers on an order-2 tensor,
-whose sampled rows are single core slices with no slice product, and one
-digest per input tensor.  Then come TR-ALS, TR-ScaledGD and TR-ScaledBRSGD
-(uniform and leverage) on the order-4 tensor at the default evaluation
-cadence: the dense rule ceil(9/N) for TR-ALS and TR-ScaledGD, the sampled
-time model for TR-ScaledBRSGD; the trace's header carries that cadence.  The
-last lines run TR-ScaledBRSGD (uniform and leverage) on a 30^4 tensor with
-the solver block of perfbench's order4-defaults workload, also at the
-model's cadence, which is k = 25 there.  After them TR-ALS runs 20 sweeps
-at ranks (3, 3) on the order-2 tensor that cannot support them, so each of
-its core updates is rank deficient and its trace's count is pinned.  Last, TR-GD and
-TR-ScaledBRSGD (uniform) run on the order-3 tensor under the step schedules
-the runs above leave out: AdaGrad without and with b and eps, and
-Robbins-Monro.  The last line runs TR-ALS on an order-5 tensor at ranks
-below its own, so that a sweep updates two cores and then three and ends
-above the float64 floor.  After it TR-ScaledGD and TR-ALS run on an order-3
-dim-50 Gaussian, evaluated every iteration: its (50, 2500) view at the
-half-chain cut spans four column slabs of `core.SLAB_BYTES`, where every
-tensor above fits in one.  A run that raises prints the exception's name
-instead of a digest.  Two source trees behave identically on these runs when
-their outputs are equal:
+One line per entry of `LINES`, in its order: a run under a counting clock
+(the exception's name if it raises), or the digest of an input tensor.  Two
+source trees behave identically on these runs when their outputs are equal:
 
     PYTHONPATH=OLD/src python tools/run_digest.py > old.txt
     PYTHONPATH=NEW/src python tools/run_digest.py > new.txt
@@ -56,10 +33,12 @@ that moves roundoff regenerates it:
 
 import argparse
 import ctypes
+import functools
 import glob
 import hashlib
 import os
 import sys
+from collections import namedtuple
 
 import numpy as np
 
@@ -70,13 +49,7 @@ from trdecomp.sampling import SAMPLING_KINDS
 from trdecomp.trace import render_trace_csv
 
 SEEDS = (2, 3, 5)
-ITERS = 200
-TENSORS = {
-    "order3-k1e4": SynthSpec(order=3, dim=12, rank=3, kind="ill_conditioned",
-                             kappa=1e4, seed=2),
-    "order4": SynthSpec(order=4, dim=6, rank=2, seed=3),
-}
-# (solver, step, sampling kinds): the dense solvers draw nothing
+# (solver, constant step, sampling kinds): the dense solvers draw nothing
 SOLVERS = {
     "tr-als": (tr_als, 1.0, ("uniform",)),
     "tr-gd": (tr_gd, 1e-3, ("uniform",)),
@@ -84,38 +57,82 @@ SOLVERS = {
     "tr-brsgd": (tr_brsgd, 0.1, SAMPLING_KINDS),
     "tr-scaled-brsgd": (tr_scaled_brsgd, 0.3, SAMPLING_KINDS),
 }
-# (tensor name, tensor, ranks, solver name, solver, step, damping), printed
-# after the runs above so that older trees still diff line for line
-DIVERGING = [
-    ("order3-k1e4", TENSORS["order3-k1e4"], (3, 3, 3), "tr-gd", tr_gd, 0.1, 1e-8),
-    ("order2-singular", SynthSpec(order=2, dim=3, rank=1, seed=10), (3, 3),
-     "tr-scaled-gd", tr_scaled_gd, 0.3, 0.0),
-]
-# the stochastic solvers on it are printed next, likewise
-ORDER2 = SynthSpec(order=2, dim=10, rank=2, seed=4)
-# (solver name, sampling kind) run on the order-4 tensor at the default
-# evaluation cadence (eval_every=None), printed after the input digests
-DEFAULT_CADENCE = [("tr-als", "uniform"), ("tr-scaled-gd", "uniform"),
-                   ("tr-scaled-brsgd", "uniform"), ("tr-scaled-brsgd", "leverage")]
-# order4-defaults' tensor (synth seed 2), run last with its solver block
-ORDER4_DEFAULTS = SynthSpec(order=4, dim=30, rank=3, seed=2)
-# TR-ALS on DIVERGING's order2-singular tensor, run after order4-defaults:
-# (ranks, sweeps)
-ALS_RANK_DEFICIENT = ((3, 3), 20)
-# (solver name, schedules) run on the order3-k1e4 tensor with uniform
-# sampling after everything else; every run above takes a constant step
-SCHEDULES = [
-    ("tr-gd", (AdaGradStep(0.05), AdaGradStep(0.05, b=0.01, eps=0.05),
-               RobbinsMonroStep(1e-3, gamma=0.75))),
-    ("tr-scaled-brsgd", (AdaGradStep(0.05), AdaGradStep(0.05, b=0.01, eps=0.05),
-                         RobbinsMonroStep(1.0, gamma=0.75))),
-]
-# TR-ALS on an order-5 tensor, run last: (tensor, ranks, sweeps, seed)
-ALS_ORDER5 = (SynthSpec(order=5, dim=4, rank=3, seed=6), (2, 2, 2, 2, 2), 30, 2)
-# run after it on a tensor of several slabs, evaluated every iteration:
-# (tensor, [(solver name, step, iterations)]); each run ends above RSE 1e-9
-MULTI_SLAB = (SynthSpec(order=3, dim=50, rank=3, seed=7),
-              [("tr-scaled-gd", 0.5, 30), ("tr-als", 1.0, 12)])
+# a line that prints run_line(label, solve, tensor(spec), ranks, ..., seed, rse, **settings)
+Run = namedtuple("Run", "label spec solve ranks step damping kind seed settings")
+# a line that prints the digest of tensor(spec)'s entries
+Input = namedtuple("Input", "label spec")
+
+
+@functools.cache
+def tensor(spec: SynthSpec) -> np.ndarray:
+    """The data tensor of `spec`, built once however many lines read it."""
+    return synth_tensor(spec)[0]
+
+
+def _run(named, solver, seed, *words, kind="uniform", step=None, ranks=None, damping=1e-8,
+         **settings) -> Run:
+    """`solver` on the (name, spec) tensor `named`, labelled "name solver *words
+    seed=seed", at the solver's constant step and the tensor's own ranks unless
+    given."""
+    (name, spec), (solve, alpha, _) = named, SOLVERS[solver]
+    return Run(" ".join((name, solver, *words, f"seed={seed}")), spec, solve,
+               ranks or (spec.rank,) * spec.order, step or ConstantStep(alpha), damping, kind,
+               seed, settings)
+
+
+def _lines() -> list:
+    k1e4 = ("order3-k1e4", SynthSpec(order=3, dim=12, rank=3, kind="ill_conditioned",
+                                     kappa=1e4, seed=2))
+    order4 = ("order4", SynthSpec(order=4, dim=6, rank=2, seed=3))
+    singular = ("order2-singular", SynthSpec(order=2, dim=3, rank=1, seed=10))
+    order2 = ("order2", SynthSpec(order=2, dim=10, rank=2, seed=4))
+    return [
+        # every solver and sampling kind, 200 iterations at a constant step
+        *(_run(named, solver, seed, kind, kind=kind) for named in (k1e4, order4)
+          for solver, (_, _, kinds) in SOLVERS.items() for kind in kinds for seed in SEEDS),
+        # stops as diverged: an overflowing step; no Cholesky factor at damping 0
+        *(_run(named, solver, seed, f"alpha={alpha} damping={damping}",
+               step=ConstantStep(alpha), ranks=ranks, damping=damping)
+          for named, ranks, solver, alpha, damping in (
+              (k1e4, None, "tr-gd", 0.1, 1e-8), (singular, (3, 3), "tr-scaled-gd", 0.3, 0.0))
+          for seed in SEEDS),
+        # order 2: each sampled row is a single core slice, with no slice product
+        *(_run(order2, solver, seed, kind, kind=kind) for solver in ("tr-brsgd", "tr-scaled-brsgd")
+          for kind in SAMPLING_KINDS for seed in SEEDS),
+        # the tensors the runs above read
+        *(Input(f"input {name}", spec) for name, spec in (k1e4, order4, singular, order2)),
+        # the default cadence: ceil(9/N) when dense, the sampled time model else
+        *(_run(order4, solver, seed, kind, "eval_every=None", kind=kind, eval_every=None)
+          for solver, kind in (("tr-als", "uniform"), ("tr-scaled-gd", "uniform"),
+                               ("tr-scaled-brsgd", "uniform"), ("tr-scaled-brsgd", "leverage"))
+          for seed in SEEDS),
+        # perfbench's order4-defaults solver block, at the model's cadence k = 25
+        *(_run(("order4-30", SynthSpec(order=4, dim=30, rank=3, seed=2)), "tr-scaled-brsgd",
+               seed, kind, "eval_every=None", kind=kind, eval_every=None,
+               batches=(100, 300), init_scale=0.3, max_iters=75)
+          for kind in ("uniform", "leverage") for seed in SEEDS),
+        # every core update rank deficient
+        *(_run(singular, "tr-als", seed, "ranks=(3, 3)", ranks=(3, 3), max_iters=20)
+          for seed in SEEDS),
+        # the step schedules other than a constant step
+        *(_run(k1e4, solver, seed, "uniform", repr(step), step=step)
+          for solver, alpha0 in (("tr-gd", 1e-3), ("tr-scaled-brsgd", 1.0))
+          for step in (AdaGradStep(0.05), AdaGradStep(0.05, b=0.01, eps=0.05),
+                       RobbinsMonroStep(alpha0, gamma=0.75))
+          for seed in SEEDS),
+        # TR-ALS sweeps that update two cores, then three, and end above the float64 floor
+        _run(("order5", SynthSpec(order=5, dim=4, rank=3, seed=6)), "tr-als", 2,
+             "ranks=(2, 2, 2, 2, 2)", ranks=(2,) * 5, eval_every=5, max_iters=30),
+        # a (50, 2500) half-chain view over four slabs of `core.SLAB_BYTES`
+        *(_run(("order3-50", SynthSpec(order=3, dim=50, rank=3, seed=7)), solver, seed,
+               step=ConstantStep(alpha), eval_every=1, max_iters=iters)
+          for solver, alpha, iters in (("tr-scaled-gd", 0.5, 30), ("tr-als", 1.0, 12))
+          for seed in SEEDS),
+    ]
+
+
+# every line the script prints, in print order
+LINES = _lines()
 
 
 def _openblas_core() -> str:
@@ -157,7 +174,7 @@ def counting_clock():
 
 
 def run_line(label, solve, x, ranks, schedule, damping, kind, seed, rse=False,
-             eval_every=20, batches=(20, 40), init_scale=0.5, max_iters=ITERS) -> str:
+             eval_every=20, batches=(20, 40), init_scale=0.5, max_iters=200) -> str:
     cfg = SolverConfig(ranks=ranks, schedule=schedule, batch_grad=batches[0],
                        batch_hess=batches[1], damping=damping, sampling=SamplingSpec(kind),
                        max_iters=max_iters, eval_every=eval_every, seed=seed,
@@ -233,82 +250,17 @@ def main() -> int:
                         help="compare two --rse outputs: the runs that moved, and by how much")
     args = parser.parse_args()
     if args.drift:
-        old_path, new_path = args.drift
-        with open(old_path) as old, open(new_path) as new:
-            lines = drift_lines(old.read().splitlines(), new.read().splitlines())
-        for line in lines:
-            print(line)
+        with open(args.drift[0]) as old, open(args.drift[1]) as new:
+            for line in drift_lines(old.read().splitlines(), new.read().splitlines()):
+                print(line)
         return 0
-    rse = args.rse
-    inputs = {}
-    for tensor_name, spec in TENSORS.items():
-        x, _ = synth_tensor(spec)
-        inputs[tensor_name] = x
-        ranks = (spec.rank,) * spec.order
-        for name, (solve, alpha, kinds) in SOLVERS.items():
-            for kind in kinds:
-                for seed in SEEDS:
-                    print(run_line(f"{tensor_name} {name} {kind} seed={seed}", solve, x,
-                                   ranks, ConstantStep(alpha), 1e-8, kind, seed, rse))
-    for tensor_name, spec, ranks, name, solve, alpha, damping in DIVERGING:
-        x, _ = synth_tensor(spec)
-        inputs[tensor_name] = x
-        for seed in SEEDS:
-            print(run_line(f"{tensor_name} {name} alpha={alpha} damping={damping} "
-                           f"seed={seed}", solve, x, ranks, ConstantStep(alpha), damping,
-                           "uniform", seed, rse))
-    x, _ = synth_tensor(ORDER2)
-    inputs["order2"] = x
-    for name in ("tr-brsgd", "tr-scaled-brsgd"):
-        solve, alpha, kinds = SOLVERS[name]
-        for kind in kinds:
-            for seed in SEEDS:
-                print(run_line(f"order2 {name} {kind} seed={seed}", solve, x,
-                               (ORDER2.rank,) * ORDER2.order, ConstantStep(alpha), 1e-8, kind,
-                               seed, rse))
-    # C-order bytes: the digest reads the entries, not the memory layout
-    for tensor_name, x in inputs.items():
-        print(f"input {tensor_name} {hashlib.sha256(np.asarray(x).tobytes()).hexdigest()}")
-    spec = TENSORS["order4"]
-    for name, kind in DEFAULT_CADENCE:
-        solve, alpha, _kinds = SOLVERS[name]
-        for seed in SEEDS:
-            print(run_line(f"order4 {name} {kind} eval_every=None seed={seed}", solve,
-                           inputs["order4"], (spec.rank,) * spec.order, ConstantStep(alpha),
-                           1e-8, kind, seed, rse, eval_every=None))
-    x, _ = synth_tensor(ORDER4_DEFAULTS)
-    for kind in ("uniform", "leverage"):
-        for seed in SEEDS:
-            print(run_line(f"order4-30 tr-scaled-brsgd {kind} eval_every=None seed={seed}",
-                           tr_scaled_brsgd, x, (ORDER4_DEFAULTS.rank,) * ORDER4_DEFAULTS.order,
-                           ConstantStep(0.3), 1e-8, kind, seed, rse,
-                           eval_every=None, batches=(100, 300), init_scale=0.3,
-                           max_iters=75))
-    ranks, sweeps = ALS_RANK_DEFICIENT
-    for seed in SEEDS:
-        print(run_line(f"order2-singular tr-als ranks={ranks} seed={seed}", tr_als,
-                       inputs["order2-singular"], ranks, ConstantStep(1.0), 1e-8, "uniform",
-                       seed, rse, max_iters=sweeps))
-    spec = TENSORS["order3-k1e4"]
-    for name, schedules in SCHEDULES:
-        solve = SOLVERS[name][0]
-        for schedule in schedules:
-            for seed in SEEDS:
-                print(run_line(f"order3-k1e4 {name} uniform {schedule!r} seed={seed}", solve,
-                               inputs["order3-k1e4"], (spec.rank,) * spec.order, schedule,
-                               1e-8, "uniform", seed, rse))
-    spec, ranks, sweeps, seed = ALS_ORDER5
-    x, _ = synth_tensor(spec)
-    print(run_line(f"order5 tr-als ranks={ranks} seed={seed}", tr_als, x, ranks,
-                   ConstantStep(1.0), 1e-8, "uniform", seed, rse, eval_every=5,
-                   max_iters=sweeps))
-    spec, runs = MULTI_SLAB
-    x, _ = synth_tensor(spec)
-    for name, alpha, iters in runs:
-        for seed in SEEDS:
-            print(run_line(f"order3-50 {name} seed={seed}", SOLVERS[name][0], x,
-                           (spec.rank,) * spec.order, ConstantStep(alpha), 1e-8, "uniform",
-                           seed, rse, eval_every=1, max_iters=iters))
+    for entry in LINES:
+        if isinstance(entry, Input):
+            # C-order bytes: the digest reads the entries, not the memory layout
+            print(f"{entry.label} {hashlib.sha256(tensor(entry.spec).tobytes()).hexdigest()}")
+        else:
+            print(run_line(entry.label, entry.solve, tensor(entry.spec), entry.ranks, entry.step,
+                           entry.damping, entry.kind, entry.seed, args.rse, **entry.settings))
     return 0
 
 
